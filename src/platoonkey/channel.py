@@ -296,15 +296,18 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     values[0] = h12 + meas_sigma(dv) * meas[0]
     values[1] = h12 + meas_sigma(dv) * meas[1] + recip
 
-    for j in range(3, n + 1):
-        k = j - 3
-        d1j = geometry.link_distance(1, j)
-        d2j = geometry.link_distance(2, j)
-        h1j = (rss_of_link(params, d1j, common + private[1 + 2 * k])
-               + meas_sigma(d1j) * meas[2 + 2 * k])
-        h2j = (rss_of_link(params, d2j, common + private[2 + 2 * k])
-               + meas_sigma(d2j) * meas[3 + 2 * k])
-        values[j - 1], valid[j - 1] = _estimate_rows(params, h1j, h2j)
+    # estimators j = 3..N as rows: links (1,j) and (2,j) alternate in the
+    # draw order, so their shadowing and noise rows are the odd/even slices
+    followers = range(3, n + 1)
+    d1 = np.array([geometry.link_distance(1, j) for j in followers])
+    d2 = np.array([geometry.link_distance(2, j) for j in followers])
+    s1 = np.array([meas_sigma(d) for d in d1])
+    s2 = np.array([meas_sigma(d) for d in d2])
+    h1 = (rss_of_link(params, d1[:, None], common + private[1::2])
+          + s1[:, None] * meas[2::2])
+    h2 = (rss_of_link(params, d2[:, None], common + private[2::2])
+          + s2[:, None] * meas[3::2])
+    values[2:], valid[2:] = _estimate_rows(params, h1, h2)
 
     # Eavesdropper: same propagation constants, disjoint RNG stream and
     # fully independent shadowing (common component included).

@@ -14,6 +14,11 @@ codeword.  Two bin-to-codeword maps are provided:
 The codebook also carries the complement-bit sequence and the
 two-element circular shift of the grouped codeword list; both are
 exposed for completeness but stay out of the default key path.
+
+:func:`extract_key` lays the selected map out as an ``(n_bins, Q)``
+uint8 table, one codeword row per bin, with the complement bit as an
+extra column when appended; a key is the table's rows gathered at the
+slots' bin indices and flattened.
 """
 
 from __future__ import annotations
@@ -148,7 +153,8 @@ def extract_key(bin_indices, codebook: GrayCodebook,
 
     ``direct`` maps bin l to codeword l - 1 and requires every bin to fit
     the codebook; ``grouped`` maps bin l to the grouped codeword, with
-    the complement bit appended when requested.
+    the complement bit appended when requested.  Both are one lookup in
+    the codeword table described in the module docstring.
     """
     if map_mode not in MAP_MODES:
         raise ValueError(f"map_mode must be one of {MAP_MODES}")
@@ -158,16 +164,13 @@ def extract_key(bin_indices, codebook: GrayCodebook,
     idx = np.asarray(bin_indices, dtype=np.int64)
     if idx.size and (idx.min() < 1 or idx.max() > L):
         raise ValueError("bin indices must lie in [1, n_bins]")
-    out: list[int] = []
-    for l in idx:
-        if map_mode == "direct":
-            word = codebook.codewords[int(l) - 1]
-        else:
-            word = codebook.plus_codewords[int(l) - 1]
-        out.extend(word)
-        if append_complement:
-            out.append(codebook.complement_bits[int(l) - 1])
-    return SecretKey(bits=tuple(out), owner=owner, iteration=iteration)
+    words = codebook.codewords[:L] if map_mode == "direct" else codebook.plus_codewords
+    table = np.array(words, dtype=np.uint8)
+    if append_complement:
+        table = np.column_stack(
+            [table, np.array(codebook.complement_bits, dtype=np.uint8)])
+    return SecretKey(bits=tuple(table[idx - 1].ravel().tolist()),
+                     owner=owner, iteration=iteration)
 
 
 def bmmr(key_a: SecretKey, key_b: SecretKey) -> float:

@@ -17,9 +17,20 @@ objective is degenerate: packing all interior boundaries below the
 samples puts every sample in one bin and scores zero mismatch while
 producing constant, entropy-free keys.
 
-Both DP passes run over suffix subproblems in O(L * G^2) using prefix
-sums, and boundaries are recovered front-to-back, each chosen as the
-smallest grid point consistent with the optimum of the remaining tail.
+The DP works on whole matrices.  Over the G + 1 boundary indices
+(floor at 0, interior grid points 1..G-1, top at G), two matrices are
+built once per fit from 2-D prefix sums of the sample ranks: the segment
+cost ``C[a, b]``, the chained mismatch that interval ``[a, b)`` alone
+contributes, and the reference occupancy ``O[a, b]``, the number of
+reference samples in ``[a, b)``.  Interval l may end at index
+``b <= G - L + l``, so each of the L suffix layers is one masked row
+reduction over a column slice of the ``a < b`` triangle: a row-max of
+``min(O, bal_next[b])`` for the balance pass, and a row-min of
+``C + tail_next[b]`` over segments with ``O >= target`` for the cost
+pass.  Boundaries are recovered front to back from each layer's row
+argmin, the first (smallest) b attaining the row optimum, which yields
+the lexicographically smallest optimal boundary tuple.  The per-interval
+mismatch of the fitted quantizer is then tallied in one pass.
 """
 
 from __future__ import annotations
@@ -165,10 +176,8 @@ def mismatch_count(bin_sequences, l: int) -> int:
     length = len(seqs[0])
     if any(len(s) != length for s in seqs):
         raise ValueError("bin sequences must have equal length")
-    total = 0
-    for a, b in zip(seqs[:-1], seqs[1:]):
-        total += int(np.sum((a == l) != (b == l)))
-    return total
+    # on the interval-l indicator bits, "bin 1" is interval l
+    return int(_interval_mismatches(np.stack(seqs) == l, 2)[1])
 
 
 def _candidates(floor: float, top_sample: float, grid_size: int) -> np.ndarray:
@@ -182,40 +191,46 @@ def _candidates(floor: float, top_sample: float, grid_size: int) -> np.ndarray:
     return np.append(grid, top_sample + step)
 
 
-class _SegmentTables:
-    """O(1) mismatch cost and reference occupancy of candidate segments.
+def _segment_matrices(samples: np.ndarray, cand: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Mismatch cost ``C`` and reference occupancy ``O`` of every segment.
 
-    For every adjacent chain pair and slot, the two candidate ranks are
-    histogrammed as (lo, hi); the chained mismatch of segment [a, b) is
-    the number of pairs with exactly one rank inside, read off the 2D
-    prefix sums.
+    Over boundary indices ``a, b`` in ``0..G``, ``C[a, b]`` counts the
+    (adjacent chain pair, slot) entries with exactly one of the two
+    candidate ranks in ``[a, b)``, and ``O[a, b]`` the reference (row 0)
+    samples with rank in ``[a, b)``.  Both are read off prefix sums of
+    the rank histogram; only the ``a < b`` entries are meaningful.
     """
+    m = len(cand)
+    ranks = np.searchsorted(cand, samples, side="right") - 1
+    lo = np.minimum(ranks[:-1], ranks[1:]).ravel()
+    hi = np.maximum(ranks[:-1], ranks[1:]).ravel()
+    hist = np.bincount(lo * m + hi, minlength=m * m).reshape(m, m)
+    # prefix[a, b] = number of pairs with lo < a and hi < b
+    prefix = np.zeros((m + 1, m + 1), dtype=np.int64)
+    prefix[1:, 1:] = hist.cumsum(0).cumsum(1)
+    lo_below = prefix[:m, m]            # pairs with lo < a
+    both_below = np.diagonal(prefix)[:m]  # pairs with hi < a
+    # lo in [a, b) with hi >= b, plus lo < a with hi in [a, b)
+    cost = (lo_below[None, :] - lo_below[:, None]
+            - both_below[None, :] - both_below[:, None]
+            + 2 * prefix[:m, :m])
+    ref = np.concatenate(([0], np.cumsum(np.bincount(ranks[0], minlength=m))))
+    occupancy = ref[None, :m] - ref[:m, None]
+    return cost, occupancy
 
-    def __init__(self, samples: np.ndarray, cand: np.ndarray):
-        m = len(cand)
-        ranks = (np.searchsorted(cand, samples, side="right") - 1).astype(np.int64)
-        lo = np.minimum(ranks[:-1], ranks[1:]).ravel()
-        hi = np.maximum(ranks[:-1], ranks[1:]).ravel()
-        hist = np.zeros((m, m), dtype=np.int64)
-        np.add.at(hist, (lo, hi), 1)
-        # prefix[a, b] = number of pairs with lo < a and hi < b
-        self.prefix = np.zeros((m + 1, m + 1), dtype=np.int64)
-        self.prefix[1:, 1:] = hist.cumsum(0).cumsum(1)
-        self.m = m
-        ref_counts = np.bincount(ranks[0], minlength=m)
-        self.ref_prefix = np.concatenate(([0], np.cumsum(ref_counts)))
 
-    def cost(self, a: int, b) -> np.ndarray:
-        """Mismatch of segment(s) [a, b): pairs with exactly one rank inside."""
-        p, m = self.prefix, self.m
-        b = np.asarray(b)
-        lo_in_hi_out = (p[b, m] - p[a, m]) - (p[b, b] - p[a, b])
-        hi_in_lo_out = p[a, b] - p[a, a]
-        return lo_in_hi_out + hi_in_lo_out
+def _interval_mismatches(bins: np.ndarray, n_bins: int) -> np.ndarray:
+    """Chained mismatch count of every bin index ``0..n_bins-1`` at once.
 
-    def occupancy(self, a: int, b) -> np.ndarray:
-        """Reference samples with rank in [a, b)."""
-        return self.ref_prefix[np.asarray(b)] - self.ref_prefix[a]
+    Adjacent rows of ``bins`` are compared slot by slot; a disagreeing
+    pair with bins a != b flips the indicator bit of interval a and of
+    interval b, so it adds one mismatch to each.
+    """
+    a, b = bins[:-1].ravel(), bins[1:].ravel()
+    differ = a != b
+    return (np.bincount(a[differ], minlength=n_bins)
+            + np.bincount(b[differ], minlength=n_bins))
 
 
 def optimize_boundaries(samples, floor: float, n_intervals: int,
@@ -225,6 +240,21 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     Row 0 is the reference (leader) sequence used for the balance stage;
     rows are compared pairwise in order for the mismatch objective.  All
     samples must be finite and at or above the floor.
+
+    The DP runs over suffixes on the segment matrices of
+    :func:`_segment_matrices`.  Interval l may end at boundary index
+    ``b <= G - L + l`` (interior boundaries stay on the grid, the last
+    interval ends at the top index G), so layer l is a column slice of
+    the strictly upper-triangular (``a < b``) segment matrix:
+
+    * balance pass: ``bal_l[a] = max_b min(O[a, b], bal_{l+1}[b])``;
+    * cost pass: ``tail_l[a] = min_b C[a, b] + tail_{l+1}[b]`` over the
+      segments with ``O[a, b] >= target``.
+
+    The layer past the last interval only admits the top index G.
+    Boundaries are recovered front to back from each layer's row argmin,
+    i.e. the first b whose entry equals the row optimum, which yields
+    the lexicographically smallest optimal boundary tuple.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
@@ -243,85 +273,44 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
         raise InfeasiblePartition(f"grid_size {G} < n_intervals {L}")
 
     cand = _candidates(floor, float(samples.max()), G)
-    top = G  # index of the appended top candidate
-    tables = _SegmentTables(samples, cand)
-
-    # Interval l (1-based) starts at boundary index a and ends at b; interior
-    # boundary l sits at grid index in [l, G - L + l], the floor at 0, the
-    # top at index G.
-    def b_range(l: int, a: int) -> np.ndarray:
-        return np.arange(a + 1, G - (L - l) + 1)
-
-    def a_range(l: int) -> range:
-        if l == 1:
-            return range(0, 1)
-        return range(l - 1, G - (L - l) if l < L else G)
+    cost, occupancy = _segment_matrices(samples, cand)
+    segment = np.triu(np.ones((G + 1, G + 1), dtype=bool), 1)
+    ends = [G - L + l + 1 for l in range(L, 0, -1)]  # column slices, layer L first
 
     # Pass 1: maximize the minimum per-bin reference occupancy.
-    balance = np.full(G + 1, -1, dtype=np.int64)
-    for a in a_range(L):
-        balance[a] = tables.occupancy(a, top)
-    for l in range(L - 1, 0, -1):
-        nxt = balance
-        balance = np.full(G + 1, -1, dtype=np.int64)
-        for a in a_range(l):
-            bs = b_range(l, a)
-            vals = np.minimum(tables.occupancy(a, bs), nxt[bs])
-            if len(vals):
-                balance[a] = vals.max()
-    target = int(balance[0])
+    occ = np.where(segment, occupancy, -1)
+    bal = np.full(G + 1, -1, dtype=np.int64)
+    bal[G] = _INF
+    for k in ends:
+        bal = np.minimum(occ[:, :k], bal[:k]).max(axis=1)
+    target = int(bal[0])
     if target < 0:
         raise InfeasiblePartition("no feasible boundary placement")
 
     # Pass 2: minimize total mismatch among partitions whose every bin
-    # holds at least `target` reference samples.  tails[l-1][a] = best
-    # cost of intervals l..L when interval l starts at index a.
+    # holds at least `target` reference samples.
+    seg_cost = np.where(segment & (occupancy >= target), cost, _INF)
     tail = np.full(G + 1, _INF, dtype=np.int64)
-    for a in a_range(L):
-        if tables.occupancy(a, top) >= target:
-            tail[a] = tables.cost(a, top)
-    tails = [tail]
-    for l in range(L - 1, 0, -1):
-        nxt = tails[-1]
-        tail = np.full(G + 1, _INF, dtype=np.int64)
-        for a in a_range(l):
-            bs = b_range(l, a)
-            feas = (tables.occupancy(a, bs) >= target) & (nxt[bs] < _INF)
-            if not feas.any():
-                continue
-            seg = np.where(feas, tables.cost(a, bs) + nxt[bs], _INF)
-            tail[a] = seg.min()
-        tails.append(tail)
-    tails.reverse()
-    total_cost = int(tails[0][0])
-    if total_cost >= _INF:
+    tail[G] = 0
+    choices = []
+    for k in ends:
+        total = seg_cost[:, :k] + tail[:k]
+        choices.append(total.argmin(axis=1))
+        tail = np.minimum(total.min(axis=1), _INF)
+    if tail[0] >= _INF:
         raise InfeasiblePartition("no feasible boundary placement")
 
-    # Forward reconstruction; the smallest boundary consistent with the
-    # tail optimum at each step yields the lexicographically smallest tuple.
+    # front to back; argmin took the smallest optimal b of every row
     idxs = [0]
-    a, remaining = 0, total_cost
-    for l in range(1, L):
-        bs = b_range(l, a)
-        seg = tables.cost(a, bs)
-        good = ((tables.occupancy(a, bs) >= target)
-                & (seg + tails[l][bs] == remaining))
-        if not good.any():
-            raise AssertionError("reconstruction lost the DP optimum")
-        b = int(bs[np.argmax(good)])
-        idxs.append(b)
-        remaining -= int(tables.cost(a, b))
-        a = b
-    idxs.append(top)
+    for best in reversed(choices):
+        idxs.append(int(best[idxs[-1]]))
 
     iset = IntervalSet(boundaries=tuple(float(cand[i]) for i in idxs))
-    bins = [bin_indices(row, iset)[0] for row in samples]
-    per_interval = tuple(mismatch_count(bins, l) for l in range(1, L + 1))
-    running: list[int] = []
-    for r in per_interval:
-        running.append(r if not running else min(running[-1], r))
+    bins, _ = bin_indices(samples, iset)
+    per_interval = tuple(int(c) for c in _interval_mismatches(bins, L + 1)[1:])
+    running = np.minimum.accumulate(per_interval)
     return iset, MismatchTable(per_interval=per_interval,
-                               cumulative_best=tuple(running))
+                               cumulative_best=tuple(int(c) for c in running))
 
 
 def retained_slots(trace: RssTrace, floor: float) -> np.ndarray:
@@ -391,8 +380,6 @@ def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> QuantizedTrace:
     if len(keep):
         in_top = (trace.values[:, keep] < intervals.boundaries[-1]).all(axis=0)
         keep = keep[in_top]
-    bins = np.empty((trace.n_vehicles, len(keep)), dtype=np.int64)
-    for i in range(trace.n_vehicles):
-        bins[i], _ = bin_indices(trace.values[i, keep], intervals)
+    bins, _ = bin_indices(trace.values[:, keep], intervals)
     ebins, _ = bin_indices(trace.eavesdropper[keep], intervals, clamp=True)
     return QuantizedTrace(slot_indices=keep, bins=bins, eavesdropper_bins=ebins)

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .protocol import CycleAbort, DisseminationFailure, run_cycle
+from .quantizer import InfeasiblePartition
 from .randomness import RandomnessReport, run_battery
 from .scenario import Scenario, serialize_scenario
 
@@ -64,7 +65,12 @@ def _axis_value_str(axis: str, value) -> str:
 
 
 def _run_unit(args) -> dict:
-    """One (point, seed, replication) cycle; pure given its arguments."""
+    """One (point, seed, replication) cycle; pure given its arguments.
+
+    A cycle that fails for a modeled reason (beacon or dissemination
+    retries exhausted, no feasible quantizer fit) becomes a ``failure=1``
+    row naming the exception; any other error propagates.
+    """
     point_idx, point, axis, axis_value, seed, repl = args
     ss = np.random.SeedSequence([seed, repl])
     t0 = time.perf_counter()
@@ -75,7 +81,7 @@ def _run_unit(args) -> dict:
     try:
         rep = run_cycle(point.channel, point.geometry, point.protocol,
                         point.quantizer, point.keygen, point.slots, ss)
-    except (CycleAbort, DisseminationFailure, ValueError) as exc:
+    except (CycleAbort, DisseminationFailure, InfeasiblePartition) as exc:
         row.update({k: float("nan") for k in
                     ("bmmr_mean", "bmmr_v2", "bmmr_tail", "eavesdropper_bmmr",
                      "key_bits", "cska_latency_ms", "evcd_latency_ms",

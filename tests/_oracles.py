@@ -2,7 +2,9 @@
 
 Everything here is deliberately straight-line: nested loops, itertools
 enumeration, and high-precision special functions via mpmath.  None of
-it shares code paths with the package.
+it shares code paths with the package.  ``reference_trace`` is a frozen
+copy of the per-vehicle trace generator, kept to pin the vectorized one
+bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import itertools
 import math
 
 import mpmath
+import numpy as np
+from scipy.signal import lfilter
 
 mpmath.mp.dps = 50
 
@@ -79,6 +83,91 @@ def chained_mismatch(bin_rows, l):
             if (1 if x == l else 0) != (1 if y == l else 0):
                 total += 1
     return total
+
+
+def reference_key_bits(bins, q, n_bins, map_mode, append_complement):
+    """Per-slot key bits: each bin's Gray codeword, then its complement bit."""
+    words = gray_list(q)
+    bits = []
+    for l in bins:
+        if map_mode == "direct":
+            word = words[l - 1]
+        else:
+            word = words[((l - 1) // 4) % (2 ** q)]
+        bits.extend(int(c) for c in word)
+        if append_complement:
+            bits.append(1 if l % 4 in (2, 3) else 0)
+    return bits
+
+
+def reference_trace(params, geometry, slots, seed):
+    """Per-vehicle loop of the trace generator, with the same RNG draws.
+
+    Returns (values, valid, eavesdropper, eavesdropper_valid).
+    """
+    ss = np.random.SeedSequence(seed)
+    platoon_ss, eaves_ss = ss.spawn(2)
+    rng = np.random.default_rng(platoon_ss)
+    erng = np.random.default_rng(eaves_ss)
+    eta, const, tx = (params.path_loss_exponent, params.channel_constant_db,
+                      params.tx_power_dbm)
+    frac, rho = params.shadowing_common_fraction, params.shadowing_autocorr
+    sig_c = params.shadowing_sigma_db * math.sqrt(frac)
+    sig_p = params.shadowing_sigma_db * math.sqrt(1.0 - frac)
+
+    def ar1(draws):
+        if rho == 0.0:
+            return draws
+        scaled = draws * math.sqrt(1.0 - rho * rho)
+        scaled[..., 0] = draws[..., 0]
+        return lfilter([1.0], [1.0, -rho], scaled, axis=-1)
+
+    def link(d, shadow):
+        return tx - (tx + const - 10.0 * eta * np.log10(np.asarray(d, dtype=float))
+                     + shadow)
+
+    def noise_sigma(d):
+        return params.measurement_noise_db * 10.0 ** (
+            (10.0 * eta * math.log10(d) - const) / 20.0)
+
+    def estimate(h1, h2):
+        d1 = 10.0 ** ((h1 + const + 0.0) / (10.0 * eta))
+        d2 = 10.0 ** ((h2 + const + 0.0) / (10.0 * eta))
+        diff = d1 - d2
+        ok = diff > 0
+        est = 10.0 * eta * np.log10(np.where(ok, diff, 1.0)) - const
+        return np.where(ok, est, np.nan), ok
+
+    n = geometry.n_vehicles
+    dv = geometry.pair_distance_m
+    common = sig_c * ar1(rng.standard_normal(slots))
+    private = sig_p * ar1(rng.standard_normal((1 + 2 * (n - 2), slots)))
+    meas = rng.standard_normal((2 + 2 * (n - 2), slots))
+    recip = params.reciprocity_sigma_db * rng.standard_normal(slots)
+    values = np.empty((n, slots))
+    valid = np.ones((n, slots), dtype=bool)
+    h12 = link(dv, common + private[0])
+    values[0] = h12 + noise_sigma(dv) * meas[0]
+    values[1] = h12 + noise_sigma(dv) * meas[1] + recip
+    for j in range(3, n + 1):
+        k = j - 3
+        d1j = abs(0.0 - (j - 1) * dv)
+        d2j = abs(dv - (j - 1) * dv)
+        h1j = link(d1j, common + private[1 + 2 * k]) + noise_sigma(d1j) * meas[2 + 2 * k]
+        h2j = link(d2j, common + private[2 + 2 * k]) + noise_sigma(d2j) * meas[3 + 2 * k]
+        values[j - 1], valid[j - 1] = estimate(h1j, h2j)
+
+    de = geometry.eavesdropper_distance_m
+    ex, ey = {"P1": (0.5 * dv, de), "P2": (2.5 * dv, de),
+              "P3": ((n - 1) * dv + de, 0.0)}[geometry.eavesdropper_position]
+    d1e, d2e = math.hypot(ex - 0.0, ey), math.hypot(ex - dv, ey)
+    e_common = sig_c * ar1(erng.standard_normal(slots))
+    e_private = sig_p * ar1(erng.standard_normal((2, slots)))
+    e_meas = erng.standard_normal((2, slots))
+    h1e = link(d1e, e_common + e_private[0]) + noise_sigma(d1e) * e_meas[0]
+    h2e = link(d2e, e_common + e_private[1]) + noise_sigma(d2e) * e_meas[1]
+    eaves, eaves_valid = estimate(h1e, h2e)
+    return values, valid, eaves, eaves_valid
 
 
 def gray_list(q):

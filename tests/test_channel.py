@@ -16,6 +16,8 @@ from platoonkey.channel import (
     rss_of_link,
 )
 
+from _oracles import reference_trace
+
 
 def params(**kw):
     base = dict(tx_power_dbm=0.0, channel_constant_db=0.0,
@@ -249,3 +251,26 @@ class TestGeometry:
             ChannelParams(rss_decode_floor_db=math.inf)
         with pytest.raises(ValueError):
             ChannelParams(shadowing_common_fraction=1.5)
+
+
+class TestVectorizedEstimators:
+    @pytest.mark.parametrize("n", [3, 4, 6, 10, 16])
+    @pytest.mark.parametrize("slots", [1, 7, 200])
+    def test_bit_identical_to_per_vehicle_loop(self, n, slots):
+        for seed in range(4):
+            rng = np.random.default_rng([n, slots, seed])
+            p = ChannelParams(
+                shadowing_sigma_db=float(rng.uniform(0.5, 6.0)),
+                shadowing_common_fraction=float(rng.uniform(0.0, 1.0)),
+                shadowing_autocorr=0.7 if seed % 2 else 0.0,
+                reciprocity_sigma_db=float(rng.uniform(0.0, 1.0)),
+                measurement_noise_db=0.2 if seed < 2 else 0.0)
+            g = PlatoonGeometry(n_vehicles=n,
+                                pair_distance_m=float(rng.uniform(1.0, 20.0)),
+                                eavesdropper_position="P1" if n < 4 else "P2")
+            t = generate_trace(p, g, slots, seed)
+            ref = reference_trace(p, g, slots, seed)
+            got = (t.values, t.valid, t.eavesdropper, t.eavesdropper_valid)
+            for ours, theirs in zip(got, ref):
+                assert ours.shape == theirs.shape
+                assert ours.tobytes() == theirs.tobytes()

@@ -15,7 +15,7 @@ from platoonkey.keygen import (
 )
 from platoonkey.quantizer import mismatch_count
 
-from _oracles import gray_list
+from _oracles import gray_list, reference_key_bits
 
 
 class TestGrayCodeword:
@@ -147,6 +147,21 @@ class TestExtractKey:
             a = extract_key(seq, cb)
             b = extract_key(other, cb)
             assert bmmr(a, b) <= 1.0 / (slots * 3)
+
+    @pytest.mark.parametrize("map_mode", ["direct", "grouped"])
+    @pytest.mark.parametrize("append_complement", [False, True])
+    @pytest.mark.parametrize("q,L", [(1, 2), (3, 5), (3, 8), (4, 11)])
+    def test_matches_per_slot_oracle(self, map_mode, append_complement, q, L):
+        cb = GrayCodebook(codeword_bits=q, n_bins=L)
+        rng = np.random.default_rng([q, L])
+        for bins in ([], [L], list(range(1, L + 1)),
+                     rng.integers(1, L + 1, 50).tolist()):
+            key = extract_key(np.asarray(bins, dtype=np.int64), cb, map_mode,
+                              append_complement, owner=3, iteration=2)
+            assert list(key.bits) == reference_key_bits(
+                bins, q, L, map_mode, append_complement)
+            assert all(type(b) is int for b in key.bits)
+            assert (key.owner, key.iteration) == (3, 2)
 
     def test_hex_round_trip_prefix(self):
         key = SecretKey.from01("10110100")

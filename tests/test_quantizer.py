@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from platoonkey.channel import ChannelParams, PlatoonGeometry, generate_trace
 from platoonkey.quantizer import (
@@ -222,3 +224,45 @@ class TestOptimizeIntervals:
         assert qt.eavesdropper_bins.min() >= 1
         assert qt.eavesdropper_bins.max() <= 3
         assert len(qt.eavesdropper_bins) == qt.n_retained
+
+
+@st.composite
+def dp_instances(draw):
+    n_rows = draw(st.integers(2, 4))
+    slots = draw(st.integers(1, 6))
+    L = draw(st.integers(2, 4))
+    G = draw(st.integers(L, 10))
+    # half-dB steps give duplicate samples and samples on grid points
+    value = st.one_of(st.integers(-8, 8).map(lambda k: k / 2.0),
+                      st.floats(-4.0, 4.0, allow_nan=False, width=32))
+    rows = np.array([[draw(value) for _ in range(slots)]
+                     for _ in range(n_rows)], dtype=float)
+    gap = draw(st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.7]))
+    return rows, float(rows.min()) - gap, L, G
+
+
+class TestOptimizeBoundariesProperty:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(dp_instances())
+    @example((np.array([[0.5, 1.0, 1.0], [0.5, 1.5, 1.0]]), 0.5, 3, 3))  # G == L
+    @example((np.array([[1.0], [2.0], [1.5]]), 0.0, 2, 5))  # single slot
+    # floor on a sample, duplicates on grid points
+    @example((np.array([[0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 2.0]]), 0.0, 4, 8))
+    @example((np.array([[-1.0, -1.0], [-1.0, -1.0]]), -1.0, 2, 4))  # all on floor
+    def test_matches_brute_force(self, instance):
+        rows, floor, L, G = instance
+        try:
+            expected = brute_force_boundaries(rows, floor, L, G)
+        except ValueError:
+            # every sample sits on the floor: no grid above it
+            with pytest.raises(InfeasiblePartition):
+                optimize_boundaries(rows, floor, L, G)
+            return
+        bounds, mismatch, _ = expected
+        iset, table = optimize_boundaries(rows, floor, L, G)
+        assert iset.boundaries == pytest.approx(bounds, rel=1e-12, abs=1e-12)
+        assert table.total == mismatch
+        bins = [bin_indices(r, iset)[0].tolist() for r in rows]
+        assert table.per_interval == tuple(
+            chained_mismatch(bins, l) for l in range(1, L + 1))
