@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .protocol import CycleAbort, DisseminationFailure, run_cycle
-from .randomness import run_battery
+from .randomness import bits_from_ascii, run_battery
 from .scenario import ParseError, parse_scenario
 from .sweep import emit_plots, run_sweep
 
@@ -126,7 +126,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_nist(args) -> int:
     raw = Path(args.bitstream).read_text(encoding="ascii")
-    bits = np.array([int(c) for c in raw if c in "01"], dtype=np.uint8)
+    bits = bits_from_ascii(raw)
     if bits.size == 0:
         print("error: bitstream file holds no 0/1 characters", file=sys.stderr)
         return EXIT_RUNTIME

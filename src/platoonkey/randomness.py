@@ -27,6 +27,7 @@ __all__ = [
     "RandomnessReport",
     "TestResult",
     "approx_entropy_test",
+    "bits_from_ascii",
     "block_frequency_test",
     "cusum_test",
     "dft_test",
@@ -61,6 +62,14 @@ def _as_bits(bits) -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise ValueError("input must contain only bits 0/1")
     return arr
+
+
+def bits_from_ascii(text: str) -> np.ndarray:
+    """The bits of the ``0``/``1`` characters of ``text`` as uint8; every
+    other character is ignored.  Non-ASCII text raises
+    ``UnicodeEncodeError``."""
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return chars[(chars == ord("0")) | (chars == ord("1"))] - ord("0")
 
 
 def _check_floor(n: int, name: str, floor: int | None) -> None:
@@ -156,14 +165,6 @@ _LONGEST_RUN_TABLES = (
 )
 
 
-def _longest_run_in_block(block: np.ndarray) -> int:
-    best = cur = 0
-    for b in block:
-        cur = cur + 1 if b else 0
-        best = max(best, cur)
-    return best
-
-
 def longest_run_test(bits, floor: int | None = None) -> float:
     """Longest run of ones per block, chi-squared against tabulated bins."""
     eps = _as_bits(bits)
@@ -175,14 +176,20 @@ def longest_run_test(bits, floor: int | None = None) -> float:
         if n >= min_n:
             break
     k = n // m
-    blocks = eps[:k * m].reshape(k, m)
-    longest = np.array([_longest_run_in_block(b) for b in blocks])
-    nu = np.zeros(len(cats), dtype=np.int64)
-    for run in longest:
-        pos = int(np.clip(np.searchsorted(cats, run), 0, len(cats) - 1))
-        if run > cats[pos]:
-            pos = len(cats) - 1
-        nu[pos] += 1
+    # A zero on both sides of every block row closes each run of ones
+    # inside its own row, so the rises (+1) and falls (-1) of the
+    # flattened rows pair up in order, one pair per run.
+    padded = np.zeros((k, m + 2), dtype=np.int8)
+    padded[:, 1:-1] = eps[:k * m].reshape(k, m)
+    edges = np.diff(padded.ravel())
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
+    longest = np.zeros(k, dtype=np.int64)
+    np.maximum.at(longest, starts // (m + 2), ends - starts)
+    # every category table is a run of consecutive lengths, the first
+    # and last bins open-ended
+    nu = np.bincount(np.clip(longest, cats[0], cats[-1]) - cats[0],
+                     minlength=len(cats))
     expected = k * np.asarray(probs)
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
     return float(gammaincc((len(cats) - 1) / 2.0, chi2 / 2.0))
@@ -194,7 +201,7 @@ def dft_test(bits, floor: int | None = None) -> float:
     n = len(eps)
     _check_floor(n, "dft", floor)
     x = 2.0 * eps - 1.0
-    modulus = np.abs(np.fft.fft(x))[: n // 2]
+    modulus = np.abs(np.fft.rfft(x))[: n // 2]
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.sum(modulus < threshold))
@@ -202,20 +209,23 @@ def dft_test(bits, floor: int | None = None) -> float:
     return float(erfc(abs(d) / math.sqrt(2.0)))
 
 
-def _pattern_phi(eps: np.ndarray, m: int) -> float:
-    """phi_m of the approximate-entropy statistic (wrap-around patterns)."""
-    if m == 0:
-        return 0.0
+def _pattern_counts(eps: np.ndarray, m: int) -> list[np.ndarray]:
+    """``counts[k][c]``: how many of the n overlapping k-bit windows of the
+    stream, read cyclically, hold the pattern with code c, for k = 0..m
+    (``m >= 1``)."""
     n = len(eps)
-    ext = np.concatenate([eps, eps[: m - 1]]) if m > 1 else eps
-    # encode each overlapping m-pattern as an integer
+    ext = np.concatenate([eps, eps[: m - 1]])
+    # encode each overlapping m-pattern as an integer, first bit highest
     weights = 1 << np.arange(m - 1, -1, -1)
     codes = np.zeros(n, dtype=np.int64)
     for k in range(m):
         codes = codes + ext[k:k + n] * weights[k]
-    counts = np.bincount(codes, minlength=1 << m)
-    c = counts[counts > 0] / n
-    return float(np.sum(c * np.log(c)))
+    counts = [np.bincount(codes, minlength=1 << m)]
+    # a k-bit window is the prefix of the (k+1)-bit window at the same
+    # position, so pairs of codes sharing all but the last bit merge
+    for _ in range(m):
+        counts.append(counts[-1].reshape(-1, 2).sum(axis=1))
+    return counts[::-1]
 
 
 def approx_entropy_test(bits, m: int | None = None,
@@ -228,26 +238,17 @@ def approx_entropy_test(bits, m: int | None = None,
         m = _default_apen_m(n)
     if m < 1:
         raise ValueError("m must be >= 1")
-    apen = _pattern_phi(eps, m) - _pattern_phi(eps, m + 1)
+    phi = []
+    for c in _pattern_counts(eps, m + 1)[m:]:
+        c = c[c > 0] / n
+        phi.append(float(np.sum(c * np.log(c))))
+    apen = phi[0] - phi[1]
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     return float(gammaincc(2 ** (m - 1), chi2 / 2.0))
 
 
 def _default_apen_m(n: int) -> int:
     return max(1, min(3, int(math.log2(n)) - 5))
-
-
-def _psi_sq(eps: np.ndarray, m: int) -> float:
-    if m <= 0:
-        return 0.0
-    n = len(eps)
-    ext = np.concatenate([eps, eps[: m - 1]]) if m > 1 else eps
-    weights = 1 << np.arange(m - 1, -1, -1)
-    codes = np.zeros(n, dtype=np.int64)
-    for k in range(m):
-        codes = codes + ext[k:k + n] * weights[k]
-    counts = np.bincount(codes, minlength=1 << m)
-    return float((1 << m) / n * np.sum(counts.astype(float) ** 2) - n)
 
 
 def serial_test(bits, m: int | None = None,
@@ -260,9 +261,11 @@ def serial_test(bits, m: int | None = None,
         m = _default_serial_m(n)
     if m < 2:
         raise ValueError("m must be >= 2")
-    psi_m = _psi_sq(eps, m)
-    psi_m1 = _psi_sq(eps, m - 1)
-    psi_m2 = _psi_sq(eps, m - 2)
+    counts = _pattern_counts(eps, m)
+    psi_m, psi_m1, psi_m2 = (
+        float((1 << k) / n * np.sum(counts[k].astype(float) ** 2) - n)
+        if k else 0.0
+        for k in (m, m - 1, m - 2))
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = float(gammaincc(2 ** (m - 2), d1 / 2.0))
@@ -314,17 +317,31 @@ class RandomnessReport:
         return out
 
 
-_BATTERY_ORDER = (
-    "frequency",
-    "block_frequency",
-    "cusum_forward",
-    "cusum_reverse",
-    "runs",
-    "longest_run",
-    "dft",
-    "approx_entropy",
-    "serial",
+# (row name, DEFAULT_FLOORS key, p-values given the stream, the report's
+# parameters and the floor).  The lambdas look each test up by name when
+# called, so a wrapper set on a module attribute (the bench tracer sets
+# one per test) also sees the battery's calls.
+_BATTERY = (
+    ("frequency", "frequency",
+     lambda e, a, f: (frequency_test(e, floor=f),)),
+    ("block_frequency", "block_frequency",
+     lambda e, a, f: (block_frequency_test(e, a["block_size"], floor=f),)),
+    ("cusum_forward", "cusum",
+     lambda e, a, f: (cusum_test(e, "forward", floor=f),)),
+    ("cusum_reverse", "cusum",
+     lambda e, a, f: (cusum_test(e, "reverse", floor=f),)),
+    ("runs", "runs",
+     lambda e, a, f: (runs_test(e, floor=f),)),
+    ("longest_run", "longest_run",
+     lambda e, a, f: (longest_run_test(e, floor=f),)),
+    ("dft", "dft",
+     lambda e, a, f: (dft_test(e, floor=f),)),
+    ("approx_entropy", "approx_entropy",
+     lambda e, a, f: (approx_entropy_test(e, a["apen_m"], floor=f),)),
+    ("serial", "serial",
+     lambda e, a, f: serial_test(e, a["serial_m"], floor=f)),
 )
+_BATTERY_ORDER = tuple(name for name, _, _ in _BATTERY)
 
 
 def run_battery(bits, block_size: int | None = None,
@@ -345,36 +362,14 @@ def run_battery(bits, block_size: int | None = None,
     report = RandomnessReport(input_length=n, parameters={
         "block_size": block_size, "apen_m": apen_m, "serial_m": serial_m,
     })
-
-    def floor_of(name: str) -> int | None:
-        return floors.get(name)
-
-    for name in _BATTERY_ORDER:
-        note = ""
+    for name, floor_key, test in _BATTERY:
         try:
-            if name == "frequency":
-                ps: tuple[float, ...] = (frequency_test(eps, floor=floor_of(name)),)
-            elif name == "block_frequency":
-                ps = (block_frequency_test(eps, block_size, floor=floor_of(name)),)
-            elif name == "cusum_forward":
-                ps = (cusum_test(eps, "forward", floor=floor_of("cusum")),)
-            elif name == "cusum_reverse":
-                ps = (cusum_test(eps, "reverse", floor=floor_of("cusum")),)
-            elif name == "runs":
-                ps = (runs_test(eps, floor=floor_of(name)),)
-                if not runs_frequency_precheck(eps):
-                    note = "FrequencyPrecheckFailed"
-            elif name == "longest_run":
-                ps = (longest_run_test(eps, floor=floor_of(name)),)
-            elif name == "dft":
-                ps = (dft_test(eps, floor=floor_of(name)),)
-            elif name == "approx_entropy":
-                ps = (approx_entropy_test(eps, apen_m, floor=floor_of(name)),)
-            else:
-                ps = serial_test(eps, serial_m, floor=floor_of(name))
+            ps = test(eps, report.parameters, floors.get(floor_key))
         except InsufficientData as exc:
             report.results.append(TestResult(name, (), False, f"skipped: {exc}"))
             continue
+        note = ("FrequencyPrecheckFailed"
+                if name == "runs" and not runs_frequency_precheck(eps) else "")
         passed = all(p > PASS_THRESHOLD for p in ps)
         report.results.append(TestResult(name, ps, passed, note))
     return report

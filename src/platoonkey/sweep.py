@@ -35,7 +35,8 @@ import numpy as np
 
 from .protocol import CycleAbort, DisseminationFailure, run_cycle
 from .quantizer import InfeasiblePartition
-from .randomness import RandomnessReport, run_battery
+from .randomness import (_BATTERY_ORDER, RandomnessReport, bits_from_ascii,
+                         run_battery)
 from .scenario import Scenario, serialize_scenario
 
 __all__ = ["SweepReport", "emit_plots", "run_sweep"]
@@ -203,13 +204,12 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1,
                ("point", "axis", "axis_value", "metric", "mean", "stddev", "n"),
                summary_rows)
 
-    from .randomness import _BATTERY_ORDER
     cells: dict[str, list[str]] = {name: [] for name in _BATTERY_ORDER}
     for pi in range(len(points)):
         corpus = "".join(r["key01"] for r in report.point_rows(pi))
         (out / f"corpus_point{pi}.txt").write_text(corpus + "\n", encoding="ascii")
         if corpus:
-            rep = run_battery(np.frombuffer(corpus.encode(), dtype=np.uint8) - ord("0"))
+            rep = run_battery(bits_from_ascii(corpus))
             report.nist_reports[pi] = rep
             for res in rep.results:
                 cells[res.name].append(

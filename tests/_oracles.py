@@ -3,8 +3,9 @@
 Everything here is deliberately straight-line: nested loops, itertools
 enumeration, and high-precision special functions via mpmath.  None of
 it shares code paths with the package.  ``reference_trace`` is a frozen
-copy of the per-vehicle trace generator, kept to pin the vectorized one
-bit for bit.
+copy of the per-vehicle trace generator, and ``reference_longest_run_test``
+one of the per-block longest-run loop (with scipy's ``gammaincc``, so the
+p-values compare exactly), kept to pin the vectorized code bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import mpmath
 import numpy as np
 from scipy.signal import lfilter
+from scipy.special import gammaincc
 
 mpmath.mp.dps = 50
 
@@ -271,6 +273,40 @@ def apen_p(bits, m):
     apen = phi(m) - phi(m + 1)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     return gammaincc_hp(2 ** (m - 1), chi2 / 2.0)
+
+
+def reference_longest_run_test(bits):
+    """Longest-run-of-ones p-value, one Python loop per block."""
+    tables = (
+        (750000, 10000, (10, 11, 12, 13, 14, 15, 16),
+         (0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727)),
+        (6272, 128, (4, 5, 6, 7, 8, 9),
+         (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124)),
+        (128, 8, (1, 2, 3, 4),
+         (0.2148, 0.3672, 0.2305, 0.1875)),
+    )
+    eps = np.asarray(bits, dtype=np.int64).ravel()
+    n = len(eps)
+    for min_n, m, cats, probs in tables:
+        if n >= min_n:
+            break
+    k = n // m
+    longest = []
+    for block in eps[:k * m].reshape(k, m):
+        best = cur = 0
+        for b in block:
+            cur = cur + 1 if b else 0
+            best = max(best, cur)
+        longest.append(best)
+    nu = np.zeros(len(cats), dtype=np.int64)
+    for run in longest:
+        pos = int(np.clip(np.searchsorted(cats, run), 0, len(cats) - 1))
+        if run > cats[pos]:
+            pos = len(cats) - 1
+        nu[pos] += 1
+    expected = k * np.asarray(probs)
+    chi2 = float(np.sum((nu - expected) ** 2 / expected))
+    return float(gammaincc((len(cats) - 1) / 2.0, chi2 / 2.0))
 
 
 def evcd_expected_attempts(p, cap):

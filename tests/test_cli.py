@@ -1,0 +1,98 @@
+"""Command-line front end: the ``nist`` subcommand and the exit codes."""
+
+import csv
+
+import numpy as np
+import pytest
+
+from platoonkey.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
+from platoonkey.randomness import run_battery
+
+BITS = np.random.default_rng(3).integers(0, 2, 2000, dtype=np.uint8)
+TEXT = "".join(map(str, BITS))
+
+
+def nist(capsys, path, *extra):
+    rc = main(["nist", str(path), *extra])
+    return rc, capsys.readouterr()
+
+
+def printed_report(out):
+    """(input length, rows, verdict) as ``nist`` printed them."""
+    lines = out.splitlines()
+    length = int(lines[0].removeprefix("input length:"))
+    rows = []
+    for line in lines[2:-1]:
+        tokens = line.split()
+        rows.append((tokens[0], " ".join(tokens[1:-1]), tokens[-1]))
+    return length, rows, lines[-1].removeprefix("overall:").strip()
+
+
+def test_report_equals_run_battery(tmp_path, capsys):
+    path = tmp_path / "bits.txt"
+    path.write_text(TEXT + "\n", encoding="ascii")
+    rc, captured = nist(capsys, path)
+    assert rc == EXIT_OK
+    report = run_battery(BITS)
+    assert printed_report(captured.out) == (
+        len(BITS), report.rows(), "pass" if report.all_passed else "FAIL")
+
+
+def test_characters_other_than_0_and_1_are_ignored(tmp_path, capsys):
+    clean = tmp_path / "clean.txt"
+    clean.write_text(TEXT, encoding="ascii")
+    messy = tmp_path / "messy.txt"
+    chunks = [TEXT[i:i + 7] for i in range(0, len(TEXT), 7)]
+    seps = ("\n", "\r\n", " ", "ab", "Z\t", "2")
+    messy.write_bytes("".join(c + seps[i % len(seps)]
+                              for i, c in enumerate(chunks)).encode("ascii"))
+    assert nist(capsys, clean) == nist(capsys, messy)
+
+
+@pytest.mark.parametrize("content", [b"", b"abc\r\n 2 3\n"])
+def test_no_bits_exits_runtime(tmp_path, capsys, content):
+    path = tmp_path / "bits.txt"
+    path.write_bytes(content)
+    rc, captured = nist(capsys, path)
+    assert rc == EXIT_RUNTIME
+    assert "no 0/1 characters" in captured.err
+
+
+def test_non_ascii_exits_runtime(tmp_path, capsys):
+    path = tmp_path / "bits.txt"
+    path.write_bytes((TEXT[:1000] + "é" + TEXT[1000:]).encode("utf-8"))
+    rc, captured = nist(capsys, path)
+    assert rc == EXIT_RUNTIME
+    assert "runtime failure" in captured.err
+
+
+def test_missing_file_exits_runtime(tmp_path, capsys):
+    rc, captured = nist(capsys, tmp_path / "absent.txt")
+    assert rc == EXIT_RUNTIME
+    assert "absent.txt" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["frobnicate"], [], ["nist"]])
+def test_usage_error_exits_usage(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_scenario_error_exits_parse(tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_text("bogus line\n", encoding="utf-8")
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == EXIT_PARSE
+    assert "(line 1)" in capsys.readouterr().err
+
+
+def test_out_dir_writes_report_csv(tmp_path, capsys):
+    path = tmp_path / "bits.txt"
+    path.write_text(TEXT, encoding="ascii")
+    out = tmp_path / "reports"
+    rc, _ = nist(capsys, path, "--out-dir", str(out))
+    assert rc == EXIT_OK
+    with (out / "nist_report.csv").open(newline="", encoding="ascii") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["test", "p_values", "verdict"]
+    assert [tuple(r) for r in rows[1:]] == run_battery(BITS).rows()
+    assert (out / "nist_report.csv").read_bytes().count(b"\r\n") == len(rows)

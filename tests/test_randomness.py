@@ -7,10 +7,13 @@ scipy-backed path must agree to 1e-6 or better.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc, gammaincc
 
 from platoonkey.randomness import (
     InsufficientData,
+    _pattern_counts,
     approx_entropy_test,
     block_frequency_test,
     cusum_test,
@@ -32,6 +35,10 @@ def bits_of(text):
 
 def random_bits(n, seed):
     return np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+
+
+def biased_bits(n, p, seed):
+    return (np.random.default_rng(seed).random(n) < p).astype(np.uint8)
 
 
 ALTERNATING = np.tile([0, 1], 500)
@@ -136,6 +143,49 @@ class TestLongestRun:
     def test_random_stream_passes(self):
         assert longest_run_test(random_bits(20_000, 3)) > 0.01
 
+    # 128, 6271: 8-bit blocks; 6272: 128-bit blocks; 750000: 10000-bit blocks
+    @pytest.mark.parametrize("n", [128, 6271, 6272, 750_000])
+    @pytest.mark.parametrize("stream", [
+        lambda n: random_bits(n, 5),
+        lambda n: np.zeros(n, dtype=np.uint8),
+        lambda n: np.ones(n, dtype=np.uint8),
+        lambda n: biased_bits(n, 0.1, 6),
+        lambda n: biased_bits(n, 0.9, 7),
+    ], ids=["random", "zeros", "ones", "p0.1", "p0.9"])
+    def test_matches_per_block_loop(self, n, stream):
+        bits = stream(n)
+        assert longest_run_test(bits) == orc.reference_longest_run_test(bits)
+
+    @pytest.mark.parametrize("n, m", [(128, 8), (6272, 128), (750_000, 10_000)])
+    def test_runs_past_the_top_category(self, n, m):
+        # block i holds one run of i % (m + 1) ones: every category and
+        # lengths below the first and above the last one
+        rows = np.zeros((n // m, m), dtype=np.uint8)
+        for i, row in enumerate(rows):
+            length = i % (m + 1)
+            start = i % (m - length + 1)
+            row[start:start + length] = 1
+        bits = rows.ravel()
+        assert longest_run_test(bits) == orc.reference_longest_run_test(bits)
+
+    def test_run_straddling_blocks_is_split(self):
+        # two ones closing block 0 and two opening block 1 are two runs
+        # of 2, as if they sat in blocks 0 and 2, not one run of 4
+        straddle = np.zeros(128, dtype=np.uint8)
+        straddle[6:10] = 1
+        apart = np.zeros(128, dtype=np.uint8)
+        apart[[6, 7, 16, 17]] = 1
+        assert longest_run_test(straddle) == longest_run_test(apart)
+        assert longest_run_test(straddle) == \
+            orc.reference_longest_run_test(straddle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(128, 20_000), p=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_per_block_loop(self, n, p, seed):
+        bits = biased_bits(n, p, seed)
+        assert longest_run_test(bits) == orc.reference_longest_run_test(bits)
+
 
 class TestDft:
     def test_periodic_rejected(self):
@@ -143,6 +193,18 @@ class TestDft:
 
     def test_random_stream_passes(self):
         assert dft_test(random_bits(10_000, 4)) > 0.01
+
+
+class TestPatternCounts:
+    def test_every_width_matches_direct_count(self):
+        b = random_bits(3001, 8)
+        counts = _pattern_counts(b.astype(np.int64), 5)
+        ext = "".join(map(str, b)) + "".join(map(str, b[:4]))
+        for k in range(6):
+            direct = [0] * (1 << k)
+            for i in range(len(b)):
+                direct[int(ext[i:i + k] or "0", 2)] += 1
+            assert counts[k].tolist() == direct, k
 
 
 class TestApproxEntropy:
