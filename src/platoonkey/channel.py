@@ -230,14 +230,17 @@ def estimate_leader_rss(params: ChannelParams, h_1j: float, h_2j: float) -> floa
     difference back to dB.  Raises :class:`EstimationFailure` when the
     implied distance difference is not positive.
     """
-    d1 = distance_from_rss(params, h_1j, 0.0)
-    d2 = distance_from_rss(params, h_2j, 0.0)
-    diff = d1 - d2
-    if not diff > 0:
+    est, valid = _estimate_rows(params, h_1j, h_2j)
+    if not valid:
+        diff = distance_from_rss(params, h_1j, 0.0) - distance_from_rss(params, h_2j, 0.0)
         raise EstimationFailure(
             f"non-positive implied distance difference ({diff:.6g} m)")
-    return (10.0 * params.path_loss_exponent * math.log10(diff)
-            - params.channel_constant_db)
+    return float(est)
+
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """The seed as a SeedSequence; a SeedSequence passes through unchanged."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 def _ar1(draws: np.ndarray, rho: float) -> np.ndarray:
@@ -281,8 +284,7 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
         raise ValueError("slots must be >= 1")
     if passes is not None and passes < 1:
         raise ValueError("passes must be >= 1")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    platoon_ss, eaves_ss = ss.spawn(2)
+    platoon_ss, eaves_ss = _seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(platoon_ss)
     erng = np.random.default_rng(eaves_ss)
 

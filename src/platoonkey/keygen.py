@@ -11,9 +11,8 @@ codeword.  Two bin-to-codeword maps are provided:
   an optional per-bin complement bit appended to restore within-group
   distinction.
 
-The codebook also carries the complement-bit sequence and the
-two-element circular shift of the grouped codeword list; both are
-exposed for completeness but stay out of the default key path.
+The codebook also carries the per-bin complement-bit sequence, which
+enters a key only when ``append_complement`` is set.
 
 :func:`extract_key` lays the selected map out as an ``(n_bins, Q)``
 uint8 table, one codeword row per bin, with the complement bit as an
@@ -88,9 +87,8 @@ class GrayCodebook:
     """Gray codeword list plus the bin-wise sequences derived from it.
 
     ``codewords`` holds all 2**Q codewords.  ``plus_codewords[l-1]`` is
-    the grouped codeword of bin l, ``shifted_codewords`` the companion
-    list built from the wrapped group index, which equals the grouped
-    list circularly shifted by two bins.
+    the grouped codeword of bin l and ``complement_bits[l-1]`` its
+    complement bit.
     """
 
     codeword_bits: int
@@ -98,7 +96,6 @@ class GrayCodebook:
     codewords: tuple[tuple[int, ...], ...] = field(init=False)
     complement_bits: tuple[int, ...] = field(init=False)
     plus_codewords: tuple[tuple[int, ...], ...] = field(init=False)
-    shifted_codewords: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         q, L = self.codeword_bits, self.n_bins
@@ -110,10 +107,7 @@ class GrayCodebook:
         object.__setattr__(self, "complement_bits",
                            tuple(complement_bit(l) for l in range(1, L + 1)))
         plus = tuple(words[((l - 1) // 4) % (2 ** q)] for l in range(1, L + 1))
-        shifted = tuple(words[(((l + 1) % L) // 4) % (2 ** q)]
-                        for l in range(1, L + 1))
         object.__setattr__(self, "plus_codewords", plus)
-        object.__setattr__(self, "shifted_codewords", shifted)
 
 
 @dataclass(frozen=True)

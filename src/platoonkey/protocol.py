@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, PlatoonGeometry, RssTrace, generate_trace
+from .channel import (
+    ChannelParams,
+    PlatoonGeometry,
+    RssTrace,
+    _seed_sequence,
+    generate_trace,
+)
 from .keygen import GrayCodebook, KeygenConfig, SecretKey, bmmr, extract_key
 from .quantizer import (
     IntervalSet,
@@ -130,8 +136,7 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
     The Z traces come from one :func:`generate_trace` call: they share
     the cycle's shadowing and differ only in their noise draws.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    loss_ss, trace_ss = ss.spawn(2)
+    loss_ss, trace_ss = _seed_sequence(seed).spawn(2)
     loss_rng = np.random.default_rng(loss_ss)
 
     log = CycleLog()
@@ -204,8 +209,7 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
         raise ValueError("every vehicle must hold a key of identical length")
     command = np.asarray(command_bits, dtype=np.uint8)
     log = log if log is not None else CycleLog()
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(ss)
+    rng = np.random.default_rng(_seed_sequence(seed))
 
     slot = log.slots_used
     attempts = 0
@@ -287,6 +291,16 @@ class AgreementReport:
         return self.bmmr_per_vehicle[self.n_vehicles]
 
 
+def _masked_mean(values: list[np.ndarray], valid: list[np.ndarray]):
+    """Mean of the valid entries over the stacked arrays' first axis, and
+    its validity: an entry with no valid value is NaN and invalid."""
+    values, valid = np.stack(values), np.stack(valid)
+    counts = valid.sum(axis=0)
+    sums = np.where(valid, np.nan_to_num(values), 0.0).sum(axis=0)
+    any_valid = counts > 0
+    return np.where(any_valid, sums / np.maximum(counts, 1), np.nan), any_valid
+
+
 def _averaged_trace(traces: list[RssTrace]) -> RssTrace:
     """Slot-wise mean of each vehicle's sequences over valid iterations.
 
@@ -296,18 +310,10 @@ def _averaged_trace(traces: list[RssTrace]) -> RssTrace:
     """
     if len(traces) == 1:
         return traces[0]
-    values = np.stack([t.values for t in traces])    # (Z, N, T)
-    valid = np.stack([t.valid for t in traces])
-    counts = valid.sum(axis=0)
-    sums = np.where(valid, np.nan_to_num(values), 0.0).sum(axis=0)
-    avg_valid = counts > 0
-    avg = np.where(avg_valid, sums / np.maximum(counts, 1), np.nan)
-    evalues = np.stack([t.eavesdropper for t in traces])
-    evalid = np.stack([t.eavesdropper_valid for t in traces])
-    ecounts = evalid.sum(axis=0)
-    esums = np.where(evalid, np.nan_to_num(evalues), 0.0).sum(axis=0)
-    eavg_valid = ecounts > 0
-    eavg = np.where(eavg_valid, esums / np.maximum(ecounts, 1), np.nan)
+    avg, avg_valid = _masked_mean([t.values for t in traces],
+                                  [t.valid for t in traces])
+    eavg, eavg_valid = _masked_mean([t.eavesdropper for t in traces],
+                                    [t.eavesdropper_valid for t in traces])
     return RssTrace(slots=traces[0].slots, values=avg, valid=avg_valid,
                     eavesdropper=eavg, eavesdropper_valid=eavg_valid)
 
@@ -335,8 +341,7 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
               protocol: ProtocolConfig, quant: QuantizerConfig,
               keygen: KeygenConfig, slots: int, seed) -> AgreementReport:
     """One full dissemination cycle: CSKA, key extraction, EVCD, report."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    cska_ss, evcd_ss, cmd_ss = ss.spawn(3)
+    cska_ss, evcd_ss, cmd_ss = _seed_sequence(seed).spawn(3)
 
     traces, log = run_cska(protocol, params, geometry, slots, cska_ss)
 

@@ -5,28 +5,13 @@ number.  ``serialize_scenario`` emits a canonical document (schema order,
 repr-exact floats) that parses back to an equal scenario, and sweeps are
 described by an axis name plus a value list.
 
-Schema (defaults in parentheses):
+The keys are the fields of ChannelParams, PlatoonGeometry,
+ProtocolConfig, QuantizerConfig and KeygenConfig followed by those of
+Scenario itself; ``serialize_scenario(Scenario())`` lists every key with
+its default, in document order.  ``codeword_bits = 0`` selects
+ceil(log2(n_intervals)) bits.
 
-    tx_power_dbm (0.0)            channel_constant_db (3.0)
-    path_loss_exponent (2.0)      shadowing_sigma_db (3.0)
-    rss_decode_floor_db (-15.0)   shadowing_common_fraction (0.0)
-    shadowing_autocorr (0.0)      reciprocity_sigma_db (0.0)
-    measurement_noise_db (0.0)
-    n_vehicles (4)                pair_distance_m (2.0)
-    eavesdropper_position (P1)    eavesdropper_distance_m (3.0)
-    z_iterations (1)              beacon_bits (8)
-    data_payload_bits (800)       beacon_loss_prob (0.0)
-    data_loss_prob (0.0)          dissemination_timeout_ms (3000.0)
-    slot_duration_ms (1.0)        retransmission_cap (10)
-    n_intervals (2)               grid_size (64)
-    codeword_bits (0 = auto)      map_mode (direct)
-    append_complement (false)
-    slots (200)                   replications (1)
-    seeds (0..99)                 sweep_axis (none)
-    sweep_values ()
-
-Sweep axes: none, pair_distance, n_intervals, codeword_bits,
-z_iterations, n_vehicles, eavesdropper.  The eavesdropper axis takes
+A sweep names one of ``SWEEP_AXES``.  The eavesdropper axis takes
 ``TAG:distance`` tokens (e.g. ``P1:3``); numeric axes take numbers.
 Seeds accept comma lists and inclusive ``a..b`` ranges.
 """
@@ -34,10 +19,10 @@ Seeds accept comma lists and inclusive ``a..b`` ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .channel import EAVESDROPPER_POSITIONS, ChannelParams, PlatoonGeometry
-from .keygen import MAP_MODES, KeygenConfig
+from .keygen import KeygenConfig
 from .protocol import ProtocolConfig
 from .quantizer import QuantizerConfig
 
@@ -49,8 +34,15 @@ __all__ = [
     "serialize_scenario",
 ]
 
-SWEEP_AXES = ("none", "pair_distance", "n_intervals", "codeword_bits",
-              "z_iterations", "n_vehicles", "eavesdropper")
+# sweep axis -> the one key it varies; "eavesdropper" varies two keys
+_AXIS_KEYS = {
+    "pair_distance": "pair_distance_m",
+    "n_intervals": "n_intervals",
+    "codeword_bits": "codeword_bits",
+    "z_iterations": "z_iterations",
+    "n_vehicles": "n_vehicles",
+}
+SWEEP_AXES = ("none", *_AXIS_KEYS, "eavesdropper")
 
 
 class ParseError(ValueError):
@@ -103,29 +95,50 @@ class Scenario:
         return [self.at_point(v) for v in self.sweep_values]
 
     def at_point(self, value) -> "Scenario":
-        axis = self.sweep_axis
         base = replace(self, sweep_axis="none", sweep_values=())
-        if axis == "pair_distance":
-            return replace(base, geometry=replace(self.geometry,
-                                                  pair_distance_m=float(value)))
-        if axis == "n_intervals":
-            return replace(base, quantizer=replace(self.quantizer,
-                                                   n_intervals=int(value)))
-        if axis == "codeword_bits":
-            return replace(base, keygen=replace(self.keygen,
-                                                codeword_bits=int(value)))
-        if axis == "z_iterations":
-            return replace(base, protocol=replace(self.protocol,
-                                                  z_iterations=int(value)))
-        if axis == "n_vehicles":
-            return replace(base, geometry=replace(self.geometry,
-                                                  n_vehicles=int(value)))
-        if axis == "eavesdropper":
+        if self.sweep_axis == "eavesdropper":
             tag, dist = value
             return replace(base, geometry=replace(
                 self.geometry, eavesdropper_position=tag,
                 eavesdropper_distance_m=float(dist)))
-        raise ValueError(f"unknown sweep axis {axis!r}")
+        key = _AXIS_KEYS[self.sweep_axis]
+        section = _SCHEMA[key][0]
+        return replace(base, **{section: replace(
+            getattr(self, section), **{key: _axis_cast(self.sweep_axis)(value)})})
+
+
+_DEFAULT = Scenario()
+
+
+def _schema() -> dict[str, tuple[str | None, str]]:
+    """key -> (section, declared type) in document order; the section is
+    None for a field of Scenario itself, and the types are annotation
+    strings such as 'tuple[int, ...]' (every module postpones them)."""
+    schema = {}
+    for top in fields(Scenario):
+        value = getattr(_DEFAULT, top.name)
+        if is_dataclass(value):
+            schema.update({f.name: (top.name, f.type) for f in fields(value)})
+        else:
+            schema[top.name] = (None, top.type)
+    return schema
+
+
+_SCHEMA = _schema()
+_SECTIONS = tuple(dict.fromkeys(s for s, _ in _SCHEMA.values() if s is not None))
+
+
+def _axis_cast(axis: str):
+    """Number type of an axis's values; those of ``none`` are floats."""
+    key = _AXIS_KEYS.get(axis)
+    return int if key is not None and _SCHEMA[key][1] == "int" else float
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -161,42 +174,14 @@ def _parse_sweep_values(axis: str, text: str) -> tuple:
                 raise ValueError(f"expected TAG:distance, got {t!r}")
             vals.append((tag, float(dist)))
         return tuple(vals)
-    if axis in ("n_intervals", "codeword_bits", "z_iterations", "n_vehicles"):
-        return tuple(int(t) for t in tokens)
-    return tuple(float(t) for t in tokens)
+    cast = _axis_cast(axis)
+    return tuple(cast(t) for t in tokens)
 
 
-_FLOAT_KEYS = {
-    "tx_power_dbm", "channel_constant_db", "path_loss_exponent",
-    "shadowing_sigma_db", "rss_decode_floor_db", "shadowing_common_fraction",
-    "shadowing_autocorr", "reciprocity_sigma_db", "measurement_noise_db",
-    "pair_distance_m", "eavesdropper_distance_m", "beacon_loss_prob",
-    "data_loss_prob", "dissemination_timeout_ms", "slot_duration_ms",
-}
-_INT_KEYS = {
-    "n_vehicles", "z_iterations", "beacon_bits", "data_payload_bits",
-    "retransmission_cap", "n_intervals", "grid_size", "codeword_bits",
-    "slots", "replications",
-}
-_STR_KEYS = {"eavesdropper_position", "map_mode", "sweep_axis"}
-_BOOL_KEYS = {"append_complement"}
-_SPECIAL_KEYS = {"seeds", "sweep_values"}
-
-ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _BOOL_KEYS | _SPECIAL_KEYS
-
-_CHANNEL_KEYS = {
-    "tx_power_dbm", "channel_constant_db", "path_loss_exponent",
-    "shadowing_sigma_db", "rss_decode_floor_db", "shadowing_common_fraction",
-    "shadowing_autocorr", "reciprocity_sigma_db", "measurement_noise_db",
-}
-_GEOMETRY_KEYS = {"n_vehicles", "pair_distance_m", "eavesdropper_position",
-                  "eavesdropper_distance_m"}
-_PROTOCOL_KEYS = {"z_iterations", "beacon_bits", "data_payload_bits",
-                  "beacon_loss_prob", "data_loss_prob",
-                  "dissemination_timeout_ms", "slot_duration_ms",
-                  "retransmission_cap"}
-_QUANTIZER_KEYS = {"n_intervals", "grid_size"}
-_KEYGEN_KEYS = {"codeword_bits", "map_mode", "append_complement"}
+# declared type -> value parser; sweep values ('tuple') stay text until
+# the axis is known
+_PARSERS = {"float": _parse_float, "int": int, "bool": _parse_bool,
+            "str": str, "tuple": str, "tuple[int, ...]": _parse_seeds}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -211,68 +196,41 @@ def parse_scenario(text: str) -> Scenario:
             raise ParseError(f"expected 'key = value', got {stripped!r}", lineno)
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in ALL_KEYS:
+        if key not in _SCHEMA:
             raise ParseError(f"unknown key {key!r}", lineno, key)
         if key in raw:
             raise ParseError(f"duplicate key {key!r}", lineno, key)
         raw[key] = value
         lines[key] = lineno
 
+    # values are converted only once every line's syntax has been checked
     typed: dict = {}
     for key, value in raw.items():
         try:
-            if key in _FLOAT_KEYS:
-                typed[key] = float(value)
-                if not math.isfinite(typed[key]):
-                    raise ValueError("must be finite")
-            elif key in _INT_KEYS:
-                typed[key] = int(value)
-            elif key in _BOOL_KEYS:
-                typed[key] = _parse_bool(value)
-            elif key == "seeds":
-                typed[key] = _parse_seeds(value)
-            elif key == "sweep_values":
-                typed[key] = value  # parsed once the axis is known
-            else:
-                typed[key] = value
+            typed[key] = _PARSERS[_SCHEMA[key][1]](value)
         except ValueError as exc:
             raise ParseError(str(exc), lines[key], key) from None
-
-    def take(keys: set[str]) -> dict:
-        return {k: typed[k] for k in keys if k in typed}
 
     axis = typed.get("sweep_axis", "none")
     if axis not in SWEEP_AXES:
         raise ParseError(f"sweep_axis must be one of {SWEEP_AXES}",
                          lines.get("sweep_axis"), "sweep_axis")
-    sweep_values: tuple = ()
     if "sweep_values" in typed:
         try:
-            sweep_values = _parse_sweep_values(axis, typed["sweep_values"])
+            typed["sweep_values"] = _parse_sweep_values(axis, typed["sweep_values"])
         except ValueError as exc:
             raise ParseError(str(exc), lines["sweep_values"], "sweep_values") from None
 
+    def changes(section: str | None) -> dict:
+        return {k: v for k, v in typed.items() if _SCHEMA[k][0] == section}
+
     try:
-        scenario = Scenario(
-            channel=ChannelParams(**take(_CHANNEL_KEYS)),
-            geometry=PlatoonGeometry(
-                n_vehicles=typed.get("n_vehicles", 4),
-                pair_distance_m=typed.get("pair_distance_m", 2.0),
-                eavesdropper_position=typed.get("eavesdropper_position", "P1"),
-                eavesdropper_distance_m=typed.get("eavesdropper_distance_m", 3.0),
-            ),
-            protocol=ProtocolConfig(**take(_PROTOCOL_KEYS)),
-            quantizer=QuantizerConfig(**take(_QUANTIZER_KEYS)),
-            keygen=KeygenConfig(**take(_KEYGEN_KEYS)),
-            slots=typed.get("slots", 200),
-            sweep_axis=axis,
-            sweep_values=sweep_values,
-            seeds=typed.get("seeds", tuple(range(100))),
-            replications=typed.get("replications", 1),
-        )
+        # sections are built in field order, so the first invalid section
+        # in that order names the error
+        sections = {s: replace(getattr(_DEFAULT, s), **changes(s)) for s in _SECTIONS}
+        return replace(_DEFAULT, **sections, **changes(None))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return scenario
 
 
 def _format_sweep_values(axis: str, values: tuple) -> str:
@@ -294,42 +252,21 @@ def _format_seeds(seeds: tuple[int, ...]) -> str:
     return ",".join(out)
 
 
+# declared type -> value formatter; every other type is written with str
+_FORMATTERS = {"float": repr, "bool": lambda b: "true" if b else "false",
+               "tuple[int, ...]": _format_seeds}
+
+
 def serialize_scenario(s: Scenario) -> str:
     """Canonical scenario document; parses back to an equal Scenario."""
-    ch, g, p, q, k = s.channel, s.geometry, s.protocol, s.quantizer, s.keygen
-    pairs = [
-        ("tx_power_dbm", repr(ch.tx_power_dbm)),
-        ("channel_constant_db", repr(ch.channel_constant_db)),
-        ("path_loss_exponent", repr(ch.path_loss_exponent)),
-        ("shadowing_sigma_db", repr(ch.shadowing_sigma_db)),
-        ("rss_decode_floor_db", repr(ch.rss_decode_floor_db)),
-        ("shadowing_common_fraction", repr(ch.shadowing_common_fraction)),
-        ("shadowing_autocorr", repr(ch.shadowing_autocorr)),
-        ("reciprocity_sigma_db", repr(ch.reciprocity_sigma_db)),
-        ("measurement_noise_db", repr(ch.measurement_noise_db)),
-        ("n_vehicles", str(g.n_vehicles)),
-        ("pair_distance_m", repr(g.pair_distance_m)),
-        ("eavesdropper_position", g.eavesdropper_position),
-        ("eavesdropper_distance_m", repr(g.eavesdropper_distance_m)),
-        ("z_iterations", str(p.z_iterations)),
-        ("beacon_bits", str(p.beacon_bits)),
-        ("data_payload_bits", str(p.data_payload_bits)),
-        ("beacon_loss_prob", repr(p.beacon_loss_prob)),
-        ("data_loss_prob", repr(p.data_loss_prob)),
-        ("dissemination_timeout_ms", repr(p.dissemination_timeout_ms)),
-        ("slot_duration_ms", repr(p.slot_duration_ms)),
-        ("retransmission_cap", str(p.retransmission_cap)),
-        ("n_intervals", str(q.n_intervals)),
-        ("grid_size", str(q.grid_size)),
-        ("codeword_bits", str(k.codeword_bits)),
-        ("map_mode", k.map_mode),
-        ("append_complement", "true" if k.append_complement else "false"),
-        ("slots", str(s.slots)),
-        ("sweep_axis", s.sweep_axis),
-        ("seeds", _format_seeds(s.seeds)),
-        ("replications", str(s.replications)),
-    ]
-    if s.sweep_values:
-        pairs.insert(-2, ("sweep_values",
-                          _format_sweep_values(s.sweep_axis, s.sweep_values)))
-    return "\n".join(f"{key} = {value}" for key, value in pairs) + "\n"
+    lines = []
+    for key, (section, kind) in _SCHEMA.items():
+        value = getattr(s if section is None else getattr(s, section), key)
+        if key == "sweep_values":
+            if not value:
+                continue
+            text = _format_sweep_values(s.sweep_axis, value)
+        else:
+            text = _FORMATTERS.get(kind, str)(value)
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)

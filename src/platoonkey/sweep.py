@@ -37,7 +37,7 @@ from .protocol import CycleAbort, DisseminationFailure, run_cycle
 from .quantizer import InfeasiblePartition
 from .randomness import (_BATTERY_ORDER, RandomnessReport, bits_from_ascii,
                          run_battery)
-from .scenario import Scenario, serialize_scenario
+from .scenario import ParseError, Scenario, serialize_scenario
 
 __all__ = ["SweepReport", "emit_plots", "run_sweep"]
 
@@ -250,11 +250,9 @@ def emit_plots(summary_csv, out_dir) -> list[Path]:
         header = None
     if header is not None and header != ["point", "axis", "axis_value",
                                          "metric", "mean", "stddev", "n"]:
-        from .scenario import ParseError
         raise ParseError(f"unexpected summary header: {header}")
     for row in reader:
         if len(row) != 7:
-            from .scenario import ParseError
             raise ParseError(f"malformed summary row: {row}")
         point, ax, axis_value, metric, mean, std, _n = row
         axis = ax

@@ -74,13 +74,6 @@ class TestCodebook:
         assert len(cb.codewords) == 8
         assert len(cb.complement_bits) == 5
         assert len(cb.plus_codewords) == 5
-        assert len(cb.shifted_codewords) == 5
-
-    @pytest.mark.parametrize("L", [4, 5, 8, 11, 16])
-    def test_shifted_list_is_two_bin_rotation(self, L):
-        cb = GrayCodebook(codeword_bits=5, n_bins=L)
-        rotated = tuple(cb.plus_codewords[(l + 2) % L] for l in range(L))
-        assert cb.shifted_codewords == rotated
 
     def test_grouped_codewords_collapse_groups_of_four(self):
         cb = GrayCodebook(codeword_bits=3, n_bins=8)

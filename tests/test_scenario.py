@@ -1,0 +1,278 @@
+"""Scenario documents: canonical text, round trip, error attribution, sweep points."""
+
+import math
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from platoonkey.channel import EAVESDROPPER_POSITIONS, ChannelParams, PlatoonGeometry
+from platoonkey.keygen import MAP_MODES, KeygenConfig
+from platoonkey.protocol import ProtocolConfig
+from platoonkey.quantizer import QuantizerConfig
+from platoonkey.scenario import (
+    SWEEP_AXES,
+    ParseError,
+    Scenario,
+    parse_scenario,
+    serialize_scenario,
+)
+
+DEFAULT_TEXT = """\
+tx_power_dbm = 0.0
+channel_constant_db = 3.0
+path_loss_exponent = 2.0
+shadowing_sigma_db = 3.0
+rss_decode_floor_db = -15.0
+shadowing_common_fraction = 0.0
+shadowing_autocorr = 0.0
+reciprocity_sigma_db = 0.0
+measurement_noise_db = 0.0
+n_vehicles = 4
+pair_distance_m = 2.0
+eavesdropper_position = P1
+eavesdropper_distance_m = 3.0
+z_iterations = 1
+beacon_bits = 8
+data_payload_bits = 800
+beacon_loss_prob = 0.0
+data_loss_prob = 0.0
+dissemination_timeout_ms = 3000.0
+slot_duration_ms = 1.0
+retransmission_cap = 10
+n_intervals = 2
+grid_size = 64
+codeword_bits = 0
+map_mode = direct
+append_complement = false
+slots = 200
+sweep_axis = none
+seeds = 0..99
+replications = 1
+"""
+
+
+class TestSerialize:
+    def test_default_document(self):
+        assert serialize_scenario(Scenario()) == DEFAULT_TEXT
+
+    def test_empty_document_is_default(self):
+        assert parse_scenario("") == Scenario()
+        assert parse_scenario("# only a comment\n\n   \n") == Scenario()
+
+    def test_sweep_values_sit_between_axis_and_seeds(self):
+        s = Scenario(
+            keygen=KeygenConfig(append_complement=True),
+            sweep_axis="eavesdropper",
+            sweep_values=(("P1", 3.0), ("P3", 5.5)),
+            seeds=(0, 1, 2, 7, 9, 10))
+        tail = serialize_scenario(s).splitlines()[-6:]
+        assert tail == [
+            "append_complement = true",
+            "slots = 200",
+            "sweep_axis = eavesdropper",
+            "sweep_values = P1:3.0,P3:5.5",
+            "seeds = 0..2,7,9..10",
+            "replications = 1",
+        ]
+
+    def test_partial_document_keeps_other_defaults(self):
+        s = parse_scenario("n_vehicles = 6\ngrid_size = 32\nmap_mode = grouped\n")
+        d = Scenario()
+        assert s == replace(
+            d, geometry=replace(d.geometry, n_vehicles=6),
+            quantizer=replace(d.quantizer, grid_size=32),
+            keygen=replace(d.keygen, map_mode="grouped"))
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenarios(draw):
+    channel = ChannelParams(
+        tx_power_dbm=draw(st.floats(**finite)),
+        channel_constant_db=draw(st.floats(**finite)),
+        path_loss_exponent=draw(st.floats(min_value=1e-3, max_value=10.0)),
+        shadowing_sigma_db=draw(st.floats(min_value=0.0, max_value=20.0)),
+        rss_decode_floor_db=draw(st.floats(**finite)),
+        shadowing_common_fraction=draw(st.floats(min_value=0.0, max_value=1.0)),
+        shadowing_autocorr=draw(st.floats(min_value=-0.99, max_value=0.99)),
+        reciprocity_sigma_db=draw(st.floats(min_value=0.0, max_value=5.0)),
+        measurement_noise_db=draw(st.floats(min_value=0.0, max_value=5.0)),
+    )
+    n = draw(st.integers(3, 40))
+    geometry = PlatoonGeometry(
+        n_vehicles=n,
+        pair_distance_m=draw(st.floats(min_value=0.01, max_value=100.0)),
+        eavesdropper_position=draw(st.sampled_from(
+            [p for p in EAVESDROPPER_POSITIONS if n >= 4 or p != "P2"])),
+        eavesdropper_distance_m=draw(st.floats(min_value=3.0, max_value=1e4)),
+    )
+    protocol = ProtocolConfig(
+        z_iterations=draw(st.integers(1, 50)),
+        beacon_bits=draw(st.integers(1, 10**4)),
+        data_payload_bits=draw(st.integers(1, 10**5)),
+        beacon_loss_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
+        data_loss_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
+        dissemination_timeout_ms=draw(st.floats(min_value=1e-3, max_value=1e6)),
+        slot_duration_ms=draw(st.floats(min_value=1e-3, max_value=1e3)),
+        retransmission_cap=draw(st.integers(0, 100)),
+    )
+    n_intervals = draw(st.integers(2, 64))
+    quantizer = QuantizerConfig(
+        n_intervals=n_intervals,
+        grid_size=draw(st.integers(n_intervals, n_intervals + 300)))
+    min_bits = math.ceil(math.log2(n_intervals))
+    keygen = KeygenConfig(
+        codeword_bits=draw(st.sampled_from([0]) | st.integers(min_bits, min_bits + 4)),
+        map_mode=draw(st.sampled_from(MAP_MODES)),
+        append_complement=draw(st.booleans()),
+    )
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    if axis == "none":
+        values = ()
+    elif axis == "pair_distance":
+        values = draw(st.lists(st.floats(**finite), min_size=1, max_size=5))
+    elif axis == "eavesdropper":
+        values = draw(st.lists(st.tuples(st.sampled_from(EAVESDROPPER_POSITIONS),
+                                         st.floats(**finite)),
+                               min_size=1, max_size=5))
+    else:
+        values = draw(st.lists(st.integers(-5, 10**6), min_size=1, max_size=5))
+    return Scenario(
+        channel=channel, geometry=geometry, protocol=protocol,
+        quantizer=quantizer, keygen=keygen,
+        slots=draw(st.integers(1, 10**6)),
+        sweep_axis=axis, sweep_values=tuple(values),
+        seeds=tuple(draw(st.lists(st.integers(0, 300), min_size=1, max_size=30))),
+        replications=draw(st.integers(1, 20)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+def test_round_trip(s):
+    text = serialize_scenario(s)
+    back = parse_scenario(text)
+    assert back == s
+    assert serialize_scenario(back) == text
+
+
+SWEEP_AXES_MESSAGE = (
+    "sweep_axis must be one of ('none', 'pair_distance', 'n_intervals', "
+    "'codeword_bits', 'z_iterations', 'n_vehicles', 'eavesdropper')")
+
+
+@pytest.mark.parametrize("text, line, fieldname, message", [
+    ("slots = 5\nbogus line", 2, None,
+     "expected 'key = value', got 'bogus line'"),
+    ("slots = 5\nfoo = 1", 2, "foo", "unknown key 'foo'"),
+    ("slots = 5\n\nslots = 6", 3, "slots", "duplicate key 'slots'"),
+    ("# c\nslots = five", 2, "slots",
+     "invalid literal for int() with base 10: 'five'"),
+    ("pair_distance_m = far", 1, "pair_distance_m",
+     "could not convert string to float: 'far'"),
+    ("tx_power_dbm = nan", 1, "tx_power_dbm", "must be finite"),
+    ("\ntx_power_dbm = -inf", 2, "tx_power_dbm", "must be finite"),
+    ("append_complement = maybe", 1, "append_complement",
+     "expected a boolean, got 'maybe'"),
+    ("seeds = 1,x", 1, "seeds", "invalid literal for int() with base 10: 'x'"),
+    ("seeds = 3..b", 1, "seeds", "invalid literal for int() with base 10: 'b'"),
+    ("slots = 5\nsweep_axis = speed", 2, "sweep_axis", SWEEP_AXES_MESSAGE),
+    ("sweep_axis = eavesdropper\nsweep_values = P1:3,P9:4", 2, "sweep_values",
+     "expected TAG:distance, got 'P9:4'"),
+    ("sweep_axis = eavesdropper\nsweep_values = P1", 2, "sweep_values",
+     "expected TAG:distance, got 'P1'"),
+    ("sweep_axis = eavesdropper\nsweep_values = P1:far", 2, "sweep_values",
+     "could not convert string to float: 'far'"),
+    ("sweep_axis = n_intervals\nsweep_values = 2,3.5", 2, "sweep_values",
+     "invalid literal for int() with base 10: '3.5'"),
+    ("sweep_values = 2,x\nsweep_axis = pair_distance", 1, "sweep_values",
+     "could not convert string to float: 'x'"),
+])
+def test_parse_error_attribution(text, line, fieldname, message):
+    with pytest.raises(ParseError) as info:
+        parse_scenario(text)
+    err = info.value
+    assert (err.line, err.fieldname) == (line, fieldname)
+    where = f"line {line}" + (f", field '{fieldname}'" if fieldname else "")
+    assert str(err) == f"{message} ({where})"
+
+
+@pytest.mark.parametrize("text, line, fieldname", [
+    # every line's syntax is checked before any value is converted
+    ("slots = five\nn_vehicles = 4\nslots = 6", 3, "slots"),
+    ("slots = five\nn_vehicles = 4\nbogus = 1", 3, "bogus"),
+    ("slots = five\nno equals sign", 2, None),
+    # values are converted in line order, before the sweep axis is checked
+    ("slots = 5\ntx_power_dbm = nan\nslots_x", 3, None),
+    ("grid_size = x\ntx_power_dbm = nan", 1, "grid_size"),
+    ("sweep_axis = speed\nslots = five", 2, "slots"),
+    ("sweep_values = x\nsweep_axis = speed", 2, "sweep_axis"),
+])
+def test_error_order(text, line, fieldname):
+    with pytest.raises(ParseError) as info:
+        parse_scenario(text)
+    assert (info.value.line, info.value.fieldname) == (line, fieldname)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("codeword_bits = 2\nn_intervals = 8",
+     "codeword_bits 2 too small for 8 intervals"),
+    ("n_vehicles = 2", "n_vehicles must be >= 3"),
+    ("eavesdropper_position = P2\nn_vehicles = 3",
+     "position P2 requires at least 4 vehicles"),
+    ("grid_size = 1", "grid_size must be >= n_intervals"),
+    ("sweep_axis = z_iterations", "sweep_values required when sweep_axis is set"),
+    ("slots = 0", "slots must be >= 1"),
+])
+def test_semantic_errors_carry_no_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_scenario(text)
+    assert (info.value.line, info.value.fieldname) == (None, None)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("axis, values, section, name, expected", [
+    ("pair_distance", "1.5,3", "geometry", "pair_distance_m", (1.5, 3.0)),
+    ("n_intervals", "2,4", "quantizer", "n_intervals", (2, 4)),
+    ("codeword_bits", "0,3", "keygen", "codeword_bits", (0, 3)),
+    ("z_iterations", "1,10", "protocol", "z_iterations", (1, 10)),
+    ("n_vehicles", "3,12", "geometry", "n_vehicles", (3, 12)),
+])
+def test_points_on_each_numeric_axis(axis, values, section, name, expected):
+    s = parse_scenario(f"sweep_axis = {axis}\nsweep_values = {values}\nslots = 50")
+    points = s.points()
+    base = replace(s, sweep_axis="none", sweep_values=())
+    assert len(points) == len(expected)
+    for point, value in zip(points, expected):
+        got = getattr(getattr(point, section), name)
+        assert got == value and type(got) is type(value)
+        assert point == replace(base, **{section: replace(
+            getattr(base, section), **{name: value})})
+        assert point.points() == [point]
+
+
+def test_points_on_eavesdropper_axis():
+    s = parse_scenario("sweep_axis = eavesdropper\nsweep_values = P2:3,P3:7.5\n"
+                       "n_vehicles = 5")
+    points = s.points()
+    assert [(p.geometry.eavesdropper_position, p.geometry.eavesdropper_distance_m)
+            for p in points] == [("P2", 3.0), ("P3", 7.5)]
+    assert all(p.sweep_axis == "none" and p.sweep_values == () for p in points)
+    assert all(p.geometry.n_vehicles == 5 for p in points)
+
+
+def test_at_point_casts_by_axis_type():
+    s = Scenario(sweep_axis="n_vehicles", sweep_values=(5,))
+    assert s.at_point(6.0).geometry.n_vehicles == 6
+    assert type(s.at_point(6.0).geometry.n_vehicles) is int
+    d = replace(s, sweep_axis="pair_distance", sweep_values=(1.0,))
+    assert type(d.at_point(3).geometry.pair_distance_m) is float
+
+
+def test_points_without_axis_is_self():
+    s = Scenario()
+    assert s.points() == [s]
