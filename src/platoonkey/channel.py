@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "ChannelParams",
@@ -247,6 +246,9 @@ def _ar1(draws: np.ndarray, rho: float) -> np.ndarray:
     """Color iid standard normal rows with a stationary AR(1) filter."""
     if rho == 0.0:
         return draws
+    # scipy.signal takes most of a package import; load it only when used
+    from scipy.signal import lfilter
+
     scaled = draws * math.sqrt(1.0 - rho * rho)
     scaled[..., 0] = draws[..., 0]
     return lfilter([1.0], [1.0, -rho], scaled, axis=-1)

@@ -112,11 +112,10 @@ class GrayCodebook:
 
 @dataclass(frozen=True)
 class SecretKey:
-    """A bit-string key owned by one vehicle for one iteration."""
+    """A bit-string key owned by one vehicle (0 is the eavesdropper)."""
 
     bits: tuple[int, ...]
     owner: int = 0
-    iteration: int = 1
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -132,9 +131,8 @@ class SecretKey:
         return arr.tobytes().hex()
 
     @classmethod
-    def from01(cls, text: str, owner: int = 0, iteration: int = 1) -> "SecretKey":
-        return cls(bits=tuple(int(c) for c in text.strip()),
-                   owner=owner, iteration=iteration)
+    def from01(cls, text: str, owner: int = 0) -> "SecretKey":
+        return cls(bits=tuple(int(c) for c in text.strip()), owner=owner)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.bits, dtype=np.uint8)
@@ -142,7 +140,7 @@ class SecretKey:
 
 def extract_key(bin_indices, codebook: GrayCodebook,
                 map_mode: str = "direct", append_complement: bool = False,
-                owner: int = 0, iteration: int = 1) -> SecretKey:
+                owner: int = 0) -> SecretKey:
     """Concatenate per-slot codewords for a sequence of bin indices.
 
     ``direct`` maps bin l to codeword l - 1 and requires every bin to fit
@@ -163,8 +161,7 @@ def extract_key(bin_indices, codebook: GrayCodebook,
     if append_complement:
         table = np.column_stack(
             [table, np.array(codebook.complement_bits, dtype=np.uint8)])
-    return SecretKey(bits=tuple(table[idx - 1].ravel().tolist()),
-                     owner=owner, iteration=iteration)
+    return SecretKey(bits=tuple(table[idx - 1].ravel().tolist()), owner=owner)
 
 
 def bmmr(key_a: SecretKey, key_b: SecretKey) -> float:

@@ -10,12 +10,13 @@ retried by the hop sender with an end-to-end leader retransmission as
 the fallback.  The cipher is a repeating-keystream XOR placeholder so
 key disagreements surface as observable decode failures.
 
-After the Z passes each vehicle holds Z per-iteration keys.  The agreed
-key is extracted from the slot-wise average of the vehicle's own RSS
-sequences across iterations: the passes share one shadowing realization
-(they fall within the channel coherence time), so averaging needs no
-exchange of key material and shrinks the estimation noise relative to
-the shared randomness, and more iterations give better agreement.
+After the Z passes each vehicle holds Z RSS traces.  The quantizer is
+fitted once per cycle, and the agreed key extracted, on the slot-wise
+average of each vehicle's own RSS sequences across iterations: the
+passes share one shadowing realization (they fall within the channel
+coherence time), so averaging needs no exchange of key material and
+shrinks the estimation noise relative to the shared randomness, and
+more iterations give better agreement.
 
 Event timing is slotted: every transmission occupies one slot, and
 modeled latency is reported separately from wall-clock compute time.
@@ -40,6 +41,7 @@ from .quantizer import (
     QuantizerConfig,
     optimize_intervals,
     quantize_trace,
+    retained_slots,
 )
 
 __all__ = [
@@ -110,8 +112,6 @@ class CycleLog:
     overhead_bits: int = 0
     evcd_hops_completed: int = 0
     end_to_end_latency_ms: float = 0.0
-    keys_per_vehicle: dict[int, list[SecretKey]] = field(default_factory=dict)
-    eavesdropper_keys: list[SecretKey] = field(default_factory=list)
     events: list[TransmissionEvent] = field(default_factory=list)
     cska_latency_ms: float = 0.0
     evcd_latency_ms: float = 0.0
@@ -268,7 +268,12 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
 
 @dataclass
 class AgreementReport:
-    """Outcome of one full cycle for one seed."""
+    """Outcome of one full cycle for one seed.
+
+    ``retained_per_iteration`` counts each pass's retained slots (valid
+    at every vehicle and at or above the decode floor); only the
+    averaged trace is fitted.
+    """
 
     n_vehicles: int
     bmmr_per_vehicle: dict[int, float]
@@ -318,25 +323,6 @@ def _averaged_trace(traces: list[RssTrace]) -> RssTrace:
                     eavesdropper=eavg, eavesdropper_valid=eavg_valid)
 
 
-def _keys_from_trace(trace: RssTrace, params: ChannelParams,
-                     quant: QuantizerConfig, keygen: KeygenConfig,
-                     iteration: int) -> tuple[dict[int, SecretKey], SecretKey, IntervalSet, int]:
-    intervals, _ = optimize_intervals(
-        trace, quant.n_intervals, quant.grid_size,
-        floor=params.rss_decode_floor_db)
-    qt = quantize_trace(trace, intervals)
-    q = keygen.resolve_bits(quant.n_intervals)
-    codebook = GrayCodebook(codeword_bits=q, n_bins=quant.n_intervals)
-    keys = {
-        i: extract_key(qt.bins[i - 1], codebook, keygen.map_mode,
-                       keygen.append_complement, owner=i, iteration=iteration)
-        for i in range(1, trace.n_vehicles + 1)
-    }
-    ekey = extract_key(qt.eavesdropper_bins, codebook, keygen.map_mode,
-                       keygen.append_complement, owner=0, iteration=iteration)
-    return keys, ekey, intervals, qt.n_retained
-
-
 def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
               protocol: ProtocolConfig, quant: QuantizerConfig,
               keygen: KeygenConfig, slots: int, seed) -> AgreementReport:
@@ -345,17 +331,22 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
 
     traces, log = run_cska(protocol, params, geometry, slots, cska_ss)
 
-    retained: list[int] = []
-    for z, trace in enumerate(traces, start=1):
-        keys_z, ekey_z, _, kept = _keys_from_trace(
-            trace, params, quant, keygen, iteration=z)
-        retained.append(kept)
-        for i, k in keys_z.items():
-            log.keys_per_vehicle.setdefault(i, []).append(k)
-        log.eavesdropper_keys.append(ekey_z)
+    floor = params.rss_decode_floor_db
+    retained = [len(retained_slots(t, floor)) for t in traces]
 
-    agreed_keys, agreed_ekey, intervals, _ = _keys_from_trace(
-        _averaged_trace(traces), params, quant, keygen, iteration=0)
+    trace = _averaged_trace(traces)
+    intervals, _ = optimize_intervals(trace, quant.n_intervals,
+                                      quant.grid_size, floor=floor)
+    qt = quantize_trace(trace, intervals)
+    codebook = GrayCodebook(codeword_bits=keygen.resolve_bits(quant.n_intervals),
+                            n_bins=quant.n_intervals)
+    agreed_keys = {
+        i: extract_key(qt.bins[i - 1], codebook, keygen.map_mode,
+                       keygen.append_complement, owner=i)
+        for i in range(1, geometry.n_vehicles + 1)
+    }
+    agreed_ekey = extract_key(qt.eavesdropper_bins, codebook, keygen.map_mode,
+                              keygen.append_complement)
 
     leader = agreed_keys[1]
     bmmrs = {i: bmmr(leader, agreed_keys[i])

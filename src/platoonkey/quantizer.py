@@ -116,10 +116,9 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class MismatchTable:
-    """Chained mismatch counts per interval and their running minimum."""
+    """Chained mismatch counts per interval."""
 
     per_interval: tuple[int, ...]
-    cumulative_best: tuple[int, ...]
 
     @property
     def total(self) -> int:
@@ -308,9 +307,7 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     iset = IntervalSet(boundaries=tuple(float(cand[i]) for i in idxs))
     bins, _ = bin_indices(samples, iset)
     per_interval = tuple(int(c) for c in _interval_mismatches(bins, L + 1)[1:])
-    running = np.minimum.accumulate(per_interval)
-    return iset, MismatchTable(per_interval=per_interval,
-                               cumulative_best=tuple(int(c) for c in running))
+    return iset, MismatchTable(per_interval=per_interval)
 
 
 def retained_slots(trace: RssTrace, floor: float) -> np.ndarray:

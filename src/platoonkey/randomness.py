@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, gammaincc
-from scipy.stats import norm
+from scipy.special import erfc, gammaincc, ndtr
 
 __all__ = [
     "DEFAULT_FLOORS",
@@ -125,10 +124,10 @@ def cusum_test(bits, direction: str = "forward", floor: int | None = None) -> fl
     sqn = math.sqrt(n)
     k1 = np.arange((-n // z + 1) // 4, (n // z - 1) // 4 + 1)
     k2 = np.arange((-n // z - 3) // 4, (n // z - 1) // 4 + 1)
-    term1 = np.sum(norm.cdf((4 * k1 + 1) * z / sqn)
-                   - norm.cdf((4 * k1 - 1) * z / sqn))
-    term2 = np.sum(norm.cdf((4 * k2 + 3) * z / sqn)
-                   - norm.cdf((4 * k2 + 1) * z / sqn))
+    term1 = np.sum(ndtr((4 * k1 + 1) * z / sqn)
+                   - ndtr((4 * k1 - 1) * z / sqn))
+    term2 = np.sum(ndtr((4 * k2 + 3) * z / sqn)
+                   - ndtr((4 * k2 + 1) * z / sqn))
     return float(min(max(1.0 - term1 + term2, 0.0), 1.0))
 
 

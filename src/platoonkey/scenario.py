@@ -100,7 +100,7 @@ class Scenario:
             tag, dist = value
             return replace(base, geometry=replace(
                 self.geometry, eavesdropper_position=tag,
-                eavesdropper_distance_m=float(dist)))
+                eavesdropper_distance_m=_parse_float(dist)))
         key = _AXIS_KEYS[self.sweep_axis]
         section = _SCHEMA[key][0]
         return replace(base, **{section: replace(
@@ -128,17 +128,17 @@ _SCHEMA = _schema()
 _SECTIONS = tuple(dict.fromkeys(s for s, _ in _SCHEMA.values() if s is not None))
 
 
-def _axis_cast(axis: str):
-    """Number type of an axis's values; those of ``none`` are floats."""
-    key = _AXIS_KEYS.get(axis)
-    return int if key is not None and _SCHEMA[key][1] == "int" else float
-
-
-def _parse_float(text: str) -> float:
+def _parse_float(text) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
+
+
+def _axis_cast(axis: str):
+    """Parser of an axis's values; those of ``none`` are floats."""
+    key = _AXIS_KEYS.get(axis)
+    return int if key is not None and _SCHEMA[key][1] == "int" else _parse_float
 
 
 def _parse_bool(text: str) -> bool:
@@ -172,7 +172,7 @@ def _parse_sweep_values(axis: str, text: str) -> tuple:
             tag, _, dist = t.partition(":")
             if tag not in EAVESDROPPER_POSITIONS or not dist:
                 raise ValueError(f"expected TAG:distance, got {t!r}")
-            vals.append((tag, float(dist)))
+            vals.append((tag, _parse_float(dist)))
         return tuple(vals)
     cast = _axis_cast(axis)
     return tuple(cast(t) for t in tokens)
@@ -228,9 +228,14 @@ def parse_scenario(text: str) -> Scenario:
         # sections are built in field order, so the first invalid section
         # in that order names the error
         sections = {s: replace(getattr(_DEFAULT, s), **changes(s)) for s in _SECTIONS}
-        return replace(_DEFAULT, **sections, **changes(None))
+        scenario = replace(_DEFAULT, **sections, **changes(None))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    try:
+        scenario.points()
+    except ValueError as exc:
+        raise ParseError(str(exc), lines["sweep_values"], "sweep_values") from None
+    return scenario
 
 
 def _format_sweep_values(axis: str, values: tuple) -> str:

@@ -1,10 +1,15 @@
 """Command-line front end: the ``nist`` subcommand and the exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import platoonkey
 from platoonkey.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
 from platoonkey.randomness import run_battery
 
@@ -85,6 +90,21 @@ def test_scenario_error_exits_parse(tmp_path, capsys):
     assert "(line 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis, values, message", [
+    ("n_vehicles", "2,4", "n_vehicles must be >= 3"),
+    ("pair_distance", "nan", "must be finite"),
+])
+def test_bad_sweep_value_exits_parse(tmp_path, capsys, axis, values, message):
+    path = tmp_path / "sweep.scn"
+    path.write_text(f"seeds = 0\nsweep_axis = {axis}\nsweep_values = {values}\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"{message} (line 3, field 'sweep_values')" in err
+    assert not (out / "runs.csv").exists()
+
+
 def test_out_dir_writes_report_csv(tmp_path, capsys):
     path = tmp_path / "bits.txt"
     path.write_text(TEXT, encoding="ascii")
@@ -96,3 +116,16 @@ def test_out_dir_writes_report_csv(tmp_path, capsys):
     assert rows[0] == ["test", "p_values", "verdict"]
     assert [tuple(r) for r in rows[1:]] == run_battery(BITS).rows()
     assert (out / "nist_report.csv").read_bytes().count(b"\r\n") == len(rows)
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.signal is needed only for autocorrelated shadowing, and
+    # scipy.stats not at all; either would dominate the start-up time
+    src = str(Path(platoonkey.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, platoonkey\n"
+            "print([m for m in sys.modules\n"
+            "       if m.startswith(('scipy.stats', 'scipy.signal'))])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

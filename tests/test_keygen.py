@@ -150,11 +150,11 @@ class TestExtractKey:
         for bins in ([], [L], list(range(1, L + 1)),
                      rng.integers(1, L + 1, 50).tolist()):
             key = extract_key(np.asarray(bins, dtype=np.int64), cb, map_mode,
-                              append_complement, owner=3, iteration=2)
+                              append_complement, owner=3)
             assert list(key.bits) == reference_key_bits(
                 bins, q, L, map_mode, append_complement)
             assert all(type(b) is int for b in key.bits)
-            assert (key.owner, key.iteration) == (3, 2)
+            assert key.owner == 3
 
     def test_hex_round_trip_prefix(self):
         key = SecretKey.from01("10110100")

@@ -143,15 +143,6 @@ class TestOptimizeBoundaries:
             assert table.total == mismatch
             assert iset.boundaries == pytest.approx(bounds, rel=1e-12)
 
-    def test_bellman_table_consistency(self):
-        rng = np.random.default_rng(4)
-        rows = np.vstack([rng.normal(0, 2, 30) for _ in range(4)])
-        iset, table = optimize_boundaries(rows, float(rows.min()) - 1.0, 4, 20)
-        per, best = table.per_interval, table.cumulative_best
-        assert best[0] == per[0]
-        for l in range(1, len(per)):
-            assert best[l] == min(best[l - 1], per[l])
-
     def test_shift_covariance(self):
         rng = np.random.default_rng(5)
         rows = np.vstack([rng.normal(0, 2, 25) for _ in range(3)])

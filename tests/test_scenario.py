@@ -155,6 +155,15 @@ def scenarios(draw):
 @given(scenarios())
 def test_round_trip(s):
     text = serialize_scenario(s)
+    try:
+        s.points()
+    except ValueError as exc:
+        # a document whose sweep points are invalid is refused at parse time
+        with pytest.raises(ParseError) as info:
+            parse_scenario(text)
+        assert info.value.fieldname == "sweep_values"
+        assert str(info.value).startswith(str(exc))
+        return
     back = parse_scenario(text)
     assert back == s
     assert serialize_scenario(back) == text
@@ -191,6 +200,27 @@ SWEEP_AXES_MESSAGE = (
      "invalid literal for int() with base 10: '3.5'"),
     ("sweep_values = 2,x\nsweep_axis = pair_distance", 1, "sweep_values",
      "could not convert string to float: 'x'"),
+    # every sweep point is built at parse time
+    ("sweep_axis = pair_distance\nsweep_values = nan", 2, "sweep_values",
+     "must be finite"),
+    ("sweep_axis = pair_distance\nsweep_values = 1,inf", 2, "sweep_values",
+     "must be finite"),
+    ("sweep_axis = eavesdropper\nsweep_values = P1:3,P3:-inf", 2, "sweep_values",
+     "must be finite"),
+    ("sweep_axis = n_vehicles\nsweep_values = 2,4", 2, "sweep_values",
+     "n_vehicles must be >= 3"),
+    ("sweep_values = 1,-1\nsweep_axis = pair_distance", 1, "sweep_values",
+     "pair_distance_m must be > 0"),
+    ("sweep_axis = eavesdropper\nsweep_values = P1:3,P2:4\nn_vehicles = 3", 2,
+     "sweep_values", "position P2 requires at least 4 vehicles"),
+    ("sweep_axis = eavesdropper\nsweep_values = P1:2", 2, "sweep_values",
+     "eavesdropper closer than 3 m would be identified"),
+    ("sweep_axis = n_intervals\nsweep_values = 2,100", 2, "sweep_values",
+     "grid_size must be >= n_intervals"),
+    ("n_intervals = 4\nsweep_axis = codeword_bits\nsweep_values = 0,1", 3,
+     "sweep_values", "codeword_bits 1 too small for 4 intervals"),
+    ("sweep_axis = z_iterations\nsweep_values = 0", 2, "sweep_values",
+     "z_iterations must be >= 1"),
 ])
 def test_parse_error_attribution(text, line, fieldname, message):
     with pytest.raises(ParseError) as info:
