@@ -22,13 +22,13 @@ Randomness model of :func:`generate_trace`, per slot:
 
 Shadowing is drawn once per cycle: the Z beacon passes of a cycle fall
 within the channel coherence time, so they see the same fading.
-Measurement and reciprocity noise are drawn once per pass.
+Measurement and reciprocity noise, when nonzero, are drawn once per pass.
 
 The eavesdropper's links draw from an RNG stream disjoint from the
 platoon's, and its shadowing (common and private) is independent of the
 platoon's, so its observations share no randomness with the key source.
-Its shadowing, too, is drawn once per cycle and its measurement noise
-once per pass.
+Its shadowing, too, is drawn once per cycle and its measurement noise,
+when nonzero, once per pass.
 """
 
 from __future__ import annotations
@@ -280,7 +280,8 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     list of ``passes`` traces of one cycle, which share one shadowing
     draw and each draw their own noise.  The first pass takes exactly
     the draws of a single-trace call; later passes continue the same
-    RNG streams.
+    RNG streams.  Zero-sigma noise is not drawn, as it adds 0 and ends
+    its stream; noiseless passes share one trace.  Arrays are read-only.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
@@ -304,7 +305,7 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     # Shadowing of the platoon links in fixed draw order: (1,2), then
     # (1,j), (2,j) for j=3..N.  Estimators j = 3..N are rows: links (1,j)
     # and (2,j) alternate in the draw order, so their shadowing and noise
-    # rows are the odd/even slices.
+    # rows are the odd/even slices (the noise rows of v1 and v2 come first).
     n_links = 1 + 2 * (n - 2)
     common = sig_c * _ar1(rng.standard_normal(slots), rho)
     private = sig_p * _ar1(rng.standard_normal((n_links, slots)), rho)
@@ -325,10 +326,12 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     faded1e = rss_of_link(params, d1e, e_common + e_private[0])
     faded2e = rss_of_link(params, d2e, e_common + e_private[1])
 
+    # meas is drawn while recip is on, to keep recip's place in the stream
+    noisy = a > 0 or params.reciprocity_sigma_db > 0
     traces = []
-    for _ in range(1 if passes is None else passes):
-        meas = rng.standard_normal((2 + 2 * (n - 2), slots))  # v1, v2, then per estimator link
-        recip = params.reciprocity_sigma_db * rng.standard_normal(slots)
+    for _ in range(1 if passes is None or not noisy else passes):
+        meas = (rng.standard_normal if noisy else np.zeros)((n_links + 1, slots))
+        recip = params.reciprocity_sigma_db * rng.standard_normal(slots) if noisy else 0.0
         values = np.empty((n, slots))
         valid = np.ones((n, slots), dtype=bool)
         values[0] = h12 + meas_sigma(dv) * meas[0]
@@ -337,10 +340,13 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
             params, faded1 + s1[:, None] * meas[2::2],
             faded2 + s2[:, None] * meas[3::2])
 
-        e_meas = erng.standard_normal((2, slots))
+        e_meas = (erng.standard_normal if a > 0 else np.zeros)((2, slots))
         eaves, eaves_valid = _estimate_rows(
             params, faded1e + meas_sigma(d1e) * e_meas[0],
             faded2e + meas_sigma(d2e) * e_meas[1])
+        for arr in (values, valid, eaves, eaves_valid):
+            arr.flags.writeable = False
         traces.append(RssTrace(slots=slots, values=values, valid=valid,
                                eavesdropper=eaves, eavesdropper_valid=eaves_valid))
+    traces *= 1 if noisy or passes is None else passes
     return traces[0] if passes is None else traces

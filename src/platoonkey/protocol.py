@@ -39,9 +39,9 @@ from .keygen import GrayCodebook, KeygenConfig, SecretKey, bmmr, extract_key
 from .quantizer import (
     IntervalSet,
     QuantizerConfig,
+    _retained_mask,
     optimize_intervals,
     quantize_trace,
-    retained_slots,
 )
 
 __all__ = [
@@ -296,31 +296,33 @@ class AgreementReport:
         return self.bmmr_per_vehicle[self.n_vehicles]
 
 
-def _masked_mean(values: list[np.ndarray], valid: list[np.ndarray]):
-    """Mean of the valid entries over the stacked arrays' first axis, and
-    its validity: an entry with no valid value is NaN and invalid."""
-    values, valid = np.stack(values), np.stack(valid)
+def _masked_mean(values: np.ndarray, valid: np.ndarray):
+    """Mean of the valid entries over the first axis (a valid inf counts as
+    the largest float), and its validity: no valid entry gives NaN, invalid."""
     counts = valid.sum(axis=0)
-    sums = np.where(valid, np.nan_to_num(values), 0.0).sum(axis=0)
+    sums = np.nan_to_num(np.where(valid, values, 0.0), copy=False).sum(axis=0)
     any_valid = counts > 0
     return np.where(any_valid, sums / np.maximum(counts, 1), np.nan), any_valid
 
 
-def _averaged_trace(traces: list[RssTrace]) -> RssTrace:
-    """Slot-wise mean of each vehicle's sequences over valid iterations.
+def _averaged_trace(traces: list[RssTrace], floor: float) -> tuple[RssTrace, list[int]]:
+    """Slot-wise mean of each vehicle's sequences over valid iterations,
+    and the number of slots each pass retains at the decode floor.
 
     A slot stays valid for a vehicle when at least one iteration observed
     it; validity flags are shareable (they carry no RSS values), so the
     averaging is synchronized across vehicles.
     """
+    values = np.stack([t.values for t in traces])
+    valid = np.stack([t.valid for t in traces])
+    retained = _retained_mask(values, valid, floor).sum(axis=-1).tolist()
     if len(traces) == 1:
-        return traces[0]
-    avg, avg_valid = _masked_mean([t.values for t in traces],
-                                  [t.valid for t in traces])
-    eavg, eavg_valid = _masked_mean([t.eavesdropper for t in traces],
-                                    [t.eavesdropper_valid for t in traces])
+        return traces[0], retained
+    avg, avg_valid = _masked_mean(values, valid)
+    eavg, eavg_valid = _masked_mean(np.stack([t.eavesdropper for t in traces]),
+                                    np.stack([t.eavesdropper_valid for t in traces]))
     return RssTrace(slots=traces[0].slots, values=avg, valid=avg_valid,
-                    eavesdropper=eavg, eavesdropper_valid=eavg_valid)
+                    eavesdropper=eavg, eavesdropper_valid=eavg_valid), retained
 
 
 def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
@@ -332,9 +334,7 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
     traces, log = run_cska(protocol, params, geometry, slots, cska_ss)
 
     floor = params.rss_decode_floor_db
-    retained = [len(retained_slots(t, floor)) for t in traces]
-
-    trace = _averaged_trace(traces)
+    trace, retained = _averaged_trace(traces, floor)
     intervals, _ = optimize_intervals(trace, quant.n_intervals,
                                       quant.grid_size, floor=floor)
     qt = quantize_trace(trace, intervals)

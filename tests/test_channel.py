@@ -219,6 +219,37 @@ class TestGenerateTrace:
         with pytest.raises(ValueError):
             generate_trace(params(), PlatoonGeometry(3, 2.0), 0, 1)
 
+    FIELDS = ("values", "valid", "eavesdropper", "eavesdropper_valid")
+
+    def test_noiseless_passes_are_one_read_only_trace(self):
+        p = ChannelParams(shadowing_sigma_db=3.0, shadowing_autocorr=0.5)
+        g = PlatoonGeometry(n_vehicles=6, pair_distance_m=2.0)
+        single = generate_trace(p, g, 120, 31)
+        traces = generate_trace(p, g, 120, 31, passes=5)
+        assert len(traces) == 5
+        for t in traces:
+            for name in self.FIELDS:
+                arr = getattr(t, name)
+                assert arr.tobytes() == getattr(single, name).tobytes()
+                assert np.shares_memory(arr, getattr(traces[0], name))
+                assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            traces[1].values[0, 0] = 0.0
+
+    @pytest.mark.parametrize("noise", [
+        dict(measurement_noise_db=0.1),
+        dict(reciprocity_sigma_db=0.5),
+        dict(measurement_noise_db=0.1, reciprocity_sigma_db=0.5),
+    ])
+    def test_noisy_passes_share_no_memory(self, noise):
+        p = ChannelParams(shadowing_sigma_db=3.0, **noise)
+        g = PlatoonGeometry(n_vehicles=6, pair_distance_m=2.0)
+        traces = generate_trace(p, g, 120, 31, passes=3)
+        for i, t in enumerate(traces):
+            for u in traces[i + 1:]:
+                for name in self.FIELDS:
+                    assert not np.shares_memory(getattr(t, name), getattr(u, name))
+
 
 class TestGeometry:
     def test_invariants(self):

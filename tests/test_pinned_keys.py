@@ -1,4 +1,5 @@
-"""Leader keys pinned by digest at the two benchmark cycle shapes.
+"""Leader keys pinned by digest at the two benchmark cycle shapes, and on
+two noisy channels.
 
 A declared model change updates these digests and says so in CHANGES.md;
 any other change that moves them altered the keys by accident.
@@ -42,3 +43,39 @@ def test_leader_key_digests(shape):
                         KeygenConfig(), slots, seed)
         digests.append(hashlib.sha256(rep.leader_key.to01().encode()).hexdigest())
     assert tuple(digests) == PINNED[shape]
+
+
+# channel noise -> (sha256 of the leader key's to01(), bits in which
+# vehicle 2's key differs from it) per seed 0..3, at N=6, T=200, Z=3, L=4
+NOISY_PINNED = {
+    (("measurement_noise_db", 0.1), ("reciprocity_sigma_db", 0.5)): (
+        ("7e7f920ee50e791b19ee46d4f55e2a21a8786c7dd448217f30d2eabd4939d9ec", 5),
+        ("075f2813cb48db03e95ef4430a43777577a33c795a576938041badbd12b3749f", 7),
+        ("c5188269c96102b4714c5b3718edaa17799829ae1d7d048673f16a14ece32ead", 7),
+        ("23a6d10ec1a24663d2835a90552dea507bce0970c70f37826f0cf3052c8d6e4d", 9),
+    ),
+    # the measurement noise of zero sigma is still drawn, so the
+    # reciprocity noise keeps its place in the stream; only vehicle 2,
+    # outside the quantizer's fit chain, reads it, so the leader keys
+    # equal the noiseless ones and the mismatch counts pin the draws
+    (("reciprocity_sigma_db", 0.5),): (
+        ("f4ae97a1a095675523e584ab3a06ddd37723cdffa7fa2cb5a3e707baa4a4cb58", 6),
+        ("fbefd2373782d40f75a5b45d54aacda55517d6c29614ec5e5fd4ebb711192c86", 4),
+        ("2970b588d2ab4498a2c3562c2e684035697cbe606f6e43ac1db59042a904ff92", 6),
+        ("4b6b44388da23cdb33005f83cf1544c411df6b5e192a3021a519b844a8785230", 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("noise", sorted(NOISY_PINNED))
+def test_noisy_leader_key_digests(noise):
+    pins = []
+    for seed in range(4):
+        rep = run_cycle(ChannelParams(**dict(noise)),
+                        PlatoonGeometry(n_vehicles=6, pair_distance_m=2.0),
+                        ProtocolConfig(z_iterations=3),
+                        QuantizerConfig(n_intervals=4, grid_size=64),
+                        KeygenConfig(), 200, seed)
+        pins.append((hashlib.sha256(rep.leader_key.to01().encode()).hexdigest(),
+                     round(rep.bmmr_per_vehicle[2] * rep.agreed_key_bits)))
+    assert tuple(pins) == NOISY_PINNED[noise]
