@@ -12,24 +12,20 @@ an 8-test statistical randomness battery validates the generated keys.
 
 from .channel import (
     ChannelParams,
-    EstimationFailure,
     PlatoonGeometry,
     RssTrace,
     distance_from_rss,
-    estimate_leader_rss,
     generate_trace,
     receive_power,
     rss_of_link,
 )
 from .keygen import (
     CodebookTooSmall,
-    GrayCodebook,
     KeygenConfig,
     SecretKey,
     bmmr,
-    complement_bit,
+    codeword_table,
     extract_key,
-    gray_codeword,
 )
 from .protocol import (
     AgreementReport,
@@ -47,13 +43,9 @@ from .quantizer import (
     InfeasiblePartition,
     IntervalSet,
     MismatchTable,
-    OutOfRange,
     QuantizerConfig,
-    bin_index,
-    mismatch_count,
     optimize_boundaries,
     optimize_intervals,
-    quantize_bit,
     quantize_trace,
 )
 from .randomness import (

@@ -40,22 +40,15 @@ import numpy as np
 
 __all__ = [
     "ChannelParams",
-    "EstimationFailure",
     "PlatoonGeometry",
     "RssTrace",
     "distance_from_rss",
-    "estimate_leader_rss",
     "generate_trace",
     "receive_power",
     "rss_of_link",
 ]
 
 EAVESDROPPER_POSITIONS = ("P1", "P2", "P3")
-
-
-class EstimationFailure(ValueError):
-    """The inferred distance difference is not positive; the slot's
-    estimate is invalid and is excluded from quantization."""
 
 
 @dataclass(frozen=True)
@@ -190,11 +183,6 @@ class RssTrace:
     def n_vehicles(self) -> int:
         return self.values.shape[0]
 
-    def per_vehicle(self, i: int) -> np.ndarray:
-        if not 1 <= i <= self.n_vehicles:
-            raise KeyError(f"vehicle index {i} out of range")
-        return self.values[i - 1]
-
 
 def receive_power(params: ChannelParams, distance_m, shadowing_db):
     """Receive power (dBm) at the given distance and realized shadowing.
@@ -221,22 +209,6 @@ def distance_from_rss(params: ChannelParams, rss_db, shadowing_db):
     return 10.0 ** (num / (10.0 * params.path_loss_exponent))
 
 
-def estimate_leader_rss(params: ChannelParams, h_1j: float, h_2j: float) -> float:
-    """Estimate the leader-pair RSS from one follower's two link readings.
-
-    The follower inverts both readings to distances assuming zero realized
-    shadowing (it cannot observe it), differences them, and maps the
-    difference back to dB.  Raises :class:`EstimationFailure` when the
-    implied distance difference is not positive.
-    """
-    est, valid = _estimate_rows(params, h_1j, h_2j)
-    if not valid:
-        diff = distance_from_rss(params, h_1j, 0.0) - distance_from_rss(params, h_2j, 0.0)
-        raise EstimationFailure(
-            f"non-positive implied distance difference ({diff:.6g} m)")
-    return float(est)
-
-
 def _seed_sequence(seed) -> np.random.SeedSequence:
     """The seed as a SeedSequence; a SeedSequence passes through unchanged."""
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -255,7 +227,14 @@ def _ar1(draws: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
-    """Vectorized leader-pair estimation; returns (values, valid)."""
+    """Leader-pair RSS estimated from readings of the links to vehicles 1
+    and 2; returns (values, valid).
+
+    The follower inverts both readings to distances assuming zero realized
+    shadowing (it cannot observe it), differences them, and maps the
+    difference back to dB.  A non-positive implied distance difference
+    gives an invalid estimate: NaN, with ``valid`` False.
+    """
     d1 = distance_from_rss(params, h1, 0.0)
     d2 = distance_from_rss(params, h2, 0.0)
     diff = d1 - d2

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocol import CycleAbort, DisseminationFailure, run_cycle
+from .protocol import CYCLE_FAILURES, run_cycle
 from .randomness import bits_from_ascii, run_battery
 from .scenario import ParseError, parse_scenario
 from .sweep import emit_plots, run_sweep
@@ -93,10 +93,17 @@ def _cmd_run(args) -> int:
     writer.writerow(("seed", "slot", "stage", "sender", "receiver",
                      "kind", "outcome"))
     print("seed  bmmr_mean  bmmr_tail  eaves_bmmr  success  key_bits")
+    failed = 0
     for seed in seeds:
-        rep = run_cycle(scenario.channel, scenario.geometry, scenario.protocol,
-                        scenario.quantizer, scenario.keygen, scenario.slots,
-                        np.random.SeedSequence([seed, 0]))
+        try:
+            rep = run_cycle(scenario.channel, scenario.geometry,
+                            scenario.protocol, scenario.quantizer,
+                            scenario.keygen, scenario.slots,
+                            np.random.SeedSequence([seed, 0]))
+        except CYCLE_FAILURES as exc:
+            failed += 1
+            print(f"{seed:<5d} failed: {type(exc).__name__}: {exc}")
+            continue
         print(f"{seed:<5d} {rep.mean_bmmr:9.4f} {rep.tail_bmmr:10.4f} "
               f"{rep.eavesdropper_bmmr:11.4f} {int(rep.dissemination_success):8d} "
               f"{rep.agreed_key_bits:9d}")
@@ -109,6 +116,10 @@ def _cmd_run(args) -> int:
     (out / "keys.txt").write_text("\n".join(key_lines) + "\n", encoding="ascii")
     (out / "events.csv").write_text(event_buf.getvalue(), encoding="ascii")
     print(f"wrote {out / 'keys.txt'} and {out / 'events.csv'}")
+    if failed:
+        print(f"runtime failure: {failed} of {len(seeds)} seeds failed",
+              file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -177,7 +188,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (CycleAbort, DisseminationFailure, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

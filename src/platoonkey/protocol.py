@@ -35,8 +35,9 @@ from .channel import (
     _seed_sequence,
     generate_trace,
 )
-from .keygen import GrayCodebook, KeygenConfig, SecretKey, bmmr, extract_key
+from .keygen import KeygenConfig, SecretKey, bmmr, codeword_table, extract_key
 from .quantizer import (
+    InfeasiblePartition,
     IntervalSet,
     QuantizerConfig,
     _retained_mask,
@@ -46,6 +47,7 @@ from .quantizer import (
 
 __all__ = [
     "AgreementReport",
+    "CYCLE_FAILURES",
     "CycleAbort",
     "CycleLog",
     "DisseminationFailure",
@@ -64,6 +66,11 @@ class CycleAbort(RuntimeError):
 
 class DisseminationFailure(RuntimeError):
     """EVCD ran out of end-to-end retries."""
+
+
+# The modeled reasons a cycle fails: a caller running many cycles records
+# these against the cycle and goes on; any other error is a fault.
+CYCLE_FAILURES = (CycleAbort, DisseminationFailure, InfeasiblePartition)
 
 
 @dataclass(frozen=True)
@@ -338,15 +345,14 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
     intervals, _ = optimize_intervals(trace, quant.n_intervals,
                                       quant.grid_size, floor=floor)
     qt = quantize_trace(trace, intervals)
-    codebook = GrayCodebook(codeword_bits=keygen.resolve_bits(quant.n_intervals),
-                            n_bins=quant.n_intervals)
+    table = codeword_table(keygen.resolve_bits(quant.n_intervals),
+                           quant.n_intervals, keygen.map_mode,
+                           keygen.append_complement)
     agreed_keys = {
-        i: extract_key(qt.bins[i - 1], codebook, keygen.map_mode,
-                       keygen.append_complement, owner=i)
+        i: extract_key(qt.bins[i - 1], table, owner=i)
         for i in range(1, geometry.n_vehicles + 1)
     }
-    agreed_ekey = extract_key(qt.eavesdropper_bins, codebook, keygen.map_mode,
-                              keygen.append_complement)
+    agreed_ekey = extract_key(qt.eavesdropper_bins, table)
 
     leader = agreed_keys[1]
     bmmrs = {i: bmmr(leader, agreed_keys[i])

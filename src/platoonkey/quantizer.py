@@ -45,24 +45,16 @@ __all__ = [
     "InfeasiblePartition",
     "IntervalSet",
     "MismatchTable",
-    "OutOfRange",
     "QuantizedTrace",
     "QuantizerConfig",
-    "bin_index",
     "bin_indices",
-    "mismatch_count",
     "optimize_boundaries",
     "optimize_intervals",
-    "quantize_bit",
     "quantize_trace",
     "retained_slots",
 ]
 
 _INF = np.iinfo(np.int64).max // 2
-
-
-class OutOfRange(ValueError):
-    """Sample falls outside the quantizer's span and is excluded."""
 
 
 class InfeasiblePartition(ValueError):
@@ -107,12 +99,6 @@ class IntervalSet:
     def decode_floor(self) -> float:
         return self.boundaries[0]
 
-    def lower(self, l: int) -> float:
-        return self.boundaries[l - 1]
-
-    def upper(self, l: int) -> float:
-        return self.boundaries[l]
-
 
 @dataclass(frozen=True)
 class MismatchTable:
@@ -125,27 +111,11 @@ class MismatchTable:
         return int(sum(self.per_interval))
 
 
-def quantize_bit(x: float, l: int, intervals: IntervalSet) -> int:
-    """Indicator bit of interval l: 1 iff ``lower(l) <= x < upper(l)``."""
-    return int(intervals.lower(l) <= x < intervals.upper(l))
-
-
-def bin_index(x: float, intervals: IntervalSet) -> int:
-    """1-based index of the interval containing x.
-
-    Raises :class:`OutOfRange` below the floor or at/above the top
-    boundary; such samples are excluded from key extraction.
-    """
-    b = intervals.boundaries
-    if not b[0] <= x < b[-1]:
-        raise OutOfRange(f"sample {x!r} outside [{b[0]!r}, {b[-1]!r})")
-    return int(np.searchsorted(b, x, side="right"))
-
-
 def bin_indices(xs, intervals: IntervalSet, clamp: bool = False):
-    """Vectorized bin lookup.
+    """1-based index of the interval ``[b_{l-1}, b_l)`` holding each sample.
 
-    Returns ``(bins, in_range)``; out-of-range entries are 0 when
+    Returns ``(bins, in_range)``.  A sample below the floor or at or
+    above the top boundary is out of range; such entries are 0 when
     ``clamp`` is False, otherwise clamped to the nearest bin (1 or L).
     NaN entries are never in range; when clamping they map to bin 1.
     """
@@ -159,24 +129,6 @@ def bin_indices(xs, intervals: IntervalSet, clamp: bool = False):
     else:
         idx = np.where(in_range, idx, 0)
     return idx.astype(np.int64), in_range
-
-
-def mismatch_count(bin_sequences, l: int) -> int:
-    """Chained mismatch count at interval l.
-
-    ``bin_sequences`` are equal-length 1-based bin index sequences for the
-    comparison chain (leader pair first, then each estimating vehicle in
-    order); adjacent sequences are XOR-compared on their interval-l
-    indicator bits and disagreements are summed over all slots.
-    """
-    seqs = [np.asarray(s) for s in bin_sequences]
-    if len(seqs) < 2:
-        raise ValueError("need at least two sequences to compare")
-    length = len(seqs[0])
-    if any(len(s) != length for s in seqs):
-        raise ValueError("bin sequences must have equal length")
-    # on the interval-l indicator bits, "bin 1" is interval l
-    return int(_interval_mismatches(np.stack(seqs) == l, 2)[1])
 
 
 def _candidates(floor: float, top_sample: float, grid_size: int) -> np.ndarray:
@@ -362,11 +314,6 @@ class QuantizedTrace:
     slot_indices: np.ndarray          # (retained,) original slot positions
     bins: np.ndarray                  # (n_vehicles, retained) 1-based
     eavesdropper_bins: np.ndarray     # (retained,) clamped best effort
-
-    @property
-    def n_retained(self) -> int:
-        return len(self.slot_indices)
-
 
 def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> QuantizedTrace:
     """Quantize every vehicle's retained samples into bin indices.

@@ -283,10 +283,6 @@ class TestResult:
     passed: bool
     note: str = ""
 
-    @property
-    def p_value(self) -> float:
-        return self.p_values[0]
-
 
 @dataclass
 class RandomnessReport:

@@ -33,8 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocol import CycleAbort, DisseminationFailure, run_cycle
-from .quantizer import InfeasiblePartition
+from .protocol import CYCLE_FAILURES, run_cycle
 from .randomness import (_BATTERY_ORDER, RandomnessReport, bits_from_ascii,
                          run_battery)
 from .scenario import ParseError, Scenario, serialize_scenario
@@ -82,7 +81,7 @@ def _run_unit(args) -> dict:
     try:
         rep = run_cycle(point.channel, point.geometry, point.protocol,
                         point.quantizer, point.keygen, point.slots, ss)
-    except (CycleAbort, DisseminationFailure, InfeasiblePartition) as exc:
+    except CYCLE_FAILURES as exc:
         row.update({k: float("nan") for k in
                     ("bmmr_mean", "bmmr_v2", "bmmr_tail", "eavesdropper_bmmr",
                      "key_bits", "cska_latency_ms", "evcd_latency_ms",

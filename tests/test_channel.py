@@ -7,10 +7,9 @@ import pytest
 
 from platoonkey.channel import (
     ChannelParams,
-    EstimationFailure,
     PlatoonGeometry,
+    _estimate_rows,
     distance_from_rss,
-    estimate_leader_rss,
     generate_trace,
     receive_power,
     rss_of_link,
@@ -96,19 +95,21 @@ class TestEstimateLeaderRss:
         dv = 4.0
         h13 = rss_of_link(p, 3 * dv, 0.0)
         h23 = rss_of_link(p, 2 * dv, 0.0)
-        est = estimate_leader_rss(p, h13, h23)
+        est, valid = _estimate_rows(p, h13, h23)
+        assert valid
         assert est == pytest.approx(rss_of_link(p, dv, 0.0), rel=1e-9)
 
     def test_zero_difference_fails(self):
         p = params()
         h = rss_of_link(p, 5.0, 0.0)
-        with pytest.raises(EstimationFailure):
-            estimate_leader_rss(p, h, h)
+        est, valid = _estimate_rows(p, h, h)
+        assert not valid and np.isnan(est)
 
     def test_negative_difference_fails(self):
         p = params()
-        with pytest.raises(EstimationFailure):
-            estimate_leader_rss(p, rss_of_link(p, 2.0, 0.0), rss_of_link(p, 5.0, 0.0))
+        est, valid = _estimate_rows(p, rss_of_link(p, 2.0, 0.0),
+                                    rss_of_link(p, 5.0, 0.0))
+        assert not valid and np.isnan(est)
 
     def test_exactness_random_geometry(self):
         rng = np.random.default_rng(11)
@@ -116,8 +117,9 @@ class TestEstimateLeaderRss:
         for _ in range(50):
             d2 = float(rng.uniform(1.0, 40.0))
             d1 = d2 + float(rng.uniform(0.5, 30.0))
-            est = estimate_leader_rss(p, rss_of_link(p, d1, 0.0),
-                                      rss_of_link(p, d2, 0.0))
+            est, valid = _estimate_rows(p, rss_of_link(p, d1, 0.0),
+                                        rss_of_link(p, d2, 0.0))
+            assert valid
             assert est == pytest.approx(rss_of_link(p, d1 - d2, 0.0), rel=1e-9)
 
 
@@ -157,7 +159,7 @@ class TestGenerateTrace:
         t = generate_trace(p, g, 30, 5)
         assert t.valid.all()
         for i in range(2, 6):
-            np.testing.assert_allclose(t.per_vehicle(i), t.per_vehicle(1),
+            np.testing.assert_allclose(t.values[i - 1], t.values[0],
                                        rtol=1e-9)
 
     def test_same_seed_bit_identical(self):
@@ -181,13 +183,13 @@ class TestGenerateTrace:
         p = ChannelParams(shadowing_sigma_db=4.0)
         g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
         t = generate_trace(p, g, 200, 9)
-        np.testing.assert_array_equal(t.per_vehicle(1), t.per_vehicle(2))
+        np.testing.assert_array_equal(t.values[0], t.values[1])
 
     def test_reciprocity_noise_separates_lead_pair(self):
         p = ChannelParams(shadowing_sigma_db=4.0, reciprocity_sigma_db=0.5)
         g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
         t = generate_trace(p, g, 200, 9)
-        assert not np.array_equal(t.per_vehicle(1), t.per_vehicle(2))
+        assert not np.array_equal(t.values[0], t.values[1])
 
     def test_eavesdropper_uncorrelated(self):
         p = ChannelParams(shadowing_sigma_db=4.0)
@@ -200,7 +202,7 @@ class TestGenerateTrace:
             ok = t.eavesdropper_valid
             if ok.sum() < 50:
                 continue
-            c = np.corrcoef(t.per_vehicle(1)[ok], t.eavesdropper[ok])[0, 1]
+            c = np.corrcoef(t.values[0][ok], t.eavesdropper[ok])[0, 1]
             corrs.append(abs(c))
         assert corrs and max(corrs) < 0.2
 

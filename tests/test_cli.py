@@ -1,4 +1,4 @@
-"""Command-line front end: the ``nist`` subcommand and the exit codes."""
+"""Command-line front end: each subcommand and the exit codes."""
 
 import csv
 import os
@@ -11,7 +11,9 @@ import pytest
 
 import platoonkey
 from platoonkey.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
+from platoonkey.protocol import CycleAbort, run_cycle
 from platoonkey.randomness import run_battery
+from platoonkey.scenario import parse_scenario
 
 BITS = np.random.default_rng(3).integers(0, 2, 2000, dtype=np.uint8)
 TEXT = "".join(map(str, BITS))
@@ -129,3 +131,85 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+EVENT_HEADER = ["seed", "slot", "stage", "sender", "receiver", "kind", "outcome"]
+
+
+def run_cli(tmp_path, capsys, text):
+    path = tmp_path / "run.scn"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["run", str(path), "--out-dir", str(out)])
+    return rc, capsys.readouterr(), out
+
+
+def expected_run(text):
+    """keys.txt lines and event count of the seeds whose cycle completes,
+    and the seeds whose cycle aborts."""
+    scen = parse_scenario(text)
+    lines, n_events, aborted = [], 0, []
+    for seed in scen.seeds:
+        try:
+            rep = run_cycle(scen.channel, scen.geometry, scen.protocol,
+                            scen.quantizer, scen.keygen, scen.slots,
+                            np.random.SeedSequence([seed, 0]))
+        except CycleAbort:
+            aborted.append(seed)
+            continue
+        lines += [f"seed {seed} bits {rep.leader_key.to01()}",
+                  f"seed {seed} hex  {rep.leader_key.to_hex()}"]
+        n_events += len(rep.log.events)
+    return lines, n_events, aborted
+
+
+def written_run(out):
+    with (out / "events.csv").open(newline="", encoding="ascii") as fh:
+        events = list(csv.reader(fh))
+    assert events[0] == EVENT_HEADER
+    return (out / "keys.txt").read_text(encoding="ascii").splitlines(), len(events) - 1
+
+
+def test_run_writes_every_seed_key_and_event(tmp_path, capsys):
+    text = "slots = 80\nbeacon_loss_prob = 0.2\nseeds = 0..2\n"
+    rc, _, out = run_cli(tmp_path, capsys, text)
+    assert rc == EXIT_OK
+    lines, n_events, aborted = expected_run(text)
+    assert aborted == [] and len(lines) == 6
+    assert written_run(out) == (lines, n_events)
+
+
+def test_run_reports_a_failed_seed_and_runs_the_rest(tmp_path, capsys):
+    text = ("slots = 50\nbeacon_loss_prob = 0.5\nretransmission_cap = 2\n"
+            "seeds = 0..9\n")
+    rc, captured, out = run_cli(tmp_path, capsys, text)
+    assert rc == EXIT_RUNTIME
+    lines, n_events, aborted = expected_run(text)
+    assert aborted and len(aborted) < 10
+    assert written_run(out) == (lines, n_events)
+    rows = [line.split() for line in captured.out.splitlines()]
+    assert [row[:3] for row in rows if row[1:2] == ["failed:"]] == \
+        [[str(seed), "failed:", "CycleAbort:"] for seed in aborted]
+    assert f"{len(aborted)} of 10 seeds failed" in captured.err
+
+
+def test_plot_writes_one_row_per_sweep_point(tmp_path, capsys):
+    path = tmp_path / "sweep.scn"
+    path.write_text("slots = 60\nseeds = 0,1\nsweep_axis = n_intervals\n"
+                    "sweep_values = 2,4\n", encoding="utf-8")
+    sweep_out, plot_out = tmp_path / "sweep", tmp_path / "plot"
+    assert main(["sweep", str(path), "--out-dir", str(sweep_out)]) == EXIT_OK
+    summary = sweep_out / "summary.csv"
+    assert main(["plot", str(summary), "--out-dir", str(plot_out)]) == EXIT_OK
+    capsys.readouterr()
+
+    with summary.open(newline="", encoding="ascii") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    means = {(value, metric): (mean, std)
+             for _, _, value, metric, mean, std, _ in rows[1:]}
+    metrics = ("bmmr_v2", "bmmr_tail", "bmmr_mean", "eavesdropper_bmmr")
+    dat = (plot_out / "n_intervals_bmmr.dat").read_text(encoding="ascii")
+    assert dat.splitlines()[1:] == [
+        " ".join([value, *(x for m in metrics for x in means[(value, m)])])
+        for value in ("2", "4")]
+    assert (plot_out / "n_intervals_bmmr.gp").exists()

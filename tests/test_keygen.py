@@ -5,126 +5,126 @@ import pytest
 
 from platoonkey.keygen import (
     CodebookTooSmall,
-    GrayCodebook,
     KeygenConfig,
     SecretKey,
     bmmr,
-    complement_bit,
+    codeword_table,
     extract_key,
-    gray_codeword,
 )
-from platoonkey.quantizer import mismatch_count
+from platoonkey.quantizer import _interval_mismatches
 
-from _oracles import gray_list, reference_key_bits
+from _oracles import chained_mismatch, gray_list, reference_key_bits
+
+
+def words(table):
+    return ["".join(map(str, row)) for row in table.tolist()]
 
 
 class TestGrayCodeword:
     def test_origin(self):
-        assert gray_codeword(0, 3).tolist() == [0, 0, 0]
+        assert codeword_table(3, 8)[0].tolist() == [0, 0, 0]
 
     def test_first_step(self):
-        assert gray_codeword(1, 3).tolist() == [0, 0, 1]
-        assert int(np.sum(gray_codeword(1, 3) != gray_codeword(0, 3))) == 1
+        table = codeword_table(3, 8)
+        assert table[1].tolist() == [0, 0, 1]
+        assert int(np.sum(table[1] != table[0])) == 1
 
     def test_full_list_q3(self):
-        words = ["".join(map(str, gray_codeword(i, 3))) for i in range(8)]
-        assert words == ["000", "001", "011", "010", "110", "111", "101", "100"]
+        assert words(codeword_table(3, 8)) == \
+            ["000", "001", "011", "010", "110", "111", "101", "100"]
 
     @pytest.mark.parametrize("q", range(1, 11))
     def test_adjacency_and_bijectivity(self, q):
-        words = [tuple(gray_codeword(i, q)) for i in range(2 ** q)]
-        assert len(set(words)) == 2 ** q
+        rows = words(codeword_table(q, 2 ** q))
+        assert len(set(rows)) == 2 ** q
         for i in range(2 ** q):
-            nxt = words[(i + 1) % (2 ** q)]
-            assert sum(a != b for a, b in zip(words[i], nxt)) == 1
+            nxt = rows[(i + 1) % (2 ** q)]
+            assert sum(a != b for a, b in zip(rows[i], nxt)) == 1
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_matches_mirror_construction(self, q):
-        ours = ["".join(map(str, gray_codeword(i, q))) for i in range(2 ** q)]
-        assert ours == gray_list(q)
+        assert words(codeword_table(q, 2 ** q)) == gray_list(q)
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
-            gray_codeword(8, 3)
+            codeword_table(0, 1)
         with pytest.raises(ValueError):
-            gray_codeword(-1, 3)
+            codeword_table(3, 0)
+        with pytest.raises(ValueError):
+            codeword_table(3, 5, map_mode="zigzag")
 
 
 class TestComplementBit:
+    @staticmethod
+    def column(q, n_bins):
+        return codeword_table(q, n_bins, append_complement=True)[:, -1].tolist()
+
     def test_small_cases(self):
-        assert complement_bit(2) == 1
-        assert complement_bit(4) == 0
+        bits = self.column(3, 4)
+        assert bits[2 - 1] == 1
+        assert bits[4 - 1] == 0
 
     def test_first_twelve(self):
-        assert [complement_bit(l) for l in range(1, 13)] == \
-            [0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0]
+        assert self.column(4, 12) == [0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0]
 
     def test_thousand(self):
+        bits = self.column(10, 1000)
         for l in range(1, 1001):
-            assert complement_bit(l) == (1 if l % 4 in (2, 3) else 0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            complement_bit(0)
+            assert bits[l - 1] == (1 if l % 4 in (2, 3) else 0)
 
 
 class TestCodebook:
     def test_sizes(self):
-        cb = GrayCodebook(codeword_bits=3, n_bins=5)
-        assert len(cb.codewords) == 8
-        assert len(cb.complement_bits) == 5
-        assert len(cb.plus_codewords) == 5
+        for mode in ("direct", "grouped"):
+            assert codeword_table(3, 5, mode).shape == (5, 3)
+            table = codeword_table(3, 5, mode, append_complement=True)
+            assert table.shape == (5, 4) and table.dtype == np.uint8
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
 
     def test_grouped_codewords_collapse_groups_of_four(self):
-        cb = GrayCodebook(codeword_bits=3, n_bins=8)
-        assert cb.plus_codewords[0] == cb.plus_codewords[3]
-        assert cb.plus_codewords[4] == cb.plus_codewords[7]
-        assert cb.plus_codewords[0] != cb.plus_codewords[4]
+        table = codeword_table(3, 8, map_mode="grouped").tolist()
+        assert table[0] == table[3]
+        assert table[4] == table[7]
+        assert table[0] != table[4]
 
 
 class TestExtractKey:
     def test_constant_input(self):
-        cb = GrayCodebook(codeword_bits=3, n_bins=5)
-        key = extract_key([1, 1, 1, 1], cb)
+        key = extract_key([1, 1, 1, 1], codeword_table(3, 5))
         assert key.to01() == "000" * 4
 
     def test_deterministic(self):
-        cb = GrayCodebook(codeword_bits=3, n_bins=5)
+        table = codeword_table(3, 5)
         seq = [2, 4, 1, 5, 3]
-        assert extract_key(seq, cb).bits == extract_key(list(seq), cb).bits
+        assert extract_key(seq, table).bits == extract_key(list(seq), table).bits
 
     def test_direct_map_matches_per_slot_recomputation(self):
-        cb = GrayCodebook(codeword_bits=3, n_bins=5)
-        key = extract_key([1, 2, 3, 4, 5], cb)
-        expected = "".join("".join(map(str, gray_codeword(l - 1, 3)))
-                           for l in [1, 2, 3, 4, 5])
+        key = extract_key([1, 2, 3, 4, 5], codeword_table(3, 5))
+        expected = "".join(gray_list(3)[l - 1] for l in [1, 2, 3, 4, 5])
         assert key.to01() == expected == "000001011010110"
 
     def test_grouped_map_with_complement(self):
-        cb = GrayCodebook(codeword_bits=3, n_bins=8)
-        key = extract_key([1, 2, 5, 8], cb, map_mode="grouped",
-                          append_complement=True)
+        table = codeword_table(3, 8, map_mode="grouped", append_complement=True)
+        key = extract_key([1, 2, 5, 8], table)
         # slot key = grouped codeword + complement bit
-        expected = ""
-        for l in [1, 2, 5, 8]:
-            expected += "".join(map(str, cb.plus_codewords[l - 1]))
-            expected += str(complement_bit(l))
-        assert key.to01() == expected
+        assert key.to01() == "0000" + "0001" + "0010" + "0010"
 
     def test_codebook_too_small(self):
-        cb = GrayCodebook(codeword_bits=2, n_bins=5)
-        with pytest.raises(CodebookTooSmall):
-            extract_key([1, 2], cb)
+        for mode in ("direct", "grouped"):
+            with pytest.raises(CodebookTooSmall):
+                codeword_table(2, 5, map_mode=mode)
 
     def test_bad_bin_rejected(self):
-        cb = GrayCodebook(codeword_bits=3, n_bins=5)
+        table = codeword_table(3, 5)
         with pytest.raises(ValueError):
-            extract_key([0, 1], cb)
+            extract_key([0, 1], table)
         with pytest.raises(ValueError):
-            extract_key([6], cb)
+            extract_key([6], table)
 
     def test_neighbor_bin_flip_costs_at_most_one_bit(self):
-        cb = GrayCodebook(codeword_bits=3, n_bins=8)
+        table = codeword_table(3, 8)
         rng = np.random.default_rng(8)
         slots = 20
         for _ in range(30):
@@ -137,20 +137,19 @@ class TestExtractKey:
                 other[pos] += 1
             else:
                 other[pos] -= 1
-            a = extract_key(seq, cb)
-            b = extract_key(other, cb)
+            a = extract_key(seq, table)
+            b = extract_key(other, table)
             assert bmmr(a, b) <= 1.0 / (slots * 3)
 
     @pytest.mark.parametrize("map_mode", ["direct", "grouped"])
     @pytest.mark.parametrize("append_complement", [False, True])
     @pytest.mark.parametrize("q,L", [(1, 2), (3, 5), (3, 8), (4, 11)])
     def test_matches_per_slot_oracle(self, map_mode, append_complement, q, L):
-        cb = GrayCodebook(codeword_bits=q, n_bins=L)
+        table = codeword_table(q, L, map_mode, append_complement)
         rng = np.random.default_rng([q, L])
         for bins in ([], [L], list(range(1, L + 1)),
                      rng.integers(1, L + 1, 50).tolist()):
-            key = extract_key(np.asarray(bins, dtype=np.int64), cb, map_mode,
-                              append_complement, owner=3)
+            key = extract_key(np.asarray(bins, dtype=np.int64), table, owner=3)
             assert list(key.bits) == reference_key_bits(
                 bins, q, L, map_mode, append_complement)
             assert all(type(b) is int for b in key.bits)
@@ -191,11 +190,12 @@ class TestBmmr:
         rng = np.random.default_rng(17)
         slots = 40
         rows = [rng.integers(1, 3, slots) for _ in range(4)]
-        cb = GrayCodebook(codeword_bits=1, n_bins=2)
-        keys = [extract_key(r, cb) for r in rows]
+        keys = [extract_key(r, codeword_table(1, 2)) for r in rows]
         pair_sum = sum(bmmr(a, b) for a, b in zip(keys[:-1], keys[1:]))
+        counts = _interval_mismatches(np.stack(rows), 3)
         for l in (1, 2):
-            assert mismatch_count(rows, l) == pytest.approx(slots * pair_sum)
+            assert counts[l] == chained_mismatch([r.tolist() for r in rows], l)
+            assert counts[l] == pytest.approx(slots * pair_sum)
 
 
 class TestKeygenConfig:

@@ -9,13 +9,10 @@ from platoonkey.channel import ChannelParams, PlatoonGeometry, generate_trace
 from platoonkey.quantizer import (
     InfeasiblePartition,
     IntervalSet,
-    OutOfRange,
-    bin_index,
+    _interval_mismatches,
     bin_indices,
-    mismatch_count,
     optimize_boundaries,
     optimize_intervals,
-    quantize_bit,
     quantize_trace,
 )
 
@@ -24,40 +21,38 @@ from _oracles import brute_force_boundaries, chained_mismatch
 TWO_BIN = IntervalSet(boundaries=(0.0, 5.0, 10.0))
 
 
+def bins_of(xs, intervals=TWO_BIN):
+    bins, in_range = bin_indices(xs, intervals)
+    return bins.tolist(), in_range.tolist()
+
+
 class TestQuantizeBit:
     def test_lower_bound_inclusive(self):
-        assert quantize_bit(0.0, 1, TWO_BIN) == 1
-        assert quantize_bit(5.0, 2, TWO_BIN) == 1
+        assert bins_of([0.0, 5.0]) == ([1, 2], [True, True])
 
     def test_upper_bound_exclusive(self):
-        assert quantize_bit(5.0, 1, TWO_BIN) == 0
-        assert quantize_bit(10.0, 2, TWO_BIN) == 0
+        assert bins_of([5.0, 10.0]) == ([2, 0], [True, False])
 
     def test_below_floor_zero_everywhere(self):
-        assert quantize_bit(-0.1, 1, TWO_BIN) == 0
-        assert quantize_bit(-0.1, 2, TWO_BIN) == 0
+        assert bins_of([-0.1]) == ([0], [False])
 
 
 class TestBinIndex:
     def test_examples(self):
-        assert bin_index(3.0, TWO_BIN) == 1
-        assert bin_index(5.0, TWO_BIN) == 2
+        assert bins_of([3.0, 5.0]) == ([1, 2], [True, True])
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            bin_index(10.0, TWO_BIN)
-        with pytest.raises(OutOfRange):
-            bin_index(-0.5, TWO_BIN)
+        assert bins_of([10.0, -0.5]) == ([0, 0], [False, False])
 
     def test_matches_quantize_bit(self):
+        # the quantize bit of interval l is 1 iff b[l-1] <= x < b[l]
         rng = np.random.default_rng(2)
         iset = IntervalSet(boundaries=(0.0, 1.5, 4.0, 9.0))
-        for x in rng.uniform(0.0, 8.99, 100):
-            l = bin_index(float(x), iset)
-            assert quantize_bit(float(x), l, iset) == 1
-            for other in range(1, 4):
-                if other != l:
-                    assert quantize_bit(float(x), other, iset) == 0
+        b = iset.boundaries
+        xs = rng.uniform(0.0, 8.99, 100)
+        for x, l in zip(xs, bins_of(xs, iset)[0]):
+            assert [int(b[k - 1] <= x < b[k]) for k in (1, 2, 3)] == \
+                [int(k == l) for k in (1, 2, 3)]
 
     def test_vectorized_clamp(self):
         xs = np.array([-1.0, 3.0, 12.0, np.nan])
@@ -75,23 +70,19 @@ class TestBinIndex:
 class TestMismatchCount:
     def test_identical_sequences_zero(self):
         seq = [1, 2, 2, 1, 2]
-        for l in (1, 2):
-            assert mismatch_count([seq, seq, seq], l) == 0
+        assert _interval_mismatches(np.array([seq, seq, seq]), 3).tolist() == \
+            [0, 0, 0]
 
     def test_single_disagreement(self):
-        assert mismatch_count([[1], [2]], 1) == 1
-        assert mismatch_count([[1], [2]], 2) == 1
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mismatch_count([[1, 2], [1]], 1)
+        assert _interval_mismatches(np.array([[1], [2]]), 3)[1:].tolist() == [1, 1]
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             rows = rng.integers(1, 5, size=(5, 50))
-            l = int(rng.integers(1, 5))
-            assert mismatch_count(list(rows), l) == chained_mismatch(rows.tolist(), l)
+            counts = _interval_mismatches(rows, 5)
+            for l in range(1, 5):
+                assert counts[l] == chained_mismatch(rows.tolist(), l)
 
 
 def random_instance(rng):
@@ -214,7 +205,7 @@ class TestOptimizeIntervals:
         qt = quantize_trace(t, iset)
         assert qt.eavesdropper_bins.min() >= 1
         assert qt.eavesdropper_bins.max() <= 3
-        assert len(qt.eavesdropper_bins) == qt.n_retained
+        assert len(qt.eavesdropper_bins) == len(qt.slot_indices)
 
 
 @st.composite
