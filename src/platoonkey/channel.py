@@ -232,13 +232,14 @@ def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
 
     The follower inverts both readings to distances assuming zero realized
     shadowing (it cannot observe it), differences them, and maps the
-    difference back to dB.  A non-positive implied distance difference
-    gives an invalid estimate: NaN, with ``valid`` False.
+    difference back to dB.  A non-positive implied distance difference,
+    or one that overflows a float, gives an invalid estimate: NaN, with
+    ``valid`` False.
     """
-    d1 = distance_from_rss(params, h1, 0.0)
-    d2 = distance_from_rss(params, h2, 0.0)
-    diff = d1 - d2
-    valid = diff > 0
+    # past about 3080 * path_loss_exponent dB a distance overflows to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = distance_from_rss(params, h1, 0.0) - distance_from_rss(params, h2, 0.0)
+    valid = np.isfinite(diff) & (diff > 0)
     safe = np.where(valid, diff, 1.0)
     est = (10.0 * params.path_loss_exponent * np.log10(safe)
            - params.channel_constant_db)

@@ -43,27 +43,34 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:  # argparse names the type after it
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="platoonkey", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def scenario_command(name, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("scenario", help="scenario file")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--seed-base", type=int, default=None,
+        p.add_argument("--seed-base", type=_int_at_least(0), default=None,
                        help="replace the scenario seeds with this base onward")
-        p.add_argument("--replications", type=int, default=None,
-                       help="override the scenario's replications")
-        p.add_argument("--parallelism", type=int, default=1,
-                       help="worker processes for sweep points")
+        return p
 
-    p_run = sub.add_parser("run", help="run one scenario point per seed")
-    p_run.add_argument("scenario", help="scenario file")
-    common(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="run the scenario's sweep")
-    p_sweep.add_argument("scenario", help="scenario file")
-    common(p_sweep)
+    scenario_command("run", "run one scenario point per seed")
+    p_sweep = scenario_command("sweep", "run the scenario's sweep")
+    p_sweep.add_argument("--replications", type=_int_at_least(1), default=None,
+                         help="override the scenario's replications")
+    p_sweep.add_argument("--parallelism", type=int, default=1,
+                         help="worker processes for sweep points")
 
     p_nist = sub.add_parser("nist", help="randomness battery on a bitstream")
     p_nist.add_argument("bitstream", help="ASCII 0/1 file")

@@ -38,7 +38,6 @@ from .channel import (
 from .keygen import KeygenConfig, SecretKey, bmmr, codeword_table, extract_key
 from .quantizer import (
     InfeasiblePartition,
-    IntervalSet,
     QuantizerConfig,
     _retained_mask,
     optimize_intervals,
@@ -117,7 +116,6 @@ class CycleLog:
     beacon_transmissions: int = 0
     retransmissions: int = 0
     overhead_bits: int = 0
-    evcd_hops_completed: int = 0
     end_to_end_latency_ms: float = 0.0
     events: list[TransmissionEvent] = field(default_factory=list)
     cska_latency_ms: float = 0.0
@@ -125,7 +123,6 @@ class CycleLog:
     evcd_data_transmissions: int = 0
     evcd_hop_retransmissions: int = 0
     leader_retransmissions: int = 0
-    timeouts: int = 0
     slots_used: int = 0
     decode_failure_hops: list[int] = field(default_factory=list)
     recovered_commands: dict[int, np.ndarray] = field(default_factory=dict)
@@ -245,7 +242,6 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
                 failed = True
                 break
             recovered[receiver] = xor_cipher(packet, keys[receiver])
-            log.evcd_hops_completed = max(log.evcd_hops_completed, hop + 1)
         if not failed:
             # one-bit ACK from the tail back toward the leader
             slot += 1
@@ -255,7 +251,6 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
                 "lost" if ack_lost else "delivered"))
             if not ack_lost:
                 break
-        log.timeouts += 1
         log.evcd_latency_ms += config.dissemination_timeout_ms
         if attempts > config.retransmission_cap:
             raise DisseminationFailure(
@@ -277,21 +272,20 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
 class AgreementReport:
     """Outcome of one full cycle for one seed.
 
-    ``retained_per_iteration`` counts each pass's retained slots (valid
-    at every vehicle and at or above the decode floor); only the
-    averaged trace is fitted.
+    ``dissemination_success`` needs every hop to decode the command (see
+    ``log.decode_failure_hops``).  ``retained_per_iteration`` counts each
+    pass's retained slots (valid at every vehicle and at or above the
+    decode floor); only the averaged trace is fitted.
     """
 
     n_vehicles: int
     bmmr_per_vehicle: dict[int, float]
     eavesdropper_bmmr: float
     dissemination_success: bool
-    decode_failure_hops: list[int]
     agreed_key_bits: int
     retained_per_iteration: list[int]
     log: CycleLog
-    leader_key: SecretKey | None = None
-    intervals: IntervalSet | None = None
+    leader_key: SecretKey
 
     @property
     def mean_bmmr(self) -> float:
@@ -304,10 +298,10 @@ class AgreementReport:
 
 
 def _masked_mean(values: np.ndarray, valid: np.ndarray):
-    """Mean of the valid entries over the first axis (a valid inf counts as
-    the largest float), and its validity: no valid entry gives NaN, invalid."""
+    """Mean of the valid entries over the first axis, and its validity: no
+    valid entry gives NaN, invalid."""
     counts = valid.sum(axis=0)
-    sums = np.nan_to_num(np.where(valid, values, 0.0), copy=False).sum(axis=0)
+    sums = np.where(valid, values, 0.0).sum(axis=0)
     any_valid = counts > 0
     return np.where(any_valid, sums / np.maximum(counts, 1), np.nan), any_valid
 
@@ -362,24 +356,19 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
     cmd_rng = np.random.default_rng(cmd_ss)
     command = cmd_rng.integers(0, 2, size=protocol.data_payload_bits,
                                dtype=np.uint8)
-    success = True
     try:
         run_evcd(protocol, agreed_keys, command, evcd_ss, log)
-        decode_failures = list(log.decode_failure_hops)
-        success = not decode_failures
+        success = not log.decode_failure_hops
     except DisseminationFailure:
         success = False
-        decode_failures = []
 
     return AgreementReport(
         n_vehicles=geometry.n_vehicles,
         bmmr_per_vehicle=bmmrs,
         eavesdropper_bmmr=eaves_bmmr,
         dissemination_success=success,
-        decode_failure_hops=decode_failures,
         agreed_key_bits=len(leader),
         retained_per_iteration=retained,
         log=log,
         leader_key=leader,
-        intervals=intervals,
     )

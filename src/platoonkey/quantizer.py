@@ -30,7 +30,7 @@ reduction over a column slice of the ``a < b`` triangle: a row-max of
 pass.  Boundaries are recovered front to back from each layer's row
 argmin, the first (smallest) b attaining the row optimum, which yields
 the lexicographically smallest optimal boundary tuple.  The per-interval
-mismatch of the fitted quantizer is then tallied in one pass.
+mismatch of the fitted quantizer is read off ``C``.
 """
 
 from __future__ import annotations
@@ -111,24 +111,22 @@ class MismatchTable:
         return int(sum(self.per_interval))
 
 
-def bin_indices(xs, intervals: IntervalSet, clamp: bool = False):
+def bin_indices(xs, intervals: IntervalSet, clamp: bool = False) -> np.ndarray:
     """1-based index of the interval ``[b_{l-1}, b_l)`` holding each sample.
 
-    Returns ``(bins, in_range)``.  A sample below the floor or at or
-    above the top boundary is out of range; such entries are 0 when
-    ``clamp`` is False, otherwise clamped to the nearest bin (1 or L).
-    NaN entries are never in range; when clamping they map to bin 1.
+    A sample below the floor, at or above the top boundary, or NaN is out
+    of range: its entry is 0, or with ``clamp`` the nearest bin (1 or L;
+    NaN maps to bin 1).
     """
-    b = np.asarray(intervals.boundaries)
+    L = intervals.n_intervals
     xs = np.asarray(xs, dtype=float)
-    idx = np.searchsorted(b, xs, side="right")
-    in_range = (idx >= 1) & (idx <= intervals.n_intervals) & np.isfinite(xs)
+    # NaN sorts above every boundary, so it lands on L + 1 with the top
+    idx = np.searchsorted(np.asarray(intervals.boundaries), xs, side="right")
     if clamp:
-        idx = np.clip(idx, 1, intervals.n_intervals)
-        idx = np.where(np.isfinite(xs), idx, 1)
+        idx = np.where(np.isnan(xs), 1, np.clip(idx, 1, L))
     else:
-        idx = np.where(in_range, idx, 0)
-    return idx.astype(np.int64), in_range
+        idx = np.where(idx <= L, idx, 0)
+    return idx.astype(np.int64)
 
 
 def _candidates(floor: float, top_sample: float, grid_size: int) -> np.ndarray:
@@ -169,19 +167,6 @@ def _segment_matrices(samples: np.ndarray, cand: np.ndarray
     ref = np.concatenate(([0], np.cumsum(np.bincount(ranks[0], minlength=m))))
     occupancy = ref[None, :m] - ref[:m, None]
     return cost, occupancy
-
-
-def _interval_mismatches(bins: np.ndarray, n_bins: int) -> np.ndarray:
-    """Chained mismatch count of every bin index ``0..n_bins-1`` at once.
-
-    Adjacent rows of ``bins`` are compared slot by slot; a disagreeing
-    pair with bins a != b flips the indicator bit of interval a and of
-    interval b, so it adds one mismatch to each.
-    """
-    a, b = bins[:-1].ravel(), bins[1:].ravel()
-    differ = a != b
-    return (np.bincount(a[differ], minlength=n_bins)
-            + np.bincount(b[differ], minlength=n_bins))
 
 
 def optimize_boundaries(samples, floor: float, n_intervals: int,
@@ -257,8 +242,8 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
         idxs.append(int(best[idxs[-1]]))
 
     iset = IntervalSet(boundaries=tuple(float(cand[i]) for i in idxs))
-    bins, _ = bin_indices(samples, iset)
-    per_interval = tuple(int(c) for c in _interval_mismatches(bins, L + 1)[1:])
+    # interval l's chained mismatch is the cost of segment [idxs[l-1], idxs[l])
+    per_interval = tuple(int(cost[a, b]) for a, b in zip(idxs, idxs[1:]))
     return iset, MismatchTable(per_interval=per_interval)
 
 
@@ -282,24 +267,15 @@ def _chain_rows(n_vehicles: int) -> list[int]:
     return [0] + list(range(2, n_vehicles))
 
 
-def optimize_intervals(trace: RssTrace, n_intervals: int, grid_size: int = 64,
-                       floor: float | None = None
-                       ) -> tuple[IntervalSet, MismatchTable]:
+def optimize_intervals(trace: RssTrace, n_intervals: int, grid_size: int,
+                       floor: float) -> tuple[IntervalSet, MismatchTable]:
     """Fit the quantizer to one trace's comparison chain.
 
     The chain pairs the leader-pair measurement with vehicle 3's estimate
     and each further adjacent estimator pair.  Slots invalid at any
-    vehicle or below the decode floor are dropped synchronously first.
-    ``floor`` defaults to one nominal grid step below the smallest
-    retained sample when not supplied.
+    vehicle or below the decode ``floor``, which becomes the lowest
+    boundary, are dropped synchronously first.
     """
-    if floor is None:
-        keep = retained_slots(trace, -np.inf)
-        if len(keep) == 0:
-            raise InfeasiblePartition("trace has no valid slots")
-        vals = trace.values[:, keep]
-        span = float(vals.max() - vals.min()) or 1.0
-        floor = float(vals.min()) - span / max(grid_size - 1, 1)
     keep = retained_slots(trace, floor)
     if len(keep) == 0:
         raise InfeasiblePartition("no retained slots above the decode floor")
@@ -323,11 +299,9 @@ def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> QuantizedTrace:
     best it can do while emitting a key of the agreed length.
     """
     keep = retained_slots(trace, intervals.decode_floor)
-    # top-side out-of-range can occur when quantizing a fresh trace with
-    # previously fitted boundaries; those slots are dropped synchronously too
-    if len(keep):
-        in_top = (trace.values[:, keep] < intervals.boundaries[-1]).all(axis=0)
-        keep = keep[in_top]
-    bins, _ = bin_indices(trace.values[:, keep], intervals)
-    ebins, _ = bin_indices(trace.eavesdropper[keep], intervals, clamp=True)
+    # the fit puts the top above its chain, which leaves out vehicle 2 (row 1);
+    # a slot where vehicle 2 reads at or above the top is dropped for all
+    keep = keep[(trace.values[:, keep] < intervals.boundaries[-1]).all(axis=0)]
+    bins = bin_indices(trace.values[:, keep], intervals)
+    ebins = bin_indices(trace.eavesdropper[keep], intervals, clamp=True)
     return QuantizedTrace(slot_indices=keep, bins=bins, eavesdropper_bins=ebins)

@@ -6,8 +6,8 @@ transform, approximate entropy, and serial (which yields two p-values).
 A stream passes a test when every p-value exceeds 0.01.
 
 Each test enforces a minimum input length; the defaults follow the
-usual recommendations but can be lowered for desk-scale corpora via the
-``floor`` argument.  The numerical core is the complementary error
+usual recommendations but can be lowered for desk-scale corpora via a
+test's ``floor`` argument.  The numerical core is the complementary error
 function and the regularized upper incomplete gamma ratio; accuracy of
 both is pinned against a high-precision reference in the test suite.
 """
@@ -312,54 +312,40 @@ class RandomnessReport:
         return out
 
 
-# (row name, DEFAULT_FLOORS key, p-values given the stream, the report's
-# parameters and the floor).  The lambdas look each test up by name when
-# called, so a wrapper set on a module attribute (the bench tracer sets
-# one per test) also sees the battery's calls.
+# (row name, p-values given the stream).  The lambdas look each test up
+# by name when called, so a wrapper set on a module attribute (the bench
+# tracer sets one per test) also sees the battery's calls.
 _BATTERY = (
-    ("frequency", "frequency",
-     lambda e, a, f: (frequency_test(e, floor=f),)),
-    ("block_frequency", "block_frequency",
-     lambda e, a, f: (block_frequency_test(e, a["block_size"], floor=f),)),
-    ("cusum_forward", "cusum",
-     lambda e, a, f: (cusum_test(e, "forward", floor=f),)),
-    ("cusum_reverse", "cusum",
-     lambda e, a, f: (cusum_test(e, "reverse", floor=f),)),
-    ("runs", "runs",
-     lambda e, a, f: (runs_test(e, floor=f),)),
-    ("longest_run", "longest_run",
-     lambda e, a, f: (longest_run_test(e, floor=f),)),
-    ("dft", "dft",
-     lambda e, a, f: (dft_test(e, floor=f),)),
-    ("approx_entropy", "approx_entropy",
-     lambda e, a, f: (approx_entropy_test(e, a["apen_m"], floor=f),)),
-    ("serial", "serial",
-     lambda e, a, f: serial_test(e, a["serial_m"], floor=f)),
+    ("frequency", lambda e: (frequency_test(e),)),
+    ("block_frequency", lambda e: (block_frequency_test(e),)),
+    ("cusum_forward", lambda e: (cusum_test(e, "forward"),)),
+    ("cusum_reverse", lambda e: (cusum_test(e, "reverse"),)),
+    ("runs", lambda e: (runs_test(e),)),
+    ("longest_run", lambda e: (longest_run_test(e),)),
+    ("dft", lambda e: (dft_test(e),)),
+    ("approx_entropy", lambda e: (approx_entropy_test(e),)),
+    ("serial", lambda e: serial_test(e)),
 )
-_BATTERY_ORDER = tuple(name for name, _, _ in _BATTERY)
+_BATTERY_ORDER = tuple(name for name, _ in _BATTERY)
 
 
-def run_battery(bits, block_size: int | None = None,
-                apen_m: int | None = None, serial_m: int | None = None,
-                floors: dict | None = None) -> RandomnessReport:
-    """Run all eight tests and collect a pass/fail report.
+def run_battery(bits) -> RandomnessReport:
+    """Run all eight tests at their defaults and collect a pass/fail report.
 
-    ``floors`` may override per-test minimum lengths (keys as in
-    :data:`DEFAULT_FLOORS`).  Tests whose floor is not met are recorded
-    as skipped rather than failing the battery.
+    A test whose minimum length (:data:`DEFAULT_FLOORS`) is not met is
+    recorded as skipped rather than failing the battery.
     """
     eps = _as_bits(bits)
     n = len(eps)
-    floors = floors or {}
-    block_size = block_size if block_size is not None else _default_block_size(n)
-    apen_m = apen_m if apen_m is not None else _default_apen_m(max(n, 64))
-    serial_m = serial_m if serial_m is not None else _default_serial_m(max(n, 16))
+    # parameters as the tests derive them; a skipped test's are at its floor
     report = RandomnessReport(input_length=n, parameters={
-        "block_size": block_size, "apen_m": apen_m, "serial_m": serial_m,
+        "block_size": _default_block_size(n),
+        "apen_m": _default_apen_m(max(n, DEFAULT_FLOORS["approx_entropy"])),
+        "serial_m": _default_serial_m(max(n, DEFAULT_FLOORS["serial"])),
     })
-    for name, floor_key, test in _BATTERY:
+    for name, test in _BATTERY:
         try:
-            ps = test(eps, report.parameters, floors.get(floor_key))
+            ps = test(eps)
         except InsufficientData as exc:
             report.results.append(TestResult(name, (), False, f"skipped: {exc}"))
             continue

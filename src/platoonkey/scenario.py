@@ -161,6 +161,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
             out.extend(range(int(a), int(b) + 1))
         else:
             out.append(int(token))
+    if out and min(out) < 0:
+        raise ValueError(f"seeds must be non-negative, got {min(out)}")
     return tuple(out)
 
 

@@ -28,14 +28,13 @@ import io
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .protocol import CYCLE_FAILURES, run_cycle
-from .randomness import (_BATTERY_ORDER, RandomnessReport, bits_from_ascii,
-                         run_battery)
+from .randomness import _BATTERY_ORDER, bits_from_ascii, run_battery
 from .scenario import ParseError, Scenario, serialize_scenario
 
 __all__ = ["SweepReport", "emit_plots", "run_sweep"]
@@ -103,7 +102,7 @@ def _run_unit(args) -> dict:
         retransmissions=rep.log.retransmissions,
         overhead_bits=rep.log.overhead_bits,
         error="",
-        key01=rep.leader_key.to01() if rep.leader_key else "",
+        key01=rep.leader_key.to01(),
         compute_s=time.perf_counter() - t0,
     )
     return row
@@ -111,13 +110,9 @@ def _run_unit(args) -> dict:
 
 @dataclass
 class SweepReport:
-    scenario: Scenario
-    rows: list[dict]
-    nist_reports: dict[int, RandomnessReport] = field(default_factory=dict)
-    out_dir: Path | None = None
+    """One row per executed cycle, in (point, seed, replication) order."""
 
-    def point_rows(self, point_idx: int) -> list[dict]:
-        return [r for r in self.rows if r["point"] == point_idx]
+    rows: list[dict]
 
 
 def _fmt(value) -> str:
@@ -159,8 +154,7 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1,
     values = scenario.sweep_values if scenario.sweep_axis != "none" else (None,)
     work = []
     for pi, point in enumerate(points):
-        axis_value = _axis_value_str(scenario.sweep_axis,
-                                     values[pi] if scenario.sweep_axis != "none" else None)
+        axis_value = _axis_value_str(scenario.sweep_axis, values[pi])
         for seed in seeds:
             for repl in range(n_repl):
                 work.append((pi, point, scenario.sweep_axis, axis_value,
@@ -173,7 +167,9 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1,
         rows = [_run_unit(w) for w in work]
     # merge order is the (point, seed, replication) submission order, so
     # output content does not depend on the parallelism degree
-    report = SweepReport(scenario=scenario, rows=rows, out_dir=out)
+    point_rows: list[list[dict]] = [[] for _ in points]
+    for r in rows:
+        point_rows[r["point"]].append(r)
 
     provenance = _provenance_lines(scenario)
     provenance.append(f"# seeds = {','.join(str(s) for s in seeds)}")
@@ -183,8 +179,7 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1,
                [[_fmt(r[c]) for c in RUN_COLUMNS] for r in rows])
 
     summary_rows = []
-    for pi in range(len(points)):
-        prows = report.point_rows(pi)
+    for pi, prows in enumerate(point_rows):
         axis_value = prows[0]["axis_value"] if prows else "-"
         ok = [r for r in prows if not r["failure"]]
         summary_rows.append([str(pi), scenario.sweep_axis, axis_value,
@@ -204,13 +199,11 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1,
                summary_rows)
 
     cells: dict[str, list[str]] = {name: [] for name in _BATTERY_ORDER}
-    for pi in range(len(points)):
-        corpus = "".join(r["key01"] for r in report.point_rows(pi))
+    for pi, prows in enumerate(point_rows):
+        corpus = "".join(r["key01"] for r in prows)
         (out / f"corpus_point{pi}.txt").write_text(corpus + "\n", encoding="ascii")
         if corpus:
-            rep = run_battery(bits_from_ascii(corpus))
-            report.nist_reports[pi] = rep
-            for res in rep.results:
+            for res in run_battery(bits_from_ascii(corpus)).results:
                 cells[res.name].append(
                     ";".join(f"{p:.6f}" for p in res.p_values) or "skipped")
         else:
@@ -224,7 +217,7 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1,
                     f"{r['compute_s']:.6f}"] for r in rows]
     _write_csv(out / "timings.csv", ["# wall-clock sidecar; not deterministic"],
                ("point", "seed", "replication", "compute_seconds"), timing_rows)
-    return report
+    return SweepReport(rows=rows)
 
 
 def emit_plots(summary_csv, out_dir) -> list[Path]:
@@ -263,10 +256,7 @@ def emit_plots(summary_csv, out_dir) -> list[Path]:
     metrics = ("bmmr_v2", "bmmr_tail", "bmmr_mean", "eavesdropper_bmmr")
     dat_path = out / f"{axis}_bmmr.dat"
     lines = []
-    if axis == "eavesdropper":
-        cols = ["position", "distance_m"]
-    else:
-        cols = [axis]
+    cols = ["position", "distance_m"] if axis == "eavesdropper" else [axis]
     for m in metrics:
         cols += [m, f"{m}_std"]
     lines.append("# " + " ".join(cols))
@@ -287,7 +277,6 @@ def emit_plots(summary_csv, out_dir) -> list[Path]:
     dat_path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
     xcol = 2 if axis == "eavesdropper" else 1
-    base = 2 if axis == "eavesdropper" else 1
     gp = [
         "set datafile missing 'nan'",
         "set key outside",
@@ -295,11 +284,11 @@ def emit_plots(summary_csv, out_dir) -> list[Path]:
         "set ylabel 'bit mismatch rate'",
         f"set output '{axis}_bmmr.png'",
         "set terminal pngcairo size 900,600",
-        "plot \\",
+        "plot",
     ]
     plots = []
     for i, m in enumerate(metrics):
-        col = base + 1 + 2 * i
+        col = xcol + 1 + 2 * i
         plots.append(f"  '{dat_path.name}' using {xcol}:{col}:{col + 1} "
                      f"with yerrorlines title '{m}'")
     gp[-1] += " \\\n" + ", \\\n".join(plots)

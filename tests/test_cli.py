@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,7 +80,13 @@ def test_missing_file_exits_runtime(tmp_path, capsys):
     assert "absent.txt" in captured.err
 
 
-@pytest.mark.parametrize("argv", [["frobnicate"], [], ["nist"]])
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"], [], ["nist"],
+    ["sweep", "s.scn", "--replications", "0"],
+    ["sweep", "s.scn", "--seed-base", "-1"],
+    ["run", "s.scn", "--seed-base", "-3"],
+    ["run", "s.scn", "--parallelism", "2"],
+])
 def test_usage_error_exits_usage(capsys, argv):
     assert main(argv) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
@@ -105,6 +112,17 @@ def test_bad_sweep_value_exits_parse(tmp_path, capsys, axis, values, message):
     err = capsys.readouterr().err
     assert f"{message} (line 3, field 'sweep_values')" in err
     assert not (out / "runs.csv").exists()
+
+
+def test_sweep_survives_estimates_past_the_float_range(tmp_path, capsys):
+    # shadowing this wide gives readings whose implied distance overflows
+    # a float; such an estimate is invalid, not an infinite sample
+    path = tmp_path / "sweep.scn"
+    path.write_text("shadowing_sigma_db = 2500\nsweep_axis = n_vehicles\n"
+                    "sweep_values = 4,6\nseeds = 0..3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out)]) == EXIT_OK
+    assert (out / "runs.csv").exists()
 
 
 def test_out_dir_writes_report_csv(tmp_path, capsys):
@@ -213,3 +231,28 @@ def test_plot_writes_one_row_per_sweep_point(tmp_path, capsys):
         " ".join([value, *(x for m in metrics for x in means[(value, m)])])
         for value in ("2", "4")]
     assert (plot_out / "n_intervals_bmmr.gp").exists()
+
+
+def test_plot_of_an_eavesdropper_sweep(tmp_path, capsys):
+    path = tmp_path / "sweep.scn"
+    path.write_text("slots = 60\nseeds = 0,1\nsweep_axis = eavesdropper\n"
+                    "sweep_values = P1:5, P2:10, P3:20.5\n", encoding="utf-8")
+    sweep_out, plot_out = tmp_path / "sweep", tmp_path / "plot"
+    assert main(["sweep", str(path), "--out-dir", str(sweep_out)]) == EXIT_OK
+    assert main(["plot", str(sweep_out / "summary.csv"),
+                 "--out-dir", str(plot_out)]) == EXIT_OK
+    capsys.readouterr()
+
+    dat = (plot_out / "eavesdropper_bmmr.dat").read_text(encoding="ascii")
+    header, *rows = dat.splitlines()
+    assert header.split()[1:3] == ["position", "distance_m"]
+    assert [row.split()[:2] for row in rows] == [["P1", "5"], ["P2", "10"],
+                                                  ["P3", "20.5"]]
+    assert all(len(row.split()) == 2 + 2 * 4 for row in rows)
+    # gnuplot continues a line only at a trailing backslash
+    gp = (plot_out / "eavesdropper_bmmr.gp").read_text(encoding="ascii")
+    plot = next(line for line in gp.replace("\\\n", " ").splitlines()
+                if line.startswith("plot"))
+    assert "\\" not in plot
+    assert re.findall(r"using (\d+):(\d+):(\d+)", plot) == [
+        ("2", str(c), str(c + 1)) for c in (3, 5, 7, 9)]

@@ -11,7 +11,6 @@ from platoonkey.keygen import (
     codeword_table,
     extract_key,
 )
-from platoonkey.quantizer import _interval_mismatches
 
 from _oracles import chained_mismatch, gray_list, reference_key_bits
 
@@ -192,10 +191,9 @@ class TestBmmr:
         rows = [rng.integers(1, 3, slots) for _ in range(4)]
         keys = [extract_key(r, codeword_table(1, 2)) for r in rows]
         pair_sum = sum(bmmr(a, b) for a, b in zip(keys[:-1], keys[1:]))
-        counts = _interval_mismatches(np.stack(rows), 3)
         for l in (1, 2):
-            assert counts[l] == chained_mismatch([r.tolist() for r in rows], l)
-            assert counts[l] == pytest.approx(slots * pair_sum)
+            assert chained_mismatch([r.tolist() for r in rows], l) == \
+                pytest.approx(slots * pair_sum)
 
 
 class TestKeygenConfig:

@@ -135,7 +135,6 @@ class TestRunEvcd:
         cmd = np.random.default_rng(2).integers(0, 2, 64, dtype=np.uint8)
         log = run_evcd(ProtocolConfig(), keys, cmd, seed=0)
         assert log.decode_failure_hops == []
-        assert log.evcd_hops_completed == 3
         for v in range(1, 5):
             assert np.array_equal(log.recovered_commands[v], cmd)
 

@@ -9,7 +9,6 @@ from platoonkey.channel import ChannelParams, PlatoonGeometry, generate_trace
 from platoonkey.quantizer import (
     InfeasiblePartition,
     IntervalSet,
-    _interval_mismatches,
     bin_indices,
     optimize_boundaries,
     optimize_intervals,
@@ -22,8 +21,8 @@ TWO_BIN = IntervalSet(boundaries=(0.0, 5.0, 10.0))
 
 
 def bins_of(xs, intervals=TWO_BIN):
-    bins, in_range = bin_indices(xs, intervals)
-    return bins.tolist(), in_range.tolist()
+    bins = bin_indices(xs, intervals)
+    return bins.tolist(), (bins > 0).tolist()
 
 
 class TestQuantizeBit:
@@ -56,9 +55,8 @@ class TestBinIndex:
 
     def test_vectorized_clamp(self):
         xs = np.array([-1.0, 3.0, 12.0, np.nan])
-        bins, ok = bin_indices(xs, TWO_BIN, clamp=True)
-        assert bins.tolist() == [1, 1, 2, 1]
-        assert ok.tolist() == [False, True, False, False]
+        assert bin_indices(xs, TWO_BIN, clamp=True).tolist() == [1, 1, 2, 1]
+        assert bins_of(xs)[1] == [False, True, False, False]
 
     def test_interval_set_validation(self):
         with pytest.raises(ValueError):
@@ -67,22 +65,33 @@ class TestBinIndex:
             IntervalSet(boundaries=(0.0, 2.0))
 
 
+def fitted_table(rows, floor, L, G):
+    """The fit's mismatch table, and the oracle's re-count of it on the
+    bins of the fitted boundaries."""
+    iset, table = optimize_boundaries(rows, floor, L, G)
+    bins = [bin_indices(r, iset).tolist() for r in rows]
+    return table.per_interval, tuple(chained_mismatch(bins, l)
+                                     for l in range(1, L + 1))
+
+
 class TestMismatchCount:
     def test_identical_sequences_zero(self):
-        seq = [1, 2, 2, 1, 2]
-        assert _interval_mismatches(np.array([seq, seq, seq]), 3).tolist() == \
-            [0, 0, 0]
+        seq = np.array([1.0, 2.0, 2.0, 1.0, 2.0])
+        assert fitted_table(np.array([seq, seq, seq]), 0.0, 3, 8) == \
+            ((0, 0, 0), (0, 0, 0))
 
     def test_single_disagreement(self):
-        assert _interval_mismatches(np.array([[1], [2]]), 3)[1:].tolist() == [1, 1]
+        # every balanced two-bin split parts the reference's 0 from its 10,
+        # so slot 0 disagrees, and the pair counts on both intervals
+        rows = np.array([[0.0, 10.0], [10.0, 10.0]])
+        assert fitted_table(rows, -1.0, 2, 4) == ((1, 1), (1, 1))
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            rows = rng.integers(1, 5, size=(5, 50))
-            counts = _interval_mismatches(rows, 5)
-            for l in range(1, 5):
-                assert counts[l] == chained_mismatch(rows.tolist(), l)
+            rows = rng.normal(0.0, 2.0, size=(5, 50)).round(1)
+            table, expected = fitted_table(rows, float(rows.min()) - 0.5, 4, 16)
+            assert table == expected
 
 
 def random_instance(rng):
@@ -168,7 +177,7 @@ class TestOptimizeBoundaries:
         rows = np.vstack([rng.normal(0, 2, 60),
                           rng.normal(0, 2, 60) + rng.normal(0, 0.3, 60)])
         iset, _ = optimize_boundaries(rows, float(rows.min()) - 5.0, 4, 32)
-        bins, _ = bin_indices(rows[0], iset)
+        bins = bin_indices(rows[0], iset)
         counts = np.bincount(bins, minlength=5)[1:]
         assert counts.min() >= 60 // (2 * 4)
 
@@ -245,6 +254,6 @@ class TestOptimizeBoundariesProperty:
         iset, table = optimize_boundaries(rows, floor, L, G)
         assert iset.boundaries == pytest.approx(bounds, rel=1e-12, abs=1e-12)
         assert table.total == mismatch
-        bins = [bin_indices(r, iset)[0].tolist() for r in rows]
+        bins = [bin_indices(r, iset).tolist() for r in rows]
         assert table.per_interval == tuple(
             chained_mismatch(bins, l) for l in range(1, L + 1))

@@ -221,6 +221,8 @@ SWEEP_AXES_MESSAGE = (
      "sweep_values", "codeword_bits 1 too small for 4 intervals"),
     ("sweep_axis = z_iterations\nsweep_values = 0", 2, "sweep_values",
      "z_iterations must be >= 1"),
+    ("seeds = -2..0", 1, "seeds", "seeds must be non-negative, got -2"),
+    ("slots = 5\nseeds = 3,-1", 2, "seeds", "seeds must be non-negative, got -1"),
 ])
 def test_parse_error_attribution(text, line, fieldname, message):
     with pytest.raises(ParseError) as info:
