@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     p_sweep = scenario_command("sweep", "run the scenario's sweep")
     p_sweep.add_argument("--replications", type=_int_at_least(1), default=None,
                          help="override the scenario's replications")
-    p_sweep.add_argument("--parallelism", type=int, default=1,
+    p_sweep.add_argument("--parallelism", type=_int_at_least(1), default=1,
                          help="worker processes for sweep points")
 
     p_nist = sub.add_parser("nist", help="randomness battery on a bitstream")

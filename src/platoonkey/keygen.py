@@ -51,32 +51,36 @@ class KeygenConfig:
         return max(1, int(np.ceil(np.log2(n_intervals))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecretKey:
-    """A bit-string key owned by one vehicle (0 is the eavesdropper)."""
+    """A key: a read-only uint8 array of 0/1 bits; equal bits, equal keys."""
 
-    bits: tuple[int, ...]
-    owner: int = 0
+    bits: np.ndarray
+
+    def __post_init__(self) -> None:
+        bits = np.array(self.bits, dtype=np.uint8).ravel()
+        if bits.size and bits.max() > 1:
+            raise ValueError("key bits must be 0 or 1")
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SecretKey)
+                and np.array_equal(self.bits, other.bits))
 
     def __len__(self) -> int:
         return len(self.bits)
 
     def to01(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return (self.bits + ord("0")).tobytes().decode("ascii")
 
     def to_hex(self) -> str:
         """Hex of the bit string packed MSB-first, zero-padded to a byte."""
-        if not self.bits:
-            return ""
-        arr = np.packbits(np.array(self.bits, dtype=np.uint8))
-        return arr.tobytes().hex()
+        return np.packbits(self.bits).tobytes().hex()
 
     @classmethod
-    def from01(cls, text: str, owner: int = 0) -> "SecretKey":
-        return cls(bits=tuple(int(c) for c in text.strip()), owner=owner)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.uint8)
+    def from01(cls, text: str) -> "SecretKey":
+        return cls(bits=[int(c) for c in text.strip()])
 
 
 def codeword_table(codeword_bits: int, n_bins: int, map_mode: str = "direct",
@@ -113,13 +117,13 @@ def codeword_table(codeword_bits: int, n_bins: int, map_mode: str = "direct",
     return table
 
 
-def extract_key(bin_indices, table: np.ndarray, owner: int = 0) -> SecretKey:
-    """Concatenate the :func:`codeword_table` rows of a sequence of
-    1-based bin indices into one key."""
+def extract_key(bin_indices, table: np.ndarray) -> SecretKey:
+    """The key holding the :func:`codeword_table` rows of a sequence of
+    1-based bin indices, concatenated in sequence order."""
     idx = np.asarray(bin_indices, dtype=np.int64)
     if idx.size and (idx.min() < 1 or idx.max() > len(table)):
         raise ValueError("bin indices must lie in [1, n_bins]")
-    return SecretKey(bits=tuple(table[idx - 1].ravel().tolist()), owner=owner)
+    return SecretKey(table[idx - 1])
 
 
 def bmmr(key_a: SecretKey, key_b: SecretKey) -> float:
@@ -128,4 +132,4 @@ def bmmr(key_a: SecretKey, key_b: SecretKey) -> float:
         raise ValueError("keys must have equal length")
     if len(key_a) == 0:
         raise ValueError("keys must be non-empty")
-    return float(np.mean(key_a.as_array() != key_b.as_array()))
+    return float(np.mean(key_a.bits != key_b.bits))

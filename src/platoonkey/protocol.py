@@ -116,12 +116,10 @@ class CycleLog:
     beacon_transmissions: int = 0
     retransmissions: int = 0
     overhead_bits: int = 0
-    end_to_end_latency_ms: float = 0.0
     events: list[TransmissionEvent] = field(default_factory=list)
     cska_latency_ms: float = 0.0
     evcd_latency_ms: float = 0.0
     evcd_data_transmissions: int = 0
-    evcd_hop_retransmissions: int = 0
     leader_retransmissions: int = 0
     slots_used: int = 0
     decode_failure_hops: list[int] = field(default_factory=list)
@@ -178,11 +176,10 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
 def xor_cipher(payload: np.ndarray, key: SecretKey) -> np.ndarray:
     """Repeating-keystream XOR; its own inverse for a fixed key."""
     data = np.asarray(payload, dtype=np.uint8)
-    kb = key.as_array()
-    if kb.size == 0:
+    if len(key) == 0:
         raise ValueError("cannot build a keystream from an empty key")
-    reps = -(-data.size // kb.size)
-    stream = np.tile(kb, reps)[: data.size]
+    reps = -(-data.size // len(key))
+    stream = np.tile(key.bits, reps)[: data.size]
     return data ^ stream
 
 
@@ -198,11 +195,11 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
     times out at the leader, which starts the dissemination over with a
     fresh packet, itself capped before :class:`DisseminationFailure`.
 
-    ``log.evcd_data_transmissions`` and ``log.evcd_hop_retransmissions``
-    sum over every end-to-end attempt: a restart traverses the hops
-    again and counts their retries again.  A per-hop rate taken from
-    them is therefore per hop traversal (one delivered ``"data"`` event
-    each), not per run.
+    ``log.evcd_data_transmissions`` and the lost ``"data"`` events in
+    ``log.events`` (the hop retransmissions) sum over every end-to-end
+    attempt: a restart traverses the hops again and counts their retries
+    again.  A per-hop rate taken from them is therefore per hop traversal
+    (one delivered ``"data"`` event each), not per run.
     """
     vehicles = sorted(keys)
     n = len(vehicles)
@@ -236,7 +233,6 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
                 if not lost:
                     delivered = True
                     break
-                log.evcd_hop_retransmissions += 1
                 retries += 1
             if not delivered:
                 failed = True
@@ -264,7 +260,6 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
     ]
     log.evcd_latency_ms += (slot - log.slots_used) * config.slot_duration_ms
     log.slots_used = slot
-    log.end_to_end_latency_ms = log.cska_latency_ms + log.evcd_latency_ms
     return log
 
 
@@ -342,10 +337,8 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
     table = codeword_table(keygen.resolve_bits(quant.n_intervals),
                            quant.n_intervals, keygen.map_mode,
                            keygen.append_complement)
-    agreed_keys = {
-        i: extract_key(qt.bins[i - 1], table, owner=i)
-        for i in range(1, geometry.n_vehicles + 1)
-    }
+    agreed_keys = {i: extract_key(qt.bins[i - 1], table)
+                   for i in range(1, geometry.n_vehicles + 1)}
     agreed_ekey = extract_key(qt.eavesdropper_bins, table)
 
     leader = agreed_keys[1]

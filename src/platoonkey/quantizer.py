@@ -102,13 +102,9 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class MismatchTable:
-    """Chained mismatch counts per interval."""
+    """Chained mismatch counts per interval; their sum is the fit's total."""
 
     per_interval: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return int(sum(self.per_interval))
 
 
 def bin_indices(xs, intervals: IntervalSet, clamp: bool = False) -> np.ndarray:

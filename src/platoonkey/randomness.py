@@ -5,11 +5,11 @@ sums (forward and reverse), runs, longest run of ones, discrete Fourier
 transform, approximate entropy, and serial (which yields two p-values).
 A stream passes a test when every p-value exceeds 0.01.
 
-Each test enforces a minimum input length; the defaults follow the
-usual recommendations but can be lowered for desk-scale corpora via a
-test's ``floor`` argument.  The numerical core is the complementary error
-function and the regularized upper incomplete gamma ratio; accuracy of
-both is pinned against a high-precision reference in the test suite.
+Each test enforces one minimum input length, its entry in
+:data:`DEFAULT_FLOORS`, which follows the usual recommendations.  The
+numerical core is the complementary error function and the regularized
+upper incomplete gamma ratio; accuracy of both is pinned against a
+high-precision reference in the test suite.
 """
 
 from __future__ import annotations
@@ -71,26 +71,25 @@ def bits_from_ascii(text: str) -> np.ndarray:
     return chars[(chars == ord("0")) | (chars == ord("1"))] - ord("0")
 
 
-def _check_floor(n: int, name: str, floor: int | None) -> None:
-    need = DEFAULT_FLOORS[name] if floor is None else floor
+def _check_floor(n: int, name: str) -> None:
+    need = DEFAULT_FLOORS[name]
     if n < need:
         raise InsufficientData(f"{name} test needs >= {need} bits, got {n}")
 
 
-def frequency_test(bits, floor: int | None = None) -> float:
+def frequency_test(bits) -> float:
     """Monobit test: p = erfc(|S_n| / sqrt(2 n)) for the +-1 sum S_n."""
     eps = _as_bits(bits)
-    _check_floor(len(eps), "frequency", floor)
+    _check_floor(len(eps), "frequency")
     s = abs(int(2 * eps.sum() - len(eps)))
     return float(erfc(s / math.sqrt(2.0 * len(eps))))
 
 
-def block_frequency_test(bits, block_size: int | None = None,
-                         floor: int | None = None) -> float:
+def block_frequency_test(bits, block_size: int | None = None) -> float:
     """Chi-square of per-block one-proportions against 1/2."""
     eps = _as_bits(bits)
     n = len(eps)
-    _check_floor(n, "block_frequency", floor)
+    _check_floor(n, "block_frequency")
     m = _default_block_size(n) if block_size is None else block_size
     if not 1 <= m <= n:
         raise ValueError("block_size must be in [1, n]")
@@ -105,7 +104,7 @@ def _default_block_size(n: int) -> int:
     return max(20, -(-n // 100))
 
 
-def cusum_test(bits, direction: str = "forward", floor: int | None = None) -> float:
+def cusum_test(bits, direction: str = "forward") -> float:
     """Maximal partial-sum excursion of the +-1 walk.
 
     The reverse direction processes the reversed sequence.
@@ -114,7 +113,7 @@ def cusum_test(bits, direction: str = "forward", floor: int | None = None) -> fl
         raise ValueError("direction must be 'forward' or 'reverse'")
     eps = _as_bits(bits)
     n = len(eps)
-    _check_floor(n, "cusum", floor)
+    _check_floor(n, "cusum")
     x = 2 * eps - 1
     if direction == "reverse":
         x = x[::-1]
@@ -139,11 +138,11 @@ def runs_frequency_precheck(bits) -> bool:
     return abs(pi - 0.5) < 2.0 / math.sqrt(n) if n else False
 
 
-def runs_test(bits, floor: int | None = None) -> float:
+def runs_test(bits) -> float:
     """Total number of runs; returns 0.0 when the frequency precheck fails."""
     eps = _as_bits(bits)
     n = len(eps)
-    _check_floor(n, "runs", floor)
+    _check_floor(n, "runs")
     if not runs_frequency_precheck(eps):
         return 0.0
     pi = float(eps.mean())
@@ -164,13 +163,11 @@ _LONGEST_RUN_TABLES = (
 )
 
 
-def longest_run_test(bits, floor: int | None = None) -> float:
+def longest_run_test(bits) -> float:
     """Longest run of ones per block, chi-squared against tabulated bins."""
     eps = _as_bits(bits)
     n = len(eps)
-    _check_floor(n, "longest_run", floor)
-    if n < 128:
-        raise InsufficientData("longest_run test needs >= 128 bits")
+    _check_floor(n, "longest_run")
     for min_n, m, cats, probs in _LONGEST_RUN_TABLES:
         if n >= min_n:
             break
@@ -194,11 +191,11 @@ def longest_run_test(bits, floor: int | None = None) -> float:
     return float(gammaincc((len(cats) - 1) / 2.0, chi2 / 2.0))
 
 
-def dft_test(bits, floor: int | None = None) -> float:
+def dft_test(bits) -> float:
     """Spectral test: fraction of DFT peaks under the 95 % threshold."""
     eps = _as_bits(bits)
     n = len(eps)
-    _check_floor(n, "dft", floor)
+    _check_floor(n, "dft")
     x = 2.0 * eps - 1.0
     modulus = np.abs(np.fft.rfft(x))[: n // 2]
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
@@ -227,12 +224,11 @@ def _pattern_counts(eps: np.ndarray, m: int) -> list[np.ndarray]:
     return counts[::-1]
 
 
-def approx_entropy_test(bits, m: int | None = None,
-                        floor: int | None = None) -> float:
+def approx_entropy_test(bits, m: int | None = None) -> float:
     """Approximate entropy of overlapping m- and (m+1)-patterns."""
     eps = _as_bits(bits)
     n = len(eps)
-    _check_floor(n, "approx_entropy", floor)
+    _check_floor(n, "approx_entropy")
     if m is None:
         m = _default_apen_m(n)
     if m < 1:
@@ -250,12 +246,11 @@ def _default_apen_m(n: int) -> int:
     return max(1, min(3, int(math.log2(n)) - 5))
 
 
-def serial_test(bits, m: int | None = None,
-                floor: int | None = None) -> tuple[float, float]:
+def serial_test(bits, m: int | None = None) -> tuple[float, float]:
     """Overlapping m-pattern uniformity; returns two p-values."""
     eps = _as_bits(bits)
     n = len(eps)
-    _check_floor(n, "serial", floor)
+    _check_floor(n, "serial")
     if m is None:
         m = _default_serial_m(n)
     if m < 2:
@@ -281,7 +276,6 @@ class TestResult:
     name: str
     p_values: tuple[float, ...]
     passed: bool
-    note: str = ""
 
 
 @dataclass
@@ -298,17 +292,12 @@ class RandomnessReport:
         ran = [r for r in self.results if r.p_values]
         return bool(ran) and all(r.passed for r in ran)
 
-    def result(self, name: str) -> TestResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     def rows(self) -> list[tuple[str, str, str]]:
         out = []
         for r in self.results:
             ps = ", ".join(f"{p:.6f}" for p in r.p_values)
-            out.append((r.name, ps, "pass" if r.passed else "FAIL"))
+            verdict = "skipped" if not r.p_values else "pass" if r.passed else "FAIL"
+            out.append((r.name, ps, verdict))
         return out
 
 
@@ -326,7 +315,6 @@ _BATTERY = (
     ("approx_entropy", lambda e: (approx_entropy_test(e),)),
     ("serial", lambda e: serial_test(e)),
 )
-_BATTERY_ORDER = tuple(name for name, _ in _BATTERY)
 
 
 def run_battery(bits) -> RandomnessReport:
@@ -346,11 +334,8 @@ def run_battery(bits) -> RandomnessReport:
     for name, test in _BATTERY:
         try:
             ps = test(eps)
-        except InsufficientData as exc:
-            report.results.append(TestResult(name, (), False, f"skipped: {exc}"))
-            continue
-        note = ("FrequencyPrecheckFailed"
-                if name == "runs" and not runs_frequency_precheck(eps) else "")
-        passed = all(p > PASS_THRESHOLD for p in ps)
-        report.results.append(TestResult(name, ps, passed, note))
+        except InsufficientData:
+            ps = ()
+        passed = bool(ps) and all(p > PASS_THRESHOLD for p in ps)
+        report.results.append(TestResult(name, ps, passed))
     return report

@@ -157,12 +157,19 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         if not token:
             continue
         if ".." in token:
-            a, b = token.split("..", 1)
-            out.extend(range(int(a), int(b) + 1))
+            a, b = (int(end) for end in token.split("..", 1))
+            if b < a:
+                raise ValueError(f"seed range {token} is descending")
+            out.extend(range(a, b + 1))
         else:
             out.append(int(token))
-    if out and min(out) < 0:
-        raise ValueError(f"seeds must be non-negative, got {min(out)}")
+    ordered = sorted(out)
+    if ordered and ordered[0] < 0:
+        raise ValueError(f"seeds must be non-negative, got {ordered[0]}")
+    # a repeated seed would plant its cycle's key twice in the corpus
+    repeats = [a for a, b in zip(ordered, ordered[1:]) if a == b]
+    if repeats:
+        raise ValueError(f"seed {repeats[0]} is listed more than once")
     return tuple(out)
 
 

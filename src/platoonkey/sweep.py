@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .protocol import CYCLE_FAILURES, run_cycle
-from .randomness import _BATTERY_ORDER, bits_from_ascii, run_battery
+from .randomness import bits_from_ascii, run_battery
 from .scenario import ParseError, Scenario, serialize_scenario
 
 __all__ = ["SweepReport", "emit_plots", "run_sweep"]
@@ -198,20 +198,17 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1,
                ("point", "axis", "axis_value", "metric", "mean", "stddev", "n"),
                summary_rows)
 
-    cells: dict[str, list[str]] = {name: [] for name in _BATTERY_ORDER}
+    # test name -> one cell per point, in battery order
+    cells: dict[str, list[str]] = {}
     for pi, prows in enumerate(point_rows):
         corpus = "".join(r["key01"] for r in prows)
         (out / f"corpus_point{pi}.txt").write_text(corpus + "\n", encoding="ascii")
-        if corpus:
-            for res in run_battery(bits_from_ascii(corpus)).results:
-                cells[res.name].append(
-                    ";".join(f"{p:.6f}" for p in res.p_values) or "skipped")
-        else:
-            for name in cells:
-                cells[name].append("skipped")
+        for res in run_battery(bits_from_ascii(corpus)).results:
+            cells.setdefault(res.name, []).append(
+                ";".join(f"{p:.6f}" for p in res.p_values) or "skipped")
     header = ["test"] + [f"point_{pi}" for pi in range(len(points))]
     _write_csv(out / "nist.csv", provenance, header,
-               [[name] + cells[name] for name in _BATTERY_ORDER])
+               [[name] + row for name, row in cells.items()])
 
     timing_rows = [[str(r["point"]), str(r["seed"]), str(r["replication"]),
                     f"{r['compute_s']:.6f}"] for r in rows]

@@ -313,3 +313,10 @@ def evcd_expected_attempts(p, cap):
     """Expected transmissions of a capped retry-until-delivered loop."""
     # sum_{k=0}^{cap} p^k, the truncated geometric series
     return sum(p ** k for k in range(cap + 1))
+
+
+def sheppard_mismatch(rho):
+    """Probability that two zero-mean jointly Gaussian readings with
+    correlation ``rho`` fall on opposite sides of their medians:
+    arccos(rho) / pi (Sheppard, 1899)."""
+    return float(mpmath.acos(rho) / mpmath.pi)

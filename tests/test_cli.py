@@ -46,6 +46,20 @@ def test_report_equals_run_battery(tmp_path, capsys):
         len(BITS), report.rows(), "pass" if report.all_passed else "FAIL")
 
 
+def test_short_stream_marks_skipped_tests(tmp_path, capsys):
+    # 500 bits are below the dft test's 1000-bit floor: the test does not
+    # run, so it neither fails nor decides the overall verdict
+    path = tmp_path / "bits.txt"
+    path.write_text(TEXT[:500], encoding="ascii")
+    rc, captured = nist(capsys, path)
+    assert rc == EXIT_OK
+    length, rows, verdict = printed_report(captured.out)
+    assert length == 500
+    assert ("dft", "", "skipped") in rows
+    assert all(v == "pass" for name, _, v in rows if name != "dft")
+    assert verdict == "pass"
+
+
 def test_characters_other_than_0_and_1_are_ignored(tmp_path, capsys):
     clean = tmp_path / "clean.txt"
     clean.write_text(TEXT, encoding="ascii")
@@ -86,6 +100,8 @@ def test_missing_file_exits_runtime(tmp_path, capsys):
     ["sweep", "s.scn", "--seed-base", "-1"],
     ["run", "s.scn", "--seed-base", "-3"],
     ["run", "s.scn", "--parallelism", "2"],
+    ["sweep", "s.scn", "--parallelism", "0"],
+    ["sweep", "s.scn", "--parallelism", "-4"],
 ])
 def test_usage_error_exits_usage(capsys, argv):
     assert main(argv) == EXIT_USAGE

@@ -97,7 +97,7 @@ class TestExtractKey:
     def test_deterministic(self):
         table = codeword_table(3, 5)
         seq = [2, 4, 1, 5, 3]
-        assert extract_key(seq, table).bits == extract_key(list(seq), table).bits
+        assert extract_key(seq, table) == extract_key(list(seq), table)
 
     def test_direct_map_matches_per_slot_recomputation(self):
         key = extract_key([1, 2, 3, 4, 5], codeword_table(3, 5))
@@ -148,15 +148,38 @@ class TestExtractKey:
         rng = np.random.default_rng([q, L])
         for bins in ([], [L], list(range(1, L + 1)),
                      rng.integers(1, L + 1, 50).tolist()):
-            key = extract_key(np.asarray(bins, dtype=np.int64), table, owner=3)
-            assert list(key.bits) == reference_key_bits(
+            key = extract_key(np.asarray(bins, dtype=np.int64), table)
+            assert key.bits.tolist() == reference_key_bits(
                 bins, q, L, map_mode, append_complement)
-            assert all(type(b) is int for b in key.bits)
-            assert key.owner == 3
+            assert key.bits.dtype == np.uint8
 
     def test_hex_round_trip_prefix(self):
         key = SecretKey.from01("10110100")
         assert key.to_hex() == "b4"
+
+
+class TestSecretKey:
+    def test_empty_key(self):
+        key = SecretKey.from01("")
+        assert (len(key), key.to01(), key.to_hex()) == (0, "", "")
+
+    @pytest.mark.parametrize("text", ["12", "1 0", "0x1"])
+    def test_from01_rejects_other_characters(self, text):
+        with pytest.raises(ValueError):
+            SecretKey.from01(text)
+
+    def test_bits_are_read_only(self):
+        source = np.array([0, 1, 1], dtype=np.uint8)
+        key = SecretKey(source)
+        with pytest.raises(ValueError):
+            key.bits[0] = 1
+        source[0] = 1  # the key holds its own copy
+        assert key.to01() == "011"
+
+    def test_equal_by_value(self):
+        assert SecretKey.from01("0110") == SecretKey([0, 1, 1, 0])
+        assert SecretKey.from01("0110") != SecretKey.from01("0111")
+        assert SecretKey.from01("0110") != SecretKey.from01("011")
 
 
 class TestBmmr:

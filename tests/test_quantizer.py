@@ -113,7 +113,7 @@ class TestOptimizeBoundaries:
         rows = np.vstack([row, row, row])
         for L in (2, 3, 4):
             iset, table = optimize_boundaries(rows, float(row.min()) - 1.0, L, 16)
-            assert table.total == 0
+            assert sum(table.per_interval) == 0
             assert iset.n_intervals == L
 
     def test_small_instance_matches_brute_force(self):
@@ -122,7 +122,7 @@ class TestOptimizeBoundaries:
         floor = float(rows.min()) - 0.5
         iset, table = optimize_boundaries(rows, floor, 2, 8)
         bounds, mismatch, _ = brute_force_boundaries(rows, floor, 2, 8)
-        assert table.total == mismatch
+        assert sum(table.per_interval) == mismatch
         assert iset.boundaries == pytest.approx(bounds, rel=1e-12)
 
     def test_three_intervals_matches_brute_force(self):
@@ -131,7 +131,7 @@ class TestOptimizeBoundaries:
         floor = float(rows.min()) - 0.3
         iset, table = optimize_boundaries(rows, floor, 3, 12)
         bounds, mismatch, _ = brute_force_boundaries(rows, floor, 3, 12)
-        assert table.total == mismatch
+        assert sum(table.per_interval) == mismatch
         assert iset.boundaries == pytest.approx(bounds, rel=1e-12)
 
     def test_random_instances_match_brute_force(self):
@@ -140,7 +140,7 @@ class TestOptimizeBoundaries:
             rows, floor, L, G = random_instance(rng)
             iset, table = optimize_boundaries(rows, floor, L, G)
             bounds, mismatch, balance = brute_force_boundaries(rows, floor, L, G)
-            assert table.total == mismatch
+            assert sum(table.per_interval) == mismatch
             assert iset.boundaries == pytest.approx(bounds, rel=1e-12)
 
     def test_shift_covariance(self):
@@ -253,7 +253,7 @@ class TestOptimizeBoundariesProperty:
         bounds, mismatch, _ = expected
         iset, table = optimize_boundaries(rows, floor, L, G)
         assert iset.boundaries == pytest.approx(bounds, rel=1e-12, abs=1e-12)
-        assert table.total == mismatch
+        assert sum(table.per_interval) == mismatch
         bins = [bin_indices(r, iset).tolist() for r in rows]
         assert table.per_interval == tuple(
             chained_mismatch(bins, l) for l in range(1, L + 1))

@@ -37,6 +37,13 @@ def random_bits(n, seed):
     return np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
 
 
+# NIST SP 800-22 Rev. 1a: the first 100 bits of the binary expansion of
+# pi, the input of the worked examples in sections 2.1.8, 2.2.8, 2.3.8
+# and 2.13.8
+PI_100 = bits_of("1100100100001111110110101010001000100001011010001100"
+                 "001000110100110001001100011001100010100010111000")
+
+
 def biased_bits(n, p, seed):
     return (np.random.default_rng(seed).random(n) < p).astype(np.uint8)
 
@@ -65,9 +72,11 @@ class TestFrequency:
         assert frequency_test(ZEROS) < 1e-6
 
     def test_short_vector_closed_form(self):
-        # S = 2 over n = 10: erfc(0.2 * sqrt(10 / 2)), 50-digit reference
-        p = frequency_test(bits_of("1011010101"), floor=10)
-        assert p == pytest.approx(0.5270892568655381, abs=1e-12)
+        # S = 16 over n = 100: erfc(16 / sqrt(200)), 50-digit reference,
+        # and the worked example's 0.109599
+        p = frequency_test(PI_100)
+        assert p == pytest.approx(orc.erfc_hp(16 / np.sqrt(200)), abs=1e-12)
+        assert round(p, 6) == 0.109599
 
     def test_complement_symmetry(self):
         b = random_bits(2000, 1)
@@ -93,9 +102,10 @@ class TestBlockFrequency:
             orc.block_frequency_p(b.tolist(), m), abs=1e-6)
 
     def test_short_known_vector(self):
-        b = bits_of("0110011010")
-        p = block_frequency_test(b, block_size=3, floor=10)
-        assert p == pytest.approx(orc.block_frequency_p(b.tolist(), 3), abs=1e-12)
+        p = block_frequency_test(PI_100, block_size=10)
+        assert p == pytest.approx(orc.block_frequency_p(PI_100.tolist(), 10),
+                                  abs=1e-12)
+        assert round(p, 6) == 0.706438
 
 
 class TestCusum:
@@ -108,6 +118,10 @@ class TestCusum:
     def test_reverse_equals_forward_of_reversed(self):
         b = random_bits(3000, 9)
         assert cusum_test(b, "reverse") == cusum_test(b[::-1], "forward")
+
+    def test_nist_worked_example(self):
+        assert round(cusum_test(PI_100, "forward"), 6) == 0.219194
+        assert round(cusum_test(PI_100, "reverse"), 6) == 0.114866
 
     def test_matches_reference(self):
         for seed in range(5):
@@ -125,6 +139,9 @@ class TestRuns:
     def test_alternating_rejected(self):
         # maximal run count is as non-random as a constant stream
         assert runs_test(ALTERNATING) < 1e-6
+
+    def test_nist_worked_example(self):
+        assert round(runs_test(PI_100), 6) == 0.500798
 
     def test_matches_reference(self):
         for seed in range(5):
@@ -240,7 +257,7 @@ class TestBattery:
         assert [r.name for r in report.results] == [
             "frequency", "block_frequency", "cusum_forward", "cusum_reverse",
             "runs", "longest_run", "dft", "approx_entropy", "serial"]
-        assert len(report.result("serial").p_values) == 2
+        assert len(report.results[-1].p_values) == 2
 
     def test_pass_flag_matches_threshold(self):
         report = run_battery(random_bits(20_000, 11))
@@ -257,8 +274,10 @@ class TestBattery:
     def test_degenerate_stream_fails(self):
         report = run_battery(np.zeros(10_000, dtype=np.uint8))
         assert not report.all_passed
-        assert report.result("frequency").p_values[0] < 1e-6
-        assert report.result("runs").note == "FrequencyPrecheckFailed"
+        by_name = {r.name: r for r in report.results}
+        assert by_name["frequency"].p_values[0] < 1e-6
+        # the runs frequency precheck fails, so the runs test returns 0
+        assert by_name["runs"].p_values == (0.0,)
 
     def test_p_values_in_unit_interval(self):
         for seed in range(10):

@@ -146,7 +146,8 @@ def scenarios(draw):
         quantizer=quantizer, keygen=keygen,
         slots=draw(st.integers(1, 10**6)),
         sweep_axis=axis, sweep_values=tuple(values),
-        seeds=tuple(draw(st.lists(st.integers(0, 300), min_size=1, max_size=30))),
+        seeds=tuple(draw(st.lists(st.integers(0, 300), min_size=1, max_size=30,
+                                  unique=True))),
         replications=draw(st.integers(1, 20)),
     )
 
@@ -223,6 +224,8 @@ SWEEP_AXES_MESSAGE = (
      "z_iterations must be >= 1"),
     ("seeds = -2..0", 1, "seeds", "seeds must be non-negative, got -2"),
     ("slots = 5\nseeds = 3,-1", 2, "seeds", "seeds must be non-negative, got -1"),
+    ("seeds = 0..2,1", 1, "seeds", "seed 1 is listed more than once"),
+    ("slots = 5\nseeds = 5..2", 2, "seeds", "seed range 5..2 is descending"),
 ])
 def test_parse_error_attribution(text, line, fieldname, message):
     with pytest.raises(ParseError) as info:
