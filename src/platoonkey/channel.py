@@ -247,8 +247,7 @@ def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
 
 
 def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
-                   slots: int, seed, passes: int | None = None
-                   ) -> RssTrace | list[RssTrace]:
+                   slots: int, seed, passes: int = 1) -> list[RssTrace]:
     """Generate a cycle's RSS traces, deterministically from the seed.
 
     Vehicles 1 and 2 receive the measured leader-pair RSS (vehicle 2's
@@ -256,16 +255,14 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     estimate formed from their own two link readings, and the eavesdropper
     an estimate formed from its own, independently faded links.
 
-    With ``passes`` None one :class:`RssTrace` is returned; otherwise a
-    list of ``passes`` traces of one cycle, which share one shadowing
-    draw and each draw their own noise.  The first pass takes exactly
-    the draws of a single-trace call; later passes continue the same
-    RNG streams.  Zero-sigma noise is not drawn, as it adds 0 and ends
-    its stream; noiseless passes share one trace.  Arrays are read-only.
+    The ``passes`` traces of one cycle share one shadowing draw and each
+    draw their own noise; later passes continue the first pass's RNG
+    streams.  Zero-sigma noise is not drawn, as it adds 0 and ends its
+    stream; noiseless passes share one trace.  Arrays are read-only.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    if passes is not None and passes < 1:
+    if passes < 1:
         raise ValueError("passes must be >= 1")
     platoon_ss, eaves_ss = _seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(platoon_ss)
@@ -309,7 +306,7 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     # meas is drawn while recip is on, to keep recip's place in the stream
     noisy = a > 0 or params.reciprocity_sigma_db > 0
     traces = []
-    for _ in range(1 if passes is None or not noisy else passes):
+    for _ in range(passes if noisy else 1):
         meas = (rng.standard_normal if noisy else np.zeros)((n_links + 1, slots))
         recip = params.reciprocity_sigma_db * rng.standard_normal(slots) if noisy else 0.0
         values = np.empty((n, slots))
@@ -328,5 +325,4 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
             arr.flags.writeable = False
         traces.append(RssTrace(slots=slots, values=values, valid=valid,
                                eavesdropper=eaves, eavesdropper_valid=eaves_valid))
-    traces *= 1 if noisy or passes is None else passes
-    return traces[0] if passes is None else traces
+    return traces if noisy else traces * passes

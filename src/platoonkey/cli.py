@@ -17,13 +17,14 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .protocol import CYCLE_FAILURES, run_cycle
 from .randomness import bits_from_ascii, run_battery
-from .scenario import ParseError, parse_scenario
+from .scenario import ParseError, Scenario, parse_scenario
 from .sweep import emit_plots, run_sweep
 
 __all__ = ["main"]
@@ -83,16 +84,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _load_scenario(args) -> Scenario:
+    """The scenario file with the command line's ``--seed-base`` and
+    ``--replications`` overrides applied."""
+    scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    overrides = {}
+    if args.seed_base is not None:
+        overrides["seeds"] = tuple(range(args.seed_base,
+                                         args.seed_base + len(scenario.seeds)))
+    if getattr(args, "replications", None) is not None:
+        overrides["replications"] = args.replications
+    return replace(scenario, **overrides)
+
+
 def _cmd_run(args) -> int:
-    text = Path(args.scenario).read_text(encoding="utf-8")
-    scenario = parse_scenario(text)
+    scenario = _load_scenario(args)
     if scenario.sweep_axis != "none":
         scenario = scenario.points()[0]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = scenario.seeds
-    if args.seed_base is not None:
-        seeds = tuple(args.seed_base + i for i in range(len(seeds)))
 
     key_lines = []
     event_buf = io.StringIO()
@@ -101,7 +111,7 @@ def _cmd_run(args) -> int:
                      "kind", "outcome"))
     print("seed  bmmr_mean  bmmr_tail  eaves_bmmr  success  key_bits")
     failed = 0
-    for seed in seeds:
+    for seed in scenario.seeds:
         try:
             rep = run_cycle(scenario.channel, scenario.geometry,
                             scenario.protocol, scenario.quantizer,
@@ -124,17 +134,15 @@ def _cmd_run(args) -> int:
     (out / "events.csv").write_text(event_buf.getvalue(), encoding="ascii")
     print(f"wrote {out / 'keys.txt'} and {out / 'events.csv'}")
     if failed:
-        print(f"runtime failure: {failed} of {len(seeds)} seeds failed",
+        print(f"runtime failure: {failed} of {len(scenario.seeds)} seeds failed",
               file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    text = Path(args.scenario).read_text(encoding="utf-8")
-    scenario = parse_scenario(text)
-    report = run_sweep(scenario, args.out_dir, parallelism=args.parallelism,
-                       seed_base=args.seed_base, replications=args.replications)
+    scenario = _load_scenario(args)
+    report = run_sweep(scenario, args.out_dir, parallelism=args.parallelism)
     n_fail = sum(r["failure"] for r in report.rows)
     print(f"{len(report.rows)} cycles across {len(scenario.points())} points; "
           f"{n_fail} failures")

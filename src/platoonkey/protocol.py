@@ -7,8 +7,10 @@ by its sender, and each of the Z passes commits one RSS trace.  Stage two
 hop by hop; every vehicle decrypts with its own key and re-encrypts for
 the next hop, the tail answers with a one-bit ACK, and hop losses are
 retried by the hop sender with an end-to-end leader retransmission as
-the fallback.  The cipher is a repeating-keystream XOR placeholder so
-key disagreements surface as observable decode failures.
+the fallback.  The cipher is a repeating-keystream XOR placeholder, so
+a vehicle whose keystream differs from the leader's fails to decode the
+command; its re-encryption cancels its own key, so the error does not
+reach the vehicles behind it.
 
 After the Z passes each vehicle holds Z RSS traces.  The quantizer is
 fitted once per cycle, and the agreed key extracted, on the slot-wise
@@ -126,6 +128,25 @@ class CycleLog:
     recovered_commands: dict[int, np.ndarray] = field(default_factory=dict)
 
 
+def _send(log: CycleLog, rng: np.random.Generator, loss_prob: float,
+          retries: int, stage: str, sender: int, receiver: int,
+          kind: str) -> bool:
+    """Transmit one packet, retrying a loss at most ``retries`` times.
+
+    Every try takes the next slot of ``log``, draws one loss from ``rng``
+    and is logged as a :class:`TransmissionEvent`; True once delivered.
+    """
+    for _ in range(retries + 1):
+        log.slots_used += 1
+        lost = rng.random() < loss_prob
+        log.events.append(TransmissionEvent(
+            log.slots_used, stage, sender, receiver, kind,
+            "lost" if lost else "delivered"))
+        if not lost:
+            return True
+    return False
+
+
 def run_cska(config: ProtocolConfig, params: ChannelParams,
              geometry: PlatoonGeometry, slots: int, seed
              ) -> tuple[list[RssTrace], CycleLog]:
@@ -143,33 +164,23 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
 
     log = CycleLog()
     n = geometry.n_vehicles
-    slot = 0
     for _ in range(config.z_iterations):
         for sender in range(1, n + 1):
             checker = sender + 1 if sender < n else sender - 1
-            retries = 0
-            while True:
-                slot += 1
-                lost = loss_rng.random() < config.beacon_loss_prob
-                log.beacon_transmissions += 1
-                log.events.append(TransmissionEvent(
-                    slot, "cska", sender, checker, "beacon",
-                    "lost" if lost else "delivered"))
-                if not lost:
-                    break
-                log.retransmissions += 1
-                retries += 1
-                if retries > config.retransmission_cap:
-                    raise CycleAbort(
-                        f"beacon of vehicle {sender} exceeded "
-                        f"{config.retransmission_cap} retransmissions")
+            if not _send(log, loss_rng, config.beacon_loss_prob,
+                         config.retransmission_cap, "cska", sender, checker,
+                         "beacon"):
+                raise CycleAbort(
+                    f"beacon of vehicle {sender} exceeded "
+                    f"{config.retransmission_cap} retransmissions")
     # the traces are seeded by trace_ss's first child, on which every
     # recorded Z=1 key depends
     traces = generate_trace(params, geometry, slots, trace_ss.spawn(1)[0],
                             passes=config.z_iterations)
+    log.beacon_transmissions = len(log.events)
+    log.retransmissions = sum(e.outcome == "lost" for e in log.events)
     log.overhead_bits = log.beacon_transmissions * config.beacon_bits
-    log.slots_used = slot
-    log.cska_latency_ms = slot * config.slot_duration_ms
+    log.cska_latency_ms = log.slots_used * config.slot_duration_ms
     return traces, log
 
 
@@ -188,12 +199,19 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
              ) -> CycleLog:
     """Forward the encrypted command hop by hop to the tail.
 
-    Every vehicle decrypts with its own key and re-encrypts for the next
-    hop, so a key disagreement at any vehicle corrupts the recovered
-    command from that hop on.  Hop losses are retried by the hop sender
-    up to the retransmission cap; an exhausted hop (or a lost tail ACK)
-    times out at the leader, which starts the dissemination over with a
-    fresh packet, itself capped before :class:`DisseminationFailure`.
+    Every vehicle decrypts with its own key and re-encrypts with the same
+    key for the next hop, so the sender's key cancels and vehicle j holds
+    the command XOR the leader's and its own keystreams: a key
+    disagreement fails the decode at that vehicle only (its hop appears
+    in ``log.decode_failure_hops``).  The keystream is the key repeated
+    or cut to the command's length, so key positions at or past that
+    length (``data_payload_bits`` in :func:`run_cycle`) never enter the
+    comparison.
+
+    Hop losses are retried by the hop sender up to the retransmission
+    cap; an exhausted hop (or a lost tail ACK) times out at the leader,
+    which starts the dissemination over with a fresh packet, itself
+    capped before :class:`DisseminationFailure`.
 
     ``log.evcd_data_transmissions`` and the lost ``"data"`` events in
     ``log.events`` (the hop retransmissions) sum over every end-to-end
@@ -202,8 +220,7 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
     (one delivered ``"data"`` event each), not per run.
     """
     vehicles = sorted(keys)
-    n = len(vehicles)
-    if n < 2:
+    if len(vehicles) < 2:
         raise ValueError("EVCD needs at least two vehicles")
     lengths = {len(keys[v]) for v in vehicles}
     if len(lengths) != 1:
@@ -212,54 +229,35 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
     log = log if log is not None else CycleLog()
     rng = np.random.default_rng(_seed_sequence(seed))
 
-    slot = log.slots_used
-    attempts = 0
-    while True:
-        attempts += 1
-        recovered = {vehicles[0]: command.copy()}
-        failed = False
-        for hop in range(n - 1):
-            sender, receiver = vehicles[hop], vehicles[hop + 1]
-            packet = xor_cipher(recovered[sender], keys[sender])
-            retries = 0
-            delivered = False
-            while retries <= config.retransmission_cap:
-                slot += 1
-                log.evcd_data_transmissions += 1
-                lost = rng.random() < config.data_loss_prob
-                log.events.append(TransmissionEvent(
-                    slot, "evcd", sender, receiver, "data",
-                    "lost" if lost else "delivered"))
-                if not lost:
-                    delivered = True
-                    break
-                retries += 1
-            if not delivered:
-                failed = True
-                break
-            recovered[receiver] = xor_cipher(packet, keys[receiver])
-        if not failed:
-            # one-bit ACK from the tail back toward the leader
-            slot += 1
-            ack_lost = rng.random() < config.data_loss_prob
-            log.events.append(TransmissionEvent(
-                slot, "evcd", vehicles[-1], vehicles[0], "ack",
-                "lost" if ack_lost else "delivered"))
-            if not ack_lost:
-                break
+    loss, cap = config.data_loss_prob, config.retransmission_cap
+    hops = list(zip(vehicles, vehicles[1:]))
+    first_event, first_slot = len(log.events), log.slots_used
+    for attempt in range(cap + 1):
+        # every hop, then the one-bit ACK from the tail toward the leader
+        delivered = (
+            all(_send(log, rng, loss, cap, "evcd", s, r, "data") for s, r in hops)
+            and _send(log, rng, loss, 0, "evcd", vehicles[-1], vehicles[0], "ack"))
+        if delivered:
+            break
+        # the leader times out and starts over with a fresh packet
         log.evcd_latency_ms += config.dissemination_timeout_ms
-        if attempts > config.retransmission_cap:
-            raise DisseminationFailure(
-                f"dissemination failed after {attempts} end-to-end attempts")
-        log.leader_retransmissions += 1
+    log.evcd_data_transmissions += sum(
+        e.kind == "data" for e in log.events[first_event:])
+    log.leader_retransmissions += attempt
+    if not delivered:
+        raise DisseminationFailure(
+            f"dissemination failed after {attempt + 1} end-to-end attempts")
 
+    recovered = {vehicles[0]: command.copy()}
+    for sender, receiver in hops:
+        packet = xor_cipher(recovered[sender], keys[sender])
+        recovered[receiver] = xor_cipher(packet, keys[receiver])
     log.recovered_commands = recovered
     log.decode_failure_hops = [
-        h + 1 for h, v in enumerate(vehicles[1:])
-        if not np.array_equal(recovered.get(v, command), command)
+        h for h, v in enumerate(vehicles[1:], start=1)
+        if not np.array_equal(recovered[v], command)
     ]
-    log.evcd_latency_ms += (slot - log.slots_used) * config.slot_duration_ms
-    log.slots_used = slot
+    log.evcd_latency_ms += (log.slots_used - first_slot) * config.slot_duration_ms
     return log
 
 

@@ -163,8 +163,10 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
             out.extend(range(a, b + 1))
         else:
             out.append(int(token))
+    if not out:
+        raise ValueError("at least one seed is required")
     ordered = sorted(out)
-    if ordered and ordered[0] < 0:
+    if ordered[0] < 0:
         raise ValueError(f"seeds must be non-negative, got {ordered[0]}")
     # a repeated seed would plant its cycle's key twice in the corpus
     repeats = [a for a, b in zip(ordered, ordered[1:]) if a == b]

@@ -13,7 +13,7 @@ outputs are byte-identical at every parallelism degree:
 Wall-clock compute time is intentionally kept out of those files and
 written to the ``timings.csv`` sidecar instead.  Every deterministic CSV
 starts with a ``#``-prefixed provenance block carrying the fully
-resolved scenario and seed list.
+resolved scenario, its seeds and replications included.
 
 The key corpus of a point is the leader's agreed key concatenated over
 seeds.  Follower keys are near-copies of the leader's, so concatenating
@@ -139,24 +139,18 @@ def _write_csv(path: Path, provenance: list[str], header, rows) -> None:
     path.write_text(buf.getvalue(), encoding="ascii")
 
 
-def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1,
-              seed_base: int | None = None,
-              replications: int | None = None) -> SweepReport:
+def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
     """Execute the sweep and write all report files into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = scenario.seeds
-    if seed_base is not None:
-        seeds = tuple(seed_base + i for i in range(len(seeds)))
-    n_repl = scenario.replications if replications is None else replications
 
     points = scenario.points()
     values = scenario.sweep_values if scenario.sweep_axis != "none" else (None,)
     work = []
     for pi, point in enumerate(points):
         axis_value = _axis_value_str(scenario.sweep_axis, values[pi])
-        for seed in seeds:
-            for repl in range(n_repl):
+        for seed in scenario.seeds:
+            for repl in range(scenario.replications):
                 work.append((pi, point, scenario.sweep_axis, axis_value,
                              seed, repl))
 
@@ -172,8 +166,6 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1,
         point_rows[r["point"]].append(r)
 
     provenance = _provenance_lines(scenario)
-    provenance.append(f"# seeds = {','.join(str(s) for s in seeds)}")
-    provenance.append(f"# replications = {n_repl}")
 
     _write_csv(out / "runs.csv", provenance, RUN_COLUMNS,
                [[_fmt(r[c]) for c in RUN_COLUMNS] for r in rows])

@@ -141,7 +141,7 @@ class TestEstimationErrorCurve:
         curve = {}
         for dv in (2.0, 4.0, 6.0, 8.0):
             g = PlatoonGeometry(n_vehicles=3, pair_distance_m=dv)
-            t = generate_trace(p, g, 10_000, 777)
+            t = generate_trace(p, g, 10_000, 777)[0]
             ok = t.valid[2]
             err = np.abs(t.values[2][ok] - t.values[0][ok])
             curve[dv] = float(err.mean())
@@ -156,7 +156,7 @@ class TestGenerateTrace:
     def test_noiseless_sequences_identical(self):
         p = params()
         g = PlatoonGeometry(n_vehicles=5, pair_distance_m=3.0)
-        t = generate_trace(p, g, 30, 5)
+        t = generate_trace(p, g, 30, 5)[0]
         assert t.valid.all()
         for i in range(2, 6):
             np.testing.assert_allclose(t.values[i - 1], t.values[0],
@@ -166,8 +166,8 @@ class TestGenerateTrace:
         p = ChannelParams(shadowing_sigma_db=3.0, measurement_noise_db=0.1,
                           reciprocity_sigma_db=0.2)
         g = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0)
-        a = generate_trace(p, g, 100, 123)
-        b = generate_trace(p, g, 100, 123)
+        a = generate_trace(p, g, 100, 123)[0]
+        b = generate_trace(p, g, 100, 123)[0]
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.valid, b.valid)
         np.testing.assert_array_equal(a.eavesdropper, b.eavesdropper)
@@ -175,20 +175,20 @@ class TestGenerateTrace:
     def test_different_seed_differs(self):
         p = ChannelParams(shadowing_sigma_db=3.0)
         g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
-        a = generate_trace(p, g, 50, 1)
-        b = generate_trace(p, g, 50, 2)
+        a = generate_trace(p, g, 50, 1)[0]
+        b = generate_trace(p, g, 50, 2)[0]
         assert not np.array_equal(a.values, b.values)
 
     def test_reciprocity_default_identical_lead_pair(self):
         p = ChannelParams(shadowing_sigma_db=4.0)
         g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
-        t = generate_trace(p, g, 200, 9)
+        t = generate_trace(p, g, 200, 9)[0]
         np.testing.assert_array_equal(t.values[0], t.values[1])
 
     def test_reciprocity_noise_separates_lead_pair(self):
         p = ChannelParams(shadowing_sigma_db=4.0, reciprocity_sigma_db=0.5)
         g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
-        t = generate_trace(p, g, 200, 9)
+        t = generate_trace(p, g, 200, 9)[0]
         assert not np.array_equal(t.values[0], t.values[1])
 
     def test_eavesdropper_uncorrelated(self):
@@ -198,7 +198,7 @@ class TestGenerateTrace:
                             eavesdropper_distance_m=4.0)
         corrs = []
         for seed in range(10):
-            t = generate_trace(p, g, 500, seed)
+            t = generate_trace(p, g, 500, seed)[0]
             ok = t.eavesdropper_valid
             if ok.sum() < 50:
                 continue
@@ -211,8 +211,8 @@ class TestGenerateTrace:
         p = ChannelParams(shadowing_sigma_db=3.0, measurement_noise_db=0.1)
         g1 = PlatoonGeometry(4, 2.0, "P1", 3.0)
         g2 = PlatoonGeometry(4, 2.0, "P3", 6.0)
-        a = generate_trace(p, g1, 80, 55)
-        b = generate_trace(p, g2, 80, 55)
+        a = generate_trace(p, g1, 80, 55)[0]
+        b = generate_trace(p, g2, 80, 55)[0]
         np.testing.assert_array_equal(a.values, b.values)
         assert not np.array_equal(
             np.nan_to_num(a.eavesdropper), np.nan_to_num(b.eavesdropper))
@@ -226,7 +226,7 @@ class TestGenerateTrace:
     def test_noiseless_passes_are_one_read_only_trace(self):
         p = ChannelParams(shadowing_sigma_db=3.0, shadowing_autocorr=0.5)
         g = PlatoonGeometry(n_vehicles=6, pair_distance_m=2.0)
-        single = generate_trace(p, g, 120, 31)
+        single = generate_trace(p, g, 120, 31)[0]
         traces = generate_trace(p, g, 120, 31, passes=5)
         assert len(traces) == 5
         for t in traces:
@@ -301,7 +301,7 @@ class TestVectorizedEstimators:
             g = PlatoonGeometry(n_vehicles=n,
                                 pair_distance_m=float(rng.uniform(1.0, 20.0)),
                                 eavesdropper_position="P1" if n < 4 else "P2")
-            t = generate_trace(p, g, slots, seed)
+            t = generate_trace(p, g, slots, seed)[0]
             ref = reference_trace(p, g, slots, seed)
             got = (t.values, t.valid, t.eavesdropper, t.eavesdropper_valid)
             for ours, theirs in zip(got, ref):

@@ -272,3 +272,47 @@ def test_plot_of_an_eavesdropper_sweep(tmp_path, capsys):
     assert "\\" not in plot
     assert re.findall(r"using (\d+):(\d+):(\d+)", plot) == [
         ("2", str(c), str(c + 1)) for c in (3, 5, 7, 9)]
+
+
+def csv_lines(path):
+    """(provenance lines, data lines) of a sweep CSV."""
+    lines = path.read_text(encoding="ascii").splitlines()
+    return ([line for line in lines if line.startswith("#")],
+            [line for line in lines if not line.startswith("#")])
+
+
+def test_run_and_sweep_share_the_seed_base(tmp_path, capsys):
+    path = tmp_path / "s.scn"
+    path.write_text("slots = 80\nseeds = 0..2\n", encoding="utf-8")
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", str(path), "--out-dir", str(run_out),
+                 "--seed-base", "10"]) == EXIT_OK
+    assert main(["sweep", str(path), "--out-dir", str(sweep_out),
+                 "--seed-base", "10"]) == EXIT_OK
+    capsys.readouterr()
+    keys = (run_out / "keys.txt").read_text(encoding="ascii").splitlines()
+    assert [line.split()[1] for line in keys[::2]] == ["10", "11", "12"]
+    corpus = (sweep_out / "corpus_point0.txt").read_text(encoding="ascii")
+    assert "".join(line.split()[-1] for line in keys[::2]) == corpus.strip()
+    # the provenance names the seeds that ran, once
+    provenance, _ = csv_lines(sweep_out / "runs.csv")
+    assert [line for line in provenance if line.startswith("# seeds")] == \
+        ["# seeds = 10..12"]
+
+
+def test_replications_add_rows_and_keep_replication_zero(tmp_path, capsys):
+    path = tmp_path / "s.scn"
+    path.write_text("slots = 80\nseeds = 0..2\n", encoding="utf-8")
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert main(["sweep", str(path), "--out-dir", str(one)]) == EXIT_OK
+    assert main(["sweep", str(path), "--out-dir", str(two),
+                 "--replications", "2"]) == EXIT_OK
+    capsys.readouterr()
+    provenance, lines = csv_lines(two / "runs.csv")
+    assert [line for line in provenance if line.startswith("# replications")] == \
+        ["# replications = 2"]
+    rows = list(csv.DictReader(lines))
+    assert [(r["seed"], r["replication"]) for r in rows] == [
+        (str(s), str(k)) for s in range(3) for k in range(2)]
+    first = [line for line, r in zip(lines[1:], rows) if r["replication"] == "0"]
+    assert [lines[0], *first] == csv_lines(one / "runs.csv")[1]

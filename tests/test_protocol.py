@@ -7,6 +7,8 @@ from platoonkey.channel import ChannelParams, PlatoonGeometry
 from platoonkey.keygen import KeygenConfig, SecretKey
 from platoonkey.protocol import (
     CycleAbort,
+    CycleLog,
+    DisseminationFailure,
     ProtocolConfig,
     run_cska,
     run_cycle,
@@ -23,6 +25,18 @@ GEOM4 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0)
 
 def make_keys(n, bits="1011010011"):
     return {i: SecretKey.from01(bits) for i in range(1, n + 1)}
+
+
+def evcd_attempts(events, cap):
+    """End-to-end EVCD attempts in an event list: each ends in the tail's
+    ACK or in a hop whose cap + 1 tries were all lost."""
+    attempts = lost_run = 0
+    for e in events:
+        lost_run = lost_run + 1 if e.kind == "data" and e.outcome == "lost" else 0
+        if e.kind == "ack" or lost_run == cap + 1:
+            attempts += 1
+            lost_run = 0
+    return attempts
 
 
 class TestRunCska:
@@ -100,6 +114,18 @@ class TestRunCska:
         _, log = run_cska(cfg, QUIET, GEOM4, slots=1, seed=4)
         assert [e.sender for e in log.events] == [1, 2, 3, 4]
 
+    def test_counters_equal_event_tallies(self):
+        cfg = ProtocolConfig(z_iterations=3, beacon_loss_prob=0.3)
+        for seed in range(20):
+            try:
+                _, log = run_cska(cfg, QUIET, GEOM4, slots=1, seed=seed)
+            except CycleAbort:
+                continue
+            assert log.beacon_transmissions == len(log.events)
+            assert all(e.kind == "beacon" for e in log.events)
+            assert log.retransmissions == sum(e.outcome == "lost" for e in log.events)
+            assert log.slots_used == len(log.events)
+
 
 class TestXorCipher:
     def test_involution(self):
@@ -145,8 +171,9 @@ class TestRunEvcd:
         keys[3] = SecretKey(bad)
         cmd = np.random.default_rng(3).integers(0, 2, 50, dtype=np.uint8)
         log = run_evcd(ProtocolConfig(), keys, cmd, seed=0)
-        # vehicle 3 degarbles wrongly; vehicle 4 re-absorbs the same error
-        assert 2 in log.decode_failure_hops
+        # vehicle 3 degarbles wrongly; its re-encryption cancels its own
+        # key, so vehicle 4 re-absorbs the error and decodes
+        assert log.decode_failure_hops == [2]
         wrong = np.flatnonzero(log.recovered_commands[3] != cmd)
         assert wrong.tolist() == [i for i in range(50) if i % 10 == 2]
 
@@ -174,6 +201,32 @@ class TestRunEvcd:
         oracle = evcd_expected_attempts(0.2, cfg.retransmission_cap) - 1.0
         assert per_hop == pytest.approx(0.25, rel=0.10)
         assert per_hop == pytest.approx(oracle, rel=0.10)
+
+    @pytest.mark.parametrize("outcome", ["delivered", "key mismatch", "failure"])
+    def test_counters_equal_event_tallies(self, outcome):
+        cap = 2
+        cfg = ProtocolConfig(data_loss_prob=1.0 if outcome == "failure" else 0.3,
+                             retransmission_cap=cap)
+        keys = make_keys(4)
+        if outcome == "key mismatch":
+            keys[2] = SecretKey.from01("0011010011")
+        restarted = False
+        for seed in range(40):
+            log = CycleLog()
+            try:
+                run_evcd(cfg, keys, np.zeros(16, dtype=np.uint8), seed, log)
+            except DisseminationFailure:
+                assert outcome == "failure"
+            else:
+                assert outcome != "failure"
+                assert log.decode_failure_hops == ([1] if outcome == "key mismatch" else [])
+            data = [e for e in log.events if e.kind == "data"]
+            attempts = evcd_attempts(log.events, cap)
+            restarted |= attempts > 1
+            assert log.evcd_data_transmissions == len(data)
+            assert log.leader_retransmissions == attempts - 1
+            assert log.slots_used == len(log.events)
+        assert restarted
 
     def test_unequal_key_lengths_rejected(self):
         keys = make_keys(3)

@@ -189,7 +189,7 @@ class TestOptimizeIntervals:
                           measurement_noise_db=0.1,
                           rss_decode_floor_db=-25.0)
         g = PlatoonGeometry(n_vehicles=n, pair_distance_m=2.0)
-        return p, generate_trace(p, g, slots, seed)
+        return p, generate_trace(p, g, slots, seed)[0]
 
     def test_uses_decode_floor(self):
         p, t = self.trace()

@@ -226,6 +226,8 @@ SWEEP_AXES_MESSAGE = (
     ("slots = 5\nseeds = 3,-1", 2, "seeds", "seeds must be non-negative, got -1"),
     ("seeds = 0..2,1", 1, "seeds", "seed 1 is listed more than once"),
     ("slots = 5\nseeds = 5..2", 2, "seeds", "seed range 5..2 is descending"),
+    ("seeds = ", 1, "seeds", "at least one seed is required"),
+    ("slots = 5\nseeds = ,", 2, "seeds", "at least one seed is required"),
 ])
 def test_parse_error_attribution(text, line, fieldname, message):
     with pytest.raises(ParseError) as info:
