@@ -3,7 +3,8 @@
 Eight tests returning p-values: frequency, block frequency, cumulative
 sums (forward and reverse), runs, longest run of ones, discrete Fourier
 transform, approximate entropy, and serial (which yields two p-values).
-A stream passes a test when every p-value exceeds 0.01.
+A stream passes a test when every p-value exceeds 0.01.  The battery
+holds the stream as one validated ``uint8`` array, which its tests share.
 
 Each test enforces one minimum input length, its entry in
 :data:`DEFAULT_FLOORS`, which follows the usual recommendations.  The
@@ -57,10 +58,11 @@ class InsufficientData(ValueError):
 
 
 def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.int64).ravel()
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
+    uint8 = isinstance(bits, np.ndarray) and bits.dtype == np.uint8
+    arr = bits.reshape(-1) if uint8 else np.asarray(bits, dtype=np.int64).ravel()
+    if arr.size and ((not uint8 and arr.min() < 0) or arr.max() > 1):
         raise ValueError("input must contain only bits 0/1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def bits_from_ascii(text: str) -> np.ndarray:
@@ -81,7 +83,7 @@ def frequency_test(bits) -> float:
     """Monobit test: p = erfc(|S_n| / sqrt(2 n)) for the +-1 sum S_n."""
     eps = _as_bits(bits)
     _check_floor(len(eps), "frequency")
-    s = abs(int(2 * eps.sum() - len(eps)))
+    s = abs(2 * np.count_nonzero(eps) - len(eps))
     return float(erfc(s / math.sqrt(2.0 * len(eps))))
 
 
@@ -114,12 +116,12 @@ def cusum_test(bits, direction: str = "forward") -> float:
     eps = _as_bits(bits)
     n = len(eps)
     _check_floor(n, "cusum")
-    x = 2 * eps - 1
-    if direction == "reverse":
-        x = x[::-1]
-    z = int(np.max(np.abs(np.cumsum(x))))
-    if z == 0:
-        return 1.0
+    # S_k and S_n - S_k lie in [-n, n]; a signed dtype holding -n - 1 holds n
+    walk = np.cumsum(2 * eps.view(np.int8) - 1, dtype=np.min_scalar_type(-n - 1))
+    # reversed, the walk starts at S_n and visits S_{n-1}..S_1, then S_0 = 0
+    start, rest = (0, walk) if direction == "forward" else (walk[-1], walk[:-1])
+    z = int(max(abs(start), rest.max() - start, start - rest.min()))
+    # z >= 1: the first step of either walk is +-1
     sqn = math.sqrt(n)
     k1 = np.arange((-n // z + 1) // 4, (n // z - 1) // 4 + 1)
     k2 = np.arange((-n // z - 3) // 4, (n // z - 1) // 4 + 1)
@@ -133,9 +135,7 @@ def cusum_test(bits, direction: str = "forward") -> float:
 def runs_frequency_precheck(bits) -> bool:
     """Frequency condition required for the runs statistic to be valid."""
     eps = _as_bits(bits)
-    n = len(eps)
-    pi = eps.mean() if n else 0.0
-    return abs(pi - 0.5) < 2.0 / math.sqrt(n) if n else False
+    return len(eps) > 0 and abs(eps.mean() - 0.5) < 2.0 / math.sqrt(len(eps))
 
 
 def runs_test(bits) -> float:
@@ -145,8 +145,8 @@ def runs_test(bits) -> float:
     _check_floor(n, "runs")
     if not runs_frequency_precheck(eps):
         return 0.0
-    pi = float(eps.mean())
-    v = 1 + int(np.sum(eps[1:] != eps[:-1]))
+    pi = np.count_nonzero(eps) / n
+    v = 1 + np.count_nonzero(eps[1:] != eps[:-1])
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     return float(erfc(num / den))
@@ -210,12 +210,12 @@ def _pattern_counts(eps: np.ndarray, m: int) -> list[np.ndarray]:
     stream, read cyclically, hold the pattern with code c, for k = 0..m
     (``m >= 1``)."""
     n = len(eps)
-    ext = np.concatenate([eps, eps[: m - 1]])
-    # encode each overlapping m-pattern as an integer, first bit highest
-    weights = 1 << np.arange(m - 1, -1, -1)
-    codes = np.zeros(n, dtype=np.int64)
-    for k in range(m):
-        codes = codes + ext[k:k + n] * weights[k]
+    # overlapping m-pattern codes, first bit highest, narrowest uint for m bits
+    ext = np.concatenate([eps, eps[: m - 1]]).astype(np.min_scalar_type((1 << m) - 1))
+    codes = ext[:n].copy()
+    for k in range(1, m):
+        codes <<= 1
+        codes |= ext[k:k + n]
     counts = [np.bincount(codes, minlength=1 << m)]
     # a k-bit window is the prefix of the (k+1)-bit window at the same
     # position, so pairs of codes sharing all but the last bit merge

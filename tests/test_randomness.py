@@ -13,6 +13,7 @@ from scipy.special import erfc, gammaincc
 
 from platoonkey.randomness import (
     InsufficientData,
+    _as_bits,
     _pattern_counts,
     approx_entropy_test,
     block_frequency_test,
@@ -130,6 +131,26 @@ class TestCusum:
                 assert cusum_test(b, direction) == pytest.approx(
                     orc.cusum_p(b.tolist(), reverse=rev), abs=1e-9)
 
+    @pytest.mark.parametrize("n", [127, 128, 129, 32_767, 32_768, 32_769])
+    def test_constant_streams_at_walk_dtype_edges(self, n):
+        # a constant stream's walk ends at +-n, the edge of the narrowest
+        # integer dtype that holds it; the two signs are mirror images
+        ones, zeros = np.ones(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
+        for direction in ("forward", "reverse"):
+            assert cusum_test(ones, direction) == cusum_test(zeros, direction)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(100, 20_000), p=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_reverse_is_forward_of_reversed(self, n, p, seed):
+        # the reverse excursion is read off the forward walk, with no
+        # reversed copy, so the reversed stream is an independent check
+        b = biased_bits(n, p, seed)
+        reverse = cusum_test(b, "reverse")
+        assert reverse == cusum_test(b[::-1], "forward")
+        assert reverse == pytest.approx(orc.cusum_p(b.tolist(), reverse=True),
+                                        abs=1e-9)
+
 
 class TestRuns:
     def test_biased_input_precheck(self):
@@ -223,6 +244,19 @@ class TestPatternCounts:
                 direct[int(ext[i:i + k] or "0", 2)] += 1
             assert counts[k].tolist() == direct, k
 
+    # the codes are uint8 up to 8 bits, uint16 up to 16 and uint32 above
+    @pytest.mark.parametrize("m", [1, 2, 8, 9, 16, 17])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_code_dtype_widths_match_direct_count(self, m, dtype):
+        b = random_bits(1031, m)
+        counts = _pattern_counts(b.astype(dtype), m)
+        ext = "".join(map(str, b)) + "".join(map(str, b[:m - 1]))
+        for k in range(m + 1):
+            direct = [0] * (1 << k)
+            for i in range(len(b)):
+                direct[int(ext[i:i + k] or "0", 2)] += 1
+            assert counts[k].tolist() == direct, k
+
 
 class TestApproxEntropy:
     def test_all_zeros_rejected(self):
@@ -285,6 +319,60 @@ class TestBattery:
             for r in report.results:
                 for p in r.p_values:
                     assert 0.0 <= p <= 1.0
+
+
+def cusum_forward(bits):
+    return cusum_test(bits, "forward")
+
+
+def cusum_reverse(bits):
+    return cusum_test(bits, "reverse")
+
+
+SINGLE_TESTS = [
+    frequency_test, block_frequency_test, cusum_forward, cusum_reverse,
+    runs_frequency_precheck, runs_test, longest_run_test, dft_test,
+    approx_entropy_test, serial_test,
+]
+
+
+def battery_rows(bits):
+    report = run_battery(bits)
+    return report.input_length, report.results, report.parameters
+
+
+class TestInputDtype:
+    """A uint8 stream is used as is, any other input converted: the
+    results must not depend on which way a stream arrived."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_result_for_every_input_type(self, seed):
+        b = biased_bits(5003, 0.5 if seed else 0.48, seed)
+        inputs = [b.astype(bool), b.astype(np.int64), b.tolist(),
+                  b.reshape(1, -1)]
+        expected = battery_rows(b)
+        for bits in inputs:
+            assert battery_rows(bits) == expected
+        for test in SINGLE_TESTS:
+            ref = test(b)
+            for bits in inputs:
+                assert test(bits) == ref
+
+    @pytest.mark.parametrize("bad", [
+        np.array([0, 1, 2] * 2000, dtype=np.uint8),
+        np.array([0, 1, -1] * 2000, dtype=np.int64),
+    ], ids=["uint8_2", "int64_minus_1"])
+    @pytest.mark.parametrize("run", [run_battery, *SINGLE_TESTS])
+    def test_non_bit_values_rejected(self, bad, run):
+        with pytest.raises(ValueError, match="only bits 0/1"):
+            run(bad)
+
+    def test_uint8_stream_is_shared_and_left_unchanged(self):
+        b = random_bits(5000, 3)
+        assert np.shares_memory(_as_bits(b), b)
+        before = b.copy()
+        run_battery(b)
+        assert np.array_equal(b, before)
 
 
 class TestUniformitySmoke:
