@@ -170,18 +170,20 @@ class RssTrace:
 
     ``values[i-1]`` holds vehicle ``i``'s sequence: the measured leader-pair
     RSS for vehicles 1 and 2, the estimated leader-pair RSS for vehicles
-    3..N.  Invalid entries (failed estimates) are NaN with ``valid`` False.
+    3..N.  An invalid entry (a failed estimate) is NaN, in ``values`` and
+    ``eavesdropper`` alike; NaN marks nothing else.
     """
 
-    slots: int
     values: np.ndarray            # (n_vehicles, slots) float
-    valid: np.ndarray             # (n_vehicles, slots) bool
     eavesdropper: np.ndarray      # (slots,) float
-    eavesdropper_valid: np.ndarray  # (slots,) bool
 
     @property
     def n_vehicles(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def slots(self) -> int:
+        return self.values.shape[1]
 
 
 def receive_power(params: ChannelParams, distance_m, shadowing_db):
@@ -228,13 +230,12 @@ def _ar1(draws: np.ndarray, rho: float) -> np.ndarray:
 
 def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
     """Leader-pair RSS estimated from readings of the links to vehicles 1
-    and 2; returns (values, valid).
+    and 2.
 
     The follower inverts both readings to distances assuming zero realized
     shadowing (it cannot observe it), differences them, and maps the
     difference back to dB.  A non-positive implied distance difference,
-    or one that overflows a float, gives an invalid estimate: NaN, with
-    ``valid`` False.
+    or one that overflows a float, gives an invalid estimate: NaN.
     """
     # past about 3080 * path_loss_exponent dB a distance overflows to inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,7 +244,7 @@ def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
     safe = np.where(valid, diff, 1.0)
     est = (10.0 * params.path_loss_exponent * np.log10(safe)
            - params.channel_constant_db)
-    return np.where(valid, est, np.nan), valid
+    return np.where(valid, est, np.nan)
 
 
 def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
@@ -310,19 +311,16 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
         meas = (rng.standard_normal if noisy else np.zeros)((n_links + 1, slots))
         recip = params.reciprocity_sigma_db * rng.standard_normal(slots) if noisy else 0.0
         values = np.empty((n, slots))
-        valid = np.ones((n, slots), dtype=bool)
         values[0] = h12 + meas_sigma(dv) * meas[0]
         values[1] = h12 + meas_sigma(dv) * meas[1] + recip
-        values[2:], valid[2:] = _estimate_rows(
+        values[2:] = _estimate_rows(
             params, faded1 + s1[:, None] * meas[2::2],
             faded2 + s2[:, None] * meas[3::2])
 
         e_meas = (erng.standard_normal if a > 0 else np.zeros)((2, slots))
-        eaves, eaves_valid = _estimate_rows(
+        eaves = _estimate_rows(
             params, faded1e + meas_sigma(d1e) * e_meas[0],
             faded2e + meas_sigma(d2e) * e_meas[1])
-        for arr in (values, valid, eaves, eaves_valid):
-            arr.flags.writeable = False
-        traces.append(RssTrace(slots=slots, values=values, valid=valid,
-                               eavesdropper=eaves, eavesdropper_valid=eaves_valid))
+        values.flags.writeable = eaves.flags.writeable = False
+        traces.append(RssTrace(values=values, eavesdropper=eaves))
     return traces if noisy else traces * passes

@@ -41,9 +41,9 @@ from .keygen import KeygenConfig, SecretKey, bmmr, codeword_table, extract_key
 from .quantizer import (
     InfeasiblePartition,
     QuantizerConfig,
-    _retained_mask,
     optimize_intervals,
     quantize_trace,
+    retained_slots,
 )
 
 __all__ = [
@@ -211,7 +211,9 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
     Hop losses are retried by the hop sender up to the retransmission
     cap; an exhausted hop (or a lost tail ACK) times out at the leader,
     which starts the dissemination over with a fresh packet, itself
-    capped before :class:`DisseminationFailure`.
+    capped before :class:`DisseminationFailure`.  ``log.evcd_latency_ms``
+    adds a timeout per failed attempt and a slot per transmission, raised
+    or not.
 
     ``log.evcd_data_transmissions`` and the lost ``"data"`` events in
     ``log.events`` (the hop retransmissions) sum over every end-to-end
@@ -244,6 +246,7 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
     log.evcd_data_transmissions += sum(
         e.kind == "data" for e in log.events[first_event:])
     log.leader_retransmissions += attempt
+    log.evcd_latency_ms += (log.slots_used - first_slot) * config.slot_duration_ms
     if not delivered:
         raise DisseminationFailure(
             f"dissemination failed after {attempt + 1} end-to-end attempts")
@@ -257,7 +260,6 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
         h for h, v in enumerate(vehicles[1:], start=1)
         if not np.array_equal(recovered[v], command)
     ]
-    log.evcd_latency_ms += (log.slots_used - first_slot) * config.slot_duration_ms
     return log
 
 
@@ -290,13 +292,13 @@ class AgreementReport:
         return self.bmmr_per_vehicle[self.n_vehicles]
 
 
-def _masked_mean(values: np.ndarray, valid: np.ndarray):
-    """Mean of the valid entries over the first axis, and its validity: no
-    valid entry gives NaN, invalid."""
+def _nan_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over the first axis of the entries that are not NaN; NaN where
+    every entry is."""
+    valid = ~np.isnan(values)
     counts = valid.sum(axis=0)
     sums = np.where(valid, values, 0.0).sum(axis=0)
-    any_valid = counts > 0
-    return np.where(any_valid, sums / np.maximum(counts, 1), np.nan), any_valid
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
 def _averaged_trace(traces: list[RssTrace], floor: float) -> tuple[RssTrace, list[int]]:
@@ -304,19 +306,15 @@ def _averaged_trace(traces: list[RssTrace], floor: float) -> tuple[RssTrace, lis
     and the number of slots each pass retains at the decode floor.
 
     A slot stays valid for a vehicle when at least one iteration observed
-    it; validity flags are shareable (they carry no RSS values), so the
+    it; which slots failed is shareable (it carries no RSS values), so the
     averaging is synchronized across vehicles.
     """
-    values = np.stack([t.values for t in traces])
-    valid = np.stack([t.valid for t in traces])
-    retained = _retained_mask(values, valid, floor).sum(axis=-1).tolist()
+    retained = [len(retained_slots(t, floor)) for t in traces]
     if len(traces) == 1:
         return traces[0], retained
-    avg, avg_valid = _masked_mean(values, valid)
-    eavg, eavg_valid = _masked_mean(np.stack([t.eavesdropper for t in traces]),
-                                    np.stack([t.eavesdropper_valid for t in traces]))
-    return RssTrace(slots=traces[0].slots, values=avg, valid=avg_valid,
-                    eavesdropper=eavg, eavesdropper_valid=eavg_valid), retained
+    avg = _nan_mean(np.stack([t.values for t in traces]))
+    eavg = _nan_mean(np.stack([t.eavesdropper for t in traces]))
+    return RssTrace(values=avg, eavesdropper=eavg), retained
 
 
 def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,

@@ -243,19 +243,14 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     return iset, MismatchTable(per_interval=per_interval)
 
 
-def _retained_mask(values: np.ndarray, valid: np.ndarray, floor: float) -> np.ndarray:
-    """:func:`retained_slots` as a mask over the last axis; vehicles on the one before."""
-    vmin = np.where(valid, values, np.inf).min(axis=-2)
-    return valid.all(axis=-2) & (vmin >= floor)
-
-
 def retained_slots(trace: RssTrace, floor: float) -> np.ndarray:
-    """Slots valid at every vehicle and at/above the decode floor.
+    """Slots valid (not NaN) at every vehicle and at/above the decode floor.
 
     Dropped slot indices carry no RSS information, so sharing them across
     vehicles (and with the eavesdropper) is assumed safe.
     """
-    return np.flatnonzero(_retained_mask(trace.values, trace.valid, floor))
+    # NaN compares False, so one comparison drops both
+    return np.flatnonzero((trace.values >= floor).all(axis=0))
 
 
 def _chain_rows(n_vehicles: int) -> list[int]:

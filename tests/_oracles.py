@@ -315,6 +315,23 @@ def evcd_expected_attempts(p, cap):
     return sum(p ** k for k in range(cap + 1))
 
 
+def follower_rho(sigma, frac, j):
+    """Correlation of follower j's leader-pair estimate with the leader's
+    reading, to first order in the private shadowing.
+
+    Besides the mean and the common shadowing c, which pass through the
+    estimator unchanged, the leader reads p0 and the estimate
+    (j-1) p1 - (j-2) p2, with p0 the private shadowing of the lead link
+    and p1, p2 those of the follower's links to vehicles 1 and 2.  With
+    common variance vc = sigma^2 frac and private variance
+    vp = sigma^2 (1 - frac):
+    rho = vc / sqrt((vc + vp) (vc + vp ((j-1)^2 + (j-2)^2))).
+    """
+    vc = sigma * sigma * frac
+    vp = sigma * sigma * (1.0 - frac)
+    return vc / math.sqrt((vc + vp) * (vc + vp * ((j - 1) ** 2 + (j - 2) ** 2)))
+
+
 def sheppard_mismatch(rho):
     """Probability that two zero-mean jointly Gaussian readings with
     correlation ``rho`` fall on opposite sides of their medians:

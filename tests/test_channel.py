@@ -95,21 +95,18 @@ class TestEstimateLeaderRss:
         dv = 4.0
         h13 = rss_of_link(p, 3 * dv, 0.0)
         h23 = rss_of_link(p, 2 * dv, 0.0)
-        est, valid = _estimate_rows(p, h13, h23)
-        assert valid
+        est = _estimate_rows(p, h13, h23)
         assert est == pytest.approx(rss_of_link(p, dv, 0.0), rel=1e-9)
 
     def test_zero_difference_fails(self):
         p = params()
         h = rss_of_link(p, 5.0, 0.0)
-        est, valid = _estimate_rows(p, h, h)
-        assert not valid and np.isnan(est)
+        assert np.isnan(_estimate_rows(p, h, h))
 
     def test_negative_difference_fails(self):
         p = params()
-        est, valid = _estimate_rows(p, rss_of_link(p, 2.0, 0.0),
-                                    rss_of_link(p, 5.0, 0.0))
-        assert not valid and np.isnan(est)
+        assert np.isnan(_estimate_rows(p, rss_of_link(p, 2.0, 0.0),
+                                       rss_of_link(p, 5.0, 0.0)))
 
     def test_exactness_random_geometry(self):
         rng = np.random.default_rng(11)
@@ -117,9 +114,8 @@ class TestEstimateLeaderRss:
         for _ in range(50):
             d2 = float(rng.uniform(1.0, 40.0))
             d1 = d2 + float(rng.uniform(0.5, 30.0))
-            est, valid = _estimate_rows(p, rss_of_link(p, d1, 0.0),
-                                        rss_of_link(p, d2, 0.0))
-            assert valid
+            est = _estimate_rows(p, rss_of_link(p, d1, 0.0),
+                                 rss_of_link(p, d2, 0.0))
             assert est == pytest.approx(rss_of_link(p, d1 - d2, 0.0), rel=1e-9)
 
 
@@ -142,7 +138,7 @@ class TestEstimationErrorCurve:
         for dv in (2.0, 4.0, 6.0, 8.0):
             g = PlatoonGeometry(n_vehicles=3, pair_distance_m=dv)
             t = generate_trace(p, g, 10_000, 777)[0]
-            ok = t.valid[2]
+            ok = ~np.isnan(t.values[2])
             err = np.abs(t.values[2][ok] - t.values[0][ok])
             curve[dv] = float(err.mean())
         values = [curve[d] for d in sorted(curve)]
@@ -157,7 +153,7 @@ class TestGenerateTrace:
         p = params()
         g = PlatoonGeometry(n_vehicles=5, pair_distance_m=3.0)
         t = generate_trace(p, g, 30, 5)[0]
-        assert t.valid.all()
+        assert not np.isnan(t.values).any()
         for i in range(2, 6):
             np.testing.assert_allclose(t.values[i - 1], t.values[0],
                                        rtol=1e-9)
@@ -169,7 +165,6 @@ class TestGenerateTrace:
         a = generate_trace(p, g, 100, 123)[0]
         b = generate_trace(p, g, 100, 123)[0]
         np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.valid, b.valid)
         np.testing.assert_array_equal(a.eavesdropper, b.eavesdropper)
 
     def test_different_seed_differs(self):
@@ -199,7 +194,7 @@ class TestGenerateTrace:
         corrs = []
         for seed in range(10):
             t = generate_trace(p, g, 500, seed)[0]
-            ok = t.eavesdropper_valid
+            ok = ~np.isnan(t.eavesdropper)
             if ok.sum() < 50:
                 continue
             c = np.corrcoef(t.values[0][ok], t.eavesdropper[ok])[0, 1]
@@ -221,7 +216,7 @@ class TestGenerateTrace:
         with pytest.raises(ValueError):
             generate_trace(params(), PlatoonGeometry(3, 2.0), 0, 1)
 
-    FIELDS = ("values", "valid", "eavesdropper", "eavesdropper_valid")
+    FIELDS = ("values", "eavesdropper")
 
     def test_noiseless_passes_are_one_read_only_trace(self):
         p = ChannelParams(shadowing_sigma_db=3.0, shadowing_autocorr=0.5)
@@ -302,8 +297,9 @@ class TestVectorizedEstimators:
                                 pair_distance_m=float(rng.uniform(1.0, 20.0)),
                                 eavesdropper_position="P1" if n < 4 else "P2")
             t = generate_trace(p, g, slots, seed)[0]
-            ref = reference_trace(p, g, slots, seed)
-            got = (t.values, t.valid, t.eavesdropper, t.eavesdropper_valid)
-            for ours, theirs in zip(got, ref):
+            values, valid, eaves, eaves_valid = reference_trace(p, g, slots, seed)
+            for ours, theirs, ok in ((t.values, values, valid),
+                                     (t.eavesdropper, eaves, eaves_valid)):
                 assert ours.shape == theirs.shape
                 assert ours.tobytes() == theirs.tobytes()
+                np.testing.assert_array_equal(np.isnan(ours), ~ok)

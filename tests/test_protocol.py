@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from platoonkey.channel import ChannelParams, PlatoonGeometry
+from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace
 from platoonkey.keygen import KeygenConfig, SecretKey
 from platoonkey.protocol import (
     CycleAbort,
     CycleLog,
     DisseminationFailure,
     ProtocolConfig,
+    _averaged_trace,
     run_cska,
     run_cycle,
     run_evcd,
@@ -17,7 +18,7 @@ from platoonkey.protocol import (
 )
 from platoonkey.quantizer import QuantizerConfig, retained_slots
 
-from _oracles import evcd_expected_attempts, sheppard_mismatch
+from _oracles import evcd_expected_attempts, follower_rho, sheppard_mismatch
 
 QUIET = ChannelParams(shadowing_sigma_db=0.0, rss_decode_floor_db=-40.0)
 GEOM4 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0)
@@ -25,6 +26,13 @@ GEOM4 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0)
 
 def make_keys(n, bits="1011010011"):
     return {i: SecretKey.from01(bits) for i in range(1, n + 1)}
+
+
+def within_5se(rates, expected):
+    """True when the mean of ``rates`` is within 5 standard errors of
+    ``expected``."""
+    se = rates.std(ddof=1) / np.sqrt(len(rates))
+    return abs(rates.mean() - expected) <= 5 * se
 
 
 def evcd_attempts(events, cap):
@@ -228,6 +236,25 @@ class TestRunEvcd:
             assert log.slots_used == len(log.events)
         assert restarted
 
+    def test_latency_is_timeouts_plus_slots(self):
+        # one timeout per failed end-to-end attempt and one slot per
+        # transmission, whether the command got through or not
+        cfg = ProtocolConfig(data_loss_prob=0.5, retransmission_cap=1,
+                             dissemination_timeout_ms=100.0, slot_duration_ms=2.0)
+        outcomes = set()
+        for seed in range(40):
+            log = CycleLog()
+            try:
+                run_evcd(cfg, make_keys(4), np.zeros(16, dtype=np.uint8), seed, log)
+            except DisseminationFailure:
+                outcomes.add("failed")
+                timeouts = log.leader_retransmissions + 1
+            else:
+                outcomes.add("delivered")
+                timeouts = log.leader_retransmissions
+            assert log.evcd_latency_ms == timeouts * 100.0 + log.slots_used * 2.0
+        assert outcomes == {"delivered", "failed"}
+
     def test_unequal_key_lengths_rejected(self):
         keys = make_keys(3)
         keys[2] = SecretKey.from01("101")
@@ -307,9 +334,24 @@ class TestRunCycle:
                       QuantizerConfig(2), KeygenConfig(), 2000, seed
                       ).bmmr_per_vehicle[2]
             for seed in range(100, 200)])
-        se = rates.std(ddof=1) / np.sqrt(len(rates))
-        expected = sheppard_mismatch(3.0 / np.sqrt(9.0 + 1.0 / z))
-        assert abs(rates.mean() - expected) <= 5 * se
+        assert within_5se(rates, sheppard_mismatch(3.0 / np.sqrt(9.0 + 1.0 / z)))
+
+    @pytest.mark.parametrize("frac", [0.999, 0.99, 0.0])
+    def test_follower_bmmr_matches_closed_form(self, frac):
+        # L = 2 at N = 6: follower j's estimate correlates with the
+        # leader's reading at follower_rho, so they disagree with
+        # Sheppard's probability, which grows with j.  Without common
+        # shadowing a follower shares nothing with the leader, and the
+        # eavesdropper never does: both disagree half the time.  The band
+        # is 5 standard errors of the mean over 60 seeds.
+        p = ChannelParams(shadowing_sigma_db=3.0, shadowing_common_fraction=frac)
+        geom = PlatoonGeometry(n_vehicles=6, pair_distance_m=2.0)
+        reps = [run_cycle(p, geom, ProtocolConfig(), QuantizerConfig(2),
+                          KeygenConfig(), 2000, seed) for seed in range(60)]
+        for j in range(3, 7):
+            rates = np.array([r.bmmr_per_vehicle[j] for r in reps])
+            assert within_5se(rates, sheppard_mismatch(follower_rho(3.0, frac, j)))
+        assert within_5se(np.array([r.eavesdropper_bmmr for r in reps]), 0.5)
 
     def test_latency_accounting(self):
         cfg = ProtocolConfig(z_iterations=4, slot_duration_ms=2.0)
@@ -318,3 +360,31 @@ class TestRunCycle:
         assert rep.log.cska_latency_ms == 4 * 4 * 2.0
         # lossless EVCD: three hops and the tail ACK, one slot each
         assert rep.log.evcd_latency_ms == 4 * 2.0
+
+
+class TestAveragedTrace:
+    def test_mean_over_the_passes_that_observed_a_slot(self):
+        # three passes, vehicles 1..3, four slots; vehicle 3's estimate and
+        # the eavesdropper's fail (NaN) in some passes
+        nan = np.nan
+        lead = np.array([[1.0, 2.0, 3.0, 4.0], [3.0, 4.0, 5.0, 6.0],
+                         [5.0, 6.0, 7.0, 8.0]])
+        v3 = np.array([[nan, 2.0, nan, -1.0], [nan, nan, 5.0, 6.0],
+                       [nan, 8.0, nan, 6.0]])
+        eaves = np.array([[nan, 1.0, nan, nan], [nan, 3.0, 2.0, nan],
+                          [nan, nan, 4.0, nan]])
+        traces = [RssTrace(values=np.vstack([lead[z], lead[z], v3[z]]),
+                           eavesdropper=eaves[z]) for z in range(3)]
+        avg, retained = _averaged_trace(traces, floor=0.0)
+        np.testing.assert_array_equal(avg.values, [
+            [3.0, 4.0, 5.0, 6.0], [3.0, 4.0, 5.0, 6.0],
+            [nan, (2.0 + 8.0) / 2, 5.0, (-1.0 + 6.0 + 6.0) / 3]])
+        np.testing.assert_array_equal(avg.eavesdropper, [nan, 2.0, 3.0, nan])
+        # a slot is NaN only where every pass is
+        np.testing.assert_array_equal(np.isnan(avg.values[2]), np.isnan(v3).all(axis=0))
+        np.testing.assert_array_equal(np.isnan(avg.eavesdropper),
+                                      np.isnan(eaves).all(axis=0))
+        # each pass keeps only its own slots valid everywhere and at or
+        # above the floor; the average keeps every slot some pass observed
+        assert retained == [1, 2, 2]
+        assert retained_slots(avg, 0.0).tolist() == [1, 2, 3]

@@ -202,9 +202,11 @@ class TestOptimizeIntervals:
         qt = quantize_trace(t, iset)
         dropped = set(range(t.slots)) - set(qt.slot_indices.tolist())
         for s in dropped:
-            below = (t.values[:, s] < p.rss_decode_floor_db) & t.valid[:, s]
-            assert (~t.valid[:, s]).any() or below.any() or \
-                (t.values[:, s] >= iset.boundaries[-1]).any()
+            column = t.values[:, s]
+            assert np.isnan(column).any() or \
+                (column < p.rss_decode_floor_db).any() or \
+                (column >= iset.boundaries[-1]).any()
+        assert not np.isnan(t.values[:, qt.slot_indices]).any()
         assert qt.bins.shape == (4, len(qt.slot_indices))
         assert qt.bins.min() >= 1 and qt.bins.max() <= 2
 
