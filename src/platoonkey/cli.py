@@ -190,13 +190,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "nist":
-            return _cmd_nist(args)
-        return _cmd_plot(args)
+        return {"run": _cmd_run, "sweep": _cmd_sweep, "nist": _cmd_nist,
+                "plot": _cmd_plot}[args.command](args)
     except ParseError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -18,7 +18,9 @@ average of each vehicle's own RSS sequences across iterations: the
 passes share one shadowing realization (they fall within the channel
 coherence time), so averaging needs no exchange of key material and
 shrinks the estimation noise relative to the shared randomness, and
-more iterations give better agreement.
+more iterations give better agreement.  Noiseless passes are one shared
+trace, masked once; the average still sums a stacked copy of every pass,
+because numpy's order over that axis sets the mean's last bits.
 
 Event timing is slotted: every transmission occupies one slot, and
 modeled latency is reported separately from wall-clock compute time.
@@ -292,12 +294,22 @@ class AgreementReport:
         return self.bmmr_per_vehicle[self.n_vehicles]
 
 
-def _nan_mean(values: np.ndarray) -> np.ndarray:
-    """Mean over the first axis of the entries that are not NaN; NaN where
-    every entry is."""
-    valid = ~np.isnan(values)
-    counts = valid.sum(axis=0)
-    sums = np.where(valid, values, 0.0).sum(axis=0)
+def _once_each(fn, items: list) -> list:
+    """``[fn(x) for x in items]``, calling ``fn`` once per distinct object."""
+    distinct = {id(x): x for x in items}
+    done = {k: fn(x) for k, x in distinct.items()}
+    return [done[id(x)] for x in items]
+
+
+def _nan_mean(passes: list[np.ndarray]) -> np.ndarray:
+    """Mean over the passes of the entries that are not NaN; NaN where
+    every pass's entry is."""
+    def mask(a):
+        valid = ~np.isnan(a)
+        return valid, np.where(valid, a, 0.0)
+    valid, zeroed = zip(*_once_each(mask, passes))
+    counts = np.stack(valid).sum(axis=0)
+    sums = np.stack(zeroed).sum(axis=0)
     return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
@@ -307,13 +319,17 @@ def _averaged_trace(traces: list[RssTrace], floor: float) -> tuple[RssTrace, lis
 
     A slot stays valid for a vehicle when at least one iteration observed
     it; which slots failed is shareable (it carries no RSS values), so the
-    averaging is synchronized across vehicles.
+    averaging is synchronized across vehicles.  Noiseless passes are one
+    shared trace, so each distinct pass is masked and counted once.  The
+    sum still runs over a stacked (Z, ...) copy: numpy adds a (Z, 1) stack
+    pairwise rather than in order, so a running ``+=`` over the passes
+    would change the mean's last bits, and with them keys.
     """
-    retained = [len(retained_slots(t, floor)) for t in traces]
+    retained = _once_each(lambda t: len(retained_slots(t, floor)), traces)
     if len(traces) == 1:
         return traces[0], retained
-    avg = _nan_mean(np.stack([t.values for t in traces]))
-    eavg = _nan_mean(np.stack([t.eavesdropper for t in traces]))
+    avg = _nan_mean([t.values for t in traces])
+    eavg = _nan_mean([t.eavesdropper for t in traces])
     return RssTrace(values=avg, eavesdropper=eavg), retained
 
 

@@ -184,9 +184,13 @@ def _parse_sweep_values(axis: str, text: str) -> tuple:
             if tag not in EAVESDROPPER_POSITIONS or not dist:
                 raise ValueError(f"expected TAG:distance, got {t!r}")
             vals.append((tag, _parse_float(dist)))
-        return tuple(vals)
-    cast = _axis_cast(axis)
-    return tuple(cast(t) for t in tokens)
+    else:
+        vals = [_axis_cast(axis)(t) for t in tokens]
+    # a repeated value would run the same point twice
+    for i, v in enumerate(vals):
+        if v in vals[:i]:
+            raise ValueError(f"sweep value {tokens[i]} repeats {tokens[vals.index(v)]}")
+    return tuple(vals)
 
 
 # declared type -> value parser; sweep values ('tuple') stay text until

@@ -81,10 +81,7 @@ def _run_unit(args) -> dict:
         rep = run_cycle(point.channel, point.geometry, point.protocol,
                         point.quantizer, point.keygen, point.slots, ss)
     except CYCLE_FAILURES as exc:
-        row.update({k: float("nan") for k in
-                    ("bmmr_mean", "bmmr_v2", "bmmr_tail", "eavesdropper_bmmr",
-                     "key_bits", "cska_latency_ms", "evcd_latency_ms",
-                     "beacon_transmissions", "retransmissions", "overhead_bits")})
+        row.update({c: float("nan") for c in RUN_COLUMNS if c not in row})
         row.update(success=0, failure=1, error=type(exc).__name__,
                    key01="", compute_s=time.perf_counter() - t0)
         return row
@@ -113,20 +110,6 @@ class SweepReport:
     """One row per executed cycle, in (point, seed, replication) order."""
 
     rows: list[dict]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if np.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
-
-
-def _provenance_lines(scenario: Scenario) -> list[str]:
-    lines = ["# resolved scenario:"]
-    lines += [f"# {line}" for line in serialize_scenario(scenario).strip().splitlines()]
-    return lines
 
 
 def _write_csv(path: Path, provenance: list[str], header, rows) -> None:
@@ -165,10 +148,11 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
     for r in rows:
         point_rows[r["point"]].append(r)
 
-    provenance = _provenance_lines(scenario)
+    provenance = ["# resolved scenario:"] + [
+        f"# {line}" for line in serialize_scenario(scenario).strip().splitlines()]
 
     _write_csv(out / "runs.csv", provenance, RUN_COLUMNS,
-               [[_fmt(r[c]) for c in RUN_COLUMNS] for r in rows])
+               [[str(r[c]) for c in RUN_COLUMNS] for r in rows])
 
     summary_rows = []
     for pi, prows in enumerate(point_rows):
@@ -185,7 +169,7 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
             else:
                 mean, std = float("nan"), float("nan")
             summary_rows.append([str(pi), scenario.sweep_axis, axis_value,
-                                 metric, _fmt(mean), _fmt(std), str(len(vals))])
+                                 metric, str(mean), str(std), str(len(vals))])
     _write_csv(out / "summary.csv", provenance,
                ("point", "axis", "axis_value", "metric", "mean", "stddev", "n"),
                summary_rows)

@@ -3,9 +3,11 @@
 Everything here is deliberately straight-line: nested loops, itertools
 enumeration, and high-precision special functions via mpmath.  None of
 it shares code paths with the package.  ``reference_trace`` is a frozen
-copy of the per-vehicle trace generator, and ``reference_longest_run_test``
+copy of the per-vehicle trace generator, ``reference_longest_run_test``
 one of the per-block longest-run loop (with scipy's ``gammaincc``, so the
-p-values compare exactly), kept to pin the vectorized code bit for bit.
+p-values compare exactly), and ``stacked_nan_mean`` one of the Z-pass
+average over a stacked copy of every pass, kept to pin the vectorized
+code bit for bit.
 """
 
 from __future__ import annotations
@@ -170,6 +172,16 @@ def reference_trace(params, geometry, slots, seed):
     h2e = link(d2e, e_common + e_private[1]) + noise_sigma(d2e) * e_meas[1]
     eaves, eaves_valid = estimate(h1e, h2e)
     return values, valid, eaves, eaves_valid
+
+
+def stacked_nan_mean(values):
+    """NaN-skipping mean over the first axis of a stacked (Z, ...) array;
+    NaN where every entry is.  Each reference to a shared pass is its own
+    row, and numpy's sum over that axis sets the bits."""
+    valid = ~np.isnan(values)
+    counts = valid.sum(axis=0)
+    sums = np.where(valid, values, 0.0).sum(axis=0)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
 def gray_list(q):

@@ -1,5 +1,5 @@
-"""Leader keys pinned by digest at the two benchmark cycle shapes, and on
-two noisy channels.
+"""Leader keys pinned by digest at the two benchmark cycle shapes, on two
+noisy channels, and at the larger shape with noisy (distinct) passes.
 
 A declared model change updates these digests and says so in CHANGES.md;
 any other change that moves them altered the keys by accident.
@@ -67,15 +67,35 @@ NOISY_PINNED = {
 }
 
 
-@pytest.mark.parametrize("noise", sorted(NOISY_PINNED))
-def test_noisy_leader_key_digests(noise):
+def _noisy_pins(params, n, slots, z, L):
     pins = []
     for seed in range(4):
-        rep = run_cycle(ChannelParams(**dict(noise)),
-                        PlatoonGeometry(n_vehicles=6, pair_distance_m=2.0),
-                        ProtocolConfig(z_iterations=3),
-                        QuantizerConfig(n_intervals=4, grid_size=64),
-                        KeygenConfig(), 200, seed)
+        rep = run_cycle(params, PlatoonGeometry(n_vehicles=n, pair_distance_m=2.0),
+                        ProtocolConfig(z_iterations=z),
+                        QuantizerConfig(n_intervals=L, grid_size=64),
+                        KeygenConfig(), slots, seed)
         pins.append((hashlib.sha256(rep.leader_key.to01().encode()).hexdigest(),
                      round(rep.bmmr_per_vehicle[2] * rep.agreed_key_bits)))
-    assert tuple(pins) == NOISY_PINNED[noise]
+    return tuple(pins)
+
+
+@pytest.mark.parametrize("noise", sorted(NOISY_PINNED))
+def test_noisy_leader_key_digests(noise):
+    assert _noisy_pins(ChannelParams(**dict(noise)), 6, 200, 3, 4) == NOISY_PINNED[noise]
+
+
+# (sha256 of the leader key's to01(), bits in which vehicle 2's key
+# differs from it) per seed 0..3 at the cycle_large shape (N=10, T=1000,
+# Z=10, L=8) with measurement noise: the Z passes are distinct arrays,
+# so the averaged trace sums ten different values per slot
+NOISY_Z10_PINNED = (
+    ("7b918866f96aed21b3c7964c76fabd32e59bcab461e5f6f50e4e1db602d645a6", 1),
+    ("339ed53562d3730486608540bcfe079332e77c4eb172cb048c57d619fc8d181f", 2),
+    ("4c81d32c141551e1f5216950ffa1bb8163b7c75080587413d26d637a1176f9b9", 1),
+    ("ba8b941dce0e78ed2c3b6aa44a072215421cbb8be549861a8ac79fe493846722", 4),
+)
+
+
+def test_noisy_z10_leader_key_digests():
+    params = ChannelParams(measurement_noise_db=0.05)
+    assert _noisy_pins(params, 10, 1000, 10, 8) == NOISY_Z10_PINNED

@@ -18,7 +18,12 @@ from platoonkey.protocol import (
 )
 from platoonkey.quantizer import QuantizerConfig, retained_slots
 
-from _oracles import evcd_expected_attempts, follower_rho, sheppard_mismatch
+from _oracles import (
+    evcd_expected_attempts,
+    follower_rho,
+    sheppard_mismatch,
+    stacked_nan_mean,
+)
 
 QUIET = ChannelParams(shadowing_sigma_db=0.0, rss_decode_floor_db=-40.0)
 GEOM4 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0)
@@ -388,3 +393,32 @@ class TestAveragedTrace:
         # above the floor; the average keeps every slot some pass observed
         assert retained == [1, 2, 2]
         assert retained_slots(avg, 0.0).tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("slots", [1, 2, 8, 1000])
+    @pytest.mark.parametrize("z", [1, 2, 3, 9, 10, 12])
+    def test_bytes_equal_the_stacked_mean(self, z, slots, shared):
+        # a noiseless cycle repeats one trace object Z times, a noisy one
+        # holds Z distinct passes; numpy sums a stacked (Z, 1) array
+        # pairwise from nine passes on, so at one slot a running sum over
+        # the passes would differ in the last bits
+        rng = np.random.default_rng([z, slots, shared])
+        n, floor = 4, -75.0
+
+        def nan_pass(always_nan):
+            values = rng.normal(-70.0, 8.0, (n + 1, slots))
+            values[(rng.random(values.shape) < 0.2) | always_nan] = np.nan
+            return RssTrace(values=values[:n], eavesdropper=values[n])
+
+        for _ in range(20):
+            # some slots fail in every pass
+            always_nan = rng.random((n + 1, slots)) < 0.1
+            traces = ([nan_pass(always_nan)] * z if shared
+                      else [nan_pass(always_nan) for _ in range(z)])
+            avg, retained = _averaged_trace(traces, floor)
+            want = stacked_nan_mean(np.stack([t.values for t in traces]))
+            ewant = stacked_nan_mean(np.stack([t.eavesdropper for t in traces]))
+            assert avg.values.tobytes() == want.tobytes()
+            assert avg.eavesdropper.tobytes() == ewant.tobytes()
+            assert retained == [int((t.values >= floor).all(axis=0).sum())
+                                for t in traces]

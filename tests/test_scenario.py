@@ -134,13 +134,15 @@ def scenarios(draw):
     if axis == "none":
         values = ()
     elif axis == "pair_distance":
-        values = draw(st.lists(st.floats(**finite), min_size=1, max_size=5))
+        values = draw(st.lists(st.floats(**finite), min_size=1, max_size=5,
+                               unique=True))
     elif axis == "eavesdropper":
         values = draw(st.lists(st.tuples(st.sampled_from(EAVESDROPPER_POSITIONS),
                                          st.floats(**finite)),
-                               min_size=1, max_size=5))
+                               min_size=1, max_size=5, unique=True))
     else:
-        values = draw(st.lists(st.integers(-5, 10**6), min_size=1, max_size=5))
+        values = draw(st.lists(st.integers(-5, 10**6), min_size=1, max_size=5,
+                               unique=True))
     return Scenario(
         channel=channel, geometry=geometry, protocol=protocol,
         quantizer=quantizer, keygen=keygen,
@@ -222,6 +224,17 @@ SWEEP_AXES_MESSAGE = (
      "sweep_values", "codeword_bits 1 too small for 4 intervals"),
     ("sweep_axis = z_iterations\nsweep_values = 0", 2, "sweep_values",
      "z_iterations must be >= 1"),
+    # a repeated sweep value would run the same point twice
+    ("sweep_axis = z_iterations\nsweep_values = 2,2", 2, "sweep_values",
+     "sweep value 2 repeats 2"),
+    ("sweep_axis = n_vehicles\nsweep_values = 4,5,04", 2, "sweep_values",
+     "sweep value 04 repeats 4"),
+    ("sweep_axis = pair_distance\nsweep_values = 2, 3, 2.0", 2, "sweep_values",
+     "sweep value 2.0 repeats 2"),
+    ("sweep_values = 1e0,1\nsweep_axis = pair_distance", 1, "sweep_values",
+     "sweep value 1 repeats 1e0"),
+    ("sweep_axis = eavesdropper\nsweep_values = P1:3,P3:3,P1:3.0", 2,
+     "sweep_values", "sweep value P1:3.0 repeats P1:3"),
     ("seeds = -2..0", 1, "seeds", "seeds must be non-negative, got -2"),
     ("slots = 5\nseeds = 3,-1", 2, "seeds", "seeds must be non-negative, got -1"),
     ("seeds = 0..2,1", 1, "seeds", "seed 1 is listed more than once"),
