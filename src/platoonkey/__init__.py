@@ -16,7 +16,6 @@ from .channel import (
     RssTrace,
     distance_from_rss,
     generate_trace,
-    receive_power,
     rss_of_link,
 )
 from .keygen import (

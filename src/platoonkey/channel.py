@@ -1,9 +1,10 @@
 """Inter-vehicle RSS generation under log-distance path loss and shadowing.
 
 All RSS arithmetic is in dB.  The RSS of a link is the path attenuation
-``H = P_tx - P_rx``; linear-domain conversion happens only inside the
-leader-pair estimator, which inverts measured attenuations to distances,
-differences them, and maps the difference back to dB.
+``H = P_tx - P_rx``, in which the transmit power cancels (:func:`rss_of_link`).
+Linear-domain conversion happens only inside the leader-pair estimator,
+which inverts measured attenuations to distances, differences them, and
+maps the difference back to dB.
 
 Randomness model of :func:`generate_trace`, per slot:
 
@@ -44,7 +45,6 @@ __all__ = [
     "RssTrace",
     "distance_from_rss",
     "generate_trace",
-    "receive_power",
     "rss_of_link",
 ]
 
@@ -55,12 +55,13 @@ EAVESDROPPER_POSITIONS = ("P1", "P2", "P3")
 class ChannelParams:
     """Radio propagation constants.
 
+    A link's RSS is its attenuation ``P_tx - P_rx``, in which the beacon
+    transmit power cancels, so the transmit power is not a parameter.
+
     Parameters
     ----------
-    tx_power_dbm:
-        Beacon transmit power (dBm).
     channel_constant_db:
-        Fixed channel constant added to the receive power (dB).
+        Channel constant added to the receive power, so subtracted from the RSS (dB).
     path_loss_exponent:
         Path-loss exponent, > 0.
     shadowing_sigma_db:
@@ -84,7 +85,6 @@ class ChannelParams:
         ``measurement_noise_db * 10**(H / 20)``.
     """
 
-    tx_power_dbm: float = 0.0
     channel_constant_db: float = 3.0
     path_loss_exponent: float = 2.0
     shadowing_sigma_db: float = 3.0
@@ -110,6 +110,8 @@ class ChannelParams:
 
     def mean_attenuation_db(self, distance_m: float) -> float:
         """Deterministic part of the link RSS at the given distance."""
+        # the noise scale keeps libm's log10: numpy's differs from it in the
+        # last bit on some inputs, so rss_of_link here would move noisy keys
         return (10.0 * self.path_loss_exponent * math.log10(distance_m)
                 - self.channel_constant_db)
 
@@ -186,22 +188,13 @@ class RssTrace:
         return self.values.shape[1]
 
 
-def receive_power(params: ChannelParams, distance_m, shadowing_db):
-    """Receive power (dBm) at the given distance and realized shadowing.
-
-    ``P_rx = P_tx + constant - 10 * eta * log10(d) + shadowing``.
-    """
+def rss_of_link(params: ChannelParams, distance_m, shadowing_db):
+    """Link RSS in dB, ``10 * eta * log10(d) - constant - shadowing``."""
     d = np.asarray(distance_m, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance_m must be > 0")
-    return (params.tx_power_dbm + params.channel_constant_db
-            - 10.0 * params.path_loss_exponent * np.log10(d)
-            + np.asarray(shadowing_db, dtype=float))
-
-
-def rss_of_link(params: ChannelParams, distance_m, shadowing_db):
-    """Link RSS in dB: transmit power minus receive power."""
-    return params.tx_power_dbm - receive_power(params, distance_m, shadowing_db)
+    return (10.0 * params.path_loss_exponent * np.log10(d)
+            - params.channel_constant_db - np.asarray(shadowing_db, dtype=float))
 
 
 def distance_from_rss(params: ChannelParams, rss_db, shadowing_db):
@@ -241,9 +234,7 @@ def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         diff = distance_from_rss(params, h1, 0.0) - distance_from_rss(params, h2, 0.0)
     valid = np.isfinite(diff) & (diff > 0)
-    safe = np.where(valid, diff, 1.0)
-    est = (10.0 * params.path_loss_exponent * np.log10(safe)
-           - params.channel_constant_db)
+    est = rss_of_link(params, np.where(valid, diff, 1.0), 0.0)
     return np.where(valid, est, np.nan)
 
 
@@ -270,57 +261,45 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     erng = np.random.default_rng(eaves_ss)
 
     n = geometry.n_vehicles
-    dv = geometry.pair_distance_m
     sigma = params.shadowing_sigma_db
     sig_c = sigma * math.sqrt(params.shadowing_common_fraction)
     sig_p = sigma * math.sqrt(1.0 - params.shadowing_common_fraction)
     rho = params.shadowing_autocorr
     a = params.measurement_noise_db
 
-    def meas_sigma(distance: float) -> float:
-        return a * 10.0 ** (params.mean_attenuation_db(distance) / 20.0)
+    def fade(stream, dist):
+        """Faded RSS and noise scale of links sharing one common shadowing."""
+        common = sig_c * _ar1(stream.standard_normal(slots), rho)
+        private = sig_p * _ar1(stream.standard_normal((len(dist), slots)), rho)
+        scale = [a * 10.0 ** (params.mean_attenuation_db(d) / 20.0) for d in dist]
+        return rss_of_link(params, dist[:, None], common + private), np.array(scale)[:, None]
 
-    # Shadowing of the platoon links in fixed draw order: (1,2), then
-    # (1,j), (2,j) for j=3..N.  Estimators j = 3..N are rows: links (1,j)
-    # and (2,j) alternate in the draw order, so their shadowing and noise
-    # rows are the odd/even slices (the noise rows of v1 and v2 come first).
-    n_links = 1 + 2 * (n - 2)
-    common = sig_c * _ar1(rng.standard_normal(slots), rho)
-    private = sig_p * _ar1(rng.standard_normal((n_links, slots)), rho)
-    followers = range(3, n + 1)
-    d1 = np.array([geometry.link_distance(1, j) for j in followers])
-    d2 = np.array([geometry.link_distance(2, j) for j in followers])
-    s1 = np.array([meas_sigma(d) for d in d1])
-    s2 = np.array([meas_sigma(d) for d in d2])
-    h12 = rss_of_link(params, dv, common + private[0])
-    faded1 = rss_of_link(params, d1[:, None], common + private[1::2])
-    faded2 = rss_of_link(params, d2[:, None], common + private[2::2])
-
+    # The platoon's links in shadowing draw order: (1,2), then (1,j) and
+    # (2,j) for each follower j.  Reading r is of link max(r - 1, 0):
+    # vehicles 1 and 2 both read (1,2), and follower j's readings of (1,j)
+    # and (2,j) are the even and odd rows from row 2 on.
+    links = [(1, 2)] + [(i, j) for j in range(3, n + 1) for i in (1, 2)]
+    faded, sig = fade(rng, np.array([geometry.link_distance(i, j) for i, j in links]))
+    read = np.maximum(np.arange(len(links) + 1) - 1, 0)
+    faded, sig = faded[read], sig[read]
     # Eavesdropper: same propagation constants, disjoint RNG stream and
     # fully independent shadowing (common component included).
-    d1e, d2e = geometry.eavesdropper_link_distances()
-    e_common = sig_c * _ar1(erng.standard_normal(slots), rho)
-    e_private = sig_p * _ar1(erng.standard_normal((2, slots)), rho)
-    faded1e = rss_of_link(params, d1e, e_common + e_private[0])
-    faded2e = rss_of_link(params, d2e, e_common + e_private[1])
+    e_faded, e_sig = fade(erng, np.array(geometry.eavesdropper_link_distances()))
 
     # meas is drawn while recip is on, to keep recip's place in the stream
     noisy = a > 0 or params.reciprocity_sigma_db > 0
     traces = []
     for _ in range(passes if noisy else 1):
-        meas = (rng.standard_normal if noisy else np.zeros)((n_links + 1, slots))
+        meas = (rng.standard_normal if noisy else np.zeros)(faded.shape)
         recip = params.reciprocity_sigma_db * rng.standard_normal(slots) if noisy else 0.0
+        readings = faded + sig * meas
         values = np.empty((n, slots))
-        values[0] = h12 + meas_sigma(dv) * meas[0]
-        values[1] = h12 + meas_sigma(dv) * meas[1] + recip
-        values[2:] = _estimate_rows(
-            params, faded1 + s1[:, None] * meas[2::2],
-            faded2 + s2[:, None] * meas[3::2])
+        values[:2] = readings[:2]
+        values[1] += recip
+        values[2:] = _estimate_rows(params, readings[2::2], readings[3::2])
 
-        e_meas = (erng.standard_normal if a > 0 else np.zeros)((2, slots))
-        eaves = _estimate_rows(
-            params, faded1e + meas_sigma(d1e) * e_meas[0],
-            faded2e + meas_sigma(d2e) * e_meas[1])
+        e_meas = (erng.standard_normal if a > 0 else np.zeros)(e_faded.shape)
+        eaves = _estimate_rows(params, *(e_faded + e_sig * e_meas))
         values.flags.writeable = eaves.flags.writeable = False
         traces.append(RssTrace(values=values, eavesdropper=eaves))
     return traces if noisy else traces * passes

@@ -125,7 +125,6 @@ class CycleLog:
     evcd_latency_ms: float = 0.0
     evcd_data_transmissions: int = 0
     leader_retransmissions: int = 0
-    slots_used: int = 0
     decode_failure_hops: list[int] = field(default_factory=list)
     recovered_commands: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -139,10 +138,9 @@ def _send(log: CycleLog, rng: np.random.Generator, loss_prob: float,
     and is logged as a :class:`TransmissionEvent`; True once delivered.
     """
     for _ in range(retries + 1):
-        log.slots_used += 1
         lost = rng.random() < loss_prob
         log.events.append(TransmissionEvent(
-            log.slots_used, stage, sender, receiver, kind,
+            len(log.events) + 1, stage, sender, receiver, kind,
             "lost" if lost else "delivered"))
         if not lost:
             return True
@@ -182,7 +180,7 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
     log.beacon_transmissions = len(log.events)
     log.retransmissions = sum(e.outcome == "lost" for e in log.events)
     log.overhead_bits = log.beacon_transmissions * config.beacon_bits
-    log.cska_latency_ms = log.slots_used * config.slot_duration_ms
+    log.cska_latency_ms = len(log.events) * config.slot_duration_ms
     return traces, log
 
 
@@ -235,7 +233,7 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
 
     loss, cap = config.data_loss_prob, config.retransmission_cap
     hops = list(zip(vehicles, vehicles[1:]))
-    first_event, first_slot = len(log.events), log.slots_used
+    first_event = len(log.events)
     for attempt in range(cap + 1):
         # every hop, then the one-bit ACK from the tail toward the leader
         delivered = (
@@ -248,7 +246,7 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
     log.evcd_data_transmissions += sum(
         e.kind == "data" for e in log.events[first_event:])
     log.leader_retransmissions += attempt
-    log.evcd_latency_ms += (log.slots_used - first_slot) * config.slot_duration_ms
+    log.evcd_latency_ms += (len(log.events) - first_event) * config.slot_duration_ms
     if not delivered:
         raise DisseminationFailure(
             f"dissemination failed after {attempt + 1} end-to-end attempts")

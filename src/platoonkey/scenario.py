@@ -57,6 +57,27 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
+def _check_seeds(seeds) -> None:
+    """Documents' and Scenarios' seed rule: some seeds, none negative or repeated."""
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    ordered = sorted(seeds)
+    if ordered[0] < 0:
+        raise ValueError(f"seeds must be non-negative, got {ordered[0]}")
+    # a repeated seed would plant its cycle's key twice in the corpus
+    repeats = [a for a, b in zip(ordered, ordered[1:]) if a == b]
+    if repeats:
+        raise ValueError(f"seed {repeats[0]} is listed more than once")
+
+
+def _check_distinct(values, labels) -> None:
+    """Documents' and Scenarios' sweep rule: no value repeats an earlier one
+    (it would run the same point twice); ``labels[i]`` names ``values[i]``."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"sweep value {labels[i]} repeats {labels[values.index(v)]}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Fully resolved experiment description."""
@@ -79,8 +100,8 @@ class Scenario:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
         if self.sweep_axis != "none" and not self.sweep_values:
             raise ValueError("sweep_values required when sweep_axis is set")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
+        _check_distinct(self.sweep_values, self.sweep_values)
+        _check_seeds(self.seeds)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         q = self.keygen.codeword_bits
@@ -163,15 +184,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
             out.extend(range(a, b + 1))
         else:
             out.append(int(token))
-    if not out:
-        raise ValueError("at least one seed is required")
-    ordered = sorted(out)
-    if ordered[0] < 0:
-        raise ValueError(f"seeds must be non-negative, got {ordered[0]}")
-    # a repeated seed would plant its cycle's key twice in the corpus
-    repeats = [a for a, b in zip(ordered, ordered[1:]) if a == b]
-    if repeats:
-        raise ValueError(f"seed {repeats[0]} is listed more than once")
+    _check_seeds(out)
     return tuple(out)
 
 
@@ -186,10 +199,7 @@ def _parse_sweep_values(axis: str, text: str) -> tuple:
             vals.append((tag, _parse_float(dist)))
     else:
         vals = [_axis_cast(axis)(t) for t in tokens]
-    # a repeated value would run the same point twice
-    for i, v in enumerate(vals):
-        if v in vals[:i]:
-            raise ValueError(f"sweep value {tokens[i]} repeats {tokens[vals.index(v)]}")
+    _check_distinct(vals, tokens)
     return tuple(vals)
 
 

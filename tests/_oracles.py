@@ -113,8 +113,7 @@ def reference_trace(params, geometry, slots, seed):
     platoon_ss, eaves_ss = ss.spawn(2)
     rng = np.random.default_rng(platoon_ss)
     erng = np.random.default_rng(eaves_ss)
-    eta, const, tx = (params.path_loss_exponent, params.channel_constant_db,
-                      params.tx_power_dbm)
+    eta, const = params.path_loss_exponent, params.channel_constant_db
     frac, rho = params.shadowing_common_fraction, params.shadowing_autocorr
     sig_c = params.shadowing_sigma_db * math.sqrt(frac)
     sig_p = params.shadowing_sigma_db * math.sqrt(1.0 - frac)
@@ -126,9 +125,10 @@ def reference_trace(params, geometry, slots, seed):
         scaled[..., 0] = draws[..., 0]
         return lfilter([1.0], [1.0, -rho], scaled, axis=-1)
 
+    # transmit power minus receive power, of a 0 dBm beacon
     def link(d, shadow):
-        return tx - (tx + const - 10.0 * eta * np.log10(np.asarray(d, dtype=float))
-                     + shadow)
+        return 0.0 - (0.0 + const - 10.0 * eta * np.log10(np.asarray(d, dtype=float))
+                      + shadow)
 
     def noise_sigma(d):
         return params.measurement_noise_db * 10.0 ** (

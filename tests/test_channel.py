@@ -11,7 +11,6 @@ from platoonkey.channel import (
     _estimate_rows,
     distance_from_rss,
     generate_trace,
-    receive_power,
     rss_of_link,
 )
 
@@ -19,38 +18,30 @@ from _oracles import reference_trace
 
 
 def params(**kw):
-    base = dict(tx_power_dbm=0.0, channel_constant_db=0.0,
+    base = dict(channel_constant_db=0.0,
                 path_loss_exponent=2.0, shadowing_sigma_db=0.0,
                 rss_decode_floor_db=-100.0)
     base.update(kw)
     return ChannelParams(**base)
 
 
-class TestReceivePower:
-    def test_unit_distance(self):
-        assert receive_power(params(), 1.0, 0.0) == 0.0
-
-    def test_ten_meters(self):
-        assert receive_power(params(), 10.0, 0.0) == pytest.approx(-20.0, abs=1e-12)
-
-    def test_closed_form(self):
-        # 0 + 3 - 25*log10(4) + 1.2, evaluated independently to 12 digits
-        p = params(channel_constant_db=3.0, path_loss_exponent=2.5)
-        assert receive_power(p, 4.0, 1.2) == pytest.approx(-10.85149978319906, abs=1e-11)
-
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(ValueError):
-            receive_power(params(), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            receive_power(params(), -3.0, 0.0)
-
-
 class TestRssOfLink:
     def test_unit_distance_zero_constant(self):
-        assert rss_of_link(params(tx_power_dbm=17.0), 1.0, 0.0) == 0.0
+        assert rss_of_link(params(), 1.0, 0.0) == 0.0
 
     def test_negates_receive_power_example(self):
+        # a beacon loses 20 dB over 10 m, whatever its transmit power
         assert rss_of_link(params(), 10.0, 0.0) == pytest.approx(20.0, abs=1e-12)
+
+    def test_closed_form(self):
+        # 25*log10(4) - 3 - 1.2, evaluated independently to 12 digits
+        p = params(channel_constant_db=3.0, path_loss_exponent=2.5)
+        assert rss_of_link(p, 4.0, 1.2) == pytest.approx(10.85149978319906, abs=1e-11)
+
+    def test_nonpositive_distance_rejected(self):
+        for d in (0.0, -3.0, [2.0, 0.0]):
+            with pytest.raises(ValueError, match="distance_m must be > 0"):
+                rss_of_link(params(), d, 0.0)
 
     def test_round_trip(self):
         p = params(channel_constant_db=2.0, path_loss_exponent=2.3)
@@ -293,13 +284,14 @@ class TestVectorizedEstimators:
                 shadowing_autocorr=0.7 if seed % 2 else 0.0,
                 reciprocity_sigma_db=float(rng.uniform(0.0, 1.0)),
                 measurement_noise_db=0.2 if seed < 2 else 0.0)
-            g = PlatoonGeometry(n_vehicles=n,
-                                pair_distance_m=float(rng.uniform(1.0, 20.0)),
-                                eavesdropper_position="P1" if n < 4 else "P2")
-            t = generate_trace(p, g, slots, seed)[0]
-            values, valid, eaves, eaves_valid = reference_trace(p, g, slots, seed)
-            for ours, theirs, ok in ((t.values, values, valid),
-                                     (t.eavesdropper, eaves, eaves_valid)):
-                assert ours.shape == theirs.shape
-                assert ours.tobytes() == theirs.tobytes()
-                np.testing.assert_array_equal(np.isnan(ours), ~ok)
+            dv = float(rng.uniform(1.0, 20.0))
+            for position in ("P1" if n < 4 else "P2", "P3"):
+                g = PlatoonGeometry(n_vehicles=n, pair_distance_m=dv,
+                                    eavesdropper_position=position)
+                t = generate_trace(p, g, slots, seed)[0]
+                values, valid, eaves, eaves_valid = reference_trace(p, g, slots, seed)
+                for ours, theirs, ok in ((t.values, values, valid),
+                                         (t.eavesdropper, eaves, eaves_valid)):
+                    assert ours.shape == theirs.shape
+                    assert ours.tobytes() == theirs.tobytes()
+                    np.testing.assert_array_equal(np.isnan(ours), ~ok)

@@ -137,7 +137,7 @@ class TestRunCska:
             assert log.beacon_transmissions == len(log.events)
             assert all(e.kind == "beacon" for e in log.events)
             assert log.retransmissions == sum(e.outcome == "lost" for e in log.events)
-            assert log.slots_used == len(log.events)
+            assert [e.slot for e in log.events] == list(range(1, len(log.events) + 1))
 
 
 class TestXorCipher:
@@ -238,7 +238,7 @@ class TestRunEvcd:
             restarted |= attempts > 1
             assert log.evcd_data_transmissions == len(data)
             assert log.leader_retransmissions == attempts - 1
-            assert log.slots_used == len(log.events)
+            assert [e.slot for e in log.events] == list(range(1, len(log.events) + 1))
         assert restarted
 
     def test_latency_is_timeouts_plus_slots(self):
@@ -257,7 +257,7 @@ class TestRunEvcd:
             else:
                 outcomes.add("delivered")
                 timeouts = log.leader_retransmissions
-            assert log.evcd_latency_ms == timeouts * 100.0 + log.slots_used * 2.0
+            assert log.evcd_latency_ms == timeouts * 100.0 + len(log.events) * 2.0
         assert outcomes == {"delivered", "failed"}
 
     def test_unequal_key_lengths_rejected(self):

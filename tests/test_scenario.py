@@ -20,7 +20,6 @@ from platoonkey.scenario import (
 )
 
 DEFAULT_TEXT = """\
-tx_power_dbm = 0.0
 channel_constant_db = 3.0
 path_loss_exponent = 2.0
 shadowing_sigma_db = 3.0
@@ -92,7 +91,6 @@ finite = dict(allow_nan=False, allow_infinity=False)
 @st.composite
 def scenarios(draw):
     channel = ChannelParams(
-        tx_power_dbm=draw(st.floats(**finite)),
         channel_constant_db=draw(st.floats(**finite)),
         path_loss_exponent=draw(st.floats(min_value=1e-3, max_value=10.0)),
         shadowing_sigma_db=draw(st.floats(min_value=0.0, max_value=20.0)),
@@ -186,8 +184,9 @@ SWEEP_AXES_MESSAGE = (
      "invalid literal for int() with base 10: 'five'"),
     ("pair_distance_m = far", 1, "pair_distance_m",
      "could not convert string to float: 'far'"),
-    ("tx_power_dbm = nan", 1, "tx_power_dbm", "must be finite"),
-    ("\ntx_power_dbm = -inf", 2, "tx_power_dbm", "must be finite"),
+    ("tx_power_dbm = 0", 1, "tx_power_dbm", "unknown key 'tx_power_dbm'"),
+    ("channel_constant_db = nan", 1, "channel_constant_db", "must be finite"),
+    ("\nchannel_constant_db = -inf", 2, "channel_constant_db", "must be finite"),
     ("append_complement = maybe", 1, "append_complement",
      "expected a boolean, got 'maybe'"),
     ("seeds = 1,x", 1, "seeds", "invalid literal for int() with base 10: 'x'"),
@@ -257,8 +256,8 @@ def test_parse_error_attribution(text, line, fieldname, message):
     ("slots = five\nn_vehicles = 4\nbogus = 1", 3, "bogus"),
     ("slots = five\nno equals sign", 2, None),
     # values are converted in line order, before the sweep axis is checked
-    ("slots = 5\ntx_power_dbm = nan\nslots_x", 3, None),
-    ("grid_size = x\ntx_power_dbm = nan", 1, "grid_size"),
+    ("slots = 5\nchannel_constant_db = nan\nslots_x", 3, None),
+    ("grid_size = x\nchannel_constant_db = nan", 1, "grid_size"),
     ("sweep_axis = speed\nslots = five", 2, "slots"),
     ("sweep_values = x\nsweep_axis = speed", 2, "sweep_axis"),
 ])
@@ -282,6 +281,20 @@ def test_semantic_errors_carry_no_line(text, message):
     with pytest.raises(ParseError) as info:
         parse_scenario(text)
     assert (info.value.line, info.value.fieldname) == (None, None)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(sweep_axis="z_iterations", sweep_values=(2, 2)), "sweep value 2 repeats 2"),
+    (dict(sweep_axis="eavesdropper", sweep_values=(("P1", 3.0), ("P3", 3.0), ("P1", 3))),
+     "sweep value ('P1', 3) repeats ('P1', 3.0)"),
+    (dict(seeds=(4, 1, 1)), "seed 1 is listed more than once"),
+    (dict(seeds=(1, 1, -3)), "seeds must be non-negative, got -3"),
+])
+def test_scenario_built_in_code_keeps_the_document_rules(changes, message):
+    # the parser's repeat and seed rules hold without a document, too
+    with pytest.raises(ValueError) as info:
+        Scenario(**changes)
     assert str(info.value) == message
 
 
