@@ -97,7 +97,9 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if not self.path_loss_exponent > 0:
             raise ValueError("path_loss_exponent must be > 0")
-        if self.shadowing_sigma_db < 0:
+        if not math.isfinite(self.channel_constant_db):
+            raise ValueError("channel_constant_db must be finite")
+        if not self.shadowing_sigma_db >= 0:
             raise ValueError("shadowing_sigma_db must be >= 0")
         if not math.isfinite(self.rss_decode_floor_db):
             raise ValueError("rss_decode_floor_db must be finite")
@@ -105,7 +107,7 @@ class ChannelParams:
             raise ValueError("shadowing_common_fraction must be in [0, 1]")
         if not -1.0 < self.shadowing_autocorr < 1.0:
             raise ValueError("shadowing_autocorr must be in (-1, 1)")
-        if self.reciprocity_sigma_db < 0 or self.measurement_noise_db < 0:
+        if not (self.reciprocity_sigma_db >= 0 and self.measurement_noise_db >= 0):
             raise ValueError("noise sigmas must be >= 0")
 
     def mean_attenuation_db(self, distance_m: float) -> float:
@@ -135,11 +137,11 @@ class PlatoonGeometry:
     def __post_init__(self) -> None:
         if self.n_vehicles < 3:
             raise ValueError("n_vehicles must be >= 3")
-        if self.pair_distance_m <= 0:
+        if not self.pair_distance_m > 0:
             raise ValueError("pair_distance_m must be > 0")
         if self.eavesdropper_position not in EAVESDROPPER_POSITIONS:
             raise ValueError(f"eavesdropper_position must be one of {EAVESDROPPER_POSITIONS}")
-        if self.eavesdropper_distance_m < 3.0:
+        if not self.eavesdropper_distance_m >= 3.0:
             raise ValueError("eavesdropper closer than 3 m would be identified")
         if self.eavesdropper_position == "P2" and self.n_vehicles < 4:
             raise ValueError("position P2 requires at least 4 vehicles")
@@ -271,8 +273,15 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
         """Faded RSS and noise scale of links sharing one common shadowing."""
         common = sig_c * _ar1(stream.standard_normal(slots), rho)
         private = sig_p * _ar1(stream.standard_normal((len(dist), slots)), rho)
-        scale = [a * 10.0 ** (params.mean_attenuation_db(d) / 20.0) for d in dist]
-        return rss_of_link(params, dist[:, None], common + private), np.array(scale)[:, None]
+        scale = np.zeros((len(dist), 1))
+        if a > 0:
+            try:
+                scale[:, 0] = [a * 10.0 ** (params.mean_attenuation_db(d) / 20.0)
+                               for d in dist]
+            except OverflowError:
+                raise ValueError(f"measurement_noise_db {a:g} at channel_constant_db "
+                                 f"{params.channel_constant_db:g}: noise scale overflows") from None
+        return rss_of_link(params, dist[:, None], common + private), scale
 
     # The platoon's links in shadowing draw order: (1,2), then (1,j) and
     # (2,j) for each follower j.  Reading r is of link max(r - 1, 0):

@@ -8,24 +8,21 @@ Subcommands:
     platoonkey plot <summary-csv>     gnuplot data + script files
 
 Exit codes: 0 success, 1 usage error, 2 scenario parse error, 3 runtime
-failure.
+failure.  ``run`` seeds its cycles as a sweep does (``sweep.point_cycle``),
+so its keys are replication 0 of a sweep over the same seeds.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .protocol import CYCLE_FAILURES, run_cycle
+from .protocol import CYCLE_FAILURES
 from .randomness import bits_from_ascii, run_battery
 from .scenario import ParseError, Scenario, parse_scenario
-from .sweep import emit_plots, run_sweep
+from .sweep import _write_csv, emit_plots, point_cycle, run_sweep
 
 __all__ = ["main"]
 
@@ -98,25 +95,16 @@ def _load_scenario(args) -> Scenario:
 
 
 def _cmd_run(args) -> int:
-    scenario = _load_scenario(args)
-    if scenario.sweep_axis != "none":
-        scenario = scenario.points()[0]
+    point = _load_scenario(args).points()[0]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    key_lines = []
-    event_buf = io.StringIO()
-    writer = csv.writer(event_buf, lineterminator="\r\n")
-    writer.writerow(("seed", "slot", "stage", "sender", "receiver",
-                     "kind", "outcome"))
+    key_lines, events = [], []
     print("seed  bmmr_mean  bmmr_tail  eaves_bmmr  success  key_bits")
     failed = 0
-    for seed in scenario.seeds:
+    for seed in point.seeds:
         try:
-            rep = run_cycle(scenario.channel, scenario.geometry,
-                            scenario.protocol, scenario.quantizer,
-                            scenario.keygen, scenario.slots,
-                            np.random.SeedSequence([seed, 0]))
+            rep = point_cycle(point, seed, 0)
         except CYCLE_FAILURES as exc:
             failed += 1
             print(f"{seed:<5d} failed: {type(exc).__name__}: {exc}")
@@ -127,14 +115,14 @@ def _cmd_run(args) -> int:
         key = rep.leader_key
         key_lines.append(f"seed {seed} bits {key.to01()}")
         key_lines.append(f"seed {seed} hex  {key.to_hex()}")
-        for ev in rep.log.events:
-            writer.writerow((seed, ev.slot, ev.stage, ev.sender, ev.receiver,
-                             ev.kind, ev.outcome))
+        events += [(seed, ev.slot, ev.stage, ev.sender, ev.receiver, ev.kind,
+                    ev.outcome) for ev in rep.log.events]
     (out / "keys.txt").write_text("\n".join(key_lines) + "\n", encoding="ascii")
-    (out / "events.csv").write_text(event_buf.getvalue(), encoding="ascii")
+    _write_csv(out / "events.csv", ("seed", "slot", "stage", "sender", "receiver",
+                                    "kind", "outcome"), events)
     print(f"wrote {out / 'keys.txt'} and {out / 'events.csv'}")
     if failed:
-        print(f"runtime failure: {failed} of {len(scenario.seeds)} seeds failed",
+        print(f"runtime failure: {failed} of {len(point.seeds)} seeds failed",
               file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
@@ -167,11 +155,7 @@ def _cmd_nist(args) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(("test", "p_values", "verdict"))
-        writer.writerows(rows)
-        (out / "nist_report.csv").write_text(buf.getvalue(), encoding="ascii")
+        _write_csv(out / "nist_report.csv", ("test", "p_values", "verdict"), rows)
     return EXIT_OK
 
 

@@ -78,10 +78,6 @@ class SecretKey:
         """Hex of the bit string packed MSB-first, zero-padded to a byte."""
         return np.packbits(self.bits).tobytes().hex()
 
-    @classmethod
-    def from01(cls, text: str) -> "SecretKey":
-        return cls(bits=[int(c) for c in text.strip()])
-
 
 def codeword_table(codeword_bits: int, n_bins: int, map_mode: str = "direct",
                    append_complement: bool = False) -> np.ndarray:

@@ -95,7 +95,7 @@ class ProtocolConfig:
         for p in (self.beacon_loss_prob, self.data_loss_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("loss probabilities must be in [0, 1]")
-        if self.dissemination_timeout_ms <= 0 or self.slot_duration_ms <= 0:
+        if not (self.dissemination_timeout_ms > 0 and self.slot_duration_ms > 0):
             raise ValueError("timeout and slot duration must be > 0")
         if self.retransmission_cap < 0:
             raise ValueError("retransmission_cap must be >= 0")
@@ -126,7 +126,6 @@ class CycleLog:
     evcd_data_transmissions: int = 0
     leader_retransmissions: int = 0
     decode_failure_hops: list[int] = field(default_factory=list)
-    recovered_commands: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def _send(log: CycleLog, rng: np.random.Generator, loss_prob: float,
@@ -255,7 +254,6 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
     for sender, receiver in hops:
         packet = xor_cipher(recovered[sender], keys[sender])
         recovered[receiver] = xor_cipher(packet, keys[receiver])
-    log.recovered_commands = recovered
     log.decode_failure_hops = [
         h for h, v in enumerate(vehicles[1:], start=1)
         if not np.array_equal(recovered[v], command)

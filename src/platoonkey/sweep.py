@@ -1,5 +1,8 @@
 """Experiment sweeps: deterministic execution, CSV reports, plot files.
 
+This module also holds what every command shares: :func:`point_cycle`,
+the seed rule of a cycle, and ``_write_csv``, the one CSV dialect.
+
 A sweep expands the scenario into points along its axis and runs every
 (point, seed, replication) as an independent, pure work unit.  Results
 are merged in (point, seed, replication) order, so the deterministic
@@ -33,11 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocol import CYCLE_FAILURES, run_cycle
+from .protocol import CYCLE_FAILURES, AgreementReport, run_cycle
 from .randomness import bits_from_ascii, run_battery
 from .scenario import ParseError, Scenario, serialize_scenario
 
-__all__ = ["SweepReport", "emit_plots", "run_sweep"]
+__all__ = ["SweepReport", "emit_plots", "point_cycle", "run_sweep"]
 
 RUN_COLUMNS = (
     "point", "axis", "axis_value", "seed", "replication",
@@ -53,6 +56,8 @@ SUMMARY_METRICS = (
     "overhead_bits",
 )
 
+SUMMARY_HEADER = ("point", "axis", "axis_value", "metric", "mean", "stddev", "n")
+
 
 def _axis_value_str(axis: str, value) -> str:
     if axis == "none":
@@ -63,6 +68,13 @@ def _axis_value_str(axis: str, value) -> str:
     return f"{value:g}" if isinstance(value, float) else str(value)
 
 
+def point_cycle(point: Scenario, seed: int, replication: int) -> AgreementReport:
+    """The cycle of a single-point scenario at one seed and replication."""
+    return run_cycle(point.channel, point.geometry, point.protocol,
+                     point.quantizer, point.keygen, point.slots,
+                     np.random.SeedSequence([seed, replication]))
+
+
 def _run_unit(args) -> dict:
     """One (point, seed, replication) cycle; pure given its arguments.
 
@@ -71,15 +83,13 @@ def _run_unit(args) -> dict:
     row naming the exception; any other error propagates.
     """
     point_idx, point, axis, axis_value, seed, repl = args
-    ss = np.random.SeedSequence([seed, repl])
     t0 = time.perf_counter()
     row: dict = {
         "point": point_idx, "axis": axis, "axis_value": axis_value,
         "seed": seed, "replication": repl,
     }
     try:
-        rep = run_cycle(point.channel, point.geometry, point.protocol,
-                        point.quantizer, point.keygen, point.slots, ss)
+        rep = point_cycle(point, seed, repl)
     except CYCLE_FAILURES as exc:
         row.update({c: float("nan") for c in RUN_COLUMNS if c not in row})
         row.update(success=0, failure=1, error=type(exc).__name__,
@@ -112,7 +122,8 @@ class SweepReport:
     rows: list[dict]
 
 
-def _write_csv(path: Path, provenance: list[str], header, rows) -> None:
+def _write_csv(path: Path, header, rows, provenance=()) -> None:
+    """``rows`` under ``header``, after the ``provenance`` lines; CRLF ends."""
     buf = io.StringIO()
     for line in provenance:
         buf.write(line + "\r\n")
@@ -151,12 +162,12 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
     provenance = ["# resolved scenario:"] + [
         f"# {line}" for line in serialize_scenario(scenario).strip().splitlines()]
 
-    _write_csv(out / "runs.csv", provenance, RUN_COLUMNS,
-               [[str(r[c]) for c in RUN_COLUMNS] for r in rows])
+    _write_csv(out / "runs.csv", RUN_COLUMNS,
+               [[str(r[c]) for c in RUN_COLUMNS] for r in rows], provenance)
 
     summary_rows = []
     for pi, prows in enumerate(point_rows):
-        axis_value = prows[0]["axis_value"] if prows else "-"
+        axis_value = prows[0]["axis_value"]
         ok = [r for r in prows if not r["failure"]]
         summary_rows.append([str(pi), scenario.sweep_axis, axis_value,
                              "failures", str(sum(r["failure"] for r in prows)),
@@ -170,9 +181,7 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
                 mean, std = float("nan"), float("nan")
             summary_rows.append([str(pi), scenario.sweep_axis, axis_value,
                                  metric, str(mean), str(std), str(len(vals))])
-    _write_csv(out / "summary.csv", provenance,
-               ("point", "axis", "axis_value", "metric", "mean", "stddev", "n"),
-               summary_rows)
+    _write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows, provenance)
 
     # test name -> one cell per point, in battery order
     cells: dict[str, list[str]] = {}
@@ -183,13 +192,14 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
             cells.setdefault(res.name, []).append(
                 ";".join(f"{p:.6f}" for p in res.p_values) or "skipped")
     header = ["test"] + [f"point_{pi}" for pi in range(len(points))]
-    _write_csv(out / "nist.csv", provenance, header,
-               [[name] + row for name, row in cells.items()])
+    _write_csv(out / "nist.csv", header,
+               [[name] + row for name, row in cells.items()], provenance)
 
     timing_rows = [[str(r["point"]), str(r["seed"]), str(r["replication"]),
                     f"{r['compute_s']:.6f}"] for r in rows]
-    _write_csv(out / "timings.csv", ["# wall-clock sidecar; not deterministic"],
-               ("point", "seed", "replication", "compute_seconds"), timing_rows)
+    _write_csv(out / "timings.csv",
+               ("point", "seed", "replication", "compute_seconds"), timing_rows,
+               ["# wall-clock sidecar; not deterministic"])
     return SweepReport(rows=rows)
 
 
@@ -203,53 +213,35 @@ def emit_plots(summary_csv, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = Path(summary_csv)
-    table: dict[tuple[str, str, str], dict[str, tuple[str, str]]] = {}
-    axis = "none"
-    order: list[tuple[str, str]] = []
     with path.open(newline="", encoding="ascii") as fh:
-        content = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(content)
-    try:
-        header = next(reader)
-    except StopIteration:
-        header = None
-    if header is not None and header != ["point", "axis", "axis_value",
-                                         "metric", "mean", "stddev", "n"]:
+        reader = csv.reader([line for line in fh if not line.startswith("#")])
+    header = next(reader, None)
+    if header is not None and header != list(SUMMARY_HEADER):
         raise ParseError(f"unexpected summary header: {header}")
+    # (point, axis value label) -> metric -> (mean, stddev), in point order;
+    # the rows name the axis, and a summary without rows plots axis "none"
+    table: dict[tuple[str, str], dict[str, tuple[str, str]]] = {}
+    axis = "none"
     for row in reader:
-        if len(row) != 7:
+        if len(row) != len(SUMMARY_HEADER):
             raise ParseError(f"malformed summary row: {row}")
-        point, ax, axis_value, metric, mean, std, _n = row
-        axis = ax
-        key = (point, ax, axis_value)
-        if (point, axis_value) not in order:
-            order.append((point, axis_value))
-        table.setdefault(key, {})[metric] = (mean, std)
+        point, axis, label, metric, mean, std, _n = row
+        table.setdefault((point, label), {})[metric] = (mean, std)
 
     metrics = ("bmmr_v2", "bmmr_tail", "bmmr_mean", "eavesdropper_bmmr")
     dat_path = out / f"{axis}_bmmr.dat"
-    lines = []
-    cols = ["position", "distance_m"] if axis == "eavesdropper" else [axis]
-    for m in metrics:
-        cols += [m, f"{m}_std"]
-    lines.append("# " + " ".join(cols))
-    for point, axis_value in order:
-        key = (point, axis, axis_value)
-        if axis == "eavesdropper":
-            tag, _, dist = axis_value.partition(":")
-            fields = [tag, dist]
-        else:
-            fields = [axis_value]
-        for m in metrics:
-            mean, std = table[key].get(m, ("nan", "nan"))
-            fields += [mean, std]
-        lines.append(" ".join(fields))
-    if not order:
+    # an eavesdropper label "P2:10" is two columns, position and distance
+    xcols = ["position", "distance_m"] if axis == "eavesdropper" else [axis]
+    lines = ["# " + " ".join(xcols + [c for m in metrics for c in (m, f"{m}_std")])]
+    for (_, label), means in table.items():
+        lines.append(" ".join(label.split(":") + [
+            x for m in metrics for x in means.get(m, ("nan", "nan"))]))
+    if not table:
         print(f"warning: {path} holds no sweep points; wrote empty data file",
               file=sys.stderr)
     dat_path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
-    xcol = 2 if axis == "eavesdropper" else 1
+    xcol = len(xcols)  # gnuplot's x is the last label column
     gp = [
         "set datafile missing 'nan'",
         "set key outside",

@@ -1,6 +1,7 @@
 """Channel model: closed forms, round trips, estimation, trace generation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,6 +141,17 @@ class TestEstimationErrorCurve:
 
 
 class TestGenerateTrace:
+    def test_noise_scale_is_formed_only_with_measurement_noise(self):
+        # the scale 10 ** (H / 20) of a reading's noise overflows a float
+        # once the mean attenuation H passes about 6165 dB
+        g = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0)
+        p = ChannelParams(channel_constant_db=-7000.0)
+        (t,) = generate_trace(p, g, 20, 1)
+        assert np.isfinite(t.values[:2]).all()
+        with pytest.raises(ValueError,
+                           match="measurement_noise_db.*channel_constant_db"):
+            generate_trace(replace(p, measurement_noise_db=0.05), g, 20, 1)
+
     def test_noiseless_sequences_identical(self):
         p = params()
         g = PlatoonGeometry(n_vehicles=5, pair_distance_m=3.0)

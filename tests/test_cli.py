@@ -227,6 +227,21 @@ def test_run_reports_a_failed_seed_and_runs_the_rest(tmp_path, capsys):
     assert f"{len(aborted)} of 10 seeds failed" in captured.err
 
 
+@pytest.mark.parametrize("noise, rc", [(0.0, EXIT_OK), (0.05, EXIT_RUNTIME)])
+def test_run_at_a_channel_constant_past_the_noise_scale_range(tmp_path, capsys,
+                                                             noise, rc):
+    # measurement noise scales with 10 ** (H / 20), which overflows a float
+    # at this constant; without noise the scale is never formed
+    text = f"channel_constant_db = -7000\nmeasurement_noise_db = {noise}\nseeds = 0\n"
+    got, captured, out = run_cli(tmp_path, capsys, text)
+    assert got == rc
+    if rc == EXIT_OK:
+        assert written_run(out)[0] == expected_run(text)[0]
+    else:
+        assert "measurement_noise_db" in captured.err
+        assert "channel_constant_db" in captured.err
+
+
 def test_plot_writes_one_row_per_sweep_point(tmp_path, capsys):
     path = tmp_path / "sweep.scn"
     path.write_text("slots = 60\nseeds = 0,1\nsweep_axis = n_intervals\n"

@@ -339,3 +339,27 @@ def test_at_point_casts_by_axis_type():
 def test_points_without_axis_is_self():
     s = Scenario()
     assert s.points() == [s]
+
+
+# each field the parser reads as a float and a config guards with a
+# comparison, mapped to its config; NaN fails every comparison, so a guard
+# must be written to fail on it
+NAN_GUARDED = {
+    "pair_distance_m": PlatoonGeometry,
+    "eavesdropper_distance_m": PlatoonGeometry,
+    "shadowing_sigma_db": ChannelParams,
+    "reciprocity_sigma_db": ChannelParams,
+    "measurement_noise_db": ChannelParams,
+    "channel_constant_db": ChannelParams,
+    "dissemination_timeout_ms": ProtocolConfig,
+    "slot_duration_ms": ProtocolConfig,
+}
+
+
+@pytest.mark.parametrize("field", NAN_GUARDED)
+def test_configs_built_in_code_reject_nan(field):
+    config = NAN_GUARDED[field]
+    required = (dict(n_vehicles=4, pair_distance_m=2.0)
+                if config is PlatoonGeometry else {})
+    with pytest.raises(ValueError):
+        config(**{**required, field: math.nan})

@@ -7,7 +7,7 @@ from platoonkey import sweep
 from platoonkey.channel import PlatoonGeometry
 from platoonkey.protocol import CycleAbort, ProtocolConfig
 from platoonkey.quantizer import InfeasiblePartition
-from platoonkey.scenario import Scenario
+from platoonkey.scenario import ParseError, Scenario
 
 DETERMINISTIC_FILES = ("runs.csv", "summary.csv", "nist.csv",
                        "corpus_point0.txt", "corpus_point1.txt")
@@ -55,3 +55,28 @@ def test_programming_errors_propagate(monkeypatch, exc):
     monkeypatch.setattr(sweep, "run_cycle", broken)
     with pytest.raises(exc):
         sweep._run_unit(unit_args())
+
+
+SUMMARY_HEADER_LINE = "point,axis,axis_value,metric,mean,stddev,n\r\n"
+
+
+@pytest.mark.parametrize("text", [
+    "point,axis,value,metric,mean,stddev,n\r\n",
+    SUMMARY_HEADER_LINE + "0,n_vehicles,4,bmmr_mean,0.25,0.0\r\n",
+], ids=["wrong header", "six-field row"])
+def test_plot_rejects_a_malformed_summary(tmp_path, text):
+    path = tmp_path / "summary.csv"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(ParseError):
+        sweep.emit_plots(path, tmp_path / "plot")
+
+
+def test_plot_of_a_summary_without_points_writes_the_column_line(tmp_path, capsys):
+    path = tmp_path / "summary.csv"
+    path.write_text("# resolved scenario:\r\n" + SUMMARY_HEADER_LINE,
+                    encoding="ascii")
+    dat, _ = sweep.emit_plots(path, tmp_path / "plot")
+    assert "holds no sweep points" in capsys.readouterr().err
+    assert dat.read_text(encoding="ascii") == (
+        "# none bmmr_v2 bmmr_v2_std bmmr_tail bmmr_tail_std bmmr_mean "
+        "bmmr_mean_std eavesdropper_bmmr eavesdropper_bmmr_std\n")
