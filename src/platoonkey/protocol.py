@@ -73,7 +73,8 @@ class DisseminationFailure(RuntimeError):
 
 # The modeled reasons a cycle fails: a caller running many cycles records
 # these against the cycle and goes on; any other error is a fault.
-CYCLE_FAILURES = (CycleAbort, DisseminationFailure, InfeasiblePartition)
+# run_cycle records a DisseminationFailure as an unsuccessful cycle.
+CYCLE_FAILURES = (CycleAbort, InfeasiblePartition)
 
 
 @dataclass(frozen=True)
@@ -299,14 +300,17 @@ def _once_each(fn, items: list) -> list:
 
 def _nan_mean(passes: list[np.ndarray]) -> np.ndarray:
     """Mean over the passes of the entries that are not NaN; NaN where
-    every pass's entry is."""
+    every pass's entry is, and where finite entries sum past the float
+    range (the slot then drops like any failed estimate)."""
     def mask(a):
         valid = ~np.isnan(a)
         return valid, np.where(valid, a, 0.0)
     valid, zeroed = zip(*_once_each(mask, passes))
     counts = np.stack(valid).sum(axis=0)
-    sums = np.stack(zeroed).sum(axis=0)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    with np.errstate(over="ignore"):
+        sums = np.stack(zeroed).sum(axis=0)
+    return np.where((counts > 0) & np.isfinite(sums),
+                    sums / np.maximum(counts, 1), np.nan)
 
 
 def _averaged_trace(traces: list[RssTrace], floor: float) -> tuple[RssTrace, list[int]]:

@@ -78,9 +78,10 @@ def point_cycle(point: Scenario, seed: int, replication: int) -> AgreementReport
 def _run_unit(args) -> dict:
     """One (point, seed, replication) cycle; pure given its arguments.
 
-    A cycle that fails for a modeled reason (beacon or dissemination
-    retries exhausted, no feasible quantizer fit) becomes a ``failure=1``
-    row naming the exception; any other error propagates.
+    A cycle that fails for a modeled reason (beacon retries exhausted, no
+    feasible quantizer fit) becomes a ``failure=1`` row naming the
+    exception; any other error propagates.  Exhausted dissemination
+    retries leave a completed cycle with ``success=0``.
     """
     point_idx, point, axis, axis_value, seed, repl = args
     t0 = time.perf_counter()

@@ -156,10 +156,11 @@ def test_out_dir_writes_report_csv(tmp_path, capsys):
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # scipy.signal is needed only for autocorrelated shadowing, and
-    # scipy.stats not at all; either would dominate the start-up time
+    # scipy.stats not at all; either would dominate the start-up time.
+    # The entry point imports every module of the package.
     src = str(Path(platoonkey.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, platoonkey\n"
+    code = ("import sys, platoonkey.cli\n"
             "print([m for m in sys.modules\n"
             "       if m.startswith(('scipy.stats', 'scipy.signal'))])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -240,6 +241,22 @@ def test_run_at_a_channel_constant_past_the_noise_scale_range(tmp_path, capsys,
     else:
         assert "measurement_noise_db" in captured.err
         assert "channel_constant_db" in captured.err
+
+
+@pytest.mark.parametrize("z, rc", [(1, EXIT_OK), (2, EXIT_RUNTIME)])
+def test_run_where_the_pass_average_leaves_the_float_range(tmp_path, capsys,
+                                                           z, rc):
+    # each pass's RSS is finite but above half the float range, so two
+    # passes sum past it: those slots drop, and here no slot is left
+    text = ("path_loss_exponent = 5e306\npair_distance_m = 100.0\n"
+            f"n_vehicles = 3\nslots = 64\nseeds = 0..1\nz_iterations = {z}\n")
+    got, captured, out = run_cli(tmp_path, capsys, text)
+    assert got == rc
+    if rc == EXIT_OK:
+        assert written_run(out)[0] == expected_run(text)[0]
+    else:
+        assert [line.split()[:3] for line in captured.out.splitlines()[1:3]] == [
+            [str(seed), "failed:", "InfeasiblePartition:"] for seed in (0, 1)]
 
 
 def test_plot_writes_one_row_per_sweep_point(tmp_path, capsys):

@@ -1,7 +1,6 @@
-"""Public names: each module's ``__all__`` resolves, and the package
-namespace re-exports only names its modules declare public."""
+"""Public names: each module's ``__all__`` resolves, and it is the one
+place a public name is bound; the package namespace re-exports none."""
 
-import ast
 import importlib
 from pathlib import Path
 
@@ -19,13 +18,10 @@ def test_every_name_in_all_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_package_imports_only_names_in_all():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    imported = [(node.module, alias.name) for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.level == 1
-                for alias in node.names]
-    assert imported
-    undeclared = [f"{module}.{name}" for module, name in imported
-                  if name not in importlib.import_module(
-                      f"platoonkey.{module}").__all__]
-    assert undeclared == []
+def test_package_binds_no_library_name():
+    # a name is imported from its module only: an alias on the package
+    # would outlive a patch of the module attribute
+    public = {n for name in MODULES
+              for n in importlib.import_module(f"platoonkey.{name}").__all__}
+    assert sorted(public & set(vars(platoonkey))) == []
+    assert not hasattr(platoonkey, "__version__")

@@ -395,6 +395,17 @@ class TestAveragedTrace:
         assert retained == [1, 2, 2]
         assert retained_slots(avg, 0.0).tolist() == [1, 2, 3]
 
+    def test_a_sum_past_the_float_range_drops_the_slot(self):
+        # finite passes whose sum overflows: the slot is NaN, the mark of
+        # a failed estimate, in place of an infinite mean
+        big = np.finfo(float).max / 1.5
+        values = np.array([[big, -big, 1.0, np.nan], [big, -big, 2.0, big]])
+        traces = [RssTrace(values=np.vstack([v, v]), eavesdropper=v)
+                  for v in values]
+        avg, _ = _averaged_trace(traces, floor=0.0)
+        np.testing.assert_array_equal(avg.values, [[np.nan, np.nan, 1.5, big]] * 2)
+        np.testing.assert_array_equal(avg.eavesdropper, [np.nan, np.nan, 1.5, big])
+
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("slots", [1, 2, 8, 1000])
     @pytest.mark.parametrize("z", [1, 2, 3, 9, 10, 12])

@@ -4,12 +4,12 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonkey.channel import EAVESDROPPER_POSITIONS, ChannelParams, PlatoonGeometry
 from platoonkey.keygen import MAP_MODES, KeygenConfig
-from platoonkey.protocol import ProtocolConfig
+from platoonkey.protocol import CYCLE_FAILURES, ProtocolConfig
 from platoonkey.quantizer import QuantizerConfig
 from platoonkey.scenario import (
     SWEEP_AXES,
@@ -18,6 +18,7 @@ from platoonkey.scenario import (
     parse_scenario,
     serialize_scenario,
 )
+from platoonkey.sweep import point_cycle
 
 DEFAULT_TEXT = """\
 channel_constant_db = 3.0
@@ -168,6 +169,55 @@ def test_round_trip(s):
     back = parse_scenario(text)
     assert back == s
     assert serialize_scenario(back) == text
+
+
+@st.composite
+def cycle_points(draw):
+    """A sweep point of ``scenarios()`` small enough to run: at most 64
+    slots, 8 vehicles, 3 passes and 3 retries.  Half of the points move
+    into physical ranges, where cycles also complete."""
+    s = draw(scenarios())
+    try:
+        points = s.points()
+    except ValueError:  # the parser refuses these sweep values; drop them
+        points = [replace(s, sweep_axis="none", sweep_values=())]
+    p = draw(st.sampled_from(points))
+    channel, geometry, protocol = p.channel, p.geometry, p.protocol
+    if draw(st.booleans()):
+        channel = replace(
+            channel,
+            channel_constant_db=draw(st.floats(-10.0, 10.0)),
+            path_loss_exponent=draw(st.floats(1.5, 4.0)),
+            shadowing_sigma_db=draw(st.floats(1.0, 8.0)),
+            rss_decode_floor_db=draw(st.floats(-40.0, 0.0)),
+            shadowing_common_fraction=draw(st.floats(0.9, 1.0)),
+            measurement_noise_db=draw(st.floats(0.0, 0.5)))
+        geometry = replace(geometry, pair_distance_m=draw(st.floats(1.0, 20.0)))
+        protocol = replace(protocol,
+                           beacon_loss_prob=draw(st.floats(0.0, 0.1)),
+                           data_loss_prob=draw(st.floats(0.0, 0.1)))
+    return replace(
+        p, channel=channel, slots=min(p.slots, 64),
+        geometry=replace(geometry, n_vehicles=min(geometry.n_vehicles, 8)),
+        protocol=replace(protocol, z_iterations=min(protocol.z_iterations, 3),
+                         retransmission_cap=min(protocol.retransmission_cap, 3)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cycle_points())
+# finite passes that sum past the float range
+@example(replace(Scenario(), channel=ChannelParams(
+    channel_constant_db=1.7976931348623155e308), slots=64,
+    protocol=ProtocolConfig(z_iterations=3)))
+def test_every_accepted_point_runs_or_fails_for_a_modeled_reason(point):
+    try:
+        point_cycle(point, point.seeds[0], 0)
+    except CYCLE_FAILURES:
+        pass
+    except ValueError as exc:
+        # a rejected configuration: the noise scale leaves the float range
+        assert str(exc).startswith("measurement_noise_db")
+        assert str(exc).endswith("noise scale overflows")
 
 
 SWEEP_AXES_MESSAGE = (

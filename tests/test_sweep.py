@@ -1,5 +1,7 @@
 """Sweep execution: determinism across parallelism, failure attribution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,15 @@ def test_domain_failure_becomes_attributed_row(monkeypatch, exc):
     assert (row["success"], row["failure"]) == (0, 1)
     assert row["error"] == exc.__name__
     assert np.isnan(row["bmmr_mean"]) and row["key01"] == ""
+
+
+def test_exhausted_dissemination_is_a_completed_cycle_row():
+    # run_cycle records EVCD's DisseminationFailure as success = False, so
+    # the unit is a cycle with a key and no attributed failure
+    point = replace(unit_args()[1], protocol=ProtocolConfig(data_loss_prob=1.0))
+    row = sweep._run_unit((0, point, "n_vehicles", "4", 0, 0))
+    assert (row["success"], row["failure"], row["error"]) == (0, 0, "")
+    assert row["key01"] != ""
 
 
 @pytest.mark.parametrize("exc", [ValueError, IndexError])
