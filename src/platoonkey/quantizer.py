@@ -5,7 +5,8 @@ A quantizer is an ordered set of L contiguous half-open dB intervals
 a-priori decode floor.  Candidate boundaries live on a uniform grid:
 ``b_0 = grid[0] = floor``, interior boundaries are chosen from the G - 1
 grid points above the floor, and the top boundary is one grid step above
-the largest retained sample, so every retained sample falls in some bin.
+the largest chain sample.  Vehicle 2 and the eavesdropper, outside the
+chain, clamp: at or above the top to bin L, below the floor to bin 1.
 
 The fit minimizes the chained cross-vehicle mismatch count (adjacent
 rows of the comparison chain XOR-ed per interval, summed over slots and
@@ -44,7 +45,6 @@ from .channel import RssTrace
 __all__ = [
     "InfeasiblePartition",
     "IntervalSet",
-    "MismatchTable",
     "QuantizedTrace",
     "QuantizerConfig",
     "bin_indices",
@@ -100,29 +100,16 @@ class IntervalSet:
         return self.boundaries[0]
 
 
-@dataclass(frozen=True)
-class MismatchTable:
-    """Chained mismatch counts per interval; their sum is the fit's total."""
-
-    per_interval: tuple[int, ...]
-
-
-def bin_indices(xs, intervals: IntervalSet, clamp: bool = False) -> np.ndarray:
+def bin_indices(xs, intervals: IntervalSet) -> np.ndarray:
     """1-based index of the interval ``[b_{l-1}, b_l)`` holding each sample.
 
-    A sample below the floor, at or above the top boundary, or NaN is out
-    of range: its entry is 0, or with ``clamp`` the nearest bin (1 or L;
-    NaN maps to bin 1).
+    A sample below the floor takes bin 1, one at or above the top bin L,
+    and NaN bin 1.
     """
-    L = intervals.n_intervals
     xs = np.asarray(xs, dtype=float)
-    # NaN sorts above every boundary, so it lands on L + 1 with the top
     idx = np.searchsorted(np.asarray(intervals.boundaries), xs, side="right")
-    if clamp:
-        idx = np.where(np.isnan(xs), 1, np.clip(idx, 1, L))
-    else:
-        idx = np.where(idx <= L, idx, 0)
-    return idx.astype(np.int64)
+    # NaN sorts above every boundary, so without this it would clamp to L
+    return np.where(np.isnan(xs), 1, np.clip(idx, 1, intervals.n_intervals))
 
 
 def _candidates(floor: float, top_sample: float, grid_size: int) -> np.ndarray:
@@ -166,12 +153,13 @@ def _segment_matrices(samples: np.ndarray, cand: np.ndarray
 
 
 def optimize_boundaries(samples, floor: float, n_intervals: int,
-                        grid_size: int = 64) -> tuple[IntervalSet, MismatchTable]:
+                        grid_size: int = 64) -> tuple[IntervalSet, tuple[int, ...]]:
     """Fit interval boundaries to a (chain_members, slots) sample matrix.
 
     Row 0 is the reference (leader) sequence used for the balance stage;
     rows are compared pairwise in order for the mismatch objective.  All
-    samples must be finite and at or above the floor.
+    samples must be finite and at or above the floor.  Returns the
+    intervals and each interval's chained mismatch count.
 
     The DP runs over suffixes on the segment matrices of
     :func:`_segment_matrices`.  Interval l may end at boundary index
@@ -240,7 +228,7 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     iset = IntervalSet(boundaries=tuple(float(cand[i]) for i in idxs))
     # interval l's chained mismatch is the cost of segment [idxs[l-1], idxs[l])
     per_interval = tuple(int(cost[a, b]) for a, b in zip(idxs, idxs[1:]))
-    return iset, MismatchTable(per_interval=per_interval)
+    return iset, per_interval
 
 
 def retained_slots(trace: RssTrace, floor: float) -> np.ndarray:
@@ -259,7 +247,7 @@ def _chain_rows(n_vehicles: int) -> list[int]:
 
 
 def optimize_intervals(trace: RssTrace, n_intervals: int, grid_size: int,
-                       floor: float) -> tuple[IntervalSet, MismatchTable]:
+                       floor: float) -> tuple[IntervalSet, tuple[int, ...]]:
     """Fit the quantizer to one trace's comparison chain.
 
     The chain pairs the leader-pair measurement with vehicle 3's estimate
@@ -283,16 +271,15 @@ class QuantizedTrace:
     eavesdropper_bins: np.ndarray     # (retained,) clamped best effort
 
 def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> QuantizedTrace:
-    """Quantize every vehicle's retained samples into bin indices.
+    """Quantize every vehicle's samples on the fitted slots into bin indices.
 
-    The eavesdropper follows the shared drop indices and clamps its own
+    The slots are those the fit used (:func:`retained_slots`).  Vehicle 2,
+    outside the fitted chain, takes bin L where it reads at or above the
+    top.  The eavesdropper follows the shared drop indices and clamps its own
     invalid or out-of-range observations to the nearest bin, which is the
     best it can do while emitting a key of the agreed length.
     """
     keep = retained_slots(trace, intervals.decode_floor)
-    # the fit puts the top above its chain, which leaves out vehicle 2 (row 1);
-    # a slot where vehicle 2 reads at or above the top is dropped for all
-    keep = keep[(trace.values[:, keep] < intervals.boundaries[-1]).all(axis=0)]
     bins = bin_indices(trace.values[:, keep], intervals)
-    ebins = bin_indices(trace.eavesdropper[keep], intervals, clamp=True)
+    ebins = bin_indices(trace.eavesdropper[keep], intervals)
     return QuantizedTrace(slot_indices=keep, bins=bins, eavesdropper_bins=ebins)

@@ -100,6 +100,8 @@ class Scenario:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
         if self.sweep_axis != "none" and not self.sweep_values:
             raise ValueError("sweep_values required when sweep_axis is set")
+        if self.sweep_axis == "none" and self.sweep_values:
+            raise ValueError("sweep_values need a sweep_axis")
         _check_distinct(self.sweep_values, self.sweep_values)
         _check_seeds(self.seeds)
         if self.replications < 1:
@@ -157,9 +159,8 @@ def _parse_float(text) -> float:
 
 
 def _axis_cast(axis: str):
-    """Parser of an axis's values; those of ``none`` are floats."""
-    key = _AXIS_KEYS.get(axis)
-    return int if key is not None and _SCHEMA[key][1] == "int" else _parse_float
+    """Parser of a numeric axis's values."""
+    return int if _SCHEMA[_AXIS_KEYS[axis]][1] == "int" else _parse_float
 
 
 def _parse_bool(text: str) -> bool:
@@ -190,6 +191,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 def _parse_sweep_values(axis: str, text: str) -> tuple:
     tokens = [t.strip() for t in text.split(",") if t.strip()]
+    if axis == "none" and tokens:
+        raise ValueError("sweep_values need a sweep_axis")
     if axis == "eavesdropper":
         vals = []
         for t in tokens:

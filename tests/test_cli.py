@@ -141,6 +141,20 @@ def test_sweep_survives_estimates_past_the_float_range(tmp_path, capsys):
     assert (out / "runs.csv").exists()
 
 
+def test_sweep_keeps_every_fitted_slot(tmp_path, capsys):
+    # at 20 dB reciprocity noise vehicle 2 reads above the fitted top in
+    # some slots; they stay in the key, so no cycle ends with empty keys
+    path = tmp_path / "sweep.scn"
+    path.write_text("slots = 5\nreciprocity_sigma_db = 20\nseeds = 0..19\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out)]) == EXIT_OK
+    with (out / "runs.csv").open(newline="", encoding="ascii") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert len(rows) == 20
+    assert all(int(r["key_bits"]) > 0 for r in rows if r["failure"] == "0")
+
+
 def test_out_dir_writes_report_csv(tmp_path, capsys):
     path = tmp_path / "bits.txt"
     path.write_text(TEXT, encoding="ascii")

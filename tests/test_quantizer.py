@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from platoonkey.channel import ChannelParams, PlatoonGeometry, generate_trace
+from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace, generate_trace
 from platoonkey.quantizer import (
     InfeasiblePartition,
     IntervalSet,
@@ -13,6 +13,7 @@ from platoonkey.quantizer import (
     optimize_boundaries,
     optimize_intervals,
     quantize_trace,
+    retained_slots,
 )
 
 from _oracles import brute_force_boundaries, chained_mismatch
@@ -21,27 +22,29 @@ TWO_BIN = IntervalSet(boundaries=(0.0, 5.0, 10.0))
 
 
 def bins_of(xs, intervals=TWO_BIN):
-    bins = bin_indices(xs, intervals)
-    return bins.tolist(), (bins > 0).tolist()
+    return bin_indices(xs, intervals).tolist()
 
 
 class TestQuantizeBit:
     def test_lower_bound_inclusive(self):
-        assert bins_of([0.0, 5.0]) == ([1, 2], [True, True])
+        assert bins_of([0.0, 5.0]) == [1, 2]
 
     def test_upper_bound_exclusive(self):
-        assert bins_of([5.0, 10.0]) == ([2, 0], [True, False])
+        # the top is exclusive too, and what lies at or above it clamps to L
+        assert bins_of([4.99, 5.0, 10.0]) == [1, 2, 2]
 
-    def test_below_floor_zero_everywhere(self):
-        assert bins_of([-0.1]) == ([0], [False])
+    def test_below_floor_takes_bin_one(self):
+        assert bins_of([-0.1, -1e9]) == [1, 1]
 
 
 class TestBinIndex:
     def test_examples(self):
-        assert bins_of([3.0, 5.0]) == ([1, 2], [True, True])
+        assert bins_of([3.0, 5.0]) == [1, 2]
 
     def test_out_of_range(self):
-        assert bins_of([10.0, -0.5]) == ([0, 0], [False, False])
+        assert bins_of([10.0, -0.5]) == [2, 1]
+        three = IntervalSet(boundaries=(0.0, 1.0, 2.0, 3.0))
+        assert bins_of([3.0, 7.0, -0.5], three) == [3, 3, 1]
 
     def test_matches_quantize_bit(self):
         # the quantize bit of interval l is 1 iff b[l-1] <= x < b[l]
@@ -49,14 +52,15 @@ class TestBinIndex:
         iset = IntervalSet(boundaries=(0.0, 1.5, 4.0, 9.0))
         b = iset.boundaries
         xs = rng.uniform(0.0, 8.99, 100)
-        for x, l in zip(xs, bins_of(xs, iset)[0]):
+        for x, l in zip(xs, bins_of(xs, iset)):
             assert [int(b[k - 1] <= x < b[k]) for k in (1, 2, 3)] == \
                 [int(k == l) for k in (1, 2, 3)]
 
     def test_vectorized_clamp(self):
-        xs = np.array([-1.0, 3.0, 12.0, np.nan])
-        assert bin_indices(xs, TWO_BIN, clamp=True).tolist() == [1, 1, 2, 1]
-        assert bins_of(xs)[1] == [False, True, False, False]
+        xs = np.array([-1.0, 3.0, 12.0, np.nan, -np.inf, np.inf])
+        bins = bin_indices(xs, TWO_BIN)
+        assert bins.tolist() == [1, 1, 2, 1, 1, 2]
+        assert bins.dtype == np.int64
 
     def test_interval_set_validation(self):
         with pytest.raises(ValueError):
@@ -66,12 +70,12 @@ class TestBinIndex:
 
 
 def fitted_table(rows, floor, L, G):
-    """The fit's mismatch table, and the oracle's re-count of it on the
-    bins of the fitted boundaries."""
-    iset, table = optimize_boundaries(rows, floor, L, G)
+    """The fit's per-interval mismatch, and the oracle's re-count of it on
+    the bins of the fitted boundaries."""
+    iset, per_interval = optimize_boundaries(rows, floor, L, G)
     bins = [bin_indices(r, iset).tolist() for r in rows]
-    return table.per_interval, tuple(chained_mismatch(bins, l)
-                                     for l in range(1, L + 1))
+    return per_interval, tuple(chained_mismatch(bins, l)
+                               for l in range(1, L + 1))
 
 
 class TestMismatchCount:
@@ -112,35 +116,35 @@ class TestOptimizeBoundaries:
         row = rng.normal(0, 3, 40)
         rows = np.vstack([row, row, row])
         for L in (2, 3, 4):
-            iset, table = optimize_boundaries(rows, float(row.min()) - 1.0, L, 16)
-            assert sum(table.per_interval) == 0
+            iset, per_interval = optimize_boundaries(rows, float(row.min()) - 1.0, L, 16)
+            assert sum(per_interval) == 0
             assert iset.n_intervals == L
 
     def test_small_instance_matches_brute_force(self):
         rng = np.random.default_rng(10)
         rows = np.vstack([rng.normal(0, 2, 6) for _ in range(3)])
         floor = float(rows.min()) - 0.5
-        iset, table = optimize_boundaries(rows, floor, 2, 8)
+        iset, per_interval = optimize_boundaries(rows, floor, 2, 8)
         bounds, mismatch, _ = brute_force_boundaries(rows, floor, 2, 8)
-        assert sum(table.per_interval) == mismatch
+        assert sum(per_interval) == mismatch
         assert iset.boundaries == pytest.approx(bounds, rel=1e-12)
 
     def test_three_intervals_matches_brute_force(self):
         rng = np.random.default_rng(11)
         rows = np.vstack([rng.normal(0, 2, 10) for _ in range(4)])
         floor = float(rows.min()) - 0.3
-        iset, table = optimize_boundaries(rows, floor, 3, 12)
+        iset, per_interval = optimize_boundaries(rows, floor, 3, 12)
         bounds, mismatch, _ = brute_force_boundaries(rows, floor, 3, 12)
-        assert sum(table.per_interval) == mismatch
+        assert sum(per_interval) == mismatch
         assert iset.boundaries == pytest.approx(bounds, rel=1e-12)
 
     def test_random_instances_match_brute_force(self):
         rng = np.random.default_rng(99)
         for _ in range(60):
             rows, floor, L, G = random_instance(rng)
-            iset, table = optimize_boundaries(rows, floor, L, G)
+            iset, per_interval = optimize_boundaries(rows, floor, L, G)
             bounds, mismatch, balance = brute_force_boundaries(rows, floor, L, G)
-            assert sum(table.per_interval) == mismatch
+            assert sum(per_interval) == mismatch
             assert iset.boundaries == pytest.approx(bounds, rel=1e-12)
 
     def test_shift_covariance(self):
@@ -148,9 +152,9 @@ class TestOptimizeBoundaries:
         rows = np.vstack([rng.normal(0, 2, 25) for _ in range(3)])
         floor = float(rows.min()) - 1.0
         c = 12.5
-        a_set, a_tab = optimize_boundaries(rows, floor, 3, 16)
-        b_set, b_tab = optimize_boundaries(rows + c, floor + c, 3, 16)
-        assert a_tab.per_interval == b_tab.per_interval
+        a_set, a_mismatch = optimize_boundaries(rows, floor, 3, 16)
+        b_set, b_mismatch = optimize_boundaries(rows + c, floor + c, 3, 16)
+        assert a_mismatch == b_mismatch
         np.testing.assert_allclose(np.asarray(b_set.boundaries),
                                    np.asarray(a_set.boundaries) + c, rtol=1e-9)
 
@@ -200,12 +204,14 @@ class TestOptimizeIntervals:
         p, t = self.trace(sigma=5.0, slots=200)
         iset, _ = optimize_intervals(t, 2, 16, floor=p.rss_decode_floor_db)
         qt = quantize_trace(t, iset)
+        # the key slots are exactly the ones the fit saw
+        np.testing.assert_array_equal(
+            qt.slot_indices, retained_slots(t, p.rss_decode_floor_db))
         dropped = set(range(t.slots)) - set(qt.slot_indices.tolist())
         for s in dropped:
             column = t.values[:, s]
             assert np.isnan(column).any() or \
-                (column < p.rss_decode_floor_db).any() or \
-                (column >= iset.boundaries[-1]).any()
+                (column < p.rss_decode_floor_db).any()
         assert not np.isnan(t.values[:, qt.slot_indices]).any()
         assert qt.bins.shape == (4, len(qt.slot_indices))
         assert qt.bins.min() >= 1 and qt.bins.max() <= 2
@@ -217,6 +223,23 @@ class TestOptimizeIntervals:
         assert qt.eavesdropper_bins.min() >= 1
         assert qt.eavesdropper_bins.max() <= 3
         assert len(qt.eavesdropper_bins) == len(qt.slot_indices)
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_vehicle_2_above_the_top_keeps_its_slot(self, L):
+        # the chain is rows 0, 2, 3, so vehicle 2 (row 1) can read above
+        # the fitted top; its slot stays in every key, in bin L for vehicle 2
+        chain = np.array([-60.0, -50.0, -40.0, -55.0, -45.0, -65.0])
+        v2 = chain.copy()
+        v2[2] = -10.0
+        trace = RssTrace(values=np.vstack([chain, v2, chain, chain]),
+                         eavesdropper=np.full(chain.size, -52.0))
+        iset, _ = optimize_intervals(trace, L, 8, floor=-100.0)
+        assert v2[2] >= iset.boundaries[-1]
+        qt = quantize_trace(trace, iset)
+        assert qt.slot_indices.tolist() == list(range(chain.size))
+        assert qt.bins[1, 2] == L
+        np.testing.assert_array_equal(np.delete(qt.bins[1], 2),
+                                      np.delete(qt.bins[0], 2))
 
 
 @st.composite
@@ -253,9 +276,9 @@ class TestOptimizeBoundariesProperty:
                 optimize_boundaries(rows, floor, L, G)
             return
         bounds, mismatch, _ = expected
-        iset, table = optimize_boundaries(rows, floor, L, G)
+        iset, per_interval = optimize_boundaries(rows, floor, L, G)
         assert iset.boundaries == pytest.approx(bounds, rel=1e-12, abs=1e-12)
-        assert sum(table.per_interval) == mismatch
+        assert sum(per_interval) == mismatch
         bins = [bin_indices(r, iset).tolist() for r in rows]
-        assert table.per_interval == tuple(
+        assert per_interval == tuple(
             chained_mismatch(bins, l) for l in range(1, L + 1))

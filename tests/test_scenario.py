@@ -209,6 +209,9 @@ def cycle_points(draw):
 @example(replace(Scenario(), channel=ChannelParams(
     channel_constant_db=1.7976931348623155e308), slots=64,
     protocol=ProtocolConfig(z_iterations=3)))
+# vehicle 2 reads above the fitted top in the one fitted slot, which stays in the key
+@example(replace(Scenario(), channel=ChannelParams(reciprocity_sigma_db=20.0),
+                 slots=5))
 def test_every_accepted_point_runs_or_fails_for_a_modeled_reason(point):
     try:
         point_cycle(point, point.seeds[0], 0)
@@ -252,6 +255,9 @@ SWEEP_AXES_MESSAGE = (
      "invalid literal for int() with base 10: '3.5'"),
     ("sweep_values = 2,x\nsweep_axis = pair_distance", 1, "sweep_values",
      "could not convert string to float: 'x'"),
+    # values without an axis would run one point and be ignored
+    ("slots = 5\nsweep_values = 1,2", 2, "sweep_values",
+     "sweep_values need a sweep_axis"),
     # every sweep point is built at parse time
     ("sweep_axis = pair_distance\nsweep_values = nan", 2, "sweep_values",
      "must be finite"),
@@ -340,9 +346,10 @@ def test_semantic_errors_carry_no_line(text, message):
      "sweep value ('P1', 3) repeats ('P1', 3.0)"),
     (dict(seeds=(4, 1, 1)), "seed 1 is listed more than once"),
     (dict(seeds=(1, 1, -3)), "seeds must be non-negative, got -3"),
+    (dict(sweep_values=(1.0, 2.0)), "sweep_values need a sweep_axis"),
 ])
 def test_scenario_built_in_code_keeps_the_document_rules(changes, message):
-    # the parser's repeat and seed rules hold without a document, too
+    # the parser's repeat, seed and axis rules hold without a document, too
     with pytest.raises(ValueError) as info:
         Scenario(**changes)
     assert str(info.value) == message
