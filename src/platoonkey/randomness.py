@@ -10,7 +10,9 @@ Each test enforces one minimum input length, its entry in
 :data:`DEFAULT_FLOORS`, which follows the usual recommendations.  The
 numerical core is the complementary error function and the regularized
 upper incomplete gamma ratio; accuracy of both is pinned against a
-high-precision reference in the test suite.
+high-precision reference in the test suite.  Their ``scipy.special``
+loads at the first test call: it takes most of a package import, and a
+key agreement cycle runs no test.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, gammaincc, ndtr
 
 __all__ = [
     "DEFAULT_FLOORS",
@@ -53,6 +54,11 @@ DEFAULT_FLOORS = {
 }
 
 
+def _special():
+    import scipy.special  # deferred: a key agreement cycle never needs it
+    return scipy.special
+
+
 class InsufficientData(ValueError):
     """Input stream is shorter than the test's minimum length."""
 
@@ -84,7 +90,7 @@ def frequency_test(bits) -> float:
     eps = _as_bits(bits)
     _check_floor(len(eps), "frequency")
     s = abs(2 * np.count_nonzero(eps) - len(eps))
-    return float(erfc(s / math.sqrt(2.0 * len(eps))))
+    return float(_special().erfc(s / math.sqrt(2.0 * len(eps))))
 
 
 def block_frequency_test(bits, block_size: int | None = None) -> float:
@@ -98,7 +104,7 @@ def block_frequency_test(bits, block_size: int | None = None) -> float:
     k = n // m
     pi = eps[:k * m].reshape(k, m).mean(axis=1)
     chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
-    return float(gammaincc(k / 2.0, chi2 / 2.0))
+    return float(_special().gammaincc(k / 2.0, chi2 / 2.0))
 
 
 def _default_block_size(n: int) -> int:
@@ -125,6 +131,7 @@ def cusum_test(bits, direction: str = "forward") -> float:
     sqn = math.sqrt(n)
     k1 = np.arange((-n // z + 1) // 4, (n // z - 1) // 4 + 1)
     k2 = np.arange((-n // z - 3) // 4, (n // z - 1) // 4 + 1)
+    ndtr = _special().ndtr
     term1 = np.sum(ndtr((4 * k1 + 1) * z / sqn)
                    - ndtr((4 * k1 - 1) * z / sqn))
     term2 = np.sum(ndtr((4 * k2 + 3) * z / sqn)
@@ -149,7 +156,7 @@ def runs_test(bits) -> float:
     v = 1 + np.count_nonzero(eps[1:] != eps[:-1])
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    return float(erfc(num / den))
+    return float(_special().erfc(num / den))
 
 
 _LONGEST_RUN_TABLES = (
@@ -188,7 +195,7 @@ def longest_run_test(bits) -> float:
                      minlength=len(cats))
     expected = k * np.asarray(probs)
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
-    return float(gammaincc((len(cats) - 1) / 2.0, chi2 / 2.0))
+    return float(_special().gammaincc((len(cats) - 1) / 2.0, chi2 / 2.0))
 
 
 def dft_test(bits) -> float:
@@ -202,7 +209,7 @@ def dft_test(bits) -> float:
     n0 = 0.95 * n / 2.0
     n1 = int(np.sum(modulus < threshold))
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
-    return float(erfc(abs(d) / math.sqrt(2.0)))
+    return float(_special().erfc(abs(d) / math.sqrt(2.0)))
 
 
 def _pattern_counts(eps: np.ndarray, m: int) -> list[np.ndarray]:
@@ -239,7 +246,7 @@ def approx_entropy_test(bits, m: int | None = None) -> float:
         phi.append(float(np.sum(c * np.log(c))))
     apen = phi[0] - phi[1]
     chi2 = 2.0 * n * (math.log(2.0) - apen)
-    return float(gammaincc(2 ** (m - 1), chi2 / 2.0))
+    return float(_special().gammaincc(2 ** (m - 1), chi2 / 2.0))
 
 
 def _default_apen_m(n: int) -> int:
@@ -262,8 +269,8 @@ def serial_test(bits, m: int | None = None) -> tuple[float, float]:
         for k in (m, m - 1, m - 2))
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = float(gammaincc(2 ** (m - 2), d1 / 2.0))
-    p2 = float(gammaincc(2 ** (m - 3), d2 / 2.0))
+    p1 = float(_special().gammaincc(2 ** (m - 2), d1 / 2.0))
+    p2 = float(_special().gammaincc(2 ** (m - 3), d2 / 2.0))
     return p1, p2
 
 

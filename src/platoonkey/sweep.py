@@ -149,8 +149,9 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
                 work.append((pi, point, scenario.sweep_axis, axis_value,
                              seed, repl))
 
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = min(parallelism, len(work))  # a pool starts all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_unit, work, chunksize=1))
     else:
         rows = [_run_unit(w) for w in work]

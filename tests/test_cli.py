@@ -168,18 +168,41 @@ def test_out_dir_writes_report_csv(tmp_path, capsys):
     assert (out / "nist_report.csv").read_bytes().count(b"\r\n") == len(rows)
 
 
-def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.signal is needed only for autocorrelated shadowing, and
-    # scipy.stats not at all; either would dominate the start-up time.
-    # The entry point imports every module of the package.
+def fresh_python(code, cwd=None) -> str:
+    """The last line ``code`` prints in a new interpreter that imports this
+    checkout's package."""
     src = str(Path(platoonkey.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, platoonkey.cli\n"
-            "print([m for m in sys.modules\n"
-            "       if m.startswith(('scipy.stats', 'scipy.signal'))])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout.splitlines()[-1]
+
+
+HEAVY_SCIPY = ("import sys\n"
+               "def heavy():\n"
+               "    return [m for m in sys.modules\n"
+               "            if m.startswith(('scipy.special', 'scipy.stats', 'scipy.signal'))]\n")
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.special is needed only by the randomness battery, scipy.signal
+    # only for autocorrelated shadowing, and scipy.stats not at all; each
+    # would dominate the start-up time.  The entry point imports every
+    # module of the package.
+    assert fresh_python(HEAVY_SCIPY + "import platoonkey.cli\nprint(heavy())") == "[]"
+
+
+def test_run_loads_no_heavy_scipy_module_and_nist_loads_scipy_special(tmp_path):
+    # a key agreement cycle computes no p-value; the battery's first one
+    # imports scipy.special
+    (tmp_path / "run.scn").write_text("slots = 50\nseeds = 0..1\n", encoding="utf-8")
+    (tmp_path / "bits.txt").write_text(TEXT, encoding="ascii")
+    code = HEAVY_SCIPY + (
+        "from platoonkey.cli import main\n"
+        "rc_run = main(['run', 'run.scn', '--out-dir', 'run'])\n"
+        "after_run = heavy()\n"
+        "rc_nist = main(['nist', 'bits.txt'])\n"
+        "print(rc_run, after_run, rc_nist, 'scipy.special' in sys.modules)")
+    assert fresh_python(code, cwd=tmp_path) == "0 [] 0 True"
 
 
 EVENT_HEADER = ["seed", "slot", "stage", "sender", "receiver", "kind", "outcome"]

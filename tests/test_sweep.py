@@ -34,6 +34,29 @@ def test_outputs_identical_at_parallelism_one_and_two(tmp_path):
             (tmp_path / "p2" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("seeds, pool_workers", [((0, 1, 2), [3]), ((0,), [])])
+def test_pool_gets_no_more_workers_than_units(tmp_path, monkeypatch, seeds, pool_workers):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    report = sweep.run_sweep(Scenario(slots=50, seeds=seeds), tmp_path, parallelism=4)
+    assert asked == pool_workers
+    assert len(report.rows) == len(seeds)
+
+
 def unit_args():
     point = lossy_scenario().points()[0]
     return (0, point, "n_vehicles", "4", 0, 0)
