@@ -23,7 +23,8 @@ Randomness model of :func:`generate_trace`, per slot:
 
 Shadowing is drawn once per cycle: the Z beacon passes of a cycle fall
 within the channel coherence time, so they see the same fading.
-Measurement and reciprocity noise, when nonzero, are drawn once per pass.
+Measurement and reciprocity noise, when nonzero, are drawn once per pass;
+without them the Z passes are equal, and a cycle has one pass.
 
 The eavesdropper's links draw from an RNG stream disjoint from the
 platoon's, and its shadowing (common and private) is independent of the
@@ -249,10 +250,10 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     estimate formed from their own two link readings, and the eavesdropper
     an estimate formed from its own, independently faded links.
 
-    The ``passes`` traces of one cycle share one shadowing draw and each
-    draw their own noise; later passes continue the first pass's RNG
-    streams.  Zero-sigma noise is not drawn, as it adds 0 and ends its
-    stream; noiseless passes share one trace.  Arrays are read-only.
+    Returns the cycle's distinct passes: ``passes`` traces that share one
+    shadowing draw and each draw their own noise, continuing the first
+    pass's RNG streams, or one trace on a noiseless channel.  Zero-sigma
+    noise is not drawn, as it adds 0 and ends its stream.  Arrays are read-only.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
@@ -311,4 +312,4 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
         eaves = _estimate_rows(params, *(e_faded + e_sig * e_meas))
         values.flags.writeable = eaves.flags.writeable = False
         traces.append(RssTrace(values=values, eavesdropper=eaves))
-    return traces if noisy else traces * passes
+    return traces

@@ -2,7 +2,7 @@
 
 Stage one (CSKA) lets the vehicles beacon strictly in turn from the
 leader to the tail; a beacon not received by its checker is retransmitted
-by its sender, and each of the Z passes commits one RSS trace.  Stage two
+by its sender, and the Z passes commit their distinct RSS traces.  Stage two
 (EVCD) has the leader encrypt the command with its key and forward it
 hop by hop; every vehicle decrypts with its own key and re-encrypts for
 the next hop, the tail answers with a one-bit ACK, and hop losses are
@@ -12,15 +12,15 @@ a vehicle whose keystream differs from the leader's fails to decode the
 command; its re-encryption cancels its own key, so the error does not
 reach the vehicles behind it.
 
-After the Z passes each vehicle holds Z RSS traces.  The quantizer is
+After the Z passes each vehicle holds its RSS traces.  The quantizer is
 fitted once per cycle, and the agreed key extracted, on the slot-wise
 average of each vehicle's own RSS sequences across iterations: the
 passes share one shadowing realization (they fall within the channel
 coherence time), so averaging needs no exchange of key material and
 shrinks the estimation noise relative to the shared randomness, and
-more iterations give better agreement.  Noiseless passes are one shared
-trace, masked once; the average still sums a stacked copy of every pass,
-because numpy's order over that axis sets the mean's last bits.
+more iterations give better agreement.  A noiseless cycle's one trace is
+fitted as it is; distinct passes are summed over a stacked copy, because
+numpy's order over that axis sets the mean's last bits.
 
 Event timing is slotted: every transmission occupies one slot, and
 modeled latency is reported separately from wall-clock compute time.
@@ -150,14 +150,15 @@ def _send(log: CycleLog, rng: np.random.Generator, loss_prob: float,
 def run_cska(config: ProtocolConfig, params: ChannelParams,
              geometry: PlatoonGeometry, slots: int, seed
              ) -> tuple[list[RssTrace], CycleLog]:
-    """Run the Z beacon passes and commit one RSS trace per pass.
+    """Run the Z beacon passes and commit the cycle's distinct RSS traces.
 
     Beacons go out strictly sequentially from vehicle 1 to vehicle N
     (half duplex: one transmission per slot, nobody both sends and
     receives in the same slot).  A lost beacon is retransmitted by its
     sender; more than ``retransmission_cap`` retries abort the cycle.
-    The Z traces come from one :func:`generate_trace` call: they share
-    the cycle's shadowing and differ only in their noise draws.
+    The traces come from one :func:`generate_trace` call: they share the
+    cycle's shadowing and differ only in their noise, so a noiseless
+    cycle has one.
     """
     loss_ss, trace_ss = _seed_sequence(seed).spawn(2)
     loss_rng = np.random.default_rng(loss_ss)
@@ -268,8 +269,9 @@ class AgreementReport:
 
     ``dissemination_success`` needs every hop to decode the command (see
     ``log.decode_failure_hops``).  ``retained_per_iteration`` counts each
-    pass's retained slots (valid at every vehicle and at or above the
-    decode floor); only the averaged trace is fitted.
+    of the Z passes' retained slots (valid at every vehicle and at or
+    above the decode floor), a noiseless cycle's one trace once per pass;
+    only the averaged trace is fitted.
     """
 
     n_vehicles: int
@@ -291,24 +293,15 @@ class AgreementReport:
         return self.bmmr_per_vehicle[self.n_vehicles]
 
 
-def _once_each(fn, items: list) -> list:
-    """``[fn(x) for x in items]``, calling ``fn`` once per distinct object."""
-    distinct = {id(x): x for x in items}
-    done = {k: fn(x) for k, x in distinct.items()}
-    return [done[id(x)] for x in items]
-
-
 def _nan_mean(passes: list[np.ndarray]) -> np.ndarray:
     """Mean over the passes of the entries that are not NaN; NaN where
     every pass's entry is, and where finite entries sum past the float
     range (the slot then drops like any failed estimate)."""
-    def mask(a):
-        valid = ~np.isnan(a)
-        return valid, np.where(valid, a, 0.0)
-    valid, zeroed = zip(*_once_each(mask, passes))
-    counts = np.stack(valid).sum(axis=0)
+    stacked = np.stack(passes)
+    valid = ~np.isnan(stacked)
+    counts = valid.sum(axis=0)
     with np.errstate(over="ignore"):
-        sums = np.stack(zeroed).sum(axis=0)
+        sums = np.where(valid, stacked, 0.0).sum(axis=0)
     return np.where((counts > 0) & np.isfinite(sums),
                     sums / np.maximum(counts, 1), np.nan)
 
@@ -319,13 +312,13 @@ def _averaged_trace(traces: list[RssTrace], floor: float) -> tuple[RssTrace, lis
 
     A slot stays valid for a vehicle when at least one iteration observed
     it; which slots failed is shareable (it carries no RSS values), so the
-    averaging is synchronized across vehicles.  Noiseless passes are one
-    shared trace, so each distinct pass is masked and counted once.  The
-    sum still runs over a stacked (Z, ...) copy: numpy adds a (Z, 1) stack
-    pairwise rather than in order, so a running ``+=`` over the passes
-    would change the mean's last bits, and with them keys.
+    averaging is synchronized across vehicles.  A lone trace (Z=1, or a
+    noiseless cycle) is returned as it is.  Distinct passes are summed
+    over a stacked (Z, ...) copy: numpy adds a (Z, 1) stack pairwise
+    rather than in order, so a running ``+=`` over the passes would change
+    the mean's last bits, and with them keys.
     """
-    retained = _once_each(lambda t: len(retained_slots(t, floor)), traces)
+    retained = [len(retained_slots(t, floor)) for t in traces]
     if len(traces) == 1:
         return traces[0], retained
     avg = _nan_mean([t.values for t in traces])
@@ -343,6 +336,8 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
 
     floor = params.rss_decode_floor_db
     trace, retained = _averaged_trace(traces, floor)
+    if len(retained) < protocol.z_iterations:  # a noiseless cycle's one trace
+        retained *= protocol.z_iterations
     intervals, _ = optimize_intervals(trace, quant.n_intervals,
                                       quant.grid_size, floor=floor)
     qt = quantize_trace(trace, intervals)

@@ -270,6 +270,7 @@ class QuantizedTrace:
     bins: np.ndarray                  # (n_vehicles, retained) 1-based
     eavesdropper_bins: np.ndarray     # (retained,) clamped best effort
 
+
 def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> QuantizedTrace:
     """Quantize every vehicle's samples on the fitted slots into bin indices.
 

@@ -222,19 +222,17 @@ class TestGenerateTrace:
     FIELDS = ("values", "eavesdropper")
 
     def test_noiseless_passes_are_one_read_only_trace(self):
+        # without noise the passes are equal, so the cycle has one
         p = ChannelParams(shadowing_sigma_db=3.0, shadowing_autocorr=0.5)
         g = PlatoonGeometry(n_vehicles=6, pair_distance_m=2.0)
         single = generate_trace(p, g, 120, 31)[0]
-        traces = generate_trace(p, g, 120, 31, passes=5)
-        assert len(traces) == 5
-        for t in traces:
-            for name in self.FIELDS:
-                arr = getattr(t, name)
-                assert arr.tobytes() == getattr(single, name).tobytes()
-                assert np.shares_memory(arr, getattr(traces[0], name))
-                assert not arr.flags.writeable
+        (trace,) = generate_trace(p, g, 120, 31, passes=5)
+        for name in self.FIELDS:
+            arr = getattr(trace, name)
+            assert arr.tobytes() == getattr(single, name).tobytes()
+            assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            traces[1].values[0, 0] = 0.0
+            trace.values[0, 0] = 0.0
 
     @pytest.mark.parametrize("noise", [
         dict(measurement_noise_db=0.1),

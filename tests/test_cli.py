@@ -280,17 +280,26 @@ def test_run_at_a_channel_constant_past_the_noise_scale_range(tmp_path, capsys,
         assert "channel_constant_db" in captured.err
 
 
-@pytest.mark.parametrize("z, rc", [(1, EXIT_OK), (2, EXIT_RUNTIME)])
+OVERFLOW_TEXT = ("path_loss_exponent = 5e306\npair_distance_m = 100.0\n"
+                 "n_vehicles = 3\nslots = 64\nseeds = 0..1\n")
+
+
+@pytest.mark.parametrize("z, recip, rc", [
+    (1, 0.0, EXIT_OK), (2, 0.0, EXIT_OK), (2, 0.5, EXIT_RUNTIME)],
+    ids=["1-0", "2-0", "2-3"])
 def test_run_where_the_pass_average_leaves_the_float_range(tmp_path, capsys,
-                                                           z, rc):
+                                                           z, recip, rc):
     # each pass's RSS is finite but above half the float range, so two
-    # passes sum past it: those slots drop, and here no slot is left
-    text = ("path_loss_exponent = 5e306\npair_distance_m = 100.0\n"
-            f"n_vehicles = 3\nslots = 64\nseeds = 0..1\nz_iterations = {z}\n")
+    # distinct passes sum past it: those slots drop, and here no slot is
+    # left.  Noiseless passes are one trace, which is not summed, so the
+    # run is the one at z = 1.
+    text = (OVERFLOW_TEXT + f"z_iterations = {z}\n"
+            f"reciprocity_sigma_db = {recip}\n")
     got, captured, out = run_cli(tmp_path, capsys, text)
     assert got == rc
     if rc == EXIT_OK:
-        assert written_run(out)[0] == expected_run(text)[0]
+        # the keys.txt of z = 1, the default
+        assert written_run(out)[0] == expected_run(OVERFLOW_TEXT)[0]
     else:
         assert [line.split()[:3] for line in captured.out.splitlines()[1:3]] == [
             [str(seed), "failed:", "InfeasiblePartition:"] for seed in (0, 1)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace
+from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace, generate_trace
 from platoonkey.keygen import KeygenConfig, SecretKey
 from platoonkey.protocol import (
     CycleAbort,
@@ -69,7 +69,8 @@ class TestRunCska:
             traces, log = run_cska(cfg, QUIET, geom, slots=4, seed=1)
             assert log.retransmissions == 0
             assert log.beacon_transmissions == 2 * n
-            assert len(traces) == 2
+            # the noiseless channel's two passes are one trace
+            assert len(traces) == 1
 
     def test_overhead_identity_holds_under_loss(self):
         cfg = ProtocolConfig(beacon_loss_prob=0.3, beacon_bits=6)
@@ -113,12 +114,11 @@ class TestRunCska:
         noiseless = ChannelParams(shadowing_sigma_db=3.0,
                                   rss_decode_floor_db=-40.0)
         traces, _ = run_cska(cfg, noiseless, GEOM4, slots=50, seed=5)
-        for t in traces[1:]:
-            assert t.values.tobytes() == traces[0].values.tobytes()
-            assert t.eavesdropper.tobytes() == traces[0].eavesdropper.tobytes()
+        assert len(traces) == 1
         noisy = ChannelParams(shadowing_sigma_db=3.0, rss_decode_floor_db=-40.0,
                               measurement_noise_db=0.1, reciprocity_sigma_db=0.5)
         traces, _ = run_cska(cfg, noisy, GEOM4, slots=50, seed=5)
+        assert len(traces) == 4
         for t in traces[1:]:
             assert t.values.tobytes() != traces[0].values.tobytes()
             assert t.eavesdropper.tobytes() != traces[0].eavesdropper.tobytes()
@@ -406,14 +406,36 @@ class TestAveragedTrace:
         np.testing.assert_array_equal(avg.values, [[np.nan, np.nan, 1.5, big]] * 2)
         np.testing.assert_array_equal(avg.eavesdropper, [np.nan, np.nan, 1.5, big])
 
+    @pytest.mark.parametrize("z", [3, 10])
+    def test_a_noiseless_cycle_fits_its_one_pass(self, z):
+        # the cycle_large shape on the default, noiseless channel: the Z
+        # passes are one trace, fitted byte for byte as Z = 1 fits it
+        p = ChannelParams()
+        geom = PlatoonGeometry(n_vehicles=10, pair_distance_m=2.0)
+        floor = p.rss_decode_floor_db
+        single = generate_trace(p, geom, 1000, 3)[0]
+        avg, _ = _averaged_trace(generate_trace(p, geom, 1000, 3, passes=z), floor)
+        assert avg.values.tobytes() == single.values.tobytes()
+        assert avg.eavesdropper.tobytes() == single.eavesdropper.tobytes()
+
+        def cycle(zi, seed):
+            return run_cycle(p, geom, ProtocolConfig(z_iterations=zi),
+                             QuantizerConfig(8, 64), KeygenConfig(), 1000, seed)
+        assert (cycle(z, 3).retained_per_iteration
+                == cycle(1, 3).retained_per_iteration * z)
+        # the trace seed does not depend on Z
+        for seed in range(4):
+            assert cycle(z, seed).leader_key == cycle(1, seed).leader_key
+
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("slots", [1, 2, 8, 1000])
     @pytest.mark.parametrize("z", [1, 2, 3, 9, 10, 12])
     def test_bytes_equal_the_stacked_mean(self, z, slots, shared):
-        # a noiseless cycle repeats one trace object Z times, a noisy one
-        # holds Z distinct passes; numpy sums a stacked (Z, 1) array
-        # pairwise from nine passes on, so at one slot a running sum over
-        # the passes would differ in the last bits
+        # Z distinct passes, or one trace object repeated Z times (a
+        # noiseless cycle passes its one trace alone, but repeats are still
+        # valid input); numpy sums a stacked (Z, 1) array pairwise from
+        # nine passes on, so at one slot a running sum over the passes
+        # would differ in the last bits
         rng = np.random.default_rng([z, slots, shared])
         n, floor = 4, -75.0
 

@@ -205,9 +205,9 @@ def cycle_points(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(cycle_points())
-# finite passes that sum past the float range
+# finite distinct passes that sum past the float range
 @example(replace(Scenario(), channel=ChannelParams(
-    channel_constant_db=1.7976931348623155e308), slots=64,
+    channel_constant_db=1.7976931348623155e308, reciprocity_sigma_db=0.5), slots=64,
     protocol=ProtocolConfig(z_iterations=3)))
 # vehicle 2 reads above the fitted top in the one fitted slot, which stays in the key
 @example(replace(Scenario(), channel=ChannelParams(reciprocity_sigma_db=20.0),
