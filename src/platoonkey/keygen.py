@@ -1,11 +1,12 @@
 """Gray-coded secret key extraction from quantization bin indices.
 
 Each retained slot contributes the Q-bit reflected-binary Gray codeword
-of its bin, so neighboring bins differ in a single key bit and a
-one-bin quantization disagreement costs at most one bit of the slot's
-codeword.  :func:`codeword_table` lays the bin-to-codeword map out as
-one table, built once per cycle, and :func:`extract_key` gathers that
-table's rows at the slots' bin indices.
+of its bin (the direct map of Jana et al., MobiCom 2009, and Patwari et
+al., IEEE TMC 2010), so neighboring bins differ in a single key bit and
+a one-bin quantization disagreement costs at most one bit of the slot's
+codeword.  :func:`codeword_table` lays the map out as one table, built
+once per cycle, and :func:`extract_key` gathers that table's rows at the
+slots' bin indices.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ import numpy as np
 __all__ = [
     "CodebookTooSmall",
     "KeygenConfig",
-    "MAP_MODES",
     "SecretKey",
     "bmmr",
     "codeword_table",
     "extract_key",
 ]
-
-MAP_MODES = ("direct", "grouped")
 
 
 class CodebookTooSmall(ValueError):
@@ -36,14 +34,10 @@ class KeygenConfig:
     """codeword_bits = 0 selects ceil(log2(n_intervals)) automatically."""
 
     codeword_bits: int = 0
-    map_mode: str = "direct"
-    append_complement: bool = False
 
     def __post_init__(self) -> None:
         if self.codeword_bits < 0:
             raise ValueError("codeword_bits must be >= 0")
-        if self.map_mode not in MAP_MODES:
-            raise ValueError(f"map_mode must be one of {MAP_MODES}")
 
     def resolve_bits(self, n_intervals: int) -> int:
         if self.codeword_bits:
@@ -79,36 +73,22 @@ class SecretKey:
         return np.packbits(self.bits).tobytes().hex()
 
 
-def codeword_table(codeword_bits: int, n_bins: int, map_mode: str = "direct",
-                   append_complement: bool = False) -> np.ndarray:
-    """The read-only ``(n_bins, Q)`` uint8 codeword table of a map.
+def codeword_table(codeword_bits: int, n_bins: int) -> np.ndarray:
+    """The read-only ``(n_bins, Q)`` uint8 table of the direct Gray map.
 
-    Row l - 1 holds the codeword of bin l, most significant bit first;
-    the index-th reflected-binary Gray codeword is ``index ^ (index >> 1)``.
-
-    * ``direct`` (default): bin l maps to codeword l - 1, which keeps
-      adjacent bins Gray-adjacent.
-    * ``grouped``: bin l maps to codeword floor((l - 1) / 4), so each
-      group of four bins shares a codeword.
-
-    Both maps raise :class:`CodebookTooSmall` when L > 2**Q, so no bin's
-    codeword index exceeds the codebook.  ``append_complement`` adds a
-    column holding bin l's complement bit, 1 iff l mod 4 >= 2, which
-    restores the distinction within a group.
+    Row l - 1 holds bin l's codeword, the (l - 1)-th reflected-binary Gray
+    codeword ``(l - 1) ^ ((l - 1) >> 1)``, most significant bit first, so
+    adjacent bins are Gray-adjacent.  Raises :class:`CodebookTooSmall`
+    when L > 2**Q, so no bin's codeword index exceeds the codebook.
     """
     q, L = codeword_bits, n_bins
     if q < 1 or L < 1:
         raise ValueError("codeword_bits and n_bins must be >= 1")
-    if map_mode not in MAP_MODES:
-        raise ValueError(f"map_mode must be one of {MAP_MODES}")
     if L > 2 ** q:
         raise CodebookTooSmall(f"{L} bins exceed the {2 ** q}-codeword codebook")
-    index = np.arange(L) if map_mode == "direct" else np.arange(L) // 4
+    index = np.arange(L)
     gray = index ^ (index >> 1)
-    table = (gray[:, None] >> np.arange(q - 1, -1, -1)) & 1
-    if append_complement:
-        table = np.column_stack([table, np.arange(1, L + 1) % 4 >= 2])
-    table = table.astype(np.uint8)
+    table = ((gray[:, None] >> np.arange(q - 1, -1, -1)) & 1).astype(np.uint8)
     table.flags.writeable = False
     return table
 

@@ -341,9 +341,7 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
     intervals, _ = optimize_intervals(trace, quant.n_intervals,
                                       quant.grid_size, floor=floor)
     qt = quantize_trace(trace, intervals)
-    table = codeword_table(keygen.resolve_bits(quant.n_intervals),
-                           quant.n_intervals, keygen.map_mode,
-                           keygen.append_complement)
+    table = codeword_table(keygen.resolve_bits(quant.n_intervals), quant.n_intervals)
     agreed_keys = {i: extract_key(qt.bins[i - 1], table)
                    for i in range(1, geometry.n_vehicles + 1)}
     agreed_ekey = extract_key(qt.eavesdropper_bins, table)

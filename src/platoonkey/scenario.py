@@ -8,8 +8,8 @@ described by an axis name plus a value list.
 The keys are the fields of ChannelParams, PlatoonGeometry,
 ProtocolConfig, QuantizerConfig and KeygenConfig followed by those of
 Scenario itself; ``serialize_scenario(Scenario())`` lists every key with
-its default, in document order.  ``codeword_bits = 0`` selects
-ceil(log2(n_intervals)) bits.
+its default, in document order.  Secret keys are the bins' direct Gray
+code, and ``codeword_bits = 0`` selects ceil(log2(n_intervals)) bits.
 
 A sweep names one of ``SWEEP_AXES``.  The eavesdropper axis takes
 ``TAG:distance`` tokens (e.g. ``P1:3``); numeric axes take numbers.
@@ -38,7 +38,6 @@ __all__ = [
 _AXIS_KEYS = {
     "pair_distance": "pair_distance_m",
     "n_intervals": "n_intervals",
-    "codeword_bits": "codeword_bits",
     "z_iterations": "z_iterations",
     "n_vehicles": "n_vehicles",
 }
@@ -163,15 +162,6 @@ def _axis_cast(axis: str):
     return int if _SCHEMA[_AXIS_KEYS[axis]][1] == "int" else _parse_float
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_seeds(text: str) -> tuple[int, ...]:
     out: list[int] = []
     for token in text.split(","):
@@ -208,8 +198,8 @@ def _parse_sweep_values(axis: str, text: str) -> tuple:
 
 # declared type -> value parser; sweep values ('tuple') stay text until
 # the axis is known
-_PARSERS = {"float": _parse_float, "int": int, "bool": _parse_bool,
-            "str": str, "tuple": str, "tuple[int, ...]": _parse_seeds}
+_PARSERS = {"float": _parse_float, "int": int, "str": str, "tuple": str,
+            "tuple[int, ...]": _parse_seeds}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -286,8 +276,7 @@ def _format_seeds(seeds: tuple[int, ...]) -> str:
 
 
 # declared type -> value formatter; every other type is written with str
-_FORMATTERS = {"float": repr, "bool": lambda b: "true" if b else "false",
-               "tuple[int, ...]": _format_seeds}
+_FORMATTERS = {"float": repr, "tuple[int, ...]": _format_seeds}
 
 
 def serialize_scenario(s: Scenario) -> str:

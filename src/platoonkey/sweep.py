@@ -151,6 +151,9 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
 
     workers = min(parallelism, len(work))  # a pool starts all its workers up front
     if workers > 1:
+        if any(p.channel.shadowing_autocorr for p in points):
+            # channel._ar1 needs scipy.signal (~1 s to import): forked workers inherit it
+            import scipy.signal  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_unit, work, chunksize=1))
     else:

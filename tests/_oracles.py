@@ -89,19 +89,10 @@ def chained_mismatch(bin_rows, l):
     return total
 
 
-def reference_key_bits(bins, q, n_bins, map_mode, append_complement):
-    """Per-slot key bits: each bin's Gray codeword, then its complement bit."""
+def reference_key_bits(bins, q):
+    """Per-slot key bits: each bin's Q-bit Gray codeword, in slot order."""
     words = gray_list(q)
-    bits = []
-    for l in bins:
-        if map_mode == "direct":
-            word = words[l - 1]
-        else:
-            word = words[((l - 1) // 4) % (2 ** q)]
-        bits.extend(int(c) for c in word)
-        if append_complement:
-            bits.append(1 if l % 4 in (2, 3) else 0)
-    return bits
+    return [int(c) for l in bins for c in words[l - 1]]
 
 
 def reference_trace(params, geometry, slots, seed):

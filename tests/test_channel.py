@@ -15,7 +15,7 @@ from platoonkey.channel import (
     rss_of_link,
 )
 
-from _oracles import reference_trace
+from _oracles import reference_trace, sheppard_mismatch
 
 
 def params(**kw):
@@ -247,6 +247,21 @@ class TestGenerateTrace:
             for u in traces[i + 1:]:
                 for name in self.FIELDS:
                     assert not np.shares_memory(getattr(t, name), getattr(u, name))
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_lag1_bit_agreement_matches_sheppard(self, rho):
+        # AR(1) shadowing correlates consecutive readings at rho, so the
+        # L=2 bits (reading against its median) of consecutive slots agree
+        # with probability 1/2 + arcsin(rho)/pi, not 1/2
+        p = ChannelParams(shadowing_autocorr=rho)
+        g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
+        agree = []
+        for seed in range(40):
+            reading = generate_trace(p, g, 2000, seed)[0].values[0]
+            bits = reading >= np.median(reading)
+            agree.append(np.mean(bits[1:] == bits[:-1]))
+        se = np.std(agree, ddof=1) / math.sqrt(len(agree))
+        assert abs(np.mean(agree) - (1.0 - sheppard_mismatch(rho))) < 5 * se
 
 
 class TestGeometry:

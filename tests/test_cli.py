@@ -205,6 +205,33 @@ def test_run_loads_no_heavy_scipy_module_and_nist_loads_scipy_special(tmp_path):
     assert fresh_python(code, cwd=tmp_path) == "0 [] 0 True"
 
 
+@pytest.mark.parametrize("autocorr, loaded", [(0.5, "True"), (0.0, "False")])
+def test_sweep_pool_starts_after_scipy_signal_loads_only_for_ar1_shadowing(
+        tmp_path, autocorr, loaded):
+    # channel._ar1 imports scipy.signal; loaded in the parent before the
+    # pool forks, it is imported once rather than once per worker
+    code = (
+        "import sys\n"
+        "from platoonkey import sweep\n"
+        "from platoonkey.channel import ChannelParams\n"
+        "from platoonkey.scenario import Scenario\n"
+        "seen = []\n"
+        "class Pool:\n"
+        "    def __init__(self, max_workers):\n"
+        "        seen.append('scipy.signal' in sys.modules)\n"
+        "    def __enter__(self):\n"
+        "        return self\n"
+        "    def __exit__(self, *exc):\n"
+        "        return False\n"
+        "    def map(self, fn, items, chunksize):\n"
+        "        return map(fn, items)\n"
+        "sweep.ProcessPoolExecutor = Pool\n"
+        f"p = ChannelParams(shadowing_autocorr={autocorr})\n"
+        "sweep.run_sweep(Scenario(channel=p, slots=20, seeds=(0, 1)), 'out', 2)\n"
+        "print(*seen)")
+    assert fresh_python(code, cwd=tmp_path) == loaded
+
+
 EVENT_HEADER = ["seed", "slot", "stage", "sender", "receiver", "kind", "outcome"]
 
 

@@ -54,44 +54,15 @@ class TestGrayCodeword:
             codeword_table(0, 1)
         with pytest.raises(ValueError):
             codeword_table(3, 0)
-        with pytest.raises(ValueError):
-            codeword_table(3, 5, map_mode="zigzag")
-
-
-class TestComplementBit:
-    @staticmethod
-    def column(q, n_bins):
-        return codeword_table(q, n_bins, append_complement=True)[:, -1].tolist()
-
-    def test_small_cases(self):
-        bits = self.column(3, 4)
-        assert bits[2 - 1] == 1
-        assert bits[4 - 1] == 0
-
-    def test_first_twelve(self):
-        assert self.column(4, 12) == [0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0]
-
-    def test_thousand(self):
-        bits = self.column(10, 1000)
-        for l in range(1, 1001):
-            assert bits[l - 1] == (1 if l % 4 in (2, 3) else 0)
 
 
 class TestCodebook:
     def test_sizes(self):
-        for mode in ("direct", "grouped"):
-            assert codeword_table(3, 5, mode).shape == (5, 3)
-            table = codeword_table(3, 5, mode, append_complement=True)
-            assert table.shape == (5, 4) and table.dtype == np.uint8
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0, 0] = 1
-
-    def test_grouped_codewords_collapse_groups_of_four(self):
-        table = codeword_table(3, 8, map_mode="grouped").tolist()
-        assert table[0] == table[3]
-        assert table[4] == table[7]
-        assert table[0] != table[4]
+        table = codeword_table(3, 5)
+        assert table.shape == (5, 3) and table.dtype == np.uint8
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 class TestExtractKey:
@@ -109,16 +80,9 @@ class TestExtractKey:
         expected = "".join(gray_list(3)[l - 1] for l in [1, 2, 3, 4, 5])
         assert key.to01() == expected == "000001011010110"
 
-    def test_grouped_map_with_complement(self):
-        table = codeword_table(3, 8, map_mode="grouped", append_complement=True)
-        key = extract_key([1, 2, 5, 8], table)
-        # slot key = grouped codeword + complement bit
-        assert key.to01() == "0000" + "0001" + "0010" + "0010"
-
     def test_codebook_too_small(self):
-        for mode in ("direct", "grouped"):
-            with pytest.raises(CodebookTooSmall):
-                codeword_table(2, 5, map_mode=mode)
+        with pytest.raises(CodebookTooSmall):
+            codeword_table(2, 5)
 
     def test_bad_bin_rejected(self):
         table = codeword_table(3, 5)
@@ -145,17 +109,14 @@ class TestExtractKey:
             b = extract_key(other, table)
             assert bmmr(a, b) <= 1.0 / (slots * 3)
 
-    @pytest.mark.parametrize("map_mode", ["direct", "grouped"])
-    @pytest.mark.parametrize("append_complement", [False, True])
     @pytest.mark.parametrize("q,L", [(1, 2), (3, 5), (3, 8), (4, 11)])
-    def test_matches_per_slot_oracle(self, map_mode, append_complement, q, L):
-        table = codeword_table(q, L, map_mode, append_complement)
+    def test_matches_per_slot_oracle(self, q, L):
+        table = codeword_table(q, L)
         rng = np.random.default_rng([q, L])
         for bins in ([], [L], list(range(1, L + 1)),
                      rng.integers(1, L + 1, 50).tolist()):
             key = extract_key(np.asarray(bins, dtype=np.int64), table)
-            assert key.bits.tolist() == reference_key_bits(
-                bins, q, L, map_mode, append_complement)
+            assert key.bits.tolist() == reference_key_bits(bins, q)
             assert key.bits.dtype == np.uint8
 
     def test_hex_round_trip_prefix(self):
@@ -234,4 +195,4 @@ class TestKeygenConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            KeygenConfig(map_mode="zigzag")
+            KeygenConfig(codeword_bits=-1)

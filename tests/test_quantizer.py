@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace, generate_trace
+from platoonkey.keygen import codeword_table, extract_key
 from platoonkey.quantizer import (
     InfeasiblePartition,
     IntervalSet,
@@ -240,6 +241,34 @@ class TestOptimizeIntervals:
         assert qt.bins[1, 2] == L
         np.testing.assert_array_equal(np.delete(qt.bins[1], 2),
                                       np.delete(qt.bins[0], 2))
+
+    @pytest.mark.parametrize("grid_size", [8, 64, 512])
+    @pytest.mark.parametrize("common_fraction", [0.0, 0.999])
+    def test_key_surplus_within_one_grid_cell(self, common_fraction, grid_size):
+        # the balance stage puts the boundary on the grid point nearest the
+        # leader's median, so a key's surplus of ones or zeros is at most the
+        # leader samples of the first non-empty grid cell beyond the boundary
+        # on the fuller side, so a coarse grid leaves keys unbalanced by up to that
+        p = ChannelParams(shadowing_common_fraction=common_fraction)
+        g = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0)
+        floor = p.rss_decode_floor_db
+        for seed in range(20):
+            (t,) = generate_trace(p, g, 300, seed)
+            iset, _ = optimize_intervals(t, 2, grid_size, floor)
+            key = extract_key(quantize_trace(t, iset).bins[0], codeword_table(1, 2))
+            keep = retained_slots(t, floor)
+            # the fit's grid runs from the floor to the chain's largest
+            # sample; the chain leaves out vehicle 2
+            top = np.delete(t.values[:, keep], 1, axis=0).max()
+            grid = np.linspace(floor, top, grid_size)
+            b = int(np.searchsorted(grid, iset.boundaries[1]))
+            assert grid[b] == iset.boundaries[1]
+            cells = np.bincount(np.searchsorted(grid, t.values[0, keep], "right") - 1,
+                                minlength=grid_size)
+            surplus = 2 * int(key.bits.sum()) - len(key)
+            if surplus:
+                fuller = cells[b:] if surplus > 0 else cells[:b][::-1]
+                assert abs(surplus) <= fuller[fuller > 0][0], seed
 
 
 @st.composite

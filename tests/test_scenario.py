@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonkey.channel import EAVESDROPPER_POSITIONS, ChannelParams, PlatoonGeometry
-from platoonkey.keygen import MAP_MODES, KeygenConfig
+from platoonkey.keygen import KeygenConfig
 from platoonkey.protocol import CYCLE_FAILURES, ProtocolConfig
 from platoonkey.quantizer import QuantizerConfig
 from platoonkey.scenario import (
@@ -44,8 +44,6 @@ retransmission_cap = 10
 n_intervals = 2
 grid_size = 64
 codeword_bits = 0
-map_mode = direct
-append_complement = false
 slots = 200
 sweep_axis = none
 seeds = 0..99
@@ -63,13 +61,13 @@ class TestSerialize:
 
     def test_sweep_values_sit_between_axis_and_seeds(self):
         s = Scenario(
-            keygen=KeygenConfig(append_complement=True),
+            keygen=KeygenConfig(codeword_bits=3),
             sweep_axis="eavesdropper",
             sweep_values=(("P1", 3.0), ("P3", 5.5)),
             seeds=(0, 1, 2, 7, 9, 10))
         tail = serialize_scenario(s).splitlines()[-6:]
         assert tail == [
-            "append_complement = true",
+            "codeword_bits = 3",
             "slots = 200",
             "sweep_axis = eavesdropper",
             "sweep_values = P1:3.0,P3:5.5",
@@ -78,12 +76,12 @@ class TestSerialize:
         ]
 
     def test_partial_document_keeps_other_defaults(self):
-        s = parse_scenario("n_vehicles = 6\ngrid_size = 32\nmap_mode = grouped\n")
+        s = parse_scenario("n_vehicles = 6\ngrid_size = 32\ncodeword_bits = 3\n")
         d = Scenario()
         assert s == replace(
             d, geometry=replace(d.geometry, n_vehicles=6),
             quantizer=replace(d.quantizer, grid_size=32),
-            keygen=replace(d.keygen, map_mode="grouped"))
+            keygen=replace(d.keygen, codeword_bits=3))
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -125,10 +123,7 @@ def scenarios(draw):
         grid_size=draw(st.integers(n_intervals, n_intervals + 300)))
     min_bits = math.ceil(math.log2(n_intervals))
     keygen = KeygenConfig(
-        codeword_bits=draw(st.sampled_from([0]) | st.integers(min_bits, min_bits + 4)),
-        map_mode=draw(st.sampled_from(MAP_MODES)),
-        append_complement=draw(st.booleans()),
-    )
+        codeword_bits=draw(st.sampled_from([0]) | st.integers(min_bits, min_bits + 4)))
     axis = draw(st.sampled_from(SWEEP_AXES))
     if axis == "none":
         values = ()
@@ -225,7 +220,7 @@ def test_every_accepted_point_runs_or_fails_for_a_modeled_reason(point):
 
 SWEEP_AXES_MESSAGE = (
     "sweep_axis must be one of ('none', 'pair_distance', 'n_intervals', "
-    "'codeword_bits', 'z_iterations', 'n_vehicles', 'eavesdropper')")
+    "'z_iterations', 'n_vehicles', 'eavesdropper')")
 
 
 @pytest.mark.parametrize("text, line, fieldname, message", [
@@ -240,8 +235,12 @@ SWEEP_AXES_MESSAGE = (
     ("tx_power_dbm = 0", 1, "tx_power_dbm", "unknown key 'tx_power_dbm'"),
     ("channel_constant_db = nan", 1, "channel_constant_db", "must be finite"),
     ("\nchannel_constant_db = -inf", 2, "channel_constant_db", "must be finite"),
+    # keys are the direct Gray code: the codeword-map keys are unknown
     ("append_complement = maybe", 1, "append_complement",
-     "expected a boolean, got 'maybe'"),
+     "unknown key 'append_complement'"),
+    ("map_mode = grouped", 1, "map_mode", "unknown key 'map_mode'"),
+    ("slots = 5\nappend_complement = true", 2, "append_complement",
+     "unknown key 'append_complement'"),
     ("seeds = 1,x", 1, "seeds", "invalid literal for int() with base 10: 'x'"),
     ("seeds = 3..b", 1, "seeds", "invalid literal for int() with base 10: 'b'"),
     ("slots = 5\nsweep_axis = speed", 2, "sweep_axis", SWEEP_AXES_MESSAGE),
@@ -275,8 +274,9 @@ SWEEP_AXES_MESSAGE = (
      "eavesdropper closer than 3 m would be identified"),
     ("sweep_axis = n_intervals\nsweep_values = 2,100", 2, "sweep_values",
      "grid_size must be >= n_intervals"),
-    ("n_intervals = 4\nsweep_axis = codeword_bits\nsweep_values = 0,1", 3,
-     "sweep_values", "codeword_bits 1 too small for 4 intervals"),
+    # wider codewords only pad always-zero bits, so codeword_bits is no axis
+    ("n_intervals = 4\nsweep_axis = codeword_bits\nsweep_values = 0,1", 2,
+     "sweep_axis", SWEEP_AXES_MESSAGE),
     ("sweep_axis = z_iterations\nsweep_values = 0", 2, "sweep_values",
      "z_iterations must be >= 1"),
     # a repeated sweep value would run the same point twice
@@ -358,7 +358,6 @@ def test_scenario_built_in_code_keeps_the_document_rules(changes, message):
 @pytest.mark.parametrize("axis, values, section, name, expected", [
     ("pair_distance", "1.5,3", "geometry", "pair_distance_m", (1.5, 3.0)),
     ("n_intervals", "2,4", "quantizer", "n_intervals", (2, 4)),
-    ("codeword_bits", "0,3", "keygen", "codeword_bits", (0, 3)),
     ("z_iterations", "1,10", "protocol", "z_iterations", (1, 10)),
     ("n_vehicles", "3,12", "geometry", "n_vehicles", (3, 12)),
 ])
