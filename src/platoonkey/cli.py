@@ -15,6 +15,7 @@ so its keys are replication 0 of a sweep over the same seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,6 +51,7 @@ def _int_at_least(low: int):
     return integer
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="platoonkey", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

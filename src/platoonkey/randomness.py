@@ -6,6 +6,14 @@ transform, approximate entropy, and serial (which yields two p-values).
 A stream passes a test when every p-value exceeds 0.01.  The battery
 holds the stream as one validated ``uint8`` array, which its tests share.
 
+:func:`run_battery` runs the spectral (DFT) test on the calling thread
+and the other seven, in battery order, on one worker thread that it
+joins before returning.  The spectral test takes about half the
+battery's time, and nearly all of that is ``np.fft.rfft``, which
+releases the interpreter lock, so the two halves overlap.  The largest
+working set, the FFT's, stays on the calling thread, and each test keeps
+its own temporaries small, so the two working sets fit where one did.
+
 Each test enforces one minimum input length, its entry in
 :data:`DEFAULT_FLOORS`, which follows the usual recommendations.  The
 numerical core is the complementary error function and the regularized
@@ -18,6 +26,7 @@ key agreement cycle runs no test.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +121,34 @@ def _default_block_size(n: int) -> int:
     return max(20, -(-n // 100))
 
 
+# For each byte of packed bits (first bit highest), read as eight +-1
+# steps: the walk's change over the byte, and its highest and lowest
+# point after each step, measured from the byte's end.
+_BYTE_WALKS = np.cumsum(
+    2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    .astype(np.int8) - 1, axis=1, dtype=np.int8)
+_BYTE_STEP = _BYTE_WALKS[:, -1]
+_BYTE_HIGH = _BYTE_WALKS.max(axis=1) - _BYTE_STEP
+_BYTE_LOW = _BYTE_WALKS.min(axis=1) - _BYTE_STEP
+
+
+def _walk_range(eps: np.ndarray) -> tuple[int, int, int]:
+    """(max, min, S_n) of the +-1 walk S_0 = 0, ..., S_n over the stream,
+    read a byte of steps at a time."""
+    n8 = len(eps) - len(eps) % 8
+    packed = np.packbits(eps[:n8])
+    # S_8, S_16, ...; they lie in [-n, n], which a dtype holding -n - 1 holds
+    ends = np.cumsum(_BYTE_STEP[packed], dtype=np.min_scalar_type(-len(eps) - 1))
+    # initial=0 counts S_0
+    high = int((ends + _BYTE_HIGH[packed]).max(initial=0))
+    low = int((ends + _BYTE_LOW[packed]).min(initial=0))
+    s = int(ends[-1]) if n8 else 0
+    for bit in eps[n8:].tolist():
+        s += 2 * bit - 1
+        high, low = max(high, s), min(low, s)
+    return high, low, s
+
+
 def cusum_test(bits, direction: str = "forward") -> float:
     """Maximal partial-sum excursion of the +-1 walk.
 
@@ -122,11 +159,9 @@ def cusum_test(bits, direction: str = "forward") -> float:
     eps = _as_bits(bits)
     n = len(eps)
     _check_floor(n, "cusum")
-    # S_k and S_n - S_k lie in [-n, n]; a signed dtype holding -n - 1 holds n
-    walk = np.cumsum(2 * eps.view(np.int8) - 1, dtype=np.min_scalar_type(-n - 1))
-    # reversed, the walk starts at S_n and visits S_{n-1}..S_1, then S_0 = 0
-    start, rest = (0, walk) if direction == "forward" else (walk[-1], walk[:-1])
-    z = int(max(abs(start), rest.max() - start, start - rest.min()))
+    high, low, end = _walk_range(eps)
+    # reversed, the walk starts at S_n and visits S_{n-1}..S_0
+    z = max(high, -low) if direction == "forward" else max(high - end, end - low)
     # z >= 1: the first step of either walk is +-1
     sqn = math.sqrt(n)
     k1 = np.arange((-n // z + 1) // 4, (n // z - 1) // 4 + 1)
@@ -185,10 +220,14 @@ def longest_run_test(bits) -> float:
     padded = np.zeros((k, m + 2), dtype=np.int8)
     padded[:, 1:-1] = eps[:k * m].reshape(k, m)
     edges = np.diff(padded.ravel())
+    del padded
     starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
+    lengths = np.flatnonzero(edges == -1)
+    del edges
+    lengths -= starts
+    starts //= m + 2  # each run's block row
     longest = np.zeros(k, dtype=np.int64)
-    np.maximum.at(longest, starts // (m + 2), ends - starts)
+    np.maximum.at(longest, starts, lengths)
     # every category table is a run of consecutive lengths, the first
     # and last bins open-ended
     nu = np.bincount(np.clip(longest, cats[0], cats[-1]) - cats[0],
@@ -203,13 +242,18 @@ def dft_test(bits) -> float:
     eps = _as_bits(bits)
     n = len(eps)
     _check_floor(n, "dft")
-    x = 2.0 * eps - 1.0
-    modulus = np.abs(np.fft.rfft(x))[: n // 2]
+    x = eps.astype(np.float64)
+    x *= 2
+    x -= 1
+    modulus = np.abs(np.fft.rfft(x)[: n // 2], out=x[: n // 2])
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.sum(modulus < threshold))
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return float(_special().erfc(abs(d) / math.sqrt(2.0)))
+
+
+_BINCOUNT_SLICE = 1 << 14
 
 
 def _pattern_counts(eps: np.ndarray, m: int) -> list[np.ndarray]:
@@ -223,7 +267,11 @@ def _pattern_counts(eps: np.ndarray, m: int) -> list[np.ndarray]:
     for k in range(1, m):
         codes <<= 1
         codes |= ext[k:k + n]
-    counts = [np.bincount(codes, minlength=1 << m)]
+    # bincount widens its input to intp: a slice at a time keeps that small
+    counts = [np.zeros(1 << m, dtype=np.intp)]
+    for start in range(0, n, _BINCOUNT_SLICE):
+        counts[0] += np.bincount(codes[start:start + _BINCOUNT_SLICE],
+                                 minlength=1 << m)
     # a k-bit window is the prefix of the (k+1)-bit window at the same
     # position, so pairs of codes sharing all but the last bit merge
     for _ in range(m):
@@ -240,6 +288,9 @@ def approx_entropy_test(bits, m: int | None = None) -> float:
         m = _default_apen_m(n)
     if m < 1:
         raise ValueError("m must be >= 1")
+    if 1 << (m + 1) > n:
+        raise ValueError(f"approximate entropy test needs 2**(m+1) <= n, "
+                         f"got m={m}, n={n}")
     phi = []
     for c in _pattern_counts(eps, m + 1)[m:]:
         c = c[c > 0] / n
@@ -262,6 +313,8 @@ def serial_test(bits, m: int | None = None) -> tuple[float, float]:
         m = _default_serial_m(n)
     if m < 2:
         raise ValueError("m must be >= 2")
+    if 1 << m > n:
+        raise ValueError(f"serial test needs 2**m <= n, got m={m}, n={n}")
     counts = _pattern_counts(eps, m)
     psi_m, psi_m1, psi_m2 = (
         float((1 << k) / n * np.sum(counts[k].astype(float) ** 2) - n)
@@ -322,13 +375,29 @@ _BATTERY = (
     ("approx_entropy", lambda e: (approx_entropy_test(e),)),
     ("serial", lambda e: serial_test(e)),
 )
+# the rows run_battery runs on its worker thread and on the calling
+# thread; see the module docstring
+_ON_WORKER = tuple(t for t in _BATTERY if t[0] != "dft")
+_ON_CALLER = tuple(t for t in _BATTERY if t[0] == "dft")
+
+
+def _p_values(tests, eps: np.ndarray) -> dict[str, tuple[float, ...]]:
+    """Each row's p-values, or () for a test below its length floor."""
+    out = {}
+    for name, test in tests:
+        try:
+            out[name] = test(eps)
+        except InsufficientData:
+            out[name] = ()
+    return out
 
 
 def run_battery(bits) -> RandomnessReport:
     """Run all eight tests at their defaults and collect a pass/fail report.
 
     A test whose minimum length (:data:`DEFAULT_FLOORS`) is not met is
-    recorded as skipped rather than failing the battery.
+    recorded as skipped rather than failing the battery.  Any other
+    exception from a test is raised here, after the worker thread ends.
     """
     eps = _as_bits(bits)
     n = len(eps)
@@ -338,11 +407,11 @@ def run_battery(bits) -> RandomnessReport:
         "apen_m": _default_apen_m(max(n, DEFAULT_FLOORS["approx_entropy"])),
         "serial_m": _default_serial_m(max(n, DEFAULT_FLOORS["serial"])),
     })
-    for name, test in _BATTERY:
-        try:
-            ps = test(eps)
-        except InsufficientData:
-            ps = ()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        rest = worker.submit(_p_values, _ON_WORKER, eps)
+        p_values = _p_values(_ON_CALLER, eps) | rest.result()
+    for name, _ in _BATTERY:
+        ps = p_values[name]
         passed = bool(ps) and all(p > PASS_THRESHOLD for p in ps)
         report.results.append(TestResult(name, ps, passed))
     return report

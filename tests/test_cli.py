@@ -3,6 +3,7 @@
 import csv
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import platoonkey
-from platoonkey.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
+from platoonkey.cli import (EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE,
+                            _build_parser, main)
 from platoonkey.protocol import CycleAbort, run_cycle
 from platoonkey.randomness import run_battery
 from platoonkey.scenario import parse_scenario
@@ -166,6 +168,35 @@ def test_out_dir_writes_report_csv(tmp_path, capsys):
     assert rows[0] == ["test", "p_values", "verdict"]
     assert [tuple(r) for r in rows[1:]] == run_battery(BITS).rows()
     assert (out / "nist_report.csv").read_bytes().count(b"\r\n") == len(rows)
+
+
+def test_one_parser_serves_every_call_alike(tmp_path, capsys):
+    # the parser is built once per process; no call may leave state in it
+    # that changes the next, so each call must match one made with a
+    # parser built for it alone
+    path = tmp_path / "bits.txt"
+    path.write_text(TEXT, encoding="ascii")
+    out = tmp_path / "reports"
+    calls = (["nist", "--out-dir", str(out)], ["nist", str(path)],
+             ["nist", str(path), "--out-dir", str(out)], ["nist", str(path)])
+
+    def outcomes(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                _build_parser.cache_clear()
+            rc = main(argv)
+            written = sorted(os.listdir(out)) if out.exists() else None
+            shutil.rmtree(out, ignore_errors=True)
+            seen.append((rc, *capsys.readouterr(), written))
+        return seen
+
+    shared = outcomes(fresh=False)
+    assert _build_parser() is _build_parser()
+    assert [(rc, written) for rc, _, _, written in shared] == [
+        (EXIT_USAGE, None), (EXIT_OK, None), (EXIT_OK, ["nist_report.csv"]),
+        (EXIT_OK, None)]
+    assert shared == outcomes(fresh=True)
 
 
 def fresh_python(code, cwd=None) -> str:

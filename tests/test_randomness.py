@@ -5,16 +5,22 @@ Expected p-values are recomputed with straight-line statistics and
 scipy-backed path must agree to 1e-6 or better.
 """
 
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, gammaincc
 
+from platoonkey import randomness
 from platoonkey.randomness import (
+    _BINCOUNT_SLICE,
     InsufficientData,
     _as_bits,
     _pattern_counts,
+    _walk_range,
     approx_entropy_test,
     block_frequency_test,
     cusum_test,
@@ -152,6 +158,30 @@ class TestCusum:
                                         abs=1e-9)
 
 
+def plain_walk_range(bits):
+    """(max, min, S_n) of the walk S_0 = 0, ..., S_n from a plain cumsum."""
+    walk = np.concatenate([[0], np.cumsum(2 * bits.astype(np.int64) - 1)])
+    return int(walk.max()), int(walk.min()), int(walk[-1])
+
+
+class TestWalkRange:
+    # the walk is read a packed byte of steps at a time, the last n mod 8
+    # steps one by one
+    def test_matches_cumsum_at_every_short_length(self):
+        for n in range(1, 201):
+            for bits in (random_bits(n, n), biased_bits(n, 0.8, n),
+                         np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)):
+                assert _walk_range(bits) == plain_walk_range(bits), n
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 20_000), p=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_cumsum(self, n, p, seed):
+        bits = biased_bits(n, p, seed)
+        assert _walk_range(bits) == plain_walk_range(bits)
+        assert _walk_range(bits[::-1]) == plain_walk_range(bits[::-1])
+
+
 class TestRuns:
     def test_biased_input_precheck(self):
         assert not runs_frequency_precheck(ZEROS)
@@ -258,6 +288,36 @@ class TestPatternCounts:
             assert counts[k].tolist() == direct, k
 
 
+    # lengths on both sides of a multiple of the slice bincount reads
+    @pytest.mark.parametrize("n", [_BINCOUNT_SLICE - 1, _BINCOUNT_SLICE,
+                                   _BINCOUNT_SLICE + 1, 3 * _BINCOUNT_SLICE + 7])
+    def test_sliced_count_matches_whole_count(self, n):
+        b = random_bits(n, n)
+        ext = np.concatenate([b, b[:4]]).astype(np.int64)
+        codes = sum(ext[k:k + n] << (4 - k) for k in range(5))
+        assert _pattern_counts(b, 5)[5].tolist() == \
+            np.bincount(codes, minlength=32).tolist()
+
+
+@pytest.mark.parametrize("test, n, m", [
+    (serial_test, 16, 18), (serial_test, 16, 17), (serial_test, 16, 5),
+    (approx_entropy_test, 64, 63), (approx_entropy_test, 64, 64),
+    (approx_entropy_test, 64, 6),
+])
+def test_pattern_width_past_the_stream_rejected(test, n, m):
+    # 2**m (serial) or 2**(m+1) (approximate entropy) patterns need at
+    # least as many windows
+    with pytest.raises(ValueError, match=f"m={m}, n={n}"):
+        test(random_bits(n, m), m=m)
+
+
+@pytest.mark.parametrize("test, n, m", [(serial_test, 16, 4),
+                                        (approx_entropy_test, 64, 5)])
+def test_widest_pattern_the_stream_allows_runs(test, n, m):
+    ps = test(random_bits(n, m), m=m)
+    assert all(0.0 <= p <= 1.0 for p in np.atleast_1d(ps))
+
+
 class TestApproxEntropy:
     def test_all_zeros_rejected(self):
         assert approx_entropy_test(ZEROS, m=2) < 1e-6
@@ -321,12 +381,68 @@ class TestBattery:
                     assert 0.0 <= p <= 1.0
 
 
+class TestConcurrentBattery:
+    """The spectral test runs on the calling thread, the rest on one
+    worker thread; the report must be the tests' results in order."""
+
+    @pytest.mark.parametrize("n", [100, 128, 999, 1000, 6271, 6272,
+                                   68_179, 200_000])
+    def test_equals_the_tests_called_one_by_one(self, n):
+        b = random_bits(n, n)
+        expected = []
+        for name, test in BATTERY_ORDER:
+            try:
+                ps = test(b)
+            except InsufficientData:
+                ps = ()
+            expected.append((name, ps if isinstance(ps, tuple) else (ps,)))
+        assert [(r.name, r.p_values) for r in run_battery(b).results] == expected
+
+    @pytest.mark.parametrize("name", ["serial_test", "frequency_test", "dft_test"])
+    def test_error_is_raised_and_no_thread_outlives_the_call(self, monkeypatch,
+                                                             name):
+        b = random_bits(2000, 5)
+        before = threading.active_count()
+        run_battery(b)
+        assert threading.active_count() == before
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken test")
+        monkeypatch.setattr(randomness, name, broken)
+        with pytest.raises(RuntimeError, match="broken test"):
+            run_battery(b)
+        assert threading.active_count() == before
+
+    def test_every_test_is_called_through_its_module_attribute(self, monkeypatch):
+        names = ("frequency_test", "block_frequency_test", "cusum_test",
+                 "runs_test", "longest_run_test", "dft_test",
+                 "approx_entropy_test", "serial_test")
+        calls = []
+        for name in names:
+            def counted(*args, _name=name, _test=getattr(randomness, name),
+                        **kwargs):
+                calls.append(_name)
+                return _test(*args, **kwargs)
+            monkeypatch.setattr(randomness, name, counted)
+        run_battery(random_bits(2000, 6))
+        assert Counter(calls) == {name: 2 if name == "cusum_test" else 1
+                                  for name in names}
+
+
 def cusum_forward(bits):
     return cusum_test(bits, "forward")
 
 
 def cusum_reverse(bits):
     return cusum_test(bits, "reverse")
+
+
+BATTERY_ORDER = (
+    ("frequency", frequency_test), ("block_frequency", block_frequency_test),
+    ("cusum_forward", cusum_forward), ("cusum_reverse", cusum_reverse),
+    ("runs", runs_test), ("longest_run", longest_run_test), ("dft", dft_test),
+    ("approx_entropy", approx_entropy_test), ("serial", serial_test),
+)
 
 
 SINGLE_TESTS = [
