@@ -296,20 +296,22 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     # fully independent shadowing (common component included).
     e_faded, e_sig = fade(erng, np.array(geometry.eavesdropper_link_distances()))
 
-    # meas is drawn while recip is on, to keep recip's place in the stream
+    # measurement noise is drawn while recip is on, to keep recip's place in the stream
     noisy = a > 0 or params.reciprocity_sigma_db > 0
     traces = []
     for _ in range(passes if noisy else 1):
-        meas = (rng.standard_normal if noisy else np.zeros)(faded.shape)
-        recip = params.reciprocity_sigma_db * rng.standard_normal(slots) if noisy else 0.0
-        readings = faded + sig * meas
+        readings, recip = faded, 0.0
+        if noisy:
+            readings = faded + sig * rng.standard_normal(faded.shape)
+            recip = params.reciprocity_sigma_db * rng.standard_normal(slots)
         values = np.empty((n, slots))
         values[:2] = readings[:2]
         values[1] += recip
         values[2:] = _estimate_rows(params, readings[2::2], readings[3::2])
 
-        e_meas = (erng.standard_normal if a > 0 else np.zeros)(e_faded.shape)
-        eaves = _estimate_rows(params, *(e_faded + e_sig * e_meas))
+        e_readings = (e_faded + e_sig * erng.standard_normal(e_faded.shape)
+                      if a > 0 else e_faded)
+        eaves = _estimate_rows(params, *e_readings)
         values.flags.writeable = eaves.flags.writeable = False
         traces.append(RssTrace(values=values, eavesdropper=eaves))
     return traces

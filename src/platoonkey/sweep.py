@@ -4,9 +4,10 @@ This module also holds what every command shares: :func:`point_cycle`,
 the seed rule of a cycle, and ``_write_csv``, the one CSV dialect.
 
 A sweep expands the scenario into points along its axis and runs every
-(point, seed, replication) as an independent, pure work unit.  Results
-are merged in (point, seed, replication) order, so the deterministic
-outputs are byte-identical at every parallelism degree:
+(point, seed, replication) as an independent, pure work unit.  Pool
+worker w runs units w, w + workers, ..., so points of unequal cost spread
+evenly.  Results merge in (point, seed, replication) order, so the
+deterministic outputs are byte-identical at every parallelism degree:
 
 * ``runs.csv``     one row per executed cycle,
 * ``summary.csv``  one row per (point, metric) with mean/stddev,
@@ -116,6 +117,11 @@ def _run_unit(args) -> dict:
     return row
 
 
+def _run_units(units) -> list[dict]:
+    """The rows of ``units``, in order; one pool task."""
+    return [_run_unit(u) for u in units]
+
+
 @dataclass
 class SweepReport:
     """One row per executed cycle, in (point, seed, replication) order."""
@@ -154,10 +160,14 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
         if any(p.channel.shadowing_autocorr for p in points):
             # channel._ar1 needs scipy.signal (~1 s to import): forked workers inherit it
             import scipy.signal  # noqa: F401
+        # worker w runs units w, w + workers, ...: every point in equal shares
+        shares = [work[w::workers] for w in range(workers)]
+        rows = [None] * len(work)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_unit, work, chunksize=1))
+            for w, part in enumerate(pool.map(_run_units, shares, chunksize=1)):
+                rows[w::workers] = part
     else:
-        rows = [_run_unit(w) for w in work]
+        rows = _run_units(work)
     # merge order is the (point, seed, replication) submission order, so
     # output content does not depend on the parallelism degree
     point_rows: list[list[dict]] = [[] for _ in points]

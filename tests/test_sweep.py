@@ -1,5 +1,6 @@
 """Sweep execution: determinism across parallelism, failure attribution."""
 
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,69 @@ def test_pool_gets_no_more_workers_than_units(tmp_path, monkeypatch, seeds, pool
     report = sweep.run_sweep(Scenario(slots=50, seeds=seeds), tmp_path, parallelism=4)
     assert asked == pool_workers
     assert len(report.rows) == len(seeds)
+
+
+def eavesdropper_scenario():
+    return Scenario(slots=200, seeds=tuple(range(5)), sweep_axis="eavesdropper",
+                    sweep_values=(("P1", 3.0), ("P2", 10.0), ("P3", 30.0)))
+
+
+@pytest.mark.parametrize("make, parallelism", [
+    (lossy_scenario, 3), (eavesdropper_scenario, 2), (eavesdropper_scenario, 3),
+], ids=["lossy-3", "eavesdropper-2", "eavesdropper-3"])
+def test_outputs_identical_when_shares_are_uneven(tmp_path, make, parallelism):
+    # 16 lossy units at 3 workers are shares of 6/5/5, 15 eavesdropper
+    # units at 2 are 8/7; some lossy units fail
+    scenario = make()
+    sweep.run_sweep(scenario, tmp_path / "p1", parallelism=1)
+    sweep.run_sweep(scenario, tmp_path / "pn", parallelism=parallelism)
+    corpora = [f"corpus_point{pi}.txt" for pi in range(len(scenario.points()))]
+    for name in ["runs.csv", "summary.csv", "nist.csv", *corpora]:
+        assert (tmp_path / "p1" / name).read_bytes() == \
+            (tmp_path / "pn" / name).read_bytes(), name
+
+
+def test_pool_gets_one_strided_share_per_worker(tmp_path, monkeypatch):
+    tasks = []
+
+    class SpyPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            tasks.extend(items)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SpyPool)
+    scenario = Scenario(slots=50, seeds=tuple(range(5)),
+                        sweep_axis="n_vehicles", sweep_values=(4, 5))
+    report = sweep.run_sweep(scenario, tmp_path, parallelism=4)
+    units = [(pi, seed) for pi in range(2) for seed in range(5)]
+    assert len(tasks) == 4
+    assert [[(u[0], u[4]) for u in share] for share in tasks] == \
+        [units[w::4] for w in range(4)]
+    assert [(r["point"], r["seed"]) for r in report.rows] == units
+
+
+def test_worker_error_propagates_and_leaves_no_process(tmp_path, monkeypatch):
+    real = sweep.run_cycle
+
+    def flaky(*args):
+        if args[-1].entropy[0] == 3:
+            raise RuntimeError("bug at seed 3")
+        return real(*args)
+
+    # forked pool workers inherit the patched module attribute
+    monkeypatch.setattr(sweep, "run_cycle", flaky)
+    with pytest.raises(RuntimeError, match="bug at seed 3"):
+        sweep.run_sweep(Scenario(slots=50, seeds=tuple(range(6))), tmp_path, parallelism=2)
+    assert multiprocessing.active_children() == []
 
 
 def unit_args():
