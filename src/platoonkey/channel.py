@@ -233,12 +233,26 @@ def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
     difference back to dB.  A non-positive implied distance difference,
     or one that overflows a float, gives an invalid estimate: NaN.
     """
+    # distance_from_rss, then rss_of_link, at zero shadowing, in place on one
+    # buffer per reading set: the order of the operations fixes the keys
+    c, scale = params.channel_constant_db, 10.0 * params.path_loss_exponent
+    d1, d2 = np.array(h1, dtype=float), np.array(h2, dtype=float)
     # past about 3080 * path_loss_exponent dB a distance overflows to inf
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = distance_from_rss(params, h1, 0.0) - distance_from_rss(params, h2, 0.0)
-    valid = np.isfinite(diff) & (diff > 0)
-    est = rss_of_link(params, np.where(valid, diff, 1.0), 0.0)
-    return np.where(valid, est, np.nan)
+        for d in (d1, d2):
+            d += c
+            d += 0.0
+            d /= scale
+            np.power(10.0, d, out=d)
+        d1 -= d2
+    invalid = ~(np.isfinite(d1) & (d1 > 0))
+    d1[invalid] = 1.0
+    np.log10(d1, out=d1)
+    d1 *= scale
+    d1 -= c
+    d1 -= 0.0
+    d1[invalid] = np.nan
+    return d1
 
 
 def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,

@@ -108,4 +108,4 @@ def bmmr(key_a: SecretKey, key_b: SecretKey) -> float:
         raise ValueError("keys must have equal length")
     if len(key_a) == 0:
         raise ValueError("keys must be non-empty")
-    return float(np.mean(key_a.bits != key_b.bits))
+    return float(np.count_nonzero(key_a.bits != key_b.bits) / len(key_a))

@@ -10,7 +10,10 @@ retried by the hop sender with an end-to-end leader retransmission as
 the fallback.  The cipher is a repeating-keystream XOR placeholder, so
 a vehicle whose keystream differs from the leader's fails to decode the
 command; its re-encryption cancels its own key, so the error does not
-reach the vehicles behind it.
+reach the vehicles behind it, and whether a vehicle decodes is one
+comparison of its keystream with the leader's.  Each stage draws its
+losses from its own RNG stream in blocks of ``rng.random(k)``, the
+doubles of k scalar draws.
 
 After the Z passes each vehicle holds its RSS traces.  The quantizer is
 fitted once per cycle, and the agreed key extracted, on the slot-wise
@@ -29,6 +32,7 @@ modeled latency is reported separately from wall-clock compute time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +106,7 @@ class ProtocolConfig:
             raise ValueError("retransmission_cap must be >= 0")
 
 
-@dataclass(frozen=True)
-class TransmissionEvent:
+class TransmissionEvent(NamedTuple):
     """One transmission in the slotted event trace."""
 
     slot: int
@@ -130,21 +133,31 @@ class CycleLog:
 
 
 def _send(log: CycleLog, rng: np.random.Generator, loss_prob: float,
-          retries: int, stage: str, sender: int, receiver: int,
-          kind: str) -> bool:
-    """Transmit one packet, retrying a loss at most ``retries`` times.
-
-    Every try takes the next slot of ``log``, draws one loss from ``rng``
-    and is logged as a :class:`TransmissionEvent`; True once delivered.
-    """
-    for _ in range(retries + 1):
-        lost = rng.random() < loss_prob
-        log.events.append(TransmissionEvent(
-            len(log.events) + 1, stage, sender, receiver, kind,
-            "lost" if lost else "delivered"))
-        if not lost:
-            return True
-    return False
+          stage: str, packets: list[tuple[int, int, str, int]],
+          attempts: int = 1) -> int:
+    """Send ``(sender, receiver, kind, retries)`` packets in turn, retrying
+    a loss at most ``retries`` times; a packet out of retries fails the
+    attempt, and the next starts over.  Each try takes the next slot of
+    ``log`` and the next of ``rng``'s loss draws, drawn in blocks of as
+    many as there are packets left in the attempt.  Returns the number
+    of attempts that failed."""
+    events, unread = log.events, []  # loss outcomes not yet read, next last
+    for failed in range(attempts):
+        for done, (sender, receiver, kind, retries) in enumerate(packets):
+            for _ in range(retries + 1):
+                if not unread:
+                    unread = (rng.random(len(packets) - done) < loss_prob).tolist()[::-1]
+                lost = unread.pop()
+                events.append(TransmissionEvent(
+                    len(events) + 1, stage, sender, receiver, kind,
+                    "lost" if lost else "delivered"))
+                if not lost:
+                    break
+            else:
+                break
+        else:
+            return failed
+    return attempts
 
 
 def run_cska(config: ProtocolConfig, params: ChannelParams,
@@ -156,24 +169,21 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
     (half duplex: one transmission per slot, nobody both sends and
     receives in the same slot).  A lost beacon is retransmitted by its
     sender; more than ``retransmission_cap`` retries abort the cycle.
-    The traces come from one :func:`generate_trace` call: they share the
-    cycle's shadowing and differ only in their noise, so a noiseless
-    cycle has one.
+    Losses are drawn in blocks from the stage's own stream (see
+    :func:`_send`), so draws past the last try go unread.  The traces
+    come from one :func:`generate_trace` call: they share the cycle's
+    shadowing and differ only in their noise, so a noiseless cycle has one.
     """
     loss_ss, trace_ss = _seed_sequence(seed).spawn(2)
     loss_rng = np.random.default_rng(loss_ss)
 
     log = CycleLog()
-    n = geometry.n_vehicles
-    for _ in range(config.z_iterations):
-        for sender in range(1, n + 1):
-            checker = sender + 1 if sender < n else sender - 1
-            if not _send(log, loss_rng, config.beacon_loss_prob,
-                         config.retransmission_cap, "cska", sender, checker,
-                         "beacon"):
-                raise CycleAbort(
-                    f"beacon of vehicle {sender} exceeded "
-                    f"{config.retransmission_cap} retransmissions")
+    n, cap = geometry.n_vehicles, config.retransmission_cap
+    beacons = [(sender, sender + 1 if sender < n else sender - 1, "beacon", cap)
+               for sender in range(1, n + 1)] * config.z_iterations
+    if _send(log, loss_rng, config.beacon_loss_prob, "cska", beacons):
+        raise CycleAbort(f"beacon of vehicle {log.events[-1].sender} "
+                         f"exceeded {cap} retransmissions")
     # the traces are seeded by trace_ss's first child, on which every
     # recorded Z=1 key depends
     traces = generate_trace(params, geometry, slots, trace_ss.spawn(1)[0],
@@ -185,14 +195,17 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
     return traces, log
 
 
+def _keystream(bits: np.ndarray, size: int) -> np.ndarray:
+    """The key bits (or each row of them) repeated or cut to ``size`` bits."""
+    if bits.shape[-1] == 0:
+        raise ValueError("cannot build a keystream from an empty key")
+    return np.tile(bits[..., :size], -(-size // bits.shape[-1]))[..., :size]
+
+
 def xor_cipher(payload: np.ndarray, key: SecretKey) -> np.ndarray:
     """Repeating-keystream XOR; its own inverse for a fixed key."""
     data = np.asarray(payload, dtype=np.uint8)
-    if len(key) == 0:
-        raise ValueError("cannot build a keystream from an empty key")
-    reps = -(-data.size // len(key))
-    stream = np.tile(key.bits, reps)[: data.size]
-    return data ^ stream
+    return data ^ _keystream(key.bits, data.size)
 
 
 def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
@@ -204,17 +217,19 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
     key for the next hop, so the sender's key cancels and vehicle j holds
     the command XOR the leader's and its own keystreams: a key
     disagreement fails the decode at that vehicle only (its hop appears
-    in ``log.decode_failure_hops``).  The keystream is the key repeated
-    or cut to the command's length, so key positions at or past that
-    length (``data_payload_bits`` in :func:`run_cycle`) never enter the
-    comparison.
+    in ``log.decode_failure_hops``).  So the decode is one comparison of
+    every vehicle's keystream with the leader's.  The keystream is the
+    key repeated or cut to the command's length, so key positions at or
+    past that length (``data_payload_bits`` in :func:`run_cycle`) never
+    enter the comparison.
 
     Hop losses are retried by the hop sender up to the retransmission
     cap; an exhausted hop (or a lost tail ACK) times out at the leader,
     which starts the dissemination over with a fresh packet, itself
     capped before :class:`DisseminationFailure`.  ``log.evcd_latency_ms``
     adds a timeout per failed attempt and a slot per transmission, raised
-    or not.
+    or not.  Losses are drawn in blocks from the stage's own stream (see
+    :func:`_send`).
 
     ``log.evcd_data_transmissions`` and the lost ``"data"`` events in
     ``log.events`` (the hop retransmissions) sum over every end-to-end
@@ -225,41 +240,33 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
     vehicles = sorted(keys)
     if len(vehicles) < 2:
         raise ValueError("EVCD needs at least two vehicles")
-    lengths = {len(keys[v]) for v in vehicles}
-    if len(lengths) != 1:
+    if len({len(keys[v]) for v in vehicles}) != 1:
         raise ValueError("every vehicle must hold a key of identical length")
     command = np.asarray(command_bits, dtype=np.uint8)
     log = log if log is not None else CycleLog()
     rng = np.random.default_rng(_seed_sequence(seed))
 
-    loss, cap = config.data_loss_prob, config.retransmission_cap
-    hops = list(zip(vehicles, vehicles[1:]))
+    cap = config.retransmission_cap
+    # every hop, then the one-bit ACK from the tail toward the leader
+    packets = ([(s, r, "data", cap) for s, r in zip(vehicles, vehicles[1:])]
+               + [(vehicles[-1], vehicles[0], "ack", 0)])
     first_event = len(log.events)
-    for attempt in range(cap + 1):
-        # every hop, then the one-bit ACK from the tail toward the leader
-        delivered = (
-            all(_send(log, rng, loss, cap, "evcd", s, r, "data") for s, r in hops)
-            and _send(log, rng, loss, 0, "evcd", vehicles[-1], vehicles[0], "ack"))
-        if delivered:
-            break
-        # the leader times out and starts over with a fresh packet
+    failed = _send(log, rng, config.data_loss_prob, "evcd", packets, cap + 1)
+    # a timeout per failed attempt, after which the leader starts over; added
+    # one at a time, as a product could differ in the last bit
+    for _ in range(failed):
         log.evcd_latency_ms += config.dissemination_timeout_ms
     log.evcd_data_transmissions += sum(
         e.kind == "data" for e in log.events[first_event:])
-    log.leader_retransmissions += attempt
+    log.leader_retransmissions += min(failed, cap)
     log.evcd_latency_ms += (len(log.events) - first_event) * config.slot_duration_ms
-    if not delivered:
+    if failed > cap:
         raise DisseminationFailure(
-            f"dissemination failed after {attempt + 1} end-to-end attempts")
+            f"dissemination failed after {failed} end-to-end attempts")
 
-    recovered = {vehicles[0]: command.copy()}
-    for sender, receiver in hops:
-        packet = xor_cipher(recovered[sender], keys[sender])
-        recovered[receiver] = xor_cipher(packet, keys[receiver])
-    log.decode_failure_hops = [
-        h for h, v in enumerate(vehicles[1:], start=1)
-        if not np.array_equal(recovered[v], command)
-    ]
+    streams = _keystream(np.stack([keys[v].bits for v in vehicles]), command.size)
+    log.decode_failure_hops = (
+        np.flatnonzero((streams[1:] != streams[0]).any(axis=1)) + 1).tolist()
     return log
 
 

@@ -5,9 +5,10 @@ enumeration, and high-precision special functions via mpmath.  None of
 it shares code paths with the package.  ``reference_trace`` is a frozen
 copy of the per-vehicle trace generator, ``reference_longest_run_test``
 one of the per-block longest-run loop (with scipy's ``gammaincc``, so the
-p-values compare exactly), and ``stacked_nan_mean`` one of the Z-pass
-average over a stacked copy of every pass, kept to pin the vectorized
-code bit for bit.
+p-values compare exactly), ``stacked_nan_mean`` one of the Z-pass
+average over a stacked copy of every pass, and ``reference_cska_tries``
+and ``reference_evcd_tries`` one of the protocol's packet loop with one
+scalar loss draw per try, kept to pin the vectorized code bit for bit.
 """
 
 from __future__ import annotations
@@ -310,6 +311,61 @@ def reference_longest_run_test(bits):
     expected = k * np.asarray(probs)
     chi2 = float(np.sum((nu - expected) ** 2 / expected))
     return float(gammaincc((len(cats) - 1) / 2.0, chi2 / 2.0))
+
+
+def _scalar_tries(rng, loss_prob, stage, events, sender, receiver, kind,
+                  retries):
+    """One packet, one scalar loss draw per try; True once delivered."""
+    for _ in range(retries + 1):
+        lost = rng.random() < loss_prob
+        events.append((len(events) + 1, stage, sender, receiver, kind,
+                       "lost" if lost else "delivered"))
+        if not lost:
+            return True
+    return False
+
+
+def reference_cska_tries(config, n_vehicles, seed):
+    """The beacon tries of ``run_cska`` at an integer seed: the event
+    tuples, the counters ``run_cska`` derives from them, and the exception
+    type it raises (None when every beacon got through)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    events = []
+    failure = None
+    for sender in list(range(1, n_vehicles + 1)) * config.z_iterations:
+        checker = sender + 1 if sender < n_vehicles else sender - 1
+        if not _scalar_tries(rng, config.beacon_loss_prob, "cska", events,
+                             sender, checker, "beacon",
+                             config.retransmission_cap):
+            failure = "CycleAbort"
+            break
+    lost = sum(e[5] == "lost" for e in events)
+    counters = {"beacon_transmissions": len(events), "retransmissions": lost,
+                "overhead_bits": len(events) * config.beacon_bits,
+                "cska_latency_ms": len(events) * config.slot_duration_ms}
+    return events, counters, failure
+
+
+def reference_evcd_tries(config, n_vehicles, seed):
+    """The hop and ACK tries of ``run_evcd`` for vehicles 1..N at an
+    integer seed, as :func:`reference_cska_tries` returns them."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    cap = config.retransmission_cap
+    events = []
+    latency = 0.0
+    for attempt in range(cap + 1):
+        delivered = all(
+            _scalar_tries(rng, config.data_loss_prob, "evcd", events, s, s + 1,
+                          "data", cap) for s in range(1, n_vehicles)
+        ) and _scalar_tries(rng, config.data_loss_prob, "evcd", events,
+                            n_vehicles, 1, "ack", 0)
+        if delivered:
+            break
+        latency += config.dissemination_timeout_ms
+    counters = {"evcd_data_transmissions": sum(e[4] == "data" for e in events),
+                "leader_retransmissions": attempt,
+                "evcd_latency_ms": latency + len(events) * config.slot_duration_ms}
+    return events, counters, None if delivered else "DisseminationFailure"
 
 
 def evcd_expected_attempts(p, cap):

@@ -110,6 +110,26 @@ class TestEstimateLeaderRss:
                                  rss_of_link(p, d2, 0.0))
             assert est == pytest.approx(rss_of_link(p, d1 - d2, 0.0), rel=1e-9)
 
+    def test_bytes_equal_the_composed_conversions(self):
+        # the in-place estimator repeats distance_from_rss and rss_of_link
+        # at zero shadowing operation for operation, so it equals their
+        # composition bit for bit, overflowing and failed readings included
+        rng = np.random.default_rng(12)
+        for eta, c in ((0.5, -1.5), (2.0, 3.0), (3.7, 0.0)):
+            p = params(channel_constant_db=c, path_loss_exponent=eta)
+            h1, h2 = rng.normal(0.0, 400.0, (2, 6, 300))
+            h1[0, :6] = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e5]
+            h2[0, :7] = [np.inf, 1.0, 0.0, -0.0, 0.0, 1.0, 1e5]
+            for a, b in ((h1, h2), (h1[1::2], h2[::2]), (h1[0, 7], h2[0, 7])):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    diff = distance_from_rss(p, a, 0.0) - distance_from_rss(p, b, 0.0)
+                valid = np.isfinite(diff) & (diff > 0)
+                est = rss_of_link(p, np.where(valid, diff, 1.0), 0.0)
+                want = np.where(valid, est, np.nan)
+                got = _estimate_rows(p, a, b)
+                assert type(got) is np.ndarray and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
 
 # Frozen regression curve: mean |estimate - truth| in dB at vehicle 3 over
 # 10^4 slots, seed 777, sigma 2 dB with the calibrated-style noise knobs.

@@ -171,6 +171,18 @@ class TestBmmr:
         with pytest.raises(ValueError):
             bmmr(key01("01"), key01("011"))
 
+    @pytest.mark.parametrize("n", [1, 7, 126, 1000, 3001, 65537])
+    def test_a_float_equal_to_the_mean_of_the_mismatches(self, n):
+        # a count over n is the exact mean of a bool array; the rate stays a
+        # Python float, whose repr (unlike numpy's float64) is the bare number
+        rng = np.random.default_rng(n)
+        for flip in (0.0, 0.1, 0.5, 1.0):
+            a = rng.integers(0, 2, n, dtype=np.uint8)
+            b = a ^ (rng.random(n) < flip)
+            rate = bmmr(SecretKey(a), SecretKey(b))
+            assert type(rate) is float
+            assert rate == np.mean(a != b)
+
     def test_consistency_with_chained_mismatch_at_two_bins(self):
         # L=2, Q=1: per-interval chained counts equal slots * sum of pairwise
         # adjacent bmmr values, for each interval index

@@ -22,6 +22,8 @@ from platoonkey.randomness import bits_from_ascii
 from _oracles import (
     evcd_expected_attempts,
     follower_rho,
+    reference_cska_tries,
+    reference_evcd_tries,
     sheppard_mismatch,
     stacked_nan_mean,
 )
@@ -39,6 +41,11 @@ def within_5se(rates, expected):
     ``expected``."""
     se = rates.std(ddof=1) / np.sqrt(len(rates))
     return abs(rates.mean() - expected) <= 5 * se
+
+
+def event_tuples(log):
+    return [(e.slot, e.stage, e.sender, e.receiver, e.kind, e.outcome)
+            for e in log.events]
 
 
 def evcd_attempts(events, cap):
@@ -456,3 +463,85 @@ class TestAveragedTrace:
             assert avg.eavesdropper.tobytes() == ewant.tobytes()
             assert retained == [int((t.values >= floor).all(axis=0).sum())
                                 for t in traces]
+
+
+class TestLossDrawsMatchTheScalarLoop:
+    """Losses drawn in blocks give every try the draw that one scalar
+    ``rng.random()`` per try gives it, and with it the same events,
+    counters, latencies and failures."""
+
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    @pytest.mark.parametrize("cap", [0, 1, 10])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.9, 1.0])
+    def test_cska(self, p, cap, n):
+        geom = PlatoonGeometry(n_vehicles=n, pair_distance_m=2.0)
+        for z in (1, 3):
+            cfg = ProtocolConfig(z_iterations=z, beacon_loss_prob=p,
+                                 retransmission_cap=cap, beacon_bits=3,
+                                 slot_duration_ms=1.5)
+            for seed in range(30):
+                events, counters, failure = reference_cska_tries(cfg, n, seed)
+                try:
+                    _, log = run_cska(cfg, QUIET, geom, slots=1, seed=seed)
+                except CycleAbort:
+                    assert failure == "CycleAbort"
+                    continue
+                assert failure is None
+                assert event_tuples(log) == events
+                assert {k: getattr(log, k) for k in counters} == counters
+
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    @pytest.mark.parametrize("cap", [0, 1, 10])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.9, 1.0])
+    def test_evcd(self, p, cap, n):
+        cfg = ProtocolConfig(data_loss_prob=p, retransmission_cap=cap,
+                             dissemination_timeout_ms=50.0, slot_duration_ms=1.5)
+        for seed in range(30):
+            events, counters, failure = reference_evcd_tries(cfg, n, seed)
+            log = CycleLog()
+            try:
+                run_evcd(cfg, make_keys(n), np.zeros(16, dtype=np.uint8), seed, log)
+            except DisseminationFailure:
+                assert failure == "DisseminationFailure"
+            else:
+                assert failure is None
+            assert event_tuples(log) == events
+            assert {k: getattr(log, k) for k in counters} == counters
+
+    def test_events_are_immutable(self):
+        _, log = run_cska(ProtocolConfig(), QUIET, GEOM4, slots=1, seed=0)
+        with pytest.raises(AttributeError):
+            log.events[0].outcome = "lost"
+
+
+class TestEvcdDecode:
+    @pytest.mark.parametrize("command_bits", [16, 800])
+    @pytest.mark.parametrize("key_bits", [10, 126, 1350])
+    def test_failure_hops_equal_the_hop_chain(self, key_bits, command_bits):
+        # 0-3 vehicles, the leader among them, hold keys off by a bit or
+        # two: within the command's span, or anywhere in the key (so at
+        # times past the command's end, where the keys do not meet it)
+        rng = np.random.default_rng([key_bits, command_bits])
+        seen = set()
+        for trial in range(40):
+            n = int(rng.integers(3, 9))
+            span = min(key_bits, command_bits) if trial % 2 else key_bits
+            base = rng.integers(0, 2, key_bits, dtype=np.uint8)
+            bits = {v: base.copy() for v in range(1, n + 1)}
+            for v in rng.choice(n, int(rng.integers(0, 4)), replace=False) + 1:
+                bits[v][rng.choice(span, int(rng.integers(1, 3)), replace=False)] ^= 1
+            keys = {v: SecretKey(b) for v, b in bits.items()}
+            cmd = rng.integers(0, 2, command_bits, dtype=np.uint8)
+            held = {1: cmd}
+            for v in range(2, n + 1):
+                held[v] = xor_cipher(xor_cipher(held[v - 1], keys[v - 1]), keys[v])
+            want = [v - 1 for v in range(2, n + 1)
+                    if not np.array_equal(held[v], cmd)]
+            assert run_evcd(ProtocolConfig(), keys, cmd, seed=0).decode_failure_hops == want
+            seen.add(len(want))
+        assert 0 in seen and max(seen) >= 2
+
+    def test_empty_keys_rejected(self):
+        keys = {v: SecretKey(bits=()) for v in (1, 2, 3)}
+        with pytest.raises(ValueError, match="cannot build a keystream from an empty key"):
+            run_evcd(ProtocolConfig(), keys, np.zeros(8, dtype=np.uint8), seed=0)
