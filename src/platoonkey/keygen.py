@@ -99,7 +99,7 @@ def extract_key(bin_indices, table: np.ndarray) -> SecretKey:
     idx = np.asarray(bin_indices, dtype=np.int64)
     if idx.size and (idx.min() < 1 or idx.max() > len(table)):
         raise ValueError("bin indices must lie in [1, n_bins]")
-    return SecretKey(table[idx - 1])
+    return SecretKey(np.take(table, idx - 1, axis=0))
 
 
 def bmmr(key_a: SecretKey, key_b: SecretKey) -> float:

@@ -18,20 +18,17 @@ objective is degenerate: packing all interior boundaries below the
 samples puts every sample in one bin and scores zero mismatch while
 producing constant, entropy-free keys.
 
-The DP works on whole matrices.  Over the G + 1 boundary indices
-(floor at 0, interior grid points 1..G-1, top at G), two matrices are
-built once per fit from 2-D prefix sums of the sample ranks: the segment
-cost ``C[a, b]``, the chained mismatch that interval ``[a, b)`` alone
-contributes, and the reference occupancy ``O[a, b]``, the number of
-reference samples in ``[a, b)``.  Interval l may end at index
-``b <= G - L + l``, so each of the L suffix layers is one masked row
-reduction over a column slice of the ``a < b`` triangle: a row-max of
-``min(O, bal_next[b])`` for the balance pass, and a row-min of
-``C + tail_next[b]`` over segments with ``O >= target`` for the cost
-pass.  Boundaries are recovered front to back from each layer's row
-argmin, the first (smallest) b attaining the row optimum, which yields
-the lexicographically smallest optimal boundary tuple.  The per-interval
-mismatch of the fitted quantizer is read off ``C``.
+The DP runs over the G + 1 boundary indices (floor at 0, interior grid
+points 1..G-1, top at G) on the segment cost ``C[a, b]``, the chained
+mismatch that interval ``[a, b)`` alone contributes, and the reference
+occupancy ``O[a, b]``, the reference samples in ``[a, b)``: a balance
+pass, then a cost pass, one masked reduction per interval each.  The
+first interval starts at 0 and the last ends at G, so their layers are
+row 0 and column G, vectors read off 1-D cumulative rank counts.  The
+full matrices, from 2-D prefix sums, are built only for the L - 2
+middle layers, so only when L >= 3.  Each layer's argmin takes the
+smallest optimal b, which yields the lexicographically smallest optimal
+boundary tuple.
 """
 
 from __future__ import annotations
@@ -123,18 +120,25 @@ def _candidates(floor: float, top_sample: float, grid_size: int) -> np.ndarray:
     return np.append(grid, top_sample + step)
 
 
-def _segment_matrices(samples: np.ndarray, cand: np.ndarray
+def _cut_costs(ranks: np.ndarray, m: int) -> np.ndarray:
+    """Number of (adjacent chain pair, slot) entries that a cut just
+    above rank ``b`` separates, for ``b`` in ``0..m-1``: #(lo <= b < hi)."""
+    lo = np.minimum(ranks[:-1], ranks[1:]).ravel()
+    hi = np.maximum(ranks[:-1], ranks[1:]).ravel()
+    return (np.bincount(lo, minlength=m) - np.bincount(hi, minlength=m)).cumsum()
+
+
+def _segment_matrices(ranks: np.ndarray, ref: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Mismatch cost ``C`` and reference occupancy ``O`` of every segment.
 
     Over boundary indices ``a, b`` in ``0..G``, ``C[a, b]`` counts the
     (adjacent chain pair, slot) entries with exactly one of the two
-    candidate ranks in ``[a, b)``, and ``O[a, b]`` the reference (row 0)
-    samples with rank in ``[a, b)``.  Both are read off prefix sums of
-    the rank histogram; only the ``a < b`` entries are meaningful.
+    candidate ranks in ``[a, b)``, and ``O[a, b]`` the reference samples
+    with rank in ``[a, b)``, from ``ref[b]``, those of rank below b.  ``O``
+    is -1 where ``a >= b``, no segment, so it meets no balance target.
     """
-    m = len(cand)
-    ranks = np.searchsorted(cand, samples, side="right") - 1
+    m = len(ref) - 1
     lo = np.minimum(ranks[:-1], ranks[1:]).ravel()
     hi = np.maximum(ranks[:-1], ranks[1:]).ravel()
     hist = np.bincount(lo * m + hi, minlength=m * m).reshape(m, m)
@@ -147,9 +151,8 @@ def _segment_matrices(samples: np.ndarray, cand: np.ndarray
     cost = (lo_below[None, :] - lo_below[:, None]
             - both_below[None, :] - both_below[:, None]
             + 2 * prefix[:m, :m])
-    ref = np.concatenate(([0], np.cumsum(np.bincount(ranks[0], minlength=m))))
     occupancy = ref[None, :m] - ref[:m, None]
-    return cost, occupancy
+    return cost, np.where(np.triu(np.ones((m, m), dtype=bool), 1), occupancy, -1)
 
 
 def optimize_boundaries(samples, floor: float, n_intervals: int,
@@ -161,20 +164,18 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     samples must be finite and at or above the floor.  Returns the
     intervals and each interval's chained mismatch count.
 
-    The DP runs over suffixes on the segment matrices of
-    :func:`_segment_matrices`.  Interval l may end at boundary index
-    ``b <= G - L + l`` (interior boundaries stay on the grid, the last
-    interval ends at the top index G), so layer l is a column slice of
-    the strictly upper-triangular (``a < b``) segment matrix:
+    The DP runs over suffixes.  Interval l may end at index
+    ``b <= G - L + l`` (the last one at the top index G), and its layer is
 
     * balance pass: ``bal_l[a] = max_b min(O[a, b], bal_{l+1}[b])``;
     * cost pass: ``tail_l[a] = min_b C[a, b] + tail_{l+1}[b]`` over the
       segments with ``O[a, b] >= target``.
 
-    The layer past the last interval only admits the top index G.
-    Boundaries are recovered front to back from each layer's row argmin,
-    i.e. the first b whose entry equals the row optimum, which yields
-    the lexicographically smallest optimal boundary tuple.
+    Layers 1 and L are row 0 and column G of ``C`` and ``O``, read off
+    1-D cumulative rank counts; the middle layers are column slices of
+    :func:`_segment_matrices`.  Boundaries are recovered front to back,
+    from each layer's first (smallest) optimal b.  Grid points that
+    coincide in float raise :class:`InfeasiblePartition`.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
@@ -193,42 +194,56 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
         raise InfeasiblePartition(f"grid_size {G} < n_intervals {L}")
 
     cand = _candidates(floor, float(samples.max()), G)
-    cost, occupancy = _segment_matrices(samples, cand)
-    segment = np.triu(np.ones((G + 1, G + 1), dtype=bool), 1)
-    ends = [G - L + l + 1 for l in range(L, 0, -1)]  # column slices, layer L first
+    ranks = np.searchsorted(cand, samples, side="right") - 1  # 0..G
+    ref = np.concatenate(([0], np.bincount(ranks[0], minlength=G + 1).cumsum()))
+    k = G - L + 2  # the first interval ends at b in 1..k-1
+    # entry b - 1 of first_* is segment [0, b), entry a of last_* is [a, G);
+    # a rank-G sample lies in no [a, G), so last_cost counts it below rank 0
+    first_cost, first_occ = _cut_costs(ranks, G + 1)[:k - 1], ref[1:k]
+    last_cost = _cut_costs(np.where(ranks < G, ranks + 1, 0), G + 1)[:G]
+    last_occ = ref[G] - ref[:G]
+    if L > 2:  # only the middle layers read the segment matrices
+        cost, occ = _segment_matrices(ranks, ref)
+    ends = range(G, k, -1)  # the middle layers' column slices, layer L-1 first
 
     # Pass 1: maximize the minimum per-bin reference occupancy.
-    occ = np.where(segment, occupancy, -1)
-    bal = np.full(G + 1, -1, dtype=np.int64)
-    bal[G] = _INF
-    for k in ends:
-        bal = np.minimum(occ[:, :k], bal[:k]).max(axis=1)
-    target = int(bal[0])
+    bal = last_occ
+    for end in ends:
+        bal = np.minimum(occ[:, :end], bal[:end]).max(axis=1)
+    target = int(np.minimum(first_occ, bal[1:k]).max())
     if target < 0:
         raise InfeasiblePartition("no feasible boundary placement")
 
     # Pass 2: minimize total mismatch among partitions whose every bin
     # holds at least `target` reference samples.
-    seg_cost = np.where(segment & (occupancy >= target), cost, _INF)
-    tail = np.full(G + 1, _INF, dtype=np.int64)
-    tail[G] = 0
+    tail = np.where(last_occ >= target, last_cost, _INF)
+    if L > 2:
+        seg_cost = np.where(occ >= target, cost, _INF)
     choices = []
-    for k in ends:
-        total = seg_cost[:, :k] + tail[:k]
+    for end in ends:
+        total = seg_cost[:, :end] + tail[:end]
         choices.append(total.argmin(axis=1))
         tail = np.minimum(total.min(axis=1), _INF)
-    if tail[0] >= _INF:
+    total = np.where(first_occ >= target, first_cost, _INF) + tail[1:k]
+    first = int(total.argmin())
+    if total[first] >= _INF:
         raise InfeasiblePartition("no feasible boundary placement")
 
     # front to back; argmin took the smallest optimal b of every row
-    idxs = [0]
+    idxs = [0, first + 1]
     for best in reversed(choices):
         idxs.append(int(best[idxs[-1]]))
+    idxs.append(G)
 
-    iset = IntervalSet(boundaries=tuple(float(cand[i]) for i in idxs))
+    bounds = cand[idxs].tolist()
+    if any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise InfeasiblePartition(
+            "grid points coincide in float, so the fitted boundaries do too")
     # interval l's chained mismatch is the cost of segment [idxs[l-1], idxs[l])
-    per_interval = tuple(int(cost[a, b]) for a, b in zip(idxs, idxs[1:]))
-    return iset, per_interval
+    per_interval = (int(first_cost[first]),
+                    *(int(cost[a, b]) for a, b in zip(idxs[1:-2], idxs[2:-1])),
+                    int(last_cost[idxs[-2]]))
+    return IntervalSet(boundaries=tuple(bounds)), per_interval
 
 
 def retained_slots(trace: RssTrace, floor: float) -> np.ndarray:

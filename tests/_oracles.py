@@ -6,7 +6,9 @@ it shares code paths with the package.  ``reference_trace`` is a frozen
 copy of the per-vehicle trace generator, ``reference_longest_run_test``
 one of the per-block longest-run loop (with scipy's ``gammaincc``, so the
 p-values compare exactly), ``stacked_nan_mean`` one of the Z-pass
-average over a stacked copy of every pass, and ``reference_cska_tries``
+average over a stacked copy of every pass, ``matrix_boundaries`` one of
+the quantizer fit that builds the full segment matrices for every DP
+layer, and ``reference_cska_tries``
 and ``reference_evcd_tries`` one of the protocol's packet loop with one
 scalar loss draw per try, kept to pin the vectorized code bit for bit.
 """
@@ -174,6 +176,71 @@ def stacked_nan_mean(values):
     counts = valid.sum(axis=0)
     sums = np.where(valid, values, 0.0).sum(axis=0)
     return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+
+
+class NoPartition(ValueError):
+    """The matrix fit found no grid or no feasible placement."""
+
+
+def matrix_boundaries(samples, floor, n_intervals, grid_size):
+    """The quantizer fit with every DP layer on the full ``(G+1)**2``
+    segment matrices.
+
+    Takes valid input (finite samples at or above the floor, 2 <= L <= G)
+    and returns ``(boundaries, per_interval)``.  The boundaries are the
+    candidate values at the chosen indices, not checked for increase, so
+    grid points that coincide in float show as equal boundaries.  Raises
+    :class:`NoPartition` where the fit finds no placement.
+    """
+    inf = np.iinfo(np.int64).max // 2
+    samples = np.asarray(samples, dtype=float)
+    L, G = int(n_intervals), int(grid_size)
+    top = float(samples.max())
+    if not top > floor:
+        raise NoPartition("no grid above the floor")
+    step = (top - floor) / (G - 1)
+    cand = np.append(np.linspace(floor, top, G), top + step)
+    m = len(cand)
+    ranks = np.searchsorted(cand, samples, side="right") - 1
+    lo = np.minimum(ranks[:-1], ranks[1:]).ravel()
+    hi = np.maximum(ranks[:-1], ranks[1:]).ravel()
+    hist = np.bincount(lo * m + hi, minlength=m * m).reshape(m, m)
+    prefix = np.zeros((m + 1, m + 1), dtype=np.int64)
+    prefix[1:, 1:] = hist.cumsum(0).cumsum(1)
+    lo_below = prefix[:m, m]
+    both_below = np.diagonal(prefix)[:m]
+    cost = (lo_below[None, :] - lo_below[:, None]
+            - both_below[None, :] - both_below[:, None]
+            + 2 * prefix[:m, :m])
+    ref = np.concatenate(([0], np.cumsum(np.bincount(ranks[0], minlength=m))))
+    occupancy = ref[None, :m] - ref[:m, None]
+    segment = np.triu(np.ones((m, m), dtype=bool), 1)
+    ends = [G - L + l + 1 for l in range(L, 0, -1)]
+
+    occ = np.where(segment, occupancy, -1)
+    bal = np.full(m, -1, dtype=np.int64)
+    bal[G] = inf
+    for k in ends:
+        bal = np.minimum(occ[:, :k], bal[:k]).max(axis=1)
+    target = int(bal[0])
+    if target < 0:
+        raise NoPartition("no feasible boundary placement")
+
+    seg_cost = np.where(segment & (occupancy >= target), cost, inf)
+    tail = np.full(m, inf, dtype=np.int64)
+    tail[G] = 0
+    choices = []
+    for k in ends:
+        total = seg_cost[:, :k] + tail[:k]
+        choices.append(total.argmin(axis=1))
+        tail = np.minimum(total.min(axis=1), inf)
+    if tail[0] >= inf:
+        raise NoPartition("no feasible boundary placement")
+    idxs = [0]
+    for best in reversed(choices):
+        idxs.append(int(best[idxs[-1]]))
+    return (tuple(float(cand[i]) for i in idxs),
+            tuple(int(cost[a, b]) for a, b in zip(idxs, idxs[1:])))
 
 
 def gray_list(q):

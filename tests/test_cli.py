@@ -363,6 +363,24 @@ def test_run_where_the_pass_average_leaves_the_float_range(tmp_path, capsys,
             [str(seed), "failed:", "InfeasiblePartition:"] for seed in (0, 1)]
 
 
+COLLAPSE_TEXT = ("n_vehicles = 3\nslots = 50\nn_intervals = 8\ngrid_size = 512\n"
+                 "seeds = 0..2\nshadowing_sigma_db = 0.0001\n"
+                 "channel_constant_db = -1e15\n"
+                 "rss_decode_floor_db = 999999999999990.0\n")
+
+
+def test_run_where_the_grid_points_coincide_in_float(tmp_path, capsys):
+    # RSS near 1e15 dB has a float step of 0.125, coarser than the grid
+    # step, so fitted boundaries would coincide: each seed fails on its own
+    rc, captured, out = run_cli(tmp_path, capsys, COLLAPSE_TEXT)
+    assert rc == EXIT_RUNTIME
+    assert [line.split()[:3] for line in captured.out.splitlines()[1:4]] == [
+        [str(seed), "failed:", "InfeasiblePartition:"] for seed in (0, 1, 2)]
+    assert "coincide" in captured.out
+    keys, n_events = written_run(out)
+    assert not any(keys) and n_events == 0
+
+
 def test_plot_writes_one_row_per_sweep_point(tmp_path, capsys):
     path = tmp_path / "sweep.scn"
     path.write_text("slots = 60\nseeds = 0,1\nsweep_axis = n_intervals\n"

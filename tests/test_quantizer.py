@@ -1,9 +1,11 @@
-"""Quantizer: bin semantics, mismatch counting, DP vs exhaustive search."""
+"""Quantizer: bin semantics, mismatch counting, the DP against exhaustive
+search and against the full-matrix fit."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace, generate_trace
 from platoonkey.keygen import codeword_table, extract_key
@@ -17,7 +19,8 @@ from platoonkey.quantizer import (
     retained_slots,
 )
 
-from _oracles import brute_force_boundaries, chained_mismatch
+from _oracles import (NoPartition, brute_force_boundaries, chained_mismatch,
+                      matrix_boundaries)
 
 TWO_BIN = IntervalSet(boundaries=(0.0, 5.0, 10.0))
 
@@ -175,6 +178,13 @@ class TestOptimizeBoundaries:
         with pytest.raises(InfeasiblePartition):
             optimize_boundaries(rows, 0.0, 4, 3)
 
+    def test_coinciding_grid_points_are_infeasible(self):
+        # a float step at 1e15 is 0.125, so 512 grid points over 1 dB
+        # repeat each value about 64 times, and so would the boundaries
+        rows = 1e15 + np.array([[0.0, 0.5, 1.0, 0.25], [0.125, 0.5, 0.875, 0.375]])
+        with pytest.raises(InfeasiblePartition, match="coincide"):
+            optimize_boundaries(rows, 1e15, 8, 512)
+
     def test_balance_prefers_occupied_bins(self):
         # noisy data: minimizing mismatch alone would empty every bin by
         # cramming all samples into one; the balance stage must prevent that
@@ -311,3 +321,59 @@ class TestOptimizeBoundariesProperty:
         bins = [bin_indices(r, iset).tolist() for r in rows]
         assert per_interval == tuple(
             chained_mismatch(bins, l) for l in range(1, L + 1))
+
+
+@st.composite
+def fit_instances(draw):
+    n_rows = draw(st.integers(2, 5))
+    slots = draw(st.integers(1, 24))
+    L = draw(st.integers(2, 5))
+    G = draw(st.integers(L, 80))
+    value = st.one_of(st.integers(-8, 8).map(lambda k: k / 2.0),
+                      st.floats(-4.0, 4.0, allow_nan=False, width=32))
+    # a float step at 1e16 is 2: grid points coincide, and the top
+    # candidate can round onto the largest sample, which then has rank G
+    offset = draw(st.sampled_from([0.0, 0.0, 0.0, 1e16]))
+    rows = offset + draw(arrays(float, (n_rows, slots), elements=value))
+    gap = draw(st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.7]))
+    return rows, float(rows.min()) - gap, L, G
+
+
+BELOW_ONE = float(np.nextafter(1.0, -np.inf))
+
+
+class TestOptimizeBoundariesMatchTheMatrixFit:
+    """The edge layers from 1-D rank counts give the bytes of a fit that
+    runs every layer on the full segment matrices."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fit_instances())
+    @example((np.array([[0.5, 1.0], [1.0, 0.5]]), 0.0, 2, 2))  # G == L == 2
+    @example((np.array([[1.0], [2.0], [1.5]]), 0.0, 3, 7))  # one slot
+    # every reference sample in one grid cell: the balance target is 0
+    @example((np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 2.0, 1.0, 3.0]]), -1.0, 3, 10))
+    # grid 0, 1, .., 4 with every sample on a grid point
+    @example((np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 2.0, 4.0, 3.0],
+                        [0.0, 2.0, 2.0, 3.0, 4.0]]), 0.0, 4, 5))
+    # the top candidate equals the largest sample, so it has rank G
+    @example((np.array([[1.0, 1.0, BELOW_ONE], [1.0, BELOW_ONE, 1.0]]), BELOW_ONE, 2, 4))
+    # ... and the fit succeeds, with rank-G samples paired to lower ones
+    @example((1e16 + np.array([[0.0, 32.0, 64.0, 16.0, 48.0],
+                               [2.0, 30.0, 62.0, 18.0, 64.0]]), 1e16, 2, 80))
+    def test_same_boundaries_mismatch_and_exception(self, instance):
+        rows, floor, L, G = instance
+        try:
+            bounds, per_interval = matrix_boundaries(rows, floor, L, G)
+        except NoPartition:
+            with pytest.raises(InfeasiblePartition):
+                optimize_boundaries(rows, floor, L, G)
+            return
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            # grid points equal in float: the matrix fit picked equal bounds
+            with pytest.raises(InfeasiblePartition, match="coincide"):
+                optimize_boundaries(rows, floor, L, G)
+            return
+        iset, got = optimize_boundaries(rows, floor, L, G)
+        assert iset.boundaries == bounds
+        assert got == per_interval
