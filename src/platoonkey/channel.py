@@ -44,7 +44,6 @@ __all__ = [
     "ChannelParams",
     "PlatoonGeometry",
     "RssTrace",
-    "distance_from_rss",
     "generate_trace",
     "rss_of_link",
 ]
@@ -200,16 +199,14 @@ def rss_of_link(params: ChannelParams, distance_m, shadowing_db):
             - params.channel_constant_db - np.asarray(shadowing_db, dtype=float))
 
 
-def distance_from_rss(params: ChannelParams, rss_db, shadowing_db):
-    """Invert the path-loss law: distance (m) implied by an RSS reading."""
-    num = (np.asarray(rss_db, dtype=float) + params.channel_constant_db
-           + np.asarray(shadowing_db, dtype=float))
-    return 10.0 ** (num / (10.0 * params.path_loss_exponent))
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    """The seed as a SeedSequence; a SeedSequence passes through unchanged."""
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+def _child(seed, *path: int) -> np.random.SeedSequence:
+    """The node that ``spawn`` calls on a fresh ``seed`` reach at ``path``
+    (``(1, 0)`` is child 0 of child 1), built directly from its spawn key:
+    no node along the way is built, and ``seed`` is never spawned from."""
+    if not isinstance(seed, np.random.SeedSequence):  # entropy as given; None: fresh per node
+        return np.random.SeedSequence(seed, spawn_key=path)
+    return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + path,
+                                  pool_size=seed.pool_size)
 
 
 def _ar1(draws: np.ndarray, rho: float) -> np.ndarray:
@@ -233,14 +230,14 @@ def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
     difference back to dB.  A non-positive implied distance difference,
     or one that overflows a float, gives an invalid estimate: NaN.
     """
-    # distance_from_rss, then rss_of_link, at zero shadowing, in place on one
-    # buffer per reading set: the order of the operations fixes the keys
+    # the path-loss inversion, then rss_of_link, at zero shadowing, in place
+    # on one buffer per reading set: the order of the operations fixes the keys
     c, scale = params.channel_constant_db, 10.0 * params.path_loss_exponent
-    d1, d2 = np.array(h1, dtype=float), np.array(h2, dtype=float)
+    d1, d2 = np.empty(np.shape(h1)), np.empty(np.shape(h2))
     # past about 3080 * path_loss_exponent dB a distance overflows to inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for d in (d1, d2):
-            d += c
+        for d, h in ((d1, h1), (d2, h2)):
+            np.add(h, c, out=d)
             d += 0.0
             d /= scale
             np.power(10.0, d, out=d)
@@ -268,14 +265,16 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     shadowing draw and each draw their own noise, continuing the first
     pass's RNG streams, or one trace on a noiseless channel.  Zero-sigma
     noise is not drawn, as it adds 0 and ends its stream.  Arrays are read-only.
+    The platoon draws from the seed's node ``(0,)``, the eavesdropper from
+    ``(1,)`` (:func:`_child`); a ``SeedSequence`` seed is never spawned
+    from, so the same object always gives the same traces.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    platoon_ss, eaves_ss = _seed_sequence(seed).spawn(2)
-    rng = np.random.default_rng(platoon_ss)
-    erng = np.random.default_rng(eaves_ss)
+    rng = np.random.default_rng(_child(seed, 0))
+    erng = np.random.default_rng(_child(seed, 1))
 
     n = geometry.n_vehicles
     sigma = params.shadowing_sigma_db
@@ -318,14 +317,17 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
         if noisy:
             readings = faded + sig * rng.standard_normal(faded.shape)
             recip = params.reciprocity_sigma_db * rng.standard_normal(slots)
+        e_readings = (e_faded + e_sig * erng.standard_normal(e_faded.shape)
+                      if a > 0 else e_faded)
+        # the followers' and the eavesdropper's estimates in one call, the
+        # eavesdropper's last: the estimator is elementwise
+        est = _estimate_rows(params, np.vstack((readings[2::2], e_readings[:1])),
+                             np.vstack((readings[3::2], e_readings[1:])))
         values = np.empty((n, slots))
         values[:2] = readings[:2]
         values[1] += recip
-        values[2:] = _estimate_rows(params, readings[2::2], readings[3::2])
-
-        e_readings = (e_faded + e_sig * erng.standard_normal(e_faded.shape)
-                      if a > 0 else e_faded)
-        eaves = _estimate_rows(params, *e_readings)
+        values[2:] = est[:-1]
+        eaves = est[-1].copy()  # not a view that keeps every row of est alive
         values.flags.writeable = eaves.flags.writeable = False
         traces.append(RssTrace(values=values, eavesdropper=eaves))
     return traces

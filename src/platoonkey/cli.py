@@ -119,7 +119,7 @@ def _cmd_run(args) -> int:
         key_lines.append(f"seed {seed} hex  {key.to_hex()}")
         events += [(seed, ev.slot, ev.stage, ev.sender, ev.receiver, ev.kind,
                     ev.outcome) for ev in rep.log.events]
-    (out / "keys.txt").write_text("\n".join(key_lines) + "\n", encoding="ascii")
+    (out / "keys.txt").write_text("\n".join([*key_lines, ""]), encoding="ascii")
     _write_csv(out / "events.csv", ("seed", "slot", "stage", "sender", "receiver",
                                     "kind", "outcome"), events)
     print(f"wrote {out / 'keys.txt'} and {out / 'events.csv'}")

@@ -42,7 +42,7 @@ class KeygenConfig:
     def resolve_bits(self, n_intervals: int) -> int:
         if self.codeword_bits:
             return self.codeword_bits
-        return max(1, int(np.ceil(np.log2(n_intervals))))
+        return max(1, (int(n_intervals) - 1).bit_length())  # ceil(log2(L))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,8 @@ command; its re-encryption cancels its own key, so the error does not
 reach the vehicles behind it, and whether a vehicle decodes is one
 comparison of its keystream with the leader's.  Each stage draws its
 losses from its own RNG stream in blocks of ``rng.random(k)``, the
-doubles of k scalar draws.
+doubles of k scalar draws; a stage whose loss probability is zero builds
+no stream, as every one of its tries is delivered.
 
 After the Z passes each vehicle holds its RSS traces.  The quantizer is
 fitted once per cycle, and the agreed key extracted, on the slot-wise
@@ -40,7 +41,7 @@ from .channel import (
     ChannelParams,
     PlatoonGeometry,
     RssTrace,
-    _seed_sequence,
+    _child,
     generate_trace,
 )
 from .keygen import KeygenConfig, SecretKey, bmmr, codeword_table, extract_key
@@ -63,7 +64,6 @@ __all__ = [
     "run_cska",
     "run_cycle",
     "run_evcd",
-    "xor_cipher",
 ]
 
 
@@ -132,22 +132,22 @@ class CycleLog:
     decode_failure_hops: list[int] = field(default_factory=list)
 
 
-def _send(log: CycleLog, rng: np.random.Generator, loss_prob: float,
+def _send(log: CycleLog, rng: np.random.Generator | None, loss_prob: float,
           stage: str, packets: list[tuple[int, int, str, int]],
           attempts: int = 1) -> int:
     """Send ``(sender, receiver, kind, retries)`` packets in turn, retrying
     a loss at most ``retries`` times; a packet out of retries fails the
     attempt, and the next starts over.  Each try takes the next slot of
     ``log`` and the next of ``rng``'s loss draws, drawn in blocks of as
-    many as there are packets left in the attempt.  Returns the number
-    of attempts that failed."""
+    many as there are packets left in the attempt; without ``rng`` every
+    try is delivered.  Returns the number of attempts that failed."""
     events, unread = log.events, []  # loss outcomes not yet read, next last
     for failed in range(attempts):
         for done, (sender, receiver, kind, retries) in enumerate(packets):
             for _ in range(retries + 1):
-                if not unread:
+                if rng is not None and not unread:
                     unread = (rng.random(len(packets) - done) < loss_prob).tolist()[::-1]
-                lost = unread.pop()
+                lost = rng is not None and unread.pop()
                 events.append(TransmissionEvent(
                     len(events) + 1, stage, sender, receiver, kind,
                     "lost" if lost else "delivered"))
@@ -173,9 +173,13 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
     :func:`_send`), so draws past the last try go unread.  The traces
     come from one :func:`generate_trace` call: they share the cycle's
     shadowing and differ only in their noise, so a noiseless cycle has one.
+    The losses draw from the seed's node ``(0,)`` and the traces, on which
+    every recorded Z=1 key depends, from ``(1, 0)`` (``channel._child``); a
+    ``SeedSequence`` seed is never spawned from, so the same object always
+    gives the same stage.
     """
-    loss_ss, trace_ss = _seed_sequence(seed).spawn(2)
-    loss_rng = np.random.default_rng(loss_ss)
+    loss_rng = (np.random.default_rng(_child(seed, 0))
+                if config.beacon_loss_prob > 0 else None)
 
     log = CycleLog()
     n, cap = geometry.n_vehicles, config.retransmission_cap
@@ -184,9 +188,7 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
     if _send(log, loss_rng, config.beacon_loss_prob, "cska", beacons):
         raise CycleAbort(f"beacon of vehicle {log.events[-1].sender} "
                          f"exceeded {cap} retransmissions")
-    # the traces are seeded by trace_ss's first child, on which every
-    # recorded Z=1 key depends
-    traces = generate_trace(params, geometry, slots, trace_ss.spawn(1)[0],
+    traces = generate_trace(params, geometry, slots, _child(seed, 1, 0),
                             passes=config.z_iterations)
     log.beacon_transmissions = len(log.events)
     log.retransmissions = sum(e.outcome == "lost" for e in log.events)
@@ -200,12 +202,6 @@ def _keystream(bits: np.ndarray, size: int) -> np.ndarray:
     if bits.shape[-1] == 0:
         raise ValueError("cannot build a keystream from an empty key")
     return np.tile(bits[..., :size], -(-size // bits.shape[-1]))[..., :size]
-
-
-def xor_cipher(payload: np.ndarray, key: SecretKey) -> np.ndarray:
-    """Repeating-keystream XOR; its own inverse for a fixed key."""
-    data = np.asarray(payload, dtype=np.uint8)
-    return data ^ _keystream(key.bits, data.size)
 
 
 def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
@@ -244,7 +240,7 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
         raise ValueError("every vehicle must hold a key of identical length")
     command = np.asarray(command_bits, dtype=np.uint8)
     log = log if log is not None else CycleLog()
-    rng = np.random.default_rng(_seed_sequence(seed))
+    rng = np.random.default_rng(seed) if config.data_loss_prob > 0 else None
 
     cap = config.retransmission_cap
     # every hop, then the one-bit ACK from the tail toward the leader
@@ -336,10 +332,14 @@ def _averaged_trace(traces: list[RssTrace], floor: float) -> tuple[RssTrace, lis
 def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
               protocol: ProtocolConfig, quant: QuantizerConfig,
               keygen: KeygenConfig, slots: int, seed) -> AgreementReport:
-    """One full dissemination cycle: CSKA, key extraction, EVCD, report."""
-    cska_ss, evcd_ss, cmd_ss = _seed_sequence(seed).spawn(3)
+    """One full dissemination cycle: CSKA, key extraction, EVCD, report.
 
-    traces, log = run_cska(protocol, params, geometry, slots, cska_ss)
+    CSKA draws from the seed's node ``(0,)`` (the traces from ``(0, 1, 0)``)
+    and EVCD from ``(1,)`` (``channel._child``).  No stage spawns from a
+    ``SeedSequence`` seed, so the same object always gives the same cycle.
+    The command is zeros: the decode never reads its bits.
+    """
+    traces, log = run_cska(protocol, params, geometry, slots, _child(seed, 0))
 
     floor = params.rss_decode_floor_db
     trace, retained = _averaged_trace(traces, floor)
@@ -358,11 +358,9 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
              for i in range(2, geometry.n_vehicles + 1)}
     eaves_bmmr = bmmr(leader, agreed_ekey)
 
-    cmd_rng = np.random.default_rng(cmd_ss)
-    command = cmd_rng.integers(0, 2, size=protocol.data_payload_bits,
-                               dtype=np.uint8)
+    command = np.zeros(protocol.data_payload_bits, dtype=np.uint8)
     try:
-        run_evcd(protocol, agreed_keys, command, evcd_ss, log)
+        run_evcd(protocol, agreed_keys, command, _child(seed, 1), log)
         success = not log.decode_failure_hops
     except DisseminationFailure:
         success = False

@@ -104,9 +104,10 @@ def bin_indices(xs, intervals: IntervalSet) -> np.ndarray:
     and NaN bin 1.
     """
     xs = np.asarray(xs, dtype=float)
-    idx = np.searchsorted(np.asarray(intervals.boundaries), xs, side="right")
-    # NaN sorts above every boundary, so without this it would clamp to L
-    return np.where(np.isnan(xs), 1, np.clip(idx, 1, intervals.n_intervals))
+    # below b_1 is bin 1 and at or above b_{L-1} bin L: no floor or top search
+    idx = np.searchsorted(np.asarray(intervals.boundaries[1:-1]), xs, side="right")
+    # NaN sorts above every boundary, so without this it would take bin L
+    return np.where(np.isnan(xs), 1, idx + 1)
 
 
 def _candidates(floor: float, top_sample: float, grid_size: int) -> np.ndarray:
@@ -210,9 +211,10 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     bal = last_occ
     for end in ends:
         bal = np.minimum(occ[:, :end], bal[:end]).max(axis=1)
+    # G >= L, so every choice of L - 1 interior indices is a partition
+    # whose every bin holds >= 0 reference samples: the target is >= 0,
+    # and some partition meets it at finite cost
     target = int(np.minimum(first_occ, bal[1:k]).max())
-    if target < 0:
-        raise InfeasiblePartition("no feasible boundary placement")
 
     # Pass 2: minimize total mismatch among partitions whose every bin
     # holds at least `target` reference samples.
@@ -226,8 +228,6 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
         tail = np.minimum(total.min(axis=1), _INF)
     total = np.where(first_occ >= target, first_cost, _INF) + tail[1:k]
     first = int(total.argmin())
-    if total[first] >= _INF:
-        raise InfeasiblePartition("no feasible boundary placement")
 
     # front to back; argmin took the smallest optimal b of every row
     idxs = [0, first + 1]

@@ -44,7 +44,6 @@ __all__ = [
     "frequency_test",
     "longest_run_test",
     "run_battery",
-    "runs_frequency_precheck",
     "runs_test",
     "serial_test",
 ]
@@ -174,7 +173,7 @@ def cusum_test(bits, direction: str = "forward") -> float:
     return float(min(max(1.0 - term1 + term2, 0.0), 1.0))
 
 
-def runs_frequency_precheck(bits) -> bool:
+def _runs_frequency_precheck(bits) -> bool:
     """Frequency condition required for the runs statistic to be valid."""
     eps = _as_bits(bits)
     return len(eps) > 0 and abs(eps.mean() - 0.5) < 2.0 / math.sqrt(len(eps))
@@ -185,7 +184,7 @@ def runs_test(bits) -> float:
     eps = _as_bits(bits)
     n = len(eps)
     _check_floor(n, "runs")
-    if not runs_frequency_precheck(eps):
+    if not _runs_frequency_precheck(eps):
         return 0.0
     pi = np.count_nonzero(eps) / n
     v = 1 + np.count_nonzero(eps[1:] != eps[:-1])

@@ -11,6 +11,10 @@ the quantizer fit that builds the full segment matrices for every DP
 layer, and ``reference_cska_tries``
 and ``reference_evcd_tries`` one of the protocol's packet loop with one
 scalar loss draw per try, kept to pin the vectorized code bit for bit.
+``reference_cycle_seeds`` is the cycle's seed tree as a chain of
+``spawn`` calls, ``reference_bin_indices`` the bin search over every
+boundary, and ``distance_from_rss`` and ``xor_cipher`` the path-loss
+inversion and the repeating-keystream cipher that the package inlines.
 """
 
 from __future__ import annotations
@@ -96,6 +100,45 @@ def reference_key_bits(bins, q):
     """Per-slot key bits: each bin's Q-bit Gray codeword, in slot order."""
     words = gray_list(q)
     return [int(c) for l in bins for c in words[l - 1]]
+
+
+def distance_from_rss(params, rss_db, shadowing_db):
+    """Invert the path-loss law: distance (m) implied by an RSS reading."""
+    num = (np.asarray(rss_db, dtype=float) + params.channel_constant_db
+           + np.asarray(shadowing_db, dtype=float))
+    return 10.0 ** (num / (10.0 * params.path_loss_exponent))
+
+
+def xor_cipher(payload, key):
+    """Repeating-keystream XOR of a payload with a key's bits; its own
+    inverse for a fixed key."""
+    data = np.asarray(payload, dtype=np.uint8)
+    if len(key) == 0:
+        raise ValueError("cannot build a keystream from an empty key")
+    return data ^ np.resize(key.bits, data.size)
+
+
+def reference_bin_indices(xs, intervals):
+    """1-based bins from a search over all L + 1 boundaries, clipped to
+    1..L, with NaN in bin 1."""
+    xs = np.asarray(xs, dtype=float)
+    idx = np.searchsorted(np.asarray(intervals.boundaries), xs, side="right")
+    return np.where(np.isnan(xs), 1, np.clip(idx, 1, intervals.n_intervals))
+
+
+def reference_cycle_seeds(seed):
+    """The seed nodes of one cycle, reached by ``spawn`` calls: the cycle
+    spawns three (CSKA, EVCD, an unread command stream), CSKA two (its
+    losses, then the traces' parent), the traces' parent one, and the
+    traces two (platoon, eavesdropper).  A ``SeedSequence`` seed is
+    spawned from, so pass a fresh one."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    cska, evcd, _ = ss.spawn(3)
+    cska_loss, trace_parent = cska.spawn(2)
+    traces = trace_parent.spawn(1)[0]
+    platoon, eavesdropper = traces.spawn(2)
+    return {"cska": cska, "cska_loss": cska_loss, "traces": traces,
+            "platoon": platoon, "eavesdropper": eavesdropper, "evcd": evcd}
 
 
 def reference_trace(params, geometry, slots, seed):

@@ -1,5 +1,6 @@
 """Channel model: closed forms, round trips, estimation, trace generation."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -9,13 +10,14 @@ import pytest
 from platoonkey.channel import (
     ChannelParams,
     PlatoonGeometry,
+    _child,
     _estimate_rows,
-    distance_from_rss,
     generate_trace,
     rss_of_link,
 )
 
-from _oracles import reference_trace, sheppard_mismatch
+from _oracles import (distance_from_rss, reference_cycle_seeds, reference_trace,
+                      sheppard_mismatch)
 
 
 def params(**kw):
@@ -282,6 +284,47 @@ class TestGenerateTrace:
             agree.append(np.mean(bits[1:] == bits[:-1]))
         se = np.std(agree, ddof=1) / math.sqrt(len(agree))
         assert abs(np.mean(agree) - (1.0 - sheppard_mismatch(rho))) < 5 * se
+
+    # sha256 over every returned trace's values and eavesdropper bytes, in
+    # the test's loop order, recorded with one estimator call for the
+    # followers and one for the eavesdropper: stacking them moves no byte
+    TRACE_DIGEST = "83e900c6cf618046a9ff5daab258a43947e3019424426c8fef0922af4ebfaa41"
+
+    def test_trace_bytes_pinned(self):
+        h = hashlib.sha256()
+        for noise in (dict(), dict(measurement_noise_db=0.1),
+                      dict(reciprocity_sigma_db=0.5), dict(shadowing_autocorr=0.7)):
+            p = ChannelParams(shadowing_common_fraction=0.5, **noise)
+            for n in (3, 4, 10):
+                g = PlatoonGeometry(n, 2.0, "P3", 6.0)
+                for passes in (1, 3):
+                    for seed in range(5):
+                        for t in generate_trace(p, g, 40, seed, passes=passes):
+                            h.update(t.values.tobytes())
+                            h.update(t.eavesdropper.tobytes())
+        assert h.hexdigest() == self.TRACE_DIGEST
+
+
+class TestChild:
+    # each stream's path below the cycle's seed
+    PATHS = {"cska": (0,), "cska_loss": (0, 0), "traces": (0, 1, 0),
+             "platoon": (0, 1, 0, 0), "eavesdropper": (0, 1, 0, 1), "evcd": (1,)}
+
+    @pytest.mark.parametrize("make", [
+        lambda: 7,
+        lambda: [3, 1],
+        lambda: np.random.SeedSequence(2**70 + 5),
+        lambda: np.random.SeedSequence([4, 0], spawn_key=(9, 2), pool_size=8),
+    ])
+    def test_nodes_equal_the_spawn_chain(self, make):
+        want = reference_cycle_seeds(make())
+        seed = make()
+        for name, path in self.PATHS.items():
+            node = _child(seed, *path)
+            assert node.generate_state(8).tobytes() == want[name].generate_state(8).tobytes()
+            assert node.pool_size == want[name].pool_size
+        if isinstance(seed, np.random.SeedSequence):
+            assert seed.n_children_spawned == 0
 
 
 class TestGeometry:

@@ -379,6 +379,8 @@ def test_run_where_the_grid_points_coincide_in_float(tmp_path, capsys):
     assert "coincide" in captured.out
     keys, n_events = written_run(out)
     assert not any(keys) and n_events == 0
+    # no key, no line: the file is empty
+    assert (out / "keys.txt").read_bytes() == b""
 
 
 def test_plot_writes_one_row_per_sweep_point(tmp_path, capsys):

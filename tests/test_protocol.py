@@ -14,7 +14,6 @@ from platoonkey.protocol import (
     run_cska,
     run_cycle,
     run_evcd,
-    xor_cipher,
 )
 from platoonkey.quantizer import QuantizerConfig, retained_slots
 from platoonkey.randomness import bits_from_ascii
@@ -26,6 +25,7 @@ from _oracles import (
     reference_evcd_tries,
     sheppard_mismatch,
     stacked_nan_mean,
+    xor_cipher,
 )
 
 QUIET = ChannelParams(shadowing_sigma_db=0.0, rss_decode_floor_db=-40.0)
@@ -373,6 +373,45 @@ class TestRunCycle:
         assert rep.log.cska_latency_ms == 4 * 4 * 2.0
         # lossless EVCD: three hops and the tail ACK, one slot each
         assert rep.log.evcd_latency_ms == 4 * 2.0
+
+
+class TestSeeding:
+    NOISY = ChannelParams(shadowing_sigma_db=3.0, measurement_noise_db=0.1,
+                          reciprocity_sigma_db=0.3)
+    LOSSY = ProtocolConfig(z_iterations=2, beacon_loss_prob=0.2, data_loss_prob=0.2)
+
+    def test_one_seed_sequence_object_gives_the_same_results(self):
+        ss = np.random.SeedSequence([21, 3])
+        runs = [(generate_trace(self.NOISY, GEOM4, 30, ss, passes=2),
+                 run_cska(self.LOSSY, self.NOISY, GEOM4, 30, ss),
+                 run_cycle(self.NOISY, GEOM4, self.LOSSY, QuantizerConfig(2, 16),
+                           KeygenConfig(), 30, ss))
+                for _ in range(2)]
+        (traces, (cska_traces, cska_log), rep), again = runs
+        for ours, theirs in ((traces, again[0]), (cska_traces, again[1][0])):
+            assert [(t.values.tobytes(), t.eavesdropper.tobytes()) for t in ours] == \
+                [(t.values.tobytes(), t.eavesdropper.tobytes()) for t in theirs]
+        assert cska_log == again[1][1]
+        assert rep.leader_key == again[2].leader_key
+        assert rep.bmmr_per_vehicle == again[2].bmmr_per_vehicle
+        assert rep.log == again[2].log
+        assert ss.n_children_spawned == 0
+
+    @pytest.mark.parametrize("loss, generators", [(0.0, 2), (0.1, 4)])
+    def test_a_cycle_builds_a_generator_per_stream_it_reads(self, monkeypatch,
+                                                           loss, generators):
+        # platoon and eavesdropper always; CSKA and EVCD losses only when lossy
+        built = []
+        real = np.random.default_rng
+
+        def spy(seed=None):
+            built.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        cfg = ProtocolConfig(beacon_loss_prob=loss, data_loss_prob=loss)
+        rep = run_cycle(QUIET, GEOM4, cfg, QuantizerConfig(2, 16), KeygenConfig(), 40, 5)
+        assert rep.dissemination_success and len(built) == generators
 
 
 class TestAveragedTrace:

@@ -20,7 +20,7 @@ from platoonkey.quantizer import (
 )
 
 from _oracles import (NoPartition, brute_force_boundaries, chained_mismatch,
-                      matrix_boundaries)
+                      matrix_boundaries, reference_bin_indices)
 
 TWO_BIN = IntervalSet(boundaries=(0.0, 5.0, 10.0))
 
@@ -65,6 +65,21 @@ class TestBinIndex:
         bins = bin_indices(xs, TWO_BIN)
         assert bins.tolist() == [1, 1, 2, 1, 1, 2]
         assert bins.dtype == np.int64
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_search_over_every_boundary(self, data):
+        # the interior search plus 1 is the clipped search over b_0..b_L
+        L = data.draw(st.integers(2, 8))
+        finite = st.floats(-1e6, 1e6, allow_nan=False)
+        b = sorted(data.draw(st.sets(finite, min_size=L + 1, max_size=L + 1)))
+        iset = IntervalSet(boundaries=tuple(b))
+        special = [np.nan, np.inf, -np.inf, *b, b[0] - 1.0, np.nextafter(b[0], -np.inf),
+                   np.nextafter(b[-1], np.inf), b[-1] + 1.0]
+        xs = np.array(special + data.draw(st.lists(finite, max_size=20)))
+        got = bin_indices(xs, iset)
+        want = reference_bin_indices(xs, iset)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     def test_interval_set_validation(self):
         with pytest.raises(ValueError):

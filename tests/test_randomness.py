@@ -20,6 +20,7 @@ from platoonkey.randomness import (
     InsufficientData,
     _as_bits,
     _pattern_counts,
+    _runs_frequency_precheck,
     _walk_range,
     approx_entropy_test,
     block_frequency_test,
@@ -28,7 +29,6 @@ from platoonkey.randomness import (
     frequency_test,
     longest_run_test,
     run_battery,
-    runs_frequency_precheck,
     runs_test,
     serial_test,
 )
@@ -184,7 +184,7 @@ class TestWalkRange:
 
 class TestRuns:
     def test_biased_input_precheck(self):
-        assert not runs_frequency_precheck(ZEROS)
+        assert not _runs_frequency_precheck(ZEROS)
         assert runs_test(ZEROS) == 0.0
 
     def test_alternating_rejected(self):
@@ -447,7 +447,7 @@ BATTERY_ORDER = (
 
 SINGLE_TESTS = [
     frequency_test, block_frequency_test, cusum_forward, cusum_reverse,
-    runs_frequency_precheck, runs_test, longest_run_test, dft_test,
+    _runs_frequency_precheck, runs_test, longest_run_test, dft_test,
     approx_entropy_test, serial_test,
 ]
 
@@ -478,7 +478,9 @@ class TestInputDtype:
         np.array([0, 1, 2] * 2000, dtype=np.uint8),
         np.array([0, 1, -1] * 2000, dtype=np.int64),
     ], ids=["uint8_2", "int64_minus_1"])
-    @pytest.mark.parametrize("run", [run_battery, *SINGLE_TESTS])
+    # ids drop a private name's underscore, so an id does not follow its visibility
+    @pytest.mark.parametrize("run", [run_battery, *SINGLE_TESTS],
+                             ids=lambda run: run.__name__.lstrip("_"))
     def test_non_bit_values_rejected(self, bad, run):
         with pytest.raises(ValueError, match="only bits 0/1"):
             run(bad)
