@@ -7,11 +7,10 @@ by its sender, and the Z passes commit their distinct RSS traces.  Stage two
 hop by hop; every vehicle decrypts with its own key and re-encrypts for
 the next hop, the tail answers with a one-bit ACK, and hop losses are
 retried by the hop sender with an end-to-end leader retransmission as
-the fallback.  The cipher is a repeating-keystream XOR placeholder, so
-a vehicle whose keystream differs from the leader's fails to decode the
-command; its re-encryption cancels its own key, so the error does not
-reach the vehicles behind it, and whether a vehicle decodes is one
-comparison of its keystream with the leader's.  Each stage draws its
+the fallback.  A vehicle decodes the command only when it holds the
+leader's whole key; its re-encryption cancels its own key, so a wrong
+key does not reach the vehicles behind it, and whether a vehicle decodes
+is one comparison of its key with the leader's.  Each stage draws its
 losses from its own RNG stream in blocks of ``rng.random(k)``, the
 doubles of k scalar draws; a stage whose loss probability is zero builds
 no stream, as every one of its tries is delivered.
@@ -85,7 +84,6 @@ CYCLE_FAILURES = (CycleAbort, InfeasiblePartition)
 class ProtocolConfig:
     z_iterations: int = 1
     beacon_bits: int = 8
-    data_payload_bits: int = 800
     beacon_loss_prob: float = 0.0
     data_loss_prob: float = 0.0
     dissemination_timeout_ms: float = 3000.0
@@ -95,8 +93,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.z_iterations < 1:
             raise ValueError("z_iterations must be >= 1")
-        if self.beacon_bits < 1 or self.data_payload_bits < 1:
-            raise ValueError("packet sizes must be >= 1 bit")
+        if self.beacon_bits < 1:
+            raise ValueError("beacon_bits must be >= 1")
         for p in (self.beacon_loss_prob, self.data_loss_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("loss probabilities must be in [0, 1]")
@@ -197,27 +195,16 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
     return traces, log
 
 
-def _keystream(bits: np.ndarray, size: int) -> np.ndarray:
-    """The key bits (or each row of them) repeated or cut to ``size`` bits."""
-    if bits.shape[-1] == 0:
-        raise ValueError("cannot build a keystream from an empty key")
-    return np.tile(bits[..., :size], -(-size // bits.shape[-1]))[..., :size]
-
-
-def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
-             command_bits: np.ndarray, seed, log: CycleLog | None = None
-             ) -> CycleLog:
+def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey], seed,
+             log: CycleLog | None = None) -> CycleLog:
     """Forward the encrypted command hop by hop to the tail.
 
     Every vehicle decrypts with its own key and re-encrypts with the same
-    key for the next hop, so the sender's key cancels and vehicle j holds
-    the command XOR the leader's and its own keystreams: a key
-    disagreement fails the decode at that vehicle only (its hop appears
-    in ``log.decode_failure_hops``).  So the decode is one comparison of
-    every vehicle's keystream with the leader's.  The keystream is the
-    key repeated or cut to the command's length, so key positions at or
-    past that length (``data_payload_bits`` in :func:`run_cycle`) never
-    enter the comparison.
+    key for the next hop, so the sender's key cancels and vehicle j
+    decodes only when it holds the leader's whole key: a key that differs
+    in any bit fails the decode at that vehicle only (its hop appears in
+    ``log.decode_failure_hops``).  So the decode is one comparison of
+    every vehicle's key with the leader's.
 
     Hop losses are retried by the hop sender up to the retransmission
     cap; an exhausted hop (or a lost tail ACK) times out at the leader,
@@ -238,7 +225,8 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
         raise ValueError("EVCD needs at least two vehicles")
     if len({len(keys[v]) for v in vehicles}) != 1:
         raise ValueError("every vehicle must hold a key of identical length")
-    command = np.asarray(command_bits, dtype=np.uint8)
+    if not len(keys[vehicles[0]]):
+        raise ValueError("keys must be non-empty")
     log = log if log is not None else CycleLog()
     rng = np.random.default_rng(seed) if config.data_loss_prob > 0 else None
 
@@ -260,9 +248,9 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
         raise DisseminationFailure(
             f"dissemination failed after {failed} end-to-end attempts")
 
-    streams = _keystream(np.stack([keys[v].bits for v in vehicles]), command.size)
+    bits = np.stack([keys[v].bits for v in vehicles])
     log.decode_failure_hops = (
-        np.flatnonzero((streams[1:] != streams[0]).any(axis=1)) + 1).tolist()
+        np.flatnonzero((bits[1:] != bits[0]).any(axis=1)) + 1).tolist()
     return log
 
 
@@ -270,7 +258,8 @@ def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey],
 class AgreementReport:
     """Outcome of one full cycle for one seed.
 
-    ``dissemination_success`` needs every hop to decode the command (see
+    ``dissemination_success`` needs every hop to decode the command, so
+    every vehicle must hold the leader's whole key (see
     ``log.decode_failure_hops``).  ``retained_per_iteration`` counts each
     of the Z passes' retained slots (valid at every vehicle and at or
     above the decode floor), a noiseless cycle's one trace once per pass;
@@ -335,9 +324,9 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
     """One full dissemination cycle: CSKA, key extraction, EVCD, report.
 
     CSKA draws from the seed's node ``(0,)`` (the traces from ``(0, 1, 0)``)
-    and EVCD from ``(1,)`` (``channel._child``).  No stage spawns from a
-    ``SeedSequence`` seed, so the same object always gives the same cycle.
-    The command is zeros: the decode never reads its bits.
+    and a lossy EVCD from ``(1,)`` (``channel._child``).  No stage spawns
+    from a ``SeedSequence`` seed, so the same object always gives the same
+    cycle.
     """
     traces, log = run_cska(protocol, params, geometry, slots, _child(seed, 0))
 
@@ -358,9 +347,9 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
              for i in range(2, geometry.n_vehicles + 1)}
     eaves_bmmr = bmmr(leader, agreed_ekey)
 
-    command = np.zeros(protocol.data_payload_bits, dtype=np.uint8)
     try:
-        run_evcd(protocol, agreed_keys, command, _child(seed, 1), log)
+        run_evcd(protocol, agreed_keys,
+                 _child(seed, 1) if protocol.data_loss_prob > 0 else None, log)
         success = not log.decode_failure_hops
     except DisseminationFailure:
         success = False

@@ -281,7 +281,6 @@ def optimize_intervals(trace: RssTrace, n_intervals: int, grid_size: int,
 class QuantizedTrace:
     """Synchronously retained slots and their per-vehicle bin indices."""
 
-    slot_indices: np.ndarray          # (retained,) original slot positions
     bins: np.ndarray                  # (n_vehicles, retained) 1-based
     eavesdropper_bins: np.ndarray     # (retained,) clamped best effort
 
@@ -298,4 +297,4 @@ def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> QuantizedTrace:
     keep = retained_slots(trace, intervals.decode_floor)
     bins = bin_indices(trace.values[:, keep], intervals)
     ebins = bin_indices(trace.eavesdropper[keep], intervals)
-    return QuantizedTrace(slot_indices=keep, bins=bins, eavesdropper_bins=ebins)
+    return QuantizedTrace(bins=bins, eavesdropper_bins=ebins)

@@ -13,8 +13,9 @@ and ``reference_evcd_tries`` one of the protocol's packet loop with one
 scalar loss draw per try, kept to pin the vectorized code bit for bit.
 ``reference_cycle_seeds`` is the cycle's seed tree as a chain of
 ``spawn`` calls, ``reference_bin_indices`` the bin search over every
-boundary, and ``distance_from_rss`` and ``xor_cipher`` the path-loss
-inversion and the repeating-keystream cipher that the package inlines.
+boundary, ``distance_from_rss`` the path-loss inversion, and
+``xor_cipher`` a repeating-keystream cipher whose hop chain pins the
+package's whole-key EVCD decode.
 """
 
 from __future__ import annotations

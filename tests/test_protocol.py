@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from platoonkey import protocol
 from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace, generate_trace
 from platoonkey.keygen import KeygenConfig, SecretKey
 from platoonkey.protocol import (
@@ -178,9 +179,7 @@ class TestXorCipher:
 
 class TestRunEvcd:
     def test_identical_keys_recover_command_at_every_hop(self):
-        keys = make_keys(4)
-        cmd = np.random.default_rng(2).integers(0, 2, 64, dtype=np.uint8)
-        log = run_evcd(ProtocolConfig(), keys, cmd, seed=0)
+        log = run_evcd(ProtocolConfig(), make_keys(4), seed=0)
         assert log.decode_failure_hops == []
 
     def test_one_bit_key_mismatch_detected_downstream(self):
@@ -189,7 +188,7 @@ class TestRunEvcd:
         bad[2] ^= 1
         keys[3] = SecretKey(bad)
         cmd = np.random.default_rng(3).integers(0, 2, 50, dtype=np.uint8)
-        log = run_evcd(ProtocolConfig(), keys, cmd, seed=0)
+        log = run_evcd(ProtocolConfig(), keys, seed=0)
         # vehicle 3 degarbles wrongly; its re-encryption cancels its own
         # key, so vehicle 4 re-absorbs the error and decodes
         assert log.decode_failure_hops == [2]
@@ -211,10 +210,9 @@ class TestRunEvcd:
         # errors (at 1000 runs it spans only 2.8).
         cfg = ProtocolConfig(data_loss_prob=0.2)
         keys = make_keys(4)
-        cmd = np.zeros(16, dtype=np.uint8)
         total_retx = traversals = 0
         for seed in range(4000):
-            log = run_evcd(cfg, keys, cmd, seed=seed)
+            log = run_evcd(cfg, keys, seed=seed)
             data = [e.outcome for e in log.events if e.kind == "data"]
             total_retx += data.count("lost")
             traversals += data.count("delivered")
@@ -235,7 +233,7 @@ class TestRunEvcd:
         for seed in range(40):
             log = CycleLog()
             try:
-                run_evcd(cfg, keys, np.zeros(16, dtype=np.uint8), seed, log)
+                run_evcd(cfg, keys, seed, log)
             except DisseminationFailure:
                 assert outcome == "failure"
             else:
@@ -258,7 +256,7 @@ class TestRunEvcd:
         for seed in range(40):
             log = CycleLog()
             try:
-                run_evcd(cfg, make_keys(4), np.zeros(16, dtype=np.uint8), seed, log)
+                run_evcd(cfg, make_keys(4), seed, log)
             except DisseminationFailure:
                 outcomes.add("failed")
                 timeouts = log.leader_retransmissions + 1
@@ -272,7 +270,7 @@ class TestRunEvcd:
         keys = make_keys(3)
         keys[2] = SecretKey(bits_from_ascii("101"))
         with pytest.raises(ValueError):
-            run_evcd(ProtocolConfig(), keys, np.zeros(8, dtype=np.uint8), seed=0)
+            run_evcd(ProtocolConfig(), keys, seed=0)
 
 
 class TestRunCycle:
@@ -366,6 +364,19 @@ class TestRunCycle:
             assert within_5se(rates, sheppard_mismatch(follower_rho(3.0, frac, j)))
         assert within_5se(np.array([r.eavesdropper_bmmr for r in reps]), 0.5)
 
+    def test_success_needs_every_key_equal_to_the_leaders(self):
+        # near-full common shadowing: the 2000-bit keys differ in 1-12
+        # bits, at times none of them among the first 800, yet a cycle
+        # succeeds only where every follower holds the leader's whole key
+        p = ChannelParams(shadowing_common_fraction=0.99999)
+        geom = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
+        reps = [run_cycle(p, geom, ProtocolConfig(), QuantizerConfig(2, 64),
+                          KeygenConfig(), 2000, np.random.SeedSequence([s, 0]))
+                for s in range(40)]
+        for r in reps:
+            assert r.dissemination_success == all(
+                v == 0.0 for v in r.bmmr_per_vehicle.values())
+
     def test_latency_accounting(self):
         cfg = ProtocolConfig(z_iterations=4, slot_duration_ms=2.0)
         rep = run_cycle(QUIET, GEOM4, cfg, QuantizerConfig(2, 16),
@@ -412,6 +423,23 @@ class TestSeeding:
         cfg = ProtocolConfig(beacon_loss_prob=loss, data_loss_prob=loss)
         rep = run_cycle(QUIET, GEOM4, cfg, QuantizerConfig(2, 16), KeygenConfig(), 40, 5)
         assert rep.dissemination_success and len(built) == generators
+
+    @pytest.mark.parametrize("loss, nodes", [(0.0, 2), (0.1, 4)])
+    def test_a_cycle_builds_a_seed_node_per_stream_it_reads(self, monkeypatch,
+                                                           loss, nodes):
+        # the CSKA stage and its traces always; CSKA and EVCD losses only
+        # when lossy
+        paths = []
+        real = protocol._child
+
+        def spy(seed, *path):
+            paths.append(path)
+            return real(seed, *path)
+
+        monkeypatch.setattr(protocol, "_child", spy)
+        cfg = ProtocolConfig(beacon_loss_prob=loss, data_loss_prob=loss)
+        rep = run_cycle(QUIET, GEOM4, cfg, QuantizerConfig(2, 16), KeygenConfig(), 40, 5)
+        assert rep.dissemination_success and len(paths) == nodes
 
 
 class TestAveragedTrace:
@@ -539,7 +567,7 @@ class TestLossDrawsMatchTheScalarLoop:
             events, counters, failure = reference_evcd_tries(cfg, n, seed)
             log = CycleLog()
             try:
-                run_evcd(cfg, make_keys(n), np.zeros(16, dtype=np.uint8), seed, log)
+                run_evcd(cfg, make_keys(n), seed, log)
             except DisseminationFailure:
                 assert failure == "DisseminationFailure"
             else:
@@ -554,33 +582,42 @@ class TestLossDrawsMatchTheScalarLoop:
 
 
 class TestEvcdDecode:
-    @pytest.mark.parametrize("command_bits", [16, 800])
+    @pytest.mark.parametrize("flip_span", [16, 800])
     @pytest.mark.parametrize("key_bits", [10, 126, 1350])
-    def test_failure_hops_equal_the_hop_chain(self, key_bits, command_bits):
+    def test_failure_hops_equal_the_hop_chain(self, key_bits, flip_span):
         # 0-3 vehicles, the leader among them, hold keys off by a bit or
-        # two: within the command's span, or anywhere in the key (so at
-        # times past the command's end, where the keys do not meet it)
-        rng = np.random.default_rng([key_bits, command_bits])
+        # two: within the key's first flip_span bits, or anywhere in it.
+        # The command is as long as the key, so the XOR hop chain meets
+        # every key bit
+        rng = np.random.default_rng([key_bits, flip_span])
         seen = set()
         for trial in range(40):
             n = int(rng.integers(3, 9))
-            span = min(key_bits, command_bits) if trial % 2 else key_bits
+            span = min(key_bits, flip_span) if trial % 2 else key_bits
             base = rng.integers(0, 2, key_bits, dtype=np.uint8)
             bits = {v: base.copy() for v in range(1, n + 1)}
             for v in rng.choice(n, int(rng.integers(0, 4)), replace=False) + 1:
                 bits[v][rng.choice(span, int(rng.integers(1, 3)), replace=False)] ^= 1
             keys = {v: SecretKey(b) for v, b in bits.items()}
-            cmd = rng.integers(0, 2, command_bits, dtype=np.uint8)
+            cmd = rng.integers(0, 2, key_bits, dtype=np.uint8)
             held = {1: cmd}
             for v in range(2, n + 1):
                 held[v] = xor_cipher(xor_cipher(held[v - 1], keys[v - 1]), keys[v])
             want = [v - 1 for v in range(2, n + 1)
                     if not np.array_equal(held[v], cmd)]
-            assert run_evcd(ProtocolConfig(), keys, cmd, seed=0).decode_failure_hops == want
+            assert run_evcd(ProtocolConfig(), keys, seed=0).decode_failure_hops == want
             seen.add(len(want))
         assert 0 in seen and max(seen) >= 2
 
+    @pytest.mark.parametrize("flip_at", [3, 1000])
+    def test_a_flip_anywhere_in_the_key_fails_its_hop(self, flip_at):
+        keys = make_keys(3, "10" * 675)
+        bad = keys[2].bits.copy()
+        bad[flip_at] ^= 1
+        keys[2] = SecretKey(bad)
+        assert run_evcd(ProtocolConfig(), keys, seed=0).decode_failure_hops == [1]
+
     def test_empty_keys_rejected(self):
         keys = {v: SecretKey(bits=()) for v in (1, 2, 3)}
-        with pytest.raises(ValueError, match="cannot build a keystream from an empty key"):
-            run_evcd(ProtocolConfig(), keys, np.zeros(8, dtype=np.uint8), seed=0)
+        with pytest.raises(ValueError, match="keys must be non-empty"):
+            run_evcd(ProtocolConfig(), keys, seed=0)

@@ -231,15 +231,16 @@ class TestOptimizeIntervals:
         iset, _ = optimize_intervals(t, 2, 16, floor=p.rss_decode_floor_db)
         qt = quantize_trace(t, iset)
         # the key slots are exactly the ones the fit saw
-        np.testing.assert_array_equal(
-            qt.slot_indices, retained_slots(t, p.rss_decode_floor_db))
-        dropped = set(range(t.slots)) - set(qt.slot_indices.tolist())
+        keep = retained_slots(t, p.rss_decode_floor_db)
+        dropped = set(range(t.slots)) - set(keep.tolist())
+        assert dropped
         for s in dropped:
             column = t.values[:, s]
             assert np.isnan(column).any() or \
                 (column < p.rss_decode_floor_db).any()
-        assert not np.isnan(t.values[:, qt.slot_indices]).any()
-        assert qt.bins.shape == (4, len(qt.slot_indices))
+        assert not np.isnan(t.values[:, keep]).any()
+        assert qt.bins.shape == (4, len(keep))
+        np.testing.assert_array_equal(qt.bins, bin_indices(t.values[:, keep], iset))
         assert qt.bins.min() >= 1 and qt.bins.max() <= 2
 
     def test_eavesdropper_bins_clamped(self):
@@ -248,7 +249,7 @@ class TestOptimizeIntervals:
         qt = quantize_trace(t, iset)
         assert qt.eavesdropper_bins.min() >= 1
         assert qt.eavesdropper_bins.max() <= 3
-        assert len(qt.eavesdropper_bins) == len(qt.slot_indices)
+        assert len(qt.eavesdropper_bins) == len(retained_slots(t, p.rss_decode_floor_db))
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_vehicle_2_above_the_top_keeps_its_slot(self, L):
@@ -262,7 +263,8 @@ class TestOptimizeIntervals:
         iset, _ = optimize_intervals(trace, L, 8, floor=-100.0)
         assert v2[2] >= iset.boundaries[-1]
         qt = quantize_trace(trace, iset)
-        assert qt.slot_indices.tolist() == list(range(chain.size))
+        assert retained_slots(trace, iset.decode_floor).tolist() == list(range(chain.size))
+        assert qt.bins.shape == (4, chain.size)
         assert qt.bins[1, 2] == L
         np.testing.assert_array_equal(np.delete(qt.bins[1], 2),
                                       np.delete(qt.bins[0], 2))

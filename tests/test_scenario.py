@@ -35,7 +35,6 @@ eavesdropper_position = P1
 eavesdropper_distance_m = 3.0
 z_iterations = 1
 beacon_bits = 8
-data_payload_bits = 800
 beacon_loss_prob = 0.0
 data_loss_prob = 0.0
 dissemination_timeout_ms = 3000.0
@@ -110,7 +109,6 @@ def scenarios(draw):
     protocol = ProtocolConfig(
         z_iterations=draw(st.integers(1, 50)),
         beacon_bits=draw(st.integers(1, 10**4)),
-        data_payload_bits=draw(st.integers(1, 10**5)),
         beacon_loss_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
         data_loss_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
         dissemination_timeout_ms=draw(st.floats(min_value=1e-3, max_value=1e6)),
@@ -239,6 +237,9 @@ SWEEP_AXES_MESSAGE = (
     ("append_complement = maybe", 1, "append_complement",
      "unknown key 'append_complement'"),
     ("map_mode = grouped", 1, "map_mode", "unknown key 'map_mode'"),
+    # a hop decodes only with the leader's whole key: no command length
+    ("data_payload_bits = 800", 1, "data_payload_bits",
+     "unknown key 'data_payload_bits'"),
     ("slots = 5\nappend_complement = true", 2, "append_complement",
      "unknown key 'append_complement'"),
     ("seeds = 1,x", 1, "seeds", "invalid literal for int() with base 10: 'x'"),
