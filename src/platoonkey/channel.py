@@ -110,13 +110,6 @@ class ChannelParams:
         if not (self.reciprocity_sigma_db >= 0 and self.measurement_noise_db >= 0):
             raise ValueError("noise sigmas must be >= 0")
 
-    def mean_attenuation_db(self, distance_m: float) -> float:
-        """Deterministic part of the link RSS at the given distance."""
-        # the noise scale keeps libm's log10: numpy's differs from it in the
-        # last bit on some inputs, so rss_of_link here would move noisy keys
-        return (10.0 * self.path_loss_exponent * math.log10(distance_m)
-                - self.channel_constant_db)
-
 
 @dataclass(frozen=True)
 class PlatoonGeometry:
@@ -152,20 +145,12 @@ class PlatoonGeometry:
     def link_distance(self, i: int, j: int) -> float:
         return abs(self.vehicle_x(i) - self.vehicle_x(j))
 
-    def eavesdropper_xy(self) -> tuple[float, float]:
-        d = self.eavesdropper_distance_m
-        if self.eavesdropper_position == "P1":
-            return 0.5 * self.pair_distance_m, d
-        if self.eavesdropper_position == "P2":
-            return 2.5 * self.pair_distance_m, d
-        return self.vehicle_x(self.n_vehicles) + d, 0.0
-
     def eavesdropper_link_distances(self) -> tuple[float, float]:
         """Distances from the two lead vehicles to the eavesdropper."""
-        ex, ey = self.eavesdropper_xy()
-        d1 = math.hypot(ex - self.vehicle_x(1), ey)
-        d2 = math.hypot(ex - self.vehicle_x(2), ey)
-        return d1, d2
+        d, gap = self.eavesdropper_distance_m, self.pair_distance_m
+        ex, ey = {"P1": (0.5 * gap, d), "P2": (2.5 * gap, d),
+                  "P3": (self.vehicle_x(self.n_vehicles) + d, 0.0)}[self.eavesdropper_position]
+        return math.hypot(ex - self.vehicle_x(1), ey), math.hypot(ex - self.vehicle_x(2), ey)
 
 
 @dataclass
@@ -228,27 +213,26 @@ def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
     The follower inverts both readings to distances assuming zero realized
     shadowing (it cannot observe it), differences them, and maps the
     difference back to dB.  A non-positive implied distance difference,
-    or one that overflows a float, gives an invalid estimate: NaN.
+    or one that overflows a float, gives an invalid estimate: NaN.  The
+    readings may be strided views; each is read once, into a new buffer.
     """
     # the path-loss inversion, then rss_of_link, at zero shadowing, in place
-    # on one buffer per reading set: the order of the operations fixes the keys
+    # (their + 0.0 and - 0.0 change no bit): the operation order fixes the keys
     c, scale = params.channel_constant_db, 10.0 * params.path_loss_exponent
     d1, d2 = np.empty(np.shape(h1)), np.empty(np.shape(h2))
     # past about 3080 * path_loss_exponent dB a distance overflows to inf
     with np.errstate(over="ignore", invalid="ignore"):
         for d, h in ((d1, h1), (d2, h2)):
             np.add(h, c, out=d)
-            d += 0.0
             d /= scale
             np.power(10.0, d, out=d)
         d1 -= d2
     invalid = ~(np.isfinite(d1) & (d1 > 0))
-    d1[invalid] = 1.0
+    np.putmask(d1, invalid, 1.0)
     np.log10(d1, out=d1)
     d1 *= scale
     d1 -= c
-    d1 -= 0.0
-    d1[invalid] = np.nan
+    np.putmask(d1, invalid, np.nan)
     return d1
 
 
@@ -282,32 +266,33 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     sig_p = sigma * math.sqrt(1.0 - params.shadowing_common_fraction)
     rho = params.shadowing_autocorr
     a = params.measurement_noise_db
+    eta10, c = 10.0 * params.path_loss_exponent, params.channel_constant_db
 
-    def fade(stream, dist):
+    # Row r is reading r: vehicles 1 and 2 both read link (1,2), and follower
+    # j's readings of (1,j) and (2,j) are the even and odd rows from row 2 on,
+    # the eavesdropper's of its links to vehicles 1 and 2 the last two rows.
+    faded, sig = np.empty((2 * n, slots)), np.zeros((2 * n, 1))
+
+    def fade(stream, rows, dist):
         """Faded RSS and noise scale of links sharing one common shadowing."""
         common = sig_c * _ar1(stream.standard_normal(slots), rho)
         private = sig_p * _ar1(stream.standard_normal((len(dist), slots)), rho)
-        scale = np.zeros((len(dist), 1))
-        if a > 0:
+        if a > 0:  # libm's log10: numpy's differs in the last bit on some inputs
             try:
-                scale[:, 0] = [a * 10.0 ** (params.mean_attenuation_db(d) / 20.0)
-                               for d in dist]
+                sig[rows, 0] = [a * 10.0 ** ((eta10 * math.log10(d) - c) / 20.0) for d in dist]
             except OverflowError:
                 raise ValueError(f"measurement_noise_db {a:g} at channel_constant_db "
-                                 f"{params.channel_constant_db:g}: noise scale overflows") from None
-        return rss_of_link(params, dist[:, None], common + private), scale
+                                 f"{c:g}: noise scale overflows") from None
+        shadow = np.add(common, private, out=faded[rows])  # rss_of_link, written in place
+        np.subtract(rss_of_link(params, dist[:, None], 0.0), shadow, out=shadow)
 
-    # The platoon's links in shadowing draw order: (1,2), then (1,j) and
-    # (2,j) for each follower j.  Reading r is of link max(r - 1, 0):
-    # vehicles 1 and 2 both read (1,2), and follower j's readings of (1,j)
-    # and (2,j) are the even and odd rows from row 2 on.
+    # the platoon's links in shadowing draw order: (1,2), then (1,j) and (2,j)
     links = [(1, 2)] + [(i, j) for j in range(3, n + 1) for i in (1, 2)]
-    faded, sig = fade(rng, np.array([geometry.link_distance(i, j) for i, j in links]))
-    read = np.maximum(np.arange(len(links) + 1) - 1, 0)
-    faded, sig = faded[read], sig[read]
+    fade(rng, slice(1, -2), np.array([geometry.link_distance(i, j) for i, j in links]))
+    faded[0], sig[0] = faded[1], sig[1]
     # Eavesdropper: same propagation constants, disjoint RNG stream and
     # fully independent shadowing (common component included).
-    e_faded, e_sig = fade(erng, np.array(geometry.eavesdropper_link_distances()))
+    fade(erng, slice(-2, None), np.array(geometry.eavesdropper_link_distances()))
 
     # measurement noise is drawn while recip is on, to keep recip's place in the stream
     noisy = a > 0 or params.reciprocity_sigma_db > 0
@@ -315,14 +300,18 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     for _ in range(passes if noisy else 1):
         readings, recip = faded, 0.0
         if noisy:
-            readings = faded + sig * rng.standard_normal(faded.shape)
+            readings = np.empty_like(faded)
+            rng.standard_normal(out=readings[:-2])
             recip = params.reciprocity_sigma_db * rng.standard_normal(slots)
-        e_readings = (e_faded + e_sig * erng.standard_normal(e_faded.shape)
-                      if a > 0 else e_faded)
+            if a > 0:
+                erng.standard_normal(out=readings[-2:])
+            else:  # 0 * 0 adds +0.0, which moves no faded RSS: none is -0.0
+                readings[-2:] = 0.0
+            readings *= sig
+            readings += faded
         # the followers' and the eavesdropper's estimates in one call, the
         # eavesdropper's last: the estimator is elementwise
-        est = _estimate_rows(params, np.vstack((readings[2::2], e_readings[:1])),
-                             np.vstack((readings[3::2], e_readings[1:])))
+        est = _estimate_rows(params, readings[2::2], readings[3::2])
         values = np.empty((n, slots))
         values[:2] = readings[:2]
         values[1] += recip

@@ -5,8 +5,10 @@ A quantizer is an ordered set of L contiguous half-open dB intervals
 a-priori decode floor.  Candidate boundaries live on a uniform grid:
 ``b_0 = grid[0] = floor``, interior boundaries are chosen from the G - 1
 grid points above the floor, and the top boundary is one grid step above
-the largest chain sample.  Vehicle 2 and the eavesdropper, outside the
-chain, clamp: at or above the top to bin L, below the floor to bin 1.
+the largest chain sample.  A sample's rank on the grid is not searched for:
+its guess from the grid step is corrected until the candidates bracket it.
+Vehicle 2 and the eavesdropper, outside the chain, clamp: at or above the
+top to bin L, below the floor to bin 1.
 
 The fit minimizes the chained cross-vehicle mismatch count (adjacent
 rows of the comparison chain XOR-ed per interval, summed over slots and
@@ -88,14 +90,6 @@ class IntervalSet:
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
             raise ValueError("boundaries must be strictly increasing")
 
-    @property
-    def n_intervals(self) -> int:
-        return len(self.boundaries) - 1
-
-    @property
-    def decode_floor(self) -> float:
-        return self.boundaries[0]
-
 
 def bin_indices(xs, intervals: IntervalSet) -> np.ndarray:
     """1-based index of the interval ``[b_{l-1}, b_l)`` holding each sample.
@@ -110,15 +104,31 @@ def bin_indices(xs, intervals: IntervalSet) -> np.ndarray:
     return np.where(np.isnan(xs), 1, idx + 1)
 
 
-def _candidates(floor: float, top_sample: float, grid_size: int) -> np.ndarray:
-    """Boundary candidates: G grid points from floor to the max sample,
-    plus a top point one grid step above the max."""
-    if not top_sample > floor:
-        raise InfeasiblePartition(
-            "decode floor must lie strictly below the largest retained sample")
-    grid = np.linspace(floor, top_sample, grid_size)
-    step = (top_sample - floor) / (grid_size - 1)
-    return np.append(grid, top_sample + step)
+def _grid_ranks(samples: np.ndarray, floor: float, grid_size: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary candidates (G grid points from the floor to the largest
+    sample, a top point one grid step above it, then +inf) and each
+    sample's rank r in 0..G, with ``cand[r] <= x < cand[r + 1]``: the
+    ``np.searchsorted(cand[:-1], x, "right") - 1``.  From the guess
+    ``(x - floor) / step``, capped at G, every sample outside its bracket
+    steps toward it until none is, so of coinciding points it takes the last.
+    """
+    top = float(samples.max())
+    span = top - floor
+    if not 0 < span < np.inf:
+        raise InfeasiblePartition("decode floor must lie strictly below the largest "
+                                  "retained sample, a finite span away")
+    step = span / (grid_size - 1)
+    cand = np.concatenate((np.linspace(floor, top, grid_size), (top + step, np.inf)))
+    # a subnormal span can round the step to 0; any positive divisor guesses
+    ranks = np.minimum((samples - floor) / (step or span), grid_size).astype(np.intp)
+    while True:
+        low = samples < cand.take(ranks)
+        high = samples >= cand[1:].take(ranks)
+        if not (np.count_nonzero(low) or np.count_nonzero(high)):
+            return cand, ranks
+        ranks -= low
+        ranks += high
 
 
 def _cut_costs(ranks: np.ndarray, m: int) -> np.ndarray:
@@ -172,8 +182,9 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     * cost pass: ``tail_l[a] = min_b C[a, b] + tail_{l+1}[b]`` over the
       segments with ``O[a, b] >= target``.
 
-    Layers 1 and L are row 0 and column G of ``C`` and ``O``, read off
-    1-D cumulative rank counts; the middle layers are column slices of
+    The ranks come from :func:`_grid_ranks`, a guess from the grid step
+    corrected until bracketed.  Layers 1 and L are row 0 and column G of
+    ``C`` and ``O``, read off 1-D cumulative rank counts; the middle layers are column slices of
     :func:`_segment_matrices`.  Boundaries are recovered front to back,
     from each layer's first (smallest) optimal b.  Grid points that
     coincide in float raise :class:`InfeasiblePartition`.
@@ -194,8 +205,7 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     if G < L:
         raise InfeasiblePartition(f"grid_size {G} < n_intervals {L}")
 
-    cand = _candidates(floor, float(samples.max()), G)
-    ranks = np.searchsorted(cand, samples, side="right") - 1  # 0..G
+    cand, ranks = _grid_ranks(samples, floor, G)
     ref = np.concatenate(([0], np.bincount(ranks[0], minlength=G + 1).cumsum()))
     k = G - L + 2  # the first interval ends at b in 1..k-1
     # entry b - 1 of first_* is segment [0, b), entry a of last_* is [a, G);
@@ -256,11 +266,6 @@ def retained_slots(trace: RssTrace, floor: float) -> np.ndarray:
     return np.flatnonzero((trace.values >= floor).all(axis=0))
 
 
-def _chain_rows(n_vehicles: int) -> list[int]:
-    # leader-pair measurement once, then each estimating vehicle
-    return [0] + list(range(2, n_vehicles))
-
-
 def optimize_intervals(trace: RssTrace, n_intervals: int, grid_size: int,
                        floor: float) -> tuple[IntervalSet, tuple[int, ...]]:
     """Fit the quantizer to one trace's comparison chain.
@@ -273,7 +278,8 @@ def optimize_intervals(trace: RssTrace, n_intervals: int, grid_size: int,
     keep = retained_slots(trace, floor)
     if len(keep) == 0:
         raise InfeasiblePartition("no retained slots above the decode floor")
-    chain = trace.values[np.ix_(_chain_rows(trace.n_vehicles), keep)]
+    # the leader-pair measurement once, then each estimating vehicle
+    chain = trace.values[np.ix_([0, *range(2, trace.n_vehicles)], keep)]
     return optimize_boundaries(chain, floor, n_intervals, grid_size)
 
 
@@ -294,7 +300,7 @@ def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> QuantizedTrace:
     invalid or out-of-range observations to the nearest bin, which is the
     best it can do while emitting a key of the agreed length.
     """
-    keep = retained_slots(trace, intervals.decode_floor)
+    keep = retained_slots(trace, intervals.boundaries[0])
     bins = bin_indices(trace.values[:, keep], intervals)
     ebins = bin_indices(trace.eavesdropper[keep], intervals)
     return QuantizedTrace(bins=bins, eavesdropper_bins=ebins)

@@ -15,7 +15,12 @@ scalar loss draw per try, kept to pin the vectorized code bit for bit.
 ``spawn`` calls, ``reference_bin_indices`` the bin search over every
 boundary, ``distance_from_rss`` the path-loss inversion, and
 ``xor_cipher`` a repeating-keystream cipher whose hop chain pins the
-package's whole-key EVCD decode.
+package's whole-key EVCD decode.  ``copying_trace`` is the trace
+generator as it was before its estimator read strided views: it gathers
+the readings, stacks the estimator's inputs and runs
+``copying_estimate_rows``, with its ``+ 0.0`` and ``- 0.0`` passes and
+boolean-index writes.  It shares the package's seed nodes, AR(1) filter
+and link law, and pins the estimator and its caller bit for bit.
 """
 
 from __future__ import annotations
@@ -124,7 +129,7 @@ def reference_bin_indices(xs, intervals):
     1..L, with NaN in bin 1."""
     xs = np.asarray(xs, dtype=float)
     idx = np.searchsorted(np.asarray(intervals.boundaries), xs, side="right")
-    return np.where(np.isnan(xs), 1, np.clip(idx, 1, intervals.n_intervals))
+    return np.where(np.isnan(xs), 1, np.clip(idx, 1, len(intervals.boundaries) - 1))
 
 
 def reference_cycle_seeds(seed):
@@ -210,6 +215,73 @@ def reference_trace(params, geometry, slots, seed):
     h2e = link(d2e, e_common + e_private[1]) + noise_sigma(d2e) * e_meas[1]
     eaves, eaves_valid = estimate(h1e, h2e)
     return values, valid, eaves, eaves_valid
+
+
+def copying_estimate_rows(params, h1, h2):
+    """The leader-pair estimator on fresh buffers, one pass per operation
+    of the path-loss inversion and of ``rss_of_link``."""
+    c, scale = params.channel_constant_db, 10.0 * params.path_loss_exponent
+    d1, d2 = np.empty(np.shape(h1)), np.empty(np.shape(h2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d, h in ((d1, h1), (d2, h2)):
+            np.add(h, c, out=d)
+            d += 0.0
+            d /= scale
+            np.power(10.0, d, out=d)
+        d1 -= d2
+    invalid = ~(np.isfinite(d1) & (d1 > 0))
+    d1[invalid] = 1.0
+    np.log10(d1, out=d1)
+    d1 *= scale
+    d1 -= c
+    d1 -= 0.0
+    d1[invalid] = np.nan
+    return d1
+
+
+def copying_trace(params, geometry, slots, seed, passes=1):
+    """``generate_trace`` with a gathered copy of the readings and stacked
+    estimator inputs; returns ``(values, eavesdropper)`` per pass."""
+    from platoonkey.channel import _ar1, _child, rss_of_link
+
+    rng = np.random.default_rng(_child(seed, 0))
+    erng = np.random.default_rng(_child(seed, 1))
+    n = geometry.n_vehicles
+    sigma, frac = params.shadowing_sigma_db, params.shadowing_common_fraction
+    sig_c, sig_p = sigma * math.sqrt(frac), sigma * math.sqrt(1.0 - frac)
+    rho, a = params.shadowing_autocorr, params.measurement_noise_db
+
+    def fade(stream, dist):
+        common = sig_c * _ar1(stream.standard_normal(slots), rho)
+        private = sig_p * _ar1(stream.standard_normal((len(dist), slots)), rho)
+        scale = np.zeros((len(dist), 1))
+        if a > 0:
+            scale[:, 0] = [a * 10.0 ** ((10.0 * params.path_loss_exponent * math.log10(d)
+                                         - params.channel_constant_db) / 20.0) for d in dist]
+        return rss_of_link(params, dist[:, None], common + private), scale
+
+    links = [(1, 2)] + [(i, j) for j in range(3, n + 1) for i in (1, 2)]
+    faded, sig = fade(rng, np.array([geometry.link_distance(i, j) for i, j in links]))
+    read = np.maximum(np.arange(len(links) + 1) - 1, 0)
+    faded, sig = faded[read], sig[read]
+    e_faded, e_sig = fade(erng, np.array(geometry.eavesdropper_link_distances()))
+    noisy = a > 0 or params.reciprocity_sigma_db > 0
+    out = []
+    for _ in range(passes if noisy else 1):
+        readings, recip = faded, 0.0
+        if noisy:
+            readings = faded + sig * rng.standard_normal(faded.shape)
+            recip = params.reciprocity_sigma_db * rng.standard_normal(slots)
+        e_readings = (e_faded + e_sig * erng.standard_normal(e_faded.shape)
+                      if a > 0 else e_faded)
+        est = copying_estimate_rows(params, np.vstack((readings[2::2], e_readings[:1])),
+                                    np.vstack((readings[3::2], e_readings[1:])))
+        values = np.empty((n, slots))
+        values[:2] = readings[:2]
+        values[1] += recip
+        values[2:] = est[:-1]
+        out.append((values, est[-1]))
+    return out
 
 
 def stacked_nan_mean(values):

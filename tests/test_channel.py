@@ -16,8 +16,8 @@ from platoonkey.channel import (
     rss_of_link,
 )
 
-from _oracles import (distance_from_rss, reference_cycle_seeds, reference_trace,
-                      sheppard_mismatch)
+from _oracles import (copying_estimate_rows, copying_trace, distance_from_rss,
+                      reference_cycle_seeds, reference_trace, sheppard_mismatch)
 
 
 def params(**kw):
@@ -383,3 +383,53 @@ class TestVectorizedEstimators:
                     assert ours.shape == theirs.shape
                     assert ours.tobytes() == theirs.tobytes()
                     np.testing.assert_array_equal(np.isnan(ours), ~ok)
+
+
+CHANNELS = {
+    "noiseless": dict(shadowing_sigma_db=3.0),
+    "noisy": dict(shadowing_sigma_db=3.0, measurement_noise_db=0.2),
+    "ar1": dict(shadowing_sigma_db=2.0, shadowing_autocorr=0.8,
+                shadowing_common_fraction=0.6),
+    "reciprocity": dict(shadowing_sigma_db=3.0, reciprocity_sigma_db=0.5),
+    # noise about 1e300 dB wide: distances overflow a float, estimates are NaN
+    "overflowing": dict(channel_constant_db=-6000.0, measurement_noise_db=0.1),
+}
+
+
+class TestEstimatorWithoutCopies:
+    """The estimator on strided views, without its zero passes or a
+    gathered copy of the readings, gives the bytes of the copying one."""
+
+    def test_estimator_bytes_scalar_and_zero_d(self):
+        rng = np.random.default_rng(21)
+        for eta, c in ((0.5, -1.5), (2.0, 3.0), (3.7, 0.0), (2.0, -0.0)):
+            p = params(channel_constant_db=c, path_loss_exponent=eta)
+            h1, h2 = rng.normal(0.0, 400.0, (2, 6, 120))
+            h1[0, :6] = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e5]
+            h2[0, :7] = [np.inf, 1.0, 0.0, -0.0, 0.0, 1.0, 1e5]
+            for a, b in ((h1, h2), (h1[1::2], h2[::2]), (h1[0, 3], h2[0, 3]),
+                         (np.asarray(h1[2, 0]), np.asarray(h2[2, 0])), (-0.0, 0.0)):
+                want = copying_estimate_rows(p, a, b)
+                got = _estimate_rows(p, a, b)
+                assert type(got) is type(want) is np.ndarray
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("z", [1, 3])
+    @pytest.mark.parametrize("channel", list(CHANNELS))
+    def test_trace_bytes_equal_the_copying_generator(self, channel, z):
+        p = ChannelParams(**CHANNELS[channel])
+        for slots in (1, 7, 200, 2000):
+            for n in (3, 4, 10):
+                for position in ("P1", "P2", "P3") if n >= 4 else ("P1", "P3"):
+                    g = PlatoonGeometry(n_vehicles=n, pair_distance_m=2.0,
+                                        eavesdropper_position=position)
+                    seed = np.random.SeedSequence([slots, n, z])
+                    ours = generate_trace(p, g, slots, seed, passes=z)
+                    theirs = copying_trace(p, g, slots, seed, passes=z)
+                    assert len(ours) == len(theirs)
+                    for t, (values, eaves) in zip(ours, theirs):
+                        assert t.values.tobytes() == values.tobytes()
+                        assert t.eavesdropper.tobytes() == eaves.tobytes()
+        if channel == "overflowing":
+            assert np.isnan(ours[0].values[2:]).all()

@@ -11,6 +11,7 @@ from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace, generat
 from platoonkey.keygen import codeword_table, extract_key
 from platoonkey.quantizer import (
     InfeasiblePartition,
+    _grid_ranks,
     IntervalSet,
     bin_indices,
     optimize_boundaries,
@@ -137,7 +138,7 @@ class TestOptimizeBoundaries:
         for L in (2, 3, 4):
             iset, per_interval = optimize_boundaries(rows, float(row.min()) - 1.0, L, 16)
             assert sum(per_interval) == 0
-            assert iset.n_intervals == L
+            assert len(iset.boundaries) == L + 1
 
     def test_small_instance_matches_brute_force(self):
         rng = np.random.default_rng(10)
@@ -224,7 +225,7 @@ class TestOptimizeIntervals:
     def test_uses_decode_floor(self):
         p, t = self.trace()
         iset, _ = optimize_intervals(t, 2, 16, floor=p.rss_decode_floor_db)
-        assert iset.decode_floor == p.rss_decode_floor_db
+        assert iset.boundaries[0] == p.rss_decode_floor_db
 
     def test_drops_invalid_slots_synchronously(self):
         p, t = self.trace(sigma=5.0, slots=200)
@@ -263,7 +264,7 @@ class TestOptimizeIntervals:
         iset, _ = optimize_intervals(trace, L, 8, floor=-100.0)
         assert v2[2] >= iset.boundaries[-1]
         qt = quantize_trace(trace, iset)
-        assert retained_slots(trace, iset.decode_floor).tolist() == list(range(chain.size))
+        assert retained_slots(trace, iset.boundaries[0]).tolist() == list(range(chain.size))
         assert qt.bins.shape == (4, chain.size)
         assert qt.bins[1, 2] == L
         np.testing.assert_array_equal(np.delete(qt.bins[1], 2),
@@ -394,3 +395,82 @@ class TestOptimizeBoundariesMatchTheMatrixFit:
         iset, got = optimize_boundaries(rows, floor, L, G)
         assert iset.boundaries == bounds
         assert got == per_interval
+
+
+def searched_ranks(samples, floor, grid_size):
+    """The candidates built as linspace plus a top point, and the ranks a
+    binary search over them gives."""
+    top = float(samples.max())
+    step = (top - floor) / (grid_size - 1)
+    cand = np.append(np.linspace(floor, top, grid_size), top + step)
+    return cand, np.searchsorted(cand, samples, side="right") - 1
+
+
+class TestGridRanks:
+    """Ranks from the grid's arithmetic equal a binary search over the
+    candidates, where grid points coincide in float too."""
+
+    def check(self, samples, floor, grid_size):
+        cand, want = searched_ranks(samples, floor, grid_size)
+        got_cand, got = _grid_ranks(samples, floor, grid_size)
+        assert got_cand[:-1].tobytes() == cand.tobytes()
+        assert got_cand[-1] == np.inf
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        return want
+
+    @pytest.mark.parametrize("grid_size", [2, 8, 64, 512, 4096])
+    @pytest.mark.parametrize("floor", [0.0, -37.5, 1e15, -1e15])
+    def test_equal_to_the_search(self, grid_size, floor):
+        rng = np.random.default_rng([grid_size, int(abs(floor)) % 1000])
+        for span in (1e-12, 1e-9, 1e-3, 1.0, 40.0, 1e3):
+            top = floor + span
+            if not top > floor:  # below the float step at the floor
+                continue
+            grid = np.linspace(floor, top, grid_size)
+            # samples uniform in the span, on grid points, on the floor and
+            # on the top: the maximum is always on the top
+            x = np.concatenate([floor + span * rng.random(300),
+                                rng.choice(grid, 200), [floor, top, top, top]])
+            rng.shuffle(x)
+            self.check(x.reshape(3, -1), floor, grid_size)
+
+    def test_coinciding_grid_points_take_the_last(self):
+        # 587 points over 1e-12 dB at 1000 dB: about 65 of them per float
+        floor, grid_size = 1000.0, 587
+        grid = np.linspace(floor, floor + 1e-12, grid_size)
+        assert len(np.unique(grid)) < grid_size // 10
+        x = np.concatenate([grid, grid[::-1]]).reshape(2, -1)
+        ranks = self.check(x, floor, grid_size)
+        # a sample on a run of equal grid points is many steps from its guess
+        guess = np.minimum((x - floor) / ((x.max() - floor) / (grid_size - 1)),
+                           grid_size).astype(np.intp)
+        assert np.abs(ranks - guess).max() > 1
+
+    def test_top_point_on_the_largest_sample_has_rank_g(self):
+        # at 1e16 the float step is 2, so top + step rounds back to top
+        x = 1e16 + np.array([[0.0, 32.0, 64.0, 16.0], [2.0, 64.0, 62.0, 18.0]])
+        ranks = self.check(x, 1e16, 80)
+        assert ranks.max() == 80
+
+    def test_subnormal_span(self):
+        # the grid step underflows to 0, so every grid point is the floor
+        x = np.array([[0.0, 5e-324, 1e-323], [1e-323, 0.0, 5e-324]])
+        self.check(x, 0.0, 64)
+
+    def test_span_past_the_float_range_is_infeasible(self):
+        with pytest.raises(InfeasiblePartition, match="finite span"):
+            optimize_boundaries(np.array([[1e308, 0.0], [0.0, 1e308]]), -1e308, 2, 8)
+
+    def test_collapsing_scenario_chain(self):
+        # the chain of a scenario whose fitted grid points coincide in
+        # float: the fit fails on them, but its ranks are the search's
+        p = ChannelParams(shadowing_sigma_db=0.0001, channel_constant_db=-1e15,
+                          rss_decode_floor_db=999999999999990.0)
+        g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
+        for seed in range(3):
+            (t,) = generate_trace(p, g, 50, seed)
+            keep = retained_slots(t, p.rss_decode_floor_db)
+            self.check(t.values[:, keep][[0, 2]], p.rss_decode_floor_db, 512)
+            with pytest.raises(InfeasiblePartition, match="coincide"):
+                optimize_intervals(t, 8, 512, p.rss_decode_floor_db)
