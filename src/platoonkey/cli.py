@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 scenario parse error, 3 runtime
 failure.  ``run`` seeds its cycles as a sweep does (``sweep.point_cycle``),
-so its keys are replication 0 of a sweep over the same seeds.
+so its keys are the keys of a sweep over the same seeds.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ def _build_parser() -> _Parser:
 
     scenario_command("run", "run one scenario point per seed")
     p_sweep = scenario_command("sweep", "run the scenario's sweep")
-    p_sweep.add_argument("--replications", type=_int_at_least(1), default=None,
-                         help="override the scenario's replications")
     p_sweep.add_argument("--parallelism", type=_int_at_least(1), default=1,
                          help="worker processes for sweep points")
 
@@ -84,16 +82,12 @@ def _build_parser() -> _Parser:
 
 
 def _load_scenario(args) -> Scenario:
-    """The scenario file with the command line's ``--seed-base`` and
-    ``--replications`` overrides applied."""
+    """The scenario file with the command line's ``--seed-base`` applied."""
     scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
-    overrides = {}
-    if args.seed_base is not None:
-        overrides["seeds"] = tuple(range(args.seed_base,
-                                         args.seed_base + len(scenario.seeds)))
-    if getattr(args, "replications", None) is not None:
-        overrides["replications"] = args.replications
-    return replace(scenario, **overrides)
+    if args.seed_base is None:
+        return scenario
+    return replace(scenario, seeds=tuple(range(args.seed_base,
+                                               args.seed_base + len(scenario.seeds))))
 
 
 def _cmd_run(args) -> int:
@@ -106,7 +100,7 @@ def _cmd_run(args) -> int:
     failed = 0
     for seed in point.seeds:
         try:
-            rep = point_cycle(point, seed, 0)
+            rep = point_cycle(point, seed)
         except CYCLE_FAILURES as exc:
             failed += 1
             print(f"{seed:<5d} failed: {type(exc).__name__}: {exc}")

@@ -40,6 +40,8 @@ _AXIS_KEYS = {
     "n_intervals": "n_intervals",
     "z_iterations": "z_iterations",
     "n_vehicles": "n_vehicles",
+    "shadowing_common_fraction": "shadowing_common_fraction",
+    "shadowing_autocorr": "shadowing_autocorr",
 }
 SWEEP_AXES = ("none", *_AXIS_KEYS, "eavesdropper")
 
@@ -90,7 +92,6 @@ class Scenario:
     sweep_axis: str = "none"
     sweep_values: tuple = ()
     seeds: tuple[int, ...] = tuple(range(100))
-    replications: int = 1
 
     def __post_init__(self) -> None:
         if self.slots < 1:
@@ -103,8 +104,6 @@ class Scenario:
             raise ValueError("sweep_values need a sweep_axis")
         _check_distinct(self.sweep_values, self.sweep_values)
         _check_seeds(self.seeds)
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
         q = self.keygen.codeword_bits
         if q and self.quantizer.n_intervals > 2 ** q:
             raise ValueError(

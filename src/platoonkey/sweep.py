@@ -4,10 +4,10 @@ This module also holds what every command shares: :func:`point_cycle`,
 the seed rule of a cycle, and ``_write_csv``, the one CSV dialect.
 
 A sweep expands the scenario into points along its axis and runs every
-(point, seed, replication) as an independent, pure work unit.  Pool
-worker w runs units w, w + workers, ..., so points of unequal cost spread
-evenly.  Results merge in (point, seed, replication) order, so the
-deterministic outputs are byte-identical at every parallelism degree:
+(point, seed) as an independent, pure work unit.  Pool worker w runs
+units w, w + workers, ..., so points of unequal cost spread evenly.
+Results merge in (point, seed) order, so the deterministic outputs are
+byte-identical at every parallelism degree:
 
 * ``runs.csv``     one row per executed cycle,
 * ``summary.csv``  one row per (point, metric) with mean/stddev,
@@ -17,7 +17,7 @@ deterministic outputs are byte-identical at every parallelism degree:
 Wall-clock compute time is intentionally kept out of those files and
 written to the ``timings.csv`` sidecar instead.  Every deterministic CSV
 starts with a ``#``-prefixed provenance block carrying the fully
-resolved scenario, its seeds and replications included.
+resolved scenario, its seeds included.
 
 The key corpus of a point is the leader's agreed key concatenated over
 seeds.  Follower keys are near-copies of the leader's, so concatenating
@@ -44,9 +44,9 @@ from .scenario import ParseError, Scenario, serialize_scenario
 __all__ = ["SweepReport", "emit_plots", "point_cycle", "run_sweep"]
 
 RUN_COLUMNS = (
-    "point", "axis", "axis_value", "seed", "replication",
+    "point", "axis", "axis_value", "seed",
     "bmmr_mean", "bmmr_v2", "bmmr_tail", "eavesdropper_bmmr",
-    "success", "failure", "key_bits",
+    "success", "failure", "error", "key_bits",
     "cska_latency_ms", "evcd_latency_ms",
     "beacon_transmissions", "retransmissions", "overhead_bits",
 )
@@ -69,29 +69,29 @@ def _axis_value_str(axis: str, value) -> str:
     return f"{value:g}" if isinstance(value, float) else str(value)
 
 
-def point_cycle(point: Scenario, seed: int, replication: int) -> AgreementReport:
-    """The cycle of a single-point scenario at one seed and replication."""
+def point_cycle(point: Scenario, seed: int) -> AgreementReport:
+    """The cycle of a single-point scenario at one seed."""
+    # [seed, 0], the entropy of every recorded key (the 0 was a replication index)
     return run_cycle(point.channel, point.geometry, point.protocol,
                      point.quantizer, point.keygen, point.slots,
-                     np.random.SeedSequence([seed, replication]))
+                     np.random.SeedSequence([seed, 0]))
 
 
 def _run_unit(args) -> dict:
-    """One (point, seed, replication) cycle; pure given its arguments.
+    """One (point, seed) cycle; pure given its arguments.
 
     A cycle that fails for a modeled reason (beacon retries exhausted, no
-    feasible quantizer fit) becomes a ``failure=1`` row naming the
-    exception; any other error propagates.  Exhausted dissemination
-    retries leave a completed cycle with ``success=0``.
+    feasible quantizer fit) becomes a ``failure=1`` row whose ``error``
+    names the exception; any other error propagates.  Exhausted
+    dissemination retries leave a completed cycle with ``success=0``.
     """
-    point_idx, point, axis, axis_value, seed, repl = args
+    point_idx, point, axis, axis_value, seed = args
     t0 = time.perf_counter()
     row: dict = {
-        "point": point_idx, "axis": axis, "axis_value": axis_value,
-        "seed": seed, "replication": repl,
+        "point": point_idx, "axis": axis, "axis_value": axis_value, "seed": seed,
     }
     try:
-        rep = point_cycle(point, seed, repl)
+        rep = point_cycle(point, seed)
     except CYCLE_FAILURES as exc:
         row.update({c: float("nan") for c in RUN_COLUMNS if c not in row})
         row.update(success=0, failure=1, error=type(exc).__name__,
@@ -124,7 +124,7 @@ def _run_units(units) -> list[dict]:
 
 @dataclass
 class SweepReport:
-    """One row per executed cycle, in (point, seed, replication) order."""
+    """One row per executed cycle, in (point, seed) order."""
 
     rows: list[dict]
 
@@ -147,13 +147,9 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
 
     points = scenario.points()
     values = scenario.sweep_values if scenario.sweep_axis != "none" else (None,)
-    work = []
-    for pi, point in enumerate(points):
-        axis_value = _axis_value_str(scenario.sweep_axis, values[pi])
-        for seed in scenario.seeds:
-            for repl in range(scenario.replications):
-                work.append((pi, point, scenario.sweep_axis, axis_value,
-                             seed, repl))
+    work = [(pi, point, scenario.sweep_axis,
+             _axis_value_str(scenario.sweep_axis, values[pi]), seed)
+            for pi, point in enumerate(points) for seed in scenario.seeds]
 
     workers = min(parallelism, len(work))  # a pool starts all its workers up front
     if workers > 1:
@@ -168,8 +164,8 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
                 rows[w::workers] = part
     else:
         rows = _run_units(work)
-    # merge order is the (point, seed, replication) submission order, so
-    # output content does not depend on the parallelism degree
+    # merge order is the (point, seed) submission order, so output
+    # content does not depend on the parallelism degree
     point_rows: list[list[dict]] = [[] for _ in points]
     for r in rows:
         point_rows[r["point"]].append(r)
@@ -210,11 +206,10 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
     _write_csv(out / "nist.csv", header,
                [[name] + row for name, row in cells.items()], provenance)
 
-    timing_rows = [[str(r["point"]), str(r["seed"]), str(r["replication"]),
-                    f"{r['compute_s']:.6f}"] for r in rows]
-    _write_csv(out / "timings.csv",
-               ("point", "seed", "replication", "compute_seconds"), timing_rows,
-               ["# wall-clock sidecar; not deterministic"])
+    timing_rows = [[str(r["point"]), str(r["seed"]), f"{r['compute_s']:.6f}"]
+                   for r in rows]
+    _write_csv(out / "timings.csv", ("point", "seed", "compute_seconds"),
+               timing_rows, ["# wall-clock sidecar; not deterministic"])
     return SweepReport(rows=rows)
 
 

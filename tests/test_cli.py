@@ -17,6 +17,7 @@ from platoonkey.cli import (EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE,
 from platoonkey.protocol import CycleAbort, run_cycle
 from platoonkey.randomness import run_battery
 from platoonkey.scenario import parse_scenario
+from platoonkey.sweep import point_cycle
 
 BITS = np.random.default_rng(3).integers(0, 2, 2000, dtype=np.uint8)
 TEXT = "".join(map(str, BITS))
@@ -98,7 +99,7 @@ def test_missing_file_exits_runtime(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["frobnicate"], [], ["nist"],
-    ["sweep", "s.scn", "--replications", "0"],
+    ["sweep", "s.scn", "--replications", "2"],
     ["sweep", "s.scn", "--seed-base", "-1"],
     ["run", "s.scn", "--seed-base", "-3"],
     ["run", "s.scn", "--parallelism", "2"],
@@ -456,19 +457,51 @@ def test_run_and_sweep_share_the_seed_base(tmp_path, capsys):
         ["# seeds = 10..12"]
 
 
-def test_replications_add_rows_and_keep_replication_zero(tmp_path, capsys):
+def test_run_keys_are_the_sweep_keys_seed_for_seed(tmp_path, capsys):
+    # a cycle is named by its seed alone: run and sweep seed it alike
+    text = "slots = 80\nseeds = 0..2\n"
     path = tmp_path / "s.scn"
-    path.write_text("slots = 80\nseeds = 0..2\n", encoding="utf-8")
-    one, two = tmp_path / "one", tmp_path / "two"
-    assert main(["sweep", str(path), "--out-dir", str(one)]) == EXIT_OK
-    assert main(["sweep", str(path), "--out-dir", str(two),
-                 "--replications", "2"]) == EXIT_OK
+    path.write_text(text, encoding="utf-8")
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", str(path), "--out-dir", str(run_out)]) == EXIT_OK
+    assert main(["sweep", str(path), "--out-dir", str(sweep_out)]) == EXIT_OK
     capsys.readouterr()
-    provenance, lines = csv_lines(two / "runs.csv")
-    assert [line for line in provenance if line.startswith("# replications")] == \
-        ["# replications = 2"]
-    rows = list(csv.DictReader(lines))
-    assert [(r["seed"], r["replication"]) for r in rows] == [
-        (str(s), str(k)) for s in range(3) for k in range(2)]
-    first = [line for line, r in zip(lines[1:], rows) if r["replication"] == "0"]
-    assert [lines[0], *first] == csv_lines(one / "runs.csv")[1]
+    keys = [line.split()[-1] for line in
+            (run_out / "keys.txt").read_text(encoding="ascii").splitlines()[::2]]
+    rows = list(csv.DictReader(csv_lines(sweep_out / "runs.csv")[1]))
+    corpus = (sweep_out / "corpus_point0.txt").read_text(encoding="ascii").strip()
+    ends = np.cumsum([0, *(int(r["key_bits"]) for r in rows)])
+    assert [corpus[a:b] for a, b in zip(ends, ends[1:])] == keys
+    assert ends[-1] == len(corpus)
+    point = parse_scenario(text)
+    for seed in point.seeds:
+        rep = run_cycle(point.channel, point.geometry, point.protocol,
+                        point.quantizer, point.keygen, point.slots,
+                        np.random.SeedSequence([seed, 0]))
+        assert point_cycle(point, seed).leader_key == rep.leader_key
+
+
+LOSSY_TEXT = ("slots = 50\nbeacon_loss_prob = 0.5\nretransmission_cap = 2\n"
+              "seeds = 0..9\n")
+
+
+@pytest.mark.parametrize("text, error", [
+    (COLLAPSE_TEXT, "InfeasiblePartition"), (LOSSY_TEXT, "CycleAbort")],
+    ids=["collapse", "lossy"])
+def test_runs_csv_names_the_error_of_each_failed_cycle(tmp_path, capsys, text, error):
+    # every collapse cycle fails its fit; the lossy document loses some
+    # beacons past the retry cap and completes the other cycles
+    path = tmp_path / "s.scn"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    header, *lines = csv_lines(out / "runs.csv")[1]
+    assert header.split(",")[8:11] == ["success", "failure", "error"]
+    rows = list(csv.DictReader([header, *lines]))
+    failed = [r["failure"] == "1" for r in rows]
+    assert [r["error"] for r in rows] == [error if f else "" for f in failed]
+    if text == COLLAPSE_TEXT:
+        assert all(failed)
+    else:
+        assert 0 < sum(failed) < len(rows)

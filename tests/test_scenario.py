@@ -46,7 +46,6 @@ codeword_bits = 0
 slots = 200
 sweep_axis = none
 seeds = 0..99
-replications = 1
 """
 
 
@@ -64,14 +63,13 @@ class TestSerialize:
             sweep_axis="eavesdropper",
             sweep_values=(("P1", 3.0), ("P3", 5.5)),
             seeds=(0, 1, 2, 7, 9, 10))
-        tail = serialize_scenario(s).splitlines()[-6:]
+        tail = serialize_scenario(s).splitlines()[-5:]
         assert tail == [
             "codeword_bits = 3",
             "slots = 200",
             "sweep_axis = eavesdropper",
             "sweep_values = P1:3.0,P3:5.5",
             "seeds = 0..2,7,9..10",
-            "replications = 1",
         ]
 
     def test_partial_document_keeps_other_defaults(self):
@@ -132,6 +130,12 @@ def scenarios(draw):
         values = draw(st.lists(st.tuples(st.sampled_from(EAVESDROPPER_POSITIONS),
                                          st.floats(**finite)),
                                min_size=1, max_size=5, unique=True))
+    elif axis == "shadowing_common_fraction":
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5,
+                               unique=True))
+    elif axis == "shadowing_autocorr":
+        values = draw(st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=5,
+                               unique=True))
     else:
         values = draw(st.lists(st.integers(-5, 10**6), min_size=1, max_size=5,
                                unique=True))
@@ -142,7 +146,6 @@ def scenarios(draw):
         sweep_axis=axis, sweep_values=tuple(values),
         seeds=tuple(draw(st.lists(st.integers(0, 300), min_size=1, max_size=30,
                                   unique=True))),
-        replications=draw(st.integers(1, 20)),
     )
 
 
@@ -207,7 +210,7 @@ def cycle_points(draw):
                  slots=5))
 def test_every_accepted_point_runs_or_fails_for_a_modeled_reason(point):
     try:
-        point_cycle(point, point.seeds[0], 0)
+        point_cycle(point, point.seeds[0])
     except CYCLE_FAILURES:
         pass
     except ValueError as exc:
@@ -218,7 +221,8 @@ def test_every_accepted_point_runs_or_fails_for_a_modeled_reason(point):
 
 SWEEP_AXES_MESSAGE = (
     "sweep_axis must be one of ('none', 'pair_distance', 'n_intervals', "
-    "'z_iterations', 'n_vehicles', 'eavesdropper')")
+    "'z_iterations', 'n_vehicles', 'shadowing_common_fraction', "
+    "'shadowing_autocorr', 'eavesdropper')")
 
 
 @pytest.mark.parametrize("text, line, fieldname, message", [
@@ -280,6 +284,13 @@ SWEEP_AXES_MESSAGE = (
      "sweep_axis", SWEEP_AXES_MESSAGE),
     ("sweep_axis = z_iterations\nsweep_values = 0", 2, "sweep_values",
      "z_iterations must be >= 1"),
+    ("sweep_axis = shadowing_common_fraction\nsweep_values = 0,1.5", 2,
+     "sweep_values", "shadowing_common_fraction must be in [0, 1]"),
+    ("sweep_values = 0.5,1\nsweep_axis = shadowing_autocorr", 1, "sweep_values",
+     "shadowing_autocorr must be in (-1, 1)"),
+    # a cycle is named by its seed: a repeat is another seed, not a count
+    ("slots = 5\nreplications = 2", 2, "replications",
+     "unknown key 'replications'"),
     # a repeated sweep value would run the same point twice
     ("sweep_axis = z_iterations\nsweep_values = 2,2", 2, "sweep_values",
      "sweep value 2 repeats 2"),
@@ -361,6 +372,9 @@ def test_scenario_built_in_code_keeps_the_document_rules(changes, message):
     ("n_intervals", "2,4", "quantizer", "n_intervals", (2, 4)),
     ("z_iterations", "1,10", "protocol", "z_iterations", (1, 10)),
     ("n_vehicles", "3,12", "geometry", "n_vehicles", (3, 12)),
+    ("shadowing_common_fraction", "0,0.999", "channel",
+     "shadowing_common_fraction", (0.0, 0.999)),
+    ("shadowing_autocorr", "-0.5,0.9", "channel", "shadowing_autocorr", (-0.5, 0.9)),
 ])
 def test_points_on_each_numeric_axis(axis, values, section, name, expected):
     s = parse_scenario(f"sweep_axis = {axis}\nsweep_values = {values}\nslots = 50")

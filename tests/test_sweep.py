@@ -1,5 +1,6 @@
 """Sweep execution: determinism across parallelism, failure attribution."""
 
+import csv
 import multiprocessing
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from platoonkey import sweep
-from platoonkey.channel import PlatoonGeometry
+from platoonkey.channel import ChannelParams, PlatoonGeometry
 from platoonkey.protocol import CycleAbort, ProtocolConfig
 from platoonkey.quantizer import InfeasiblePartition
 from platoonkey.scenario import ParseError, Scenario
@@ -25,14 +26,21 @@ def lossy_scenario():
         sweep_axis="n_vehicles", sweep_values=(4, 6))
 
 
+def autocorr_scenario():
+    # the only AR(1) shadowing is in the sweep values, none in the base channel
+    return Scenario(slots=200, seeds=tuple(range(6)),
+                    sweep_axis="shadowing_autocorr", sweep_values=(0.9, 0.0))
+
+
 def test_outputs_identical_at_parallelism_one_and_two(tmp_path):
-    scenario = lossy_scenario()
-    serial = sweep.run_sweep(scenario, tmp_path / "p1", parallelism=1)
-    sweep.run_sweep(scenario, tmp_path / "p2", parallelism=2)
-    assert len(serial.rows) == 16
-    for name in DETERMINISTIC_FILES:
-        assert (tmp_path / "p1" / name).read_bytes() == \
-            (tmp_path / "p2" / name).read_bytes(), name
+    for scenario, n_rows in [(lossy_scenario(), 16), (autocorr_scenario(), 12)]:
+        out = tmp_path / scenario.sweep_axis
+        serial = sweep.run_sweep(scenario, out / "p1", parallelism=1)
+        sweep.run_sweep(scenario, out / "p2", parallelism=2)
+        assert len(serial.rows) == n_rows
+        for name in DETERMINISTIC_FILES:
+            assert (out / "p1" / name).read_bytes() == \
+                (out / "p2" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("seeds, pool_workers", [((0, 1, 2), [3]), ((0,), [])])
@@ -123,7 +131,7 @@ def test_worker_error_propagates_and_leaves_no_process(tmp_path, monkeypatch):
 
 def unit_args():
     point = lossy_scenario().points()[0]
-    return (0, point, "n_vehicles", "4", 0, 0)
+    return (0, point, "n_vehicles", "4", 0)
 
 
 @pytest.mark.parametrize("exc", [CycleAbort, InfeasiblePartition])
@@ -141,7 +149,7 @@ def test_exhausted_dissemination_is_a_completed_cycle_row():
     # run_cycle records EVCD's DisseminationFailure as success = False, so
     # the unit is a cycle with a key and no attributed failure
     point = replace(unit_args()[1], protocol=ProtocolConfig(data_loss_prob=1.0))
-    row = sweep._run_unit((0, point, "n_vehicles", "4", 0, 0))
+    row = sweep._run_unit((0, point, "n_vehicles", "4", 0))
     assert (row["success"], row["failure"], row["error"]) == (0, 0, "")
     assert row["key01"] != ""
 
@@ -178,3 +186,37 @@ def test_plot_of_a_summary_without_points_writes_the_column_line(tmp_path, capsy
     assert dat.read_text(encoding="ascii") == (
         "# none bmmr_v2 bmmr_v2_std bmmr_tail bmmr_tail_std bmmr_mean "
         "bmmr_mean_std eavesdropper_bmmr eavesdropper_bmmr_std\n")
+
+
+def data_rows(path):
+    lines = [line for line in path.read_text(encoding="ascii").splitlines()
+             if not line.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
+def point_means(out, metric):
+    return [float(r["mean"]) for r in data_rows(out / "summary.csv")
+            if r["metric"] == metric]
+
+
+def test_common_shadowing_sets_agreement_and_autocorr_sets_randomness(tmp_path):
+    # N=4, T=200, seeds 0..9.  A follower's leader-pair estimate agrees
+    # with the leader's reading only through the common shadowing: the
+    # tail BMMR reads about 0.485, 0.288 and 0.034 at fractions 0, 0.9 and
+    # 0.999, while the eavesdropper stays at chance.
+    seeds = tuple(range(10))
+    sweep.run_sweep(Scenario(slots=200, seeds=seeds,
+                             sweep_axis="shadowing_common_fraction",
+                             sweep_values=(0.0, 0.9, 0.999)), tmp_path / "f")
+    tail = point_means(tmp_path / "f", "bmmr_tail")
+    assert tail[0] > 0.4 and 0.2 < tail[1] < 0.4 and tail[2] < 0.08
+    assert all(0.45 < e < 0.55 for e in point_means(tmp_path / "f", "eavesdropper_bmmr"))
+    # at 0.999, AR(1) shadowing of 0.9 leaves the agreement (BMMR about
+    # 0.0185 and 0.0202) but makes the key corpus fail the runs test
+    # (p about 0.823 and 0.000000)
+    sweep.run_sweep(Scenario(channel=ChannelParams(shadowing_common_fraction=0.999),
+                             slots=200, seeds=seeds, sweep_axis="shadowing_autocorr",
+                             sweep_values=(0.0, 0.9)), tmp_path / "a")
+    assert all(m < 0.03 for m in point_means(tmp_path / "a", "bmmr_mean"))
+    runs = next(r for r in data_rows(tmp_path / "a" / "nist.csv") if r["test"] == "runs")
+    assert float(runs["point_0"]) > 0.1 and float(runs["point_1"]) < 1e-3
