@@ -42,6 +42,7 @@ import numpy as np
 
 __all__ = [
     "ChannelParams",
+    "EAVESDROPPER_POSITIONS",
     "PlatoonGeometry",
     "RssTrace",
     "generate_trace",
@@ -169,10 +170,6 @@ class RssTrace:
     @property
     def n_vehicles(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def slots(self) -> int:
-        return self.values.shape[1]
 
 
 def rss_of_link(params: ChannelParams, distance_m, shadowing_db):

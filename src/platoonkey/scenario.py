@@ -32,6 +32,7 @@ __all__ = [
     "SWEEP_AXES",
     "parse_scenario",
     "serialize_scenario",
+    "sweep_labels",
 ]
 
 # sweep axis -> the one key it varies; "eavesdropper" varies two keys
@@ -255,10 +256,14 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _format_sweep_values(axis: str, values: tuple) -> str:
-    if axis == "eavesdropper":
-        return ",".join(f"{tag}:{dist!r}" for tag, dist in values)
-    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+def sweep_labels(s: Scenario) -> list[str]:
+    """The one writer of a sweep value: each point's token as the document
+    holds it, floats repr-exact; ``-`` without an axis."""
+    if s.sweep_axis == "none":
+        return ["-"]
+    if s.sweep_axis == "eavesdropper":
+        return [f"{tag}:{dist}" for tag, dist in s.sweep_values]
+    return [str(v) for v in s.sweep_values]
 
 
 def _format_seeds(seeds: tuple[int, ...]) -> str:
@@ -274,8 +279,8 @@ def _format_seeds(seeds: tuple[int, ...]) -> str:
     return ",".join(out)
 
 
-# declared type -> value formatter; every other type is written with str
-_FORMATTERS = {"float": repr, "tuple[int, ...]": _format_seeds}
+# declared type -> value formatter; any other is written with str (numpy floats too)
+_FORMATTERS = {"tuple[int, ...]": _format_seeds}
 
 
 def serialize_scenario(s: Scenario) -> str:
@@ -286,7 +291,7 @@ def serialize_scenario(s: Scenario) -> str:
         if key == "sweep_values":
             if not value:
                 continue
-            text = _format_sweep_values(s.sweep_axis, value)
+            text = ",".join(sweep_labels(s))
         else:
             text = _FORMATTERS.get(kind, str)(value)
         lines.append(f"{key} = {text}\n")

@@ -17,7 +17,8 @@ byte-identical at every parallelism degree:
 Wall-clock compute time is intentionally kept out of those files and
 written to the ``timings.csv`` sidecar instead.  Every deterministic CSV
 starts with a ``#``-prefixed provenance block carrying the fully
-resolved scenario, its seeds included.
+resolved scenario, its seeds included; a row's ``axis_value`` is its
+point's token there (``scenario.sweep_labels``; ``-`` without an axis).
 
 The key corpus of a point is the leader's agreed key concatenated over
 seeds.  Follower keys are near-copies of the leader's, so concatenating
@@ -39,7 +40,7 @@ import numpy as np
 
 from .protocol import CYCLE_FAILURES, AgreementReport, run_cycle
 from .randomness import bits_from_ascii, run_battery
-from .scenario import ParseError, Scenario, serialize_scenario
+from .scenario import ParseError, Scenario, serialize_scenario, sweep_labels
 
 __all__ = ["SweepReport", "emit_plots", "point_cycle", "run_sweep"]
 
@@ -60,21 +61,10 @@ SUMMARY_METRICS = (
 SUMMARY_HEADER = ("point", "axis", "axis_value", "metric", "mean", "stddev", "n")
 
 
-def _axis_value_str(axis: str, value) -> str:
-    if axis == "none":
-        return "-"
-    if axis == "eavesdropper":
-        tag, dist = value
-        return f"{tag}:{dist:g}"
-    return f"{value:g}" if isinstance(value, float) else str(value)
-
-
 def point_cycle(point: Scenario, seed: int) -> AgreementReport:
     """The cycle of a single-point scenario at one seed."""
-    # [seed, 0], the entropy of every recorded key (the 0 was a replication index)
     return run_cycle(point.channel, point.geometry, point.protocol,
-                     point.quantizer, point.keygen, point.slots,
-                     np.random.SeedSequence([seed, 0]))
+                     point.quantizer, point.keygen, point.slots, seed)
 
 
 def _run_unit(args) -> dict:
@@ -146,10 +136,8 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
     out.mkdir(parents=True, exist_ok=True)
 
     points = scenario.points()
-    values = scenario.sweep_values if scenario.sweep_axis != "none" else (None,)
-    work = [(pi, point, scenario.sweep_axis,
-             _axis_value_str(scenario.sweep_axis, values[pi]), seed)
-            for pi, point in enumerate(points) for seed in scenario.seeds]
+    work = [(pi, point, scenario.sweep_axis, label, seed) for pi, (point, label)
+            in enumerate(zip(points, sweep_labels(scenario))) for seed in scenario.seeds]
 
     workers = min(parallelism, len(work))  # a pool starts all its workers up front
     if workers > 1:
@@ -240,7 +228,7 @@ def emit_plots(summary_csv, out_dir) -> list[Path]:
 
     metrics = ("bmmr_v2", "bmmr_tail", "bmmr_mean", "eavesdropper_bmmr")
     dat_path = out / f"{axis}_bmmr.dat"
-    # an eavesdropper label "P2:10" is two columns, position and distance
+    # an eavesdropper label "P2:10.0" is two columns, position and distance
     xcols = ["position", "distance_m"] if axis == "eavesdropper" else [axis]
     lines = ["# " + " ".join(xcols + [c for m in metrics for c in (m, f"{m}_std")])]
     for (_, label), means in table.items():

@@ -419,7 +419,7 @@ def test_plot_of_an_eavesdropper_sweep(tmp_path, capsys):
     dat = (plot_out / "eavesdropper_bmmr.dat").read_text(encoding="ascii")
     header, *rows = dat.splitlines()
     assert header.split()[1:3] == ["position", "distance_m"]
-    assert [row.split()[:2] for row in rows] == [["P1", "5"], ["P2", "10"],
+    assert [row.split()[:2] for row in rows] == [["P1", "5.0"], ["P2", "10.0"],
                                                   ["P3", "20.5"]]
     assert all(len(row.split()) == 2 + 2 * 4 for row in rows)
     # gnuplot continues a line only at a trailing backslash

@@ -233,7 +233,7 @@ class TestOptimizeIntervals:
         qt = quantize_trace(t, iset)
         # the key slots are exactly the ones the fit saw
         keep = retained_slots(t, p.rss_decode_floor_db)
-        dropped = set(range(t.slots)) - set(keep.tolist())
+        dropped = set(range(t.values.shape[1])) - set(keep.tolist())
         assert dropped
         for s in dropped:
             column = t.values[:, s]

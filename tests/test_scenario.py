@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -165,6 +166,19 @@ def test_round_trip(s):
     back = parse_scenario(text)
     assert back == s
     assert serialize_scenario(back) == text
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("pair_distance", (np.float64(2.5), 3.0)),
+    ("eavesdropper", (("P1", np.float64(4.5)),)),
+])
+def test_numpy_floats_round_trip(axis, values):
+    # repr writes a numpy float as "np.float64(2.5)", which no document parses
+    s = Scenario(channel=ChannelParams(shadowing_sigma_db=np.float64(3.5)),
+                 sweep_axis=axis, sweep_values=values, seeds=(0,))
+    text = serialize_scenario(s)
+    assert parse_scenario(text) == s
+    assert "np." not in text
 
 
 @st.composite

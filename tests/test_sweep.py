@@ -9,9 +9,9 @@ import pytest
 
 from platoonkey import sweep
 from platoonkey.channel import ChannelParams, PlatoonGeometry
-from platoonkey.protocol import CycleAbort, ProtocolConfig
+from platoonkey.protocol import CycleAbort, ProtocolConfig, run_cycle
 from platoonkey.quantizer import InfeasiblePartition
-from platoonkey.scenario import ParseError, Scenario
+from platoonkey.scenario import ParseError, Scenario, parse_scenario
 
 DETERMINISTIC_FILES = ("runs.csv", "summary.csv", "nist.csv",
                        "corpus_point0.txt", "corpus_point1.txt")
@@ -118,7 +118,7 @@ def test_worker_error_propagates_and_leaves_no_process(tmp_path, monkeypatch):
     real = sweep.run_cycle
 
     def flaky(*args):
-        if args[-1].entropy[0] == 3:
+        if args[-1] == 3:
             raise RuntimeError("bug at seed 3")
         return real(*args)
 
@@ -220,3 +220,41 @@ def test_common_shadowing_sets_agreement_and_autocorr_sets_randomness(tmp_path):
     assert all(m < 0.03 for m in point_means(tmp_path / "a", "bmmr_mean"))
     runs = next(r for r in data_rows(tmp_path / "a" / "nist.csv") if r["test"] == "runs")
     assert float(runs["point_0"]) > 0.1 and float(runs["point_1"]) < 1e-3
+
+
+@pytest.mark.parametrize("axis_lines, tokens", [
+    ("sweep_axis = n_vehicles\nsweep_values = 3,5\n", ["3", "5"]),
+    ("sweep_axis = pair_distance\nsweep_values = 2.5, 3\n", ["2.5", "3.0"]),
+    ("sweep_axis = eavesdropper\nsweep_values = P1:3, P3:20.5\n", ["P1:3.0", "P3:20.5"]),
+    ("", ["-"]),
+], ids=["int", "float", "eavesdropper", "none"])
+def test_axis_value_is_the_provenance_token(tmp_path, axis_lines, tokens):
+    sweep.run_sweep(parse_scenario("slots = 40\nseeds = 0,1\n" + axis_lines), tmp_path)
+    lines = (tmp_path / "runs.csv").read_text(encoding="ascii").splitlines()
+    written = [line.split(" = ", 1)[1].split(",") for line in lines
+               if line.startswith("# sweep_values = ")]
+    assert written == ([tokens] if axis_lines else [])
+    assert [r["axis_value"] for r in data_rows(tmp_path / "runs.csv")] == \
+        [t for t in tokens for _ in range(2)]
+    assert {(r["point"], r["axis_value"]) for r in data_rows(tmp_path / "summary.csv")} \
+        == {(str(i), t) for i, t in enumerate(tokens)}
+
+
+def test_points_six_digits_apart_plot_apart(tmp_path):
+    # the values differ in the 7th significant digit; each point keeps its own x
+    sweep.run_sweep(Scenario(slots=40, seeds=(0, 1), sweep_axis="shadowing_common_fraction",
+                             sweep_values=(0.9999999, 1.0)), tmp_path)
+    dat, _ = sweep.emit_plots(tmp_path / "summary.csv", tmp_path / "plot")
+    xs = [line.split()[0] for line in dat.read_text(encoding="ascii").splitlines()
+          if not line.startswith("#")]
+    assert xs == ["0.9999999", "1.0"]
+
+
+@pytest.mark.parametrize("seed", [0, 2**40, 2**96 - 1])
+def test_a_cycle_is_seeded_by_its_seed_alone(seed):
+    # numpy pads entropy shorter than its 4-word pool with zeros, so below
+    # 2**96 the seed gives the keys that the entropy [seed, 0] gave
+    point = Scenario(slots=80)
+    rep = run_cycle(point.channel, point.geometry, point.protocol, point.quantizer,
+                    point.keygen, point.slots, np.random.SeedSequence([seed, 0]))
+    assert sweep.point_cycle(point, seed).leader_key == rep.leader_key
