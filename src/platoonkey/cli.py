@@ -5,11 +5,11 @@ Subcommands:
     platoonkey run <scenario-file>    one cycle per seed, report + keys
     platoonkey sweep <scenario-file>  full sweep with CSV outputs
     platoonkey nist <bitstream-file>  randomness battery on an ASCII 0/1 file
-    platoonkey plot <summary-csv>     gnuplot data + script files
 
 Exit codes: 0 success, 1 usage error, 2 scenario parse error, 3 runtime
-failure.  ``run`` seeds its cycles as a sweep does (``sweep.point_cycle``),
-so its keys are the keys of a sweep over the same seeds.
+failure.  ``run`` on a sweep document runs the document's first point.
+It seeds its cycles as a sweep does (``sweep.point_cycle``), so its keys
+are the keys of a sweep over the same seeds.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 from .protocol import CYCLE_FAILURES
 from .randomness import bits_from_ascii, run_battery
 from .scenario import ParseError, Scenario, parse_scenario
-from .sweep import _write_csv, emit_plots, point_cycle, run_sweep
+from .sweep import _write_csv, point_cycle, run_sweep
 
 __all__ = ["main"]
 
@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
                        help="replace the scenario seeds with this base onward")
         return p
 
-    scenario_command("run", "run one scenario point per seed")
+    scenario_command("run", "run the scenario's first point once per seed")
     p_sweep = scenario_command("sweep", "run the scenario's sweep")
     p_sweep.add_argument("--parallelism", type=_int_at_least(1), default=1,
                          help="worker processes for sweep points")
@@ -74,10 +74,6 @@ def _build_parser() -> _Parser:
     p_nist.add_argument("bitstream", help="ASCII 0/1 file")
     p_nist.add_argument("--out-dir", default=None,
                         help="also write nist_report.csv here")
-
-    p_plot = sub.add_parser("plot", help="emit gnuplot files from a summary CSV")
-    p_plot.add_argument("csv", help="summary.csv from a sweep")
-    p_plot.add_argument("--out-dir", default="out", help="output directory")
     return parser
 
 
@@ -155,13 +151,6 @@ def _cmd_nist(args) -> int:
     return EXIT_OK
 
 
-def _cmd_plot(args) -> int:
-    files = emit_plots(args.csv, args.out_dir)
-    for f in files:
-        print(f"wrote {f}")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -170,8 +159,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return {"run": _cmd_run, "sweep": _cmd_sweep, "nist": _cmd_nist,
-                "plot": _cmd_plot}[args.command](args)
+        return {"run": _cmd_run, "sweep": _cmd_sweep,
+                "nist": _cmd_nist}[args.command](args)
     except ParseError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE

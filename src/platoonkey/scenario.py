@@ -103,6 +103,11 @@ class Scenario:
             raise ValueError("sweep_values required when sweep_axis is set")
         if self.sweep_axis == "none" and self.sweep_values:
             raise ValueError("sweep_values need a sweep_axis")
+        if self.sweep_axis in _AXIS_KEYS and _axis_cast(self.sweep_axis) is int:
+            # at_point casts with int, which would run 4.5 as 4
+            for v in self.sweep_values:
+                if v % 1:
+                    raise ValueError(f"sweep value {v} is not an integer")
         _check_distinct(self.sweep_values, self.sweep_values)
         _check_seeds(self.seeds)
         q = self.keygen.codeword_bits
@@ -263,6 +268,8 @@ def sweep_labels(s: Scenario) -> list[str]:
         return ["-"]
     if s.sweep_axis == "eavesdropper":
         return [f"{tag}:{dist}" for tag, dist in s.sweep_values]
+    if _axis_cast(s.sweep_axis) is int:  # 4.0 is written 4, which parses back
+        return [str(int(v)) for v in s.sweep_values]
     return [str(v) for v in s.sweep_values]
 
 

@@ -1,4 +1,4 @@
-"""Experiment sweeps: deterministic execution, CSV reports, plot files.
+"""Experiment sweeps: deterministic execution and CSV reports.
 
 This module also holds what every command shares: :func:`point_cycle`,
 the seed rule of a cycle, and ``_write_csv``, the one CSV dialect.
@@ -10,7 +10,10 @@ Results merge in (point, seed) order, so the deterministic outputs are
 byte-identical at every parallelism degree:
 
 * ``runs.csv``     one row per executed cycle,
-* ``summary.csv``  one row per (point, metric) with mean/stddev,
+* ``summary.csv``  one row per (point, metric) with mean/stddev, the
+  figure data: a BMMR figure plots the ``mean`` and ``stddev`` of
+  ``bmmr_v2``, ``bmmr_tail``, ``bmmr_mean`` and ``eavesdropper_bmmr``
+  against ``axis_value``,
 * ``nist.csv``     randomness battery of each point's key corpus,
 * ``corpus_point<k>.txt``  the leader's concatenated agreed keys.
 
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,9 +42,9 @@ import numpy as np
 
 from .protocol import CYCLE_FAILURES, AgreementReport, run_cycle
 from .randomness import bits_from_ascii, run_battery
-from .scenario import ParseError, Scenario, serialize_scenario, sweep_labels
+from .scenario import Scenario, serialize_scenario, sweep_labels
 
-__all__ = ["SweepReport", "emit_plots", "point_cycle", "run_sweep"]
+__all__ = ["SweepReport", "point_cycle", "run_sweep"]
 
 RUN_COLUMNS = (
     "point", "axis", "axis_value", "seed",
@@ -199,62 +201,3 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
     _write_csv(out / "timings.csv", ("point", "seed", "compute_seconds"),
                timing_rows, ["# wall-clock sidecar; not deterministic"])
     return SweepReport(rows=rows)
-
-
-def emit_plots(summary_csv, out_dir) -> list[Path]:
-    """Turn a summary CSV into gnuplot-ready .dat and .gp files.
-
-    No plotting library is involved; the .dat files carry one row per
-    sweep point with mean/stddev columns for the BMMR metrics, and the
-    .gp script renders them with error bars.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = Path(summary_csv)
-    with path.open(newline="", encoding="ascii") as fh:
-        reader = csv.reader([line for line in fh if not line.startswith("#")])
-    header = next(reader, None)
-    if header is not None and header != list(SUMMARY_HEADER):
-        raise ParseError(f"unexpected summary header: {header}")
-    # (point, axis value label) -> metric -> (mean, stddev), in point order;
-    # the rows name the axis, and a summary without rows plots axis "none"
-    table: dict[tuple[str, str], dict[str, tuple[str, str]]] = {}
-    axis = "none"
-    for row in reader:
-        if len(row) != len(SUMMARY_HEADER):
-            raise ParseError(f"malformed summary row: {row}")
-        point, axis, label, metric, mean, std, _n = row
-        table.setdefault((point, label), {})[metric] = (mean, std)
-
-    metrics = ("bmmr_v2", "bmmr_tail", "bmmr_mean", "eavesdropper_bmmr")
-    dat_path = out / f"{axis}_bmmr.dat"
-    # an eavesdropper label "P2:10.0" is two columns, position and distance
-    xcols = ["position", "distance_m"] if axis == "eavesdropper" else [axis]
-    lines = ["# " + " ".join(xcols + [c for m in metrics for c in (m, f"{m}_std")])]
-    for (_, label), means in table.items():
-        lines.append(" ".join(label.split(":") + [
-            x for m in metrics for x in means.get(m, ("nan", "nan"))]))
-    if not table:
-        print(f"warning: {path} holds no sweep points; wrote empty data file",
-              file=sys.stderr)
-    dat_path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-    xcol = len(xcols)  # gnuplot's x is the last label column
-    gp = [
-        "set datafile missing 'nan'",
-        "set key outside",
-        f"set xlabel '{axis}'",
-        "set ylabel 'bit mismatch rate'",
-        f"set output '{axis}_bmmr.png'",
-        "set terminal pngcairo size 900,600",
-        "plot",
-    ]
-    plots = []
-    for i, m in enumerate(metrics):
-        col = xcol + 1 + 2 * i
-        plots.append(f"  '{dat_path.name}' using {xcol}:{col}:{col + 1} "
-                     f"with yerrorlines title '{m}'")
-    gp[-1] += " \\\n" + ", \\\n".join(plots)
-    gp_path = out / f"{axis}_bmmr.gp"
-    gp_path.write_text("\n".join(gp) + "\n", encoding="ascii")
-    return [dat_path, gp_path]

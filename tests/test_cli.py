@@ -2,7 +2,6 @@
 
 import csv
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -105,6 +104,7 @@ def test_missing_file_exits_runtime(tmp_path, capsys):
     ["run", "s.scn", "--parallelism", "2"],
     ["sweep", "s.scn", "--parallelism", "0"],
     ["sweep", "s.scn", "--parallelism", "-4"],
+    ["plot", "summary.csv"],
 ])
 def test_usage_error_exits_usage(capsys, argv):
     assert main(argv) == EXIT_USAGE
@@ -382,53 +382,6 @@ def test_run_where_the_grid_points_coincide_in_float(tmp_path, capsys):
     assert not any(keys) and n_events == 0
     # no key, no line: the file is empty
     assert (out / "keys.txt").read_bytes() == b""
-
-
-def test_plot_writes_one_row_per_sweep_point(tmp_path, capsys):
-    path = tmp_path / "sweep.scn"
-    path.write_text("slots = 60\nseeds = 0,1\nsweep_axis = n_intervals\n"
-                    "sweep_values = 2,4\n", encoding="utf-8")
-    sweep_out, plot_out = tmp_path / "sweep", tmp_path / "plot"
-    assert main(["sweep", str(path), "--out-dir", str(sweep_out)]) == EXIT_OK
-    summary = sweep_out / "summary.csv"
-    assert main(["plot", str(summary), "--out-dir", str(plot_out)]) == EXIT_OK
-    capsys.readouterr()
-
-    with summary.open(newline="", encoding="ascii") as fh:
-        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
-    means = {(value, metric): (mean, std)
-             for _, _, value, metric, mean, std, _ in rows[1:]}
-    metrics = ("bmmr_v2", "bmmr_tail", "bmmr_mean", "eavesdropper_bmmr")
-    dat = (plot_out / "n_intervals_bmmr.dat").read_text(encoding="ascii")
-    assert dat.splitlines()[1:] == [
-        " ".join([value, *(x for m in metrics for x in means[(value, m)])])
-        for value in ("2", "4")]
-    assert (plot_out / "n_intervals_bmmr.gp").exists()
-
-
-def test_plot_of_an_eavesdropper_sweep(tmp_path, capsys):
-    path = tmp_path / "sweep.scn"
-    path.write_text("slots = 60\nseeds = 0,1\nsweep_axis = eavesdropper\n"
-                    "sweep_values = P1:5, P2:10, P3:20.5\n", encoding="utf-8")
-    sweep_out, plot_out = tmp_path / "sweep", tmp_path / "plot"
-    assert main(["sweep", str(path), "--out-dir", str(sweep_out)]) == EXIT_OK
-    assert main(["plot", str(sweep_out / "summary.csv"),
-                 "--out-dir", str(plot_out)]) == EXIT_OK
-    capsys.readouterr()
-
-    dat = (plot_out / "eavesdropper_bmmr.dat").read_text(encoding="ascii")
-    header, *rows = dat.splitlines()
-    assert header.split()[1:3] == ["position", "distance_m"]
-    assert [row.split()[:2] for row in rows] == [["P1", "5.0"], ["P2", "10.0"],
-                                                  ["P3", "20.5"]]
-    assert all(len(row.split()) == 2 + 2 * 4 for row in rows)
-    # gnuplot continues a line only at a trailing backslash
-    gp = (plot_out / "eavesdropper_bmmr.gp").read_text(encoding="ascii")
-    plot = next(line for line in gp.replace("\\\n", " ").splitlines()
-                if line.startswith("plot"))
-    assert "\\" not in plot
-    assert re.findall(r"using (\d+):(\d+):(\d+)", plot) == [
-        ("2", str(c), str(c + 1)) for c in (3, 5, 7, 9)]
 
 
 def csv_lines(path):

@@ -171,6 +171,8 @@ def test_round_trip(s):
 @pytest.mark.parametrize("axis, values", [
     ("pair_distance", (np.float64(2.5), 3.0)),
     ("eavesdropper", (("P1", np.float64(4.5)),)),
+    # an int axis writes 4.0 as 4: a document's int line refuses "4.0"
+    ("n_vehicles", (4.0, np.float64(5.0))),
 ])
 def test_numpy_floats_round_trip(axis, values):
     # repr writes a numpy float as "np.float64(2.5)", which no document parses
@@ -373,6 +375,9 @@ def test_semantic_errors_carry_no_line(text, message):
     (dict(seeds=(4, 1, 1)), "seed 1 is listed more than once"),
     (dict(seeds=(1, 1, -3)), "seeds must be non-negative, got -3"),
     (dict(sweep_values=(1.0, 2.0)), "sweep_values need a sweep_axis"),
+    # at_point's int cast would run both points at N=4
+    (dict(sweep_axis="n_vehicles", sweep_values=(4.5, 4.7)),
+     "sweep value 4.5 is not an integer"),
 ])
 def test_scenario_built_in_code_keeps_the_document_rules(changes, message):
     # the parser's repeat, seed and axis rules hold without a document, too

@@ -11,7 +11,7 @@ from platoonkey import sweep
 from platoonkey.channel import ChannelParams, PlatoonGeometry
 from platoonkey.protocol import CycleAbort, ProtocolConfig, run_cycle
 from platoonkey.quantizer import InfeasiblePartition
-from platoonkey.scenario import ParseError, Scenario, parse_scenario
+from platoonkey.scenario import Scenario, parse_scenario
 
 DETERMINISTIC_FILES = ("runs.csv", "summary.csv", "nist.csv",
                        "corpus_point0.txt", "corpus_point1.txt")
@@ -163,31 +163,6 @@ def test_programming_errors_propagate(monkeypatch, exc):
         sweep._run_unit(unit_args())
 
 
-SUMMARY_HEADER_LINE = "point,axis,axis_value,metric,mean,stddev,n\r\n"
-
-
-@pytest.mark.parametrize("text", [
-    "point,axis,value,metric,mean,stddev,n\r\n",
-    SUMMARY_HEADER_LINE + "0,n_vehicles,4,bmmr_mean,0.25,0.0\r\n",
-], ids=["wrong header", "six-field row"])
-def test_plot_rejects_a_malformed_summary(tmp_path, text):
-    path = tmp_path / "summary.csv"
-    path.write_text(text, encoding="ascii")
-    with pytest.raises(ParseError):
-        sweep.emit_plots(path, tmp_path / "plot")
-
-
-def test_plot_of_a_summary_without_points_writes_the_column_line(tmp_path, capsys):
-    path = tmp_path / "summary.csv"
-    path.write_text("# resolved scenario:\r\n" + SUMMARY_HEADER_LINE,
-                    encoding="ascii")
-    dat, _ = sweep.emit_plots(path, tmp_path / "plot")
-    assert "holds no sweep points" in capsys.readouterr().err
-    assert dat.read_text(encoding="ascii") == (
-        "# none bmmr_v2 bmmr_v2_std bmmr_tail bmmr_tail_std bmmr_mean "
-        "bmmr_mean_std eavesdropper_bmmr eavesdropper_bmmr_std\n")
-
-
 def data_rows(path):
     lines = [line for line in path.read_text(encoding="ascii").splitlines()
              if not line.startswith("#")]
@@ -226,8 +201,11 @@ def test_common_shadowing_sets_agreement_and_autocorr_sets_randomness(tmp_path):
     ("sweep_axis = n_vehicles\nsweep_values = 3,5\n", ["3", "5"]),
     ("sweep_axis = pair_distance\nsweep_values = 2.5, 3\n", ["2.5", "3.0"]),
     ("sweep_axis = eavesdropper\nsweep_values = P1:3, P3:20.5\n", ["P1:3.0", "P3:20.5"]),
+    # the values differ in the 7th significant digit; each point keeps its own token
+    ("sweep_axis = shadowing_common_fraction\nsweep_values = 0.9999999, 1\n",
+     ["0.9999999", "1.0"]),
     ("", ["-"]),
-], ids=["int", "float", "eavesdropper", "none"])
+], ids=["int", "float", "eavesdropper", "seven digits", "none"])
 def test_axis_value_is_the_provenance_token(tmp_path, axis_lines, tokens):
     sweep.run_sweep(parse_scenario("slots = 40\nseeds = 0,1\n" + axis_lines), tmp_path)
     lines = (tmp_path / "runs.csv").read_text(encoding="ascii").splitlines()
@@ -238,16 +216,6 @@ def test_axis_value_is_the_provenance_token(tmp_path, axis_lines, tokens):
         [t for t in tokens for _ in range(2)]
     assert {(r["point"], r["axis_value"]) for r in data_rows(tmp_path / "summary.csv")} \
         == {(str(i), t) for i, t in enumerate(tokens)}
-
-
-def test_points_six_digits_apart_plot_apart(tmp_path):
-    # the values differ in the 7th significant digit; each point keeps its own x
-    sweep.run_sweep(Scenario(slots=40, seeds=(0, 1), sweep_axis="shadowing_common_fraction",
-                             sweep_values=(0.9999999, 1.0)), tmp_path)
-    dat, _ = sweep.emit_plots(tmp_path / "summary.csv", tmp_path / "plot")
-    xs = [line.split()[0] for line in dat.read_text(encoding="ascii").splitlines()
-          if not line.startswith("#")]
-    assert xs == ["0.9999999", "1.0"]
 
 
 @pytest.mark.parametrize("seed", [0, 2**40, 2**96 - 1])
