@@ -47,6 +47,7 @@ __all__ = [
     "RssTrace",
     "generate_trace",
     "rss_of_link",
+    "trace_key",
 ]
 
 EAVESDROPPER_POSITIONS = ("P1", "P2", "P3")
@@ -233,6 +234,10 @@ def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
     return d1
 
 
+def _draws_per_pass(params: ChannelParams) -> bool:
+    return params.measurement_noise_db > 0 or params.reciprocity_sigma_db > 0
+
+
 def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
                    slots: int, seed, passes: int = 1) -> list[RssTrace]:
     """Generate a cycle's RSS traces, deterministically from the seed.
@@ -292,7 +297,7 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     fade(erng, slice(-2, None), np.array(geometry.eavesdropper_link_distances()))
 
     # measurement noise is drawn while recip is on, to keep recip's place in the stream
-    noisy = a > 0 or params.reciprocity_sigma_db > 0
+    noisy = _draws_per_pass(params)
     traces = []
     for _ in range(passes if noisy else 1):
         readings, recip = faded, 0.0
@@ -317,3 +322,22 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
         values.flags.writeable = eaves.flags.writeable = False
         traces.append(RssTrace(values=values, eavesdropper=eaves))
     return traces
+
+
+def trace_key(params: ChannelParams, geometry: PlatoonGeometry, slots: int,
+              passes: int = 1) -> tuple:
+    """The draw rule of :func:`generate_trace`: at one seed, platoons with
+    equal keys read the same random numbers, so the narrower platoon's
+    traces are the first rows of the wider one's, its eavesdropper row
+    the same.
+
+    The platoon draws its links in vehicle order, (1,2) and then (1,j)
+    and (2,j) for j = 3..N.  Per-pass noise follows all the shadowing on
+    the same stream, so a noisy channel's key holds the platoon size and
+    the passes; P3's eavesdropper distances hold the platoon size too.
+    """
+    key = (params, slots, geometry.pair_distance_m,
+           geometry.eavesdropper_link_distances())
+    if _draws_per_pass(params):
+        key += (geometry.n_vehicles, passes)
+    return key

@@ -60,6 +60,7 @@ __all__ = [
     "DisseminationFailure",
     "ProtocolConfig",
     "TransmissionEvent",
+    "cycle_traces",
     "run_cska",
     "run_cycle",
     "run_evcd",
@@ -159,7 +160,8 @@ def _send(log: CycleLog, rng: np.random.Generator | None, loss_prob: float,
 
 
 def run_cska(config: ProtocolConfig, params: ChannelParams,
-             geometry: PlatoonGeometry, slots: int, seed
+             geometry: PlatoonGeometry, slots: int, seed, *,
+             traces: list[RssTrace] | None = None
              ) -> tuple[list[RssTrace], CycleLog]:
     """Run the Z beacon passes and commit the cycle's distinct RSS traces.
 
@@ -171,6 +173,8 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
     :func:`_send`), so draws past the last try go unread.  The traces
     come from one :func:`generate_trace` call: they share the cycle's
     shadowing and differ only in their noise, so a noiseless cycle has one.
+    A caller that has drawn them already passes them as ``traces`` (see
+    :func:`run_cycle`), and they are committed as given.
     The losses draw from the seed's node ``(0,)`` and the traces, on which
     every recorded Z=1 key depends, from ``(1, 0)`` (``channel._child``); a
     ``SeedSequence`` seed is never spawned from, so the same object always
@@ -186,8 +190,9 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
     if _send(log, loss_rng, config.beacon_loss_prob, "cska", beacons):
         raise CycleAbort(f"beacon of vehicle {log.events[-1].sender} "
                          f"exceeded {cap} retransmissions")
-    traces = generate_trace(params, geometry, slots, _child(seed, 1, 0),
-                            passes=config.z_iterations)
+    if traces is None:
+        traces = generate_trace(params, geometry, slots, _child(seed, 1, 0),
+                                passes=config.z_iterations)
     log.beacon_transmissions = len(log.events)
     log.retransmissions = sum(e.outcome == "lost" for e in log.events)
     log.overhead_bits = log.beacon_transmissions * config.beacon_bits
@@ -318,17 +323,30 @@ def _averaged_trace(traces: list[RssTrace], floor: float) -> tuple[RssTrace, lis
     return RssTrace(values=avg, eavesdropper=eavg), retained
 
 
+def cycle_traces(params: ChannelParams, geometry: PlatoonGeometry,
+                 slots: int, seed, passes: int = 1) -> list[RssTrace]:
+    """The traces that :func:`run_cycle` at ``seed`` commits in its CSKA
+    stage, drawn ahead of the cycle: :func:`generate_trace` at the seed's
+    node ``(0, 1, 0)``, ``passes`` being the cycle's Z."""
+    return generate_trace(params, geometry, slots, _child(seed, 0, 1, 0), passes)
+
+
 def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
               protocol: ProtocolConfig, quant: QuantizerConfig,
-              keygen: KeygenConfig, slots: int, seed) -> AgreementReport:
+              keygen: KeygenConfig, slots: int, seed, *,
+              traces: list[RssTrace] | None = None) -> AgreementReport:
     """One full dissemination cycle: CSKA, key extraction, EVCD, report.
 
     CSKA draws from the seed's node ``(0,)`` (the traces from ``(0, 1, 0)``)
     and a lossy EVCD from ``(1,)`` (``channel._child``).  No stage spawns
     from a ``SeedSequence`` seed, so the same object always gives the same
-    cycle.
+    cycle.  A caller that has drawn the cycle's traces already passes them
+    as ``traces``: :func:`cycle_traces` at the same seed, or the first
+    ``n_vehicles`` rows of a wider platoon's traces of equal
+    ``channel.trace_key``.  They give the cycle that its own draw gives.
     """
-    traces, log = run_cska(protocol, params, geometry, slots, _child(seed, 0))
+    traces, log = run_cska(protocol, params, geometry, slots, _child(seed, 0),
+                           traces=traces)
 
     floor = params.rss_decode_floor_db
     trace, retained = _averaged_trace(traces, floor)

@@ -3,9 +3,16 @@
 This module also holds what every command shares: :func:`point_cycle`,
 the seed rule of a cycle, and ``_write_csv``, the one CSV dialect.
 
-A sweep expands the scenario into points along its axis and runs every
-(point, seed) as an independent, pure work unit.  Pool worker w runs
-units w, w + workers, ..., so points of unequal cost spread evenly.
+A sweep expands the scenario into points along its axis.  Its work
+unit is one seed: a pure call that runs every point's cycle at that
+seed.  A cycle's random numbers come from its seed alone, so the points
+at one seed see the same draws wherever they read the same ones, and
+comparisons across points are paired (common random numbers).  Points
+whose platoons read the same numbers (equal ``channel.trace_key``) share
+one draw of the traces, made for the widest platoon: the points of an
+``n_intervals`` axis, and those of a ``z_iterations`` or ``n_vehicles``
+axis on a channel without per-pass noise, P3 placements aside.  Pool
+worker w runs seeds w, w + workers, ..., every point in equal shares.
 Results merge in (point, seed) order, so the deterministic outputs are
 byte-identical at every parallelism degree:
 
@@ -18,7 +25,9 @@ byte-identical at every parallelism degree:
 * ``corpus_point<k>.txt``  the leader's concatenated agreed keys.
 
 Wall-clock compute time is intentionally kept out of those files and
-written to the ``timings.csv`` sidecar instead.  Every deterministic CSV
+written to the ``timings.csv`` sidecar instead: a row's
+``compute_seconds`` is its own cycle's time, and a shared draw's is in
+the row of the point it was drawn for.  Every deterministic CSV
 starts with a ``#``-prefixed provenance block carrying the fully
 resolved scenario, its seeds included; a row's ``axis_value`` is its
 point's token there (``scenario.sweep_labels``; ``-`` without an axis).
@@ -40,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocol import CYCLE_FAILURES, AgreementReport, run_cycle
+from .channel import RssTrace, trace_key
+from .protocol import CYCLE_FAILURES, AgreementReport, cycle_traces, run_cycle
 from .randomness import bits_from_ascii, run_battery
 from .scenario import Scenario, serialize_scenario, sweep_labels
 
@@ -63,53 +73,74 @@ SUMMARY_METRICS = (
 SUMMARY_HEADER = ("point", "axis", "axis_value", "metric", "mean", "stddev", "n")
 
 
-def point_cycle(point: Scenario, seed: int) -> AgreementReport:
-    """The cycle of a single-point scenario at one seed."""
+def point_cycle(point: Scenario, seed: int, *, traces=None) -> AgreementReport:
+    """The cycle of a single-point scenario at one seed, on the cycle's
+    ``traces`` when they are drawn already (``protocol.run_cycle``)."""
     return run_cycle(point.channel, point.geometry, point.protocol,
-                     point.quantizer, point.keygen, point.slots, seed)
+                     point.quantizer, point.keygen, point.slots, seed, traces=traces)
 
 
-def _run_unit(args) -> dict:
-    """One (point, seed) cycle; pure given its arguments.
+def _run_unit(args) -> list[dict]:
+    """Every point's cycle at one seed, in point order; pure given its
+    arguments.
+
+    Points of equal ``channel.trace_key`` share one draw of the cycle's
+    traces, made for the widest platoon among them, and each runs its
+    cycle on the draw's first ``n_vehicles`` rows.  A row's ``compute_s``
+    is its own cycle's time, plus the draw's in the row of the point it
+    was drawn for.
 
     A cycle that fails for a modeled reason (beacon retries exhausted, no
     feasible quantizer fit) becomes a ``failure=1`` row whose ``error``
     names the exception; any other error propagates.  Exhausted
     dissemination retries leave a completed cycle with ``success=0``.
     """
-    point_idx, point, axis, axis_value, seed = args
-    t0 = time.perf_counter()
-    row: dict = {
-        "point": point_idx, "axis": axis, "axis_value": axis_value, "seed": seed,
-    }
-    try:
-        rep = point_cycle(point, seed)
-    except CYCLE_FAILURES as exc:
-        row.update({c: float("nan") for c in RUN_COLUMNS if c not in row})
-        row.update(success=0, failure=1, error=type(exc).__name__,
-                   key01="", compute_s=time.perf_counter() - t0)
-        return row
-    row.update(
-        bmmr_mean=rep.mean_bmmr,
-        bmmr_v2=rep.bmmr_per_vehicle[2],
-        bmmr_tail=rep.tail_bmmr,
-        eavesdropper_bmmr=rep.eavesdropper_bmmr,
-        success=int(rep.dissemination_success),
-        failure=0,
-        key_bits=rep.agreed_key_bits,
-        cska_latency_ms=rep.log.cska_latency_ms,
-        evcd_latency_ms=rep.log.evcd_latency_ms,
-        beacon_transmissions=rep.log.beacon_transmissions,
-        retransmissions=rep.log.retransmissions,
-        overhead_bits=rep.log.overhead_bits,
-        error="",
-        key01=rep.leader_key.to01(),
-        compute_s=time.perf_counter() - t0,
-    )
-    return row
+    points, axis, labels, seed = args
+    keys = [trace_key(p.channel, p.geometry, p.slots, p.protocol.z_iterations)
+            for p in points]
+    widest: dict[tuple, int] = {}  # trace key -> the point its draw is for
+    for pi in sorted(range(len(points)), key=lambda i: -points[i].geometry.n_vehicles):
+        widest.setdefault(keys[pi], pi)
+    drawn, draw_s = {}, {}
+    for key, pi in widest.items():
+        t0, w = time.perf_counter(), points[pi]
+        drawn[key] = cycle_traces(w.channel, w.geometry, w.slots, seed,
+                                  w.protocol.z_iterations)
+        draw_s[pi] = time.perf_counter() - t0
+
+    rows = []
+    for pi, (point, key) in enumerate(zip(points, keys)):
+        t0, n = time.perf_counter(), point.geometry.n_vehicles
+        row: dict = {"point": pi, "axis": axis, "axis_value": labels[pi], "seed": seed}
+        try:
+            rep = point_cycle(point, seed, traces=[RssTrace(t.values[:n], t.eavesdropper)
+                                                   for t in drawn[key]])
+        except CYCLE_FAILURES as exc:
+            row.update({c: float("nan") for c in RUN_COLUMNS if c not in row})
+            row.update(success=0, failure=1, error=type(exc).__name__, key01="")
+        else:
+            row.update(
+                bmmr_mean=rep.mean_bmmr,
+                bmmr_v2=rep.bmmr_per_vehicle[2],
+                bmmr_tail=rep.tail_bmmr,
+                eavesdropper_bmmr=rep.eavesdropper_bmmr,
+                success=int(rep.dissemination_success),
+                failure=0,
+                key_bits=rep.agreed_key_bits,
+                cska_latency_ms=rep.log.cska_latency_ms,
+                evcd_latency_ms=rep.log.evcd_latency_ms,
+                beacon_transmissions=rep.log.beacon_transmissions,
+                retransmissions=rep.log.retransmissions,
+                overhead_bits=rep.log.overhead_bits,
+                error="",
+                key01=rep.leader_key.to01(),
+            )
+        row["compute_s"] = time.perf_counter() - t0 + draw_s.get(pi, 0.0)
+        rows.append(row)
+    return rows
 
 
-def _run_units(units) -> list[dict]:
+def _run_units(units) -> list[list[dict]]:
     """The rows of ``units``, in order; one pool task."""
     return [_run_unit(u) for u in units]
 
@@ -138,27 +169,26 @@ def run_sweep(scenario: Scenario, out_dir, parallelism: int = 1) -> SweepReport:
     out.mkdir(parents=True, exist_ok=True)
 
     points = scenario.points()
-    work = [(pi, point, scenario.sweep_axis, label, seed) for pi, (point, label)
-            in enumerate(zip(points, sweep_labels(scenario))) for seed in scenario.seeds]
+    labels = sweep_labels(scenario)
+    work = [(points, scenario.sweep_axis, labels, seed) for seed in scenario.seeds]
 
     workers = min(parallelism, len(work))  # a pool starts all its workers up front
     if workers > 1:
         if any(p.channel.shadowing_autocorr for p in points):
             # channel._ar1 needs scipy.signal (~1 s to import): forked workers inherit it
             import scipy.signal  # noqa: F401
-        # worker w runs units w, w + workers, ...: every point in equal shares
+        # worker w runs seeds w, w + workers, ...: every point in equal shares
         shares = [work[w::workers] for w in range(workers)]
-        rows = [None] * len(work)
+        unit_rows = [None] * len(work)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for w, part in enumerate(pool.map(_run_units, shares, chunksize=1)):
-                rows[w::workers] = part
+                unit_rows[w::workers] = part
     else:
-        rows = _run_units(work)
-    # merge order is the (point, seed) submission order, so output
-    # content does not depend on the parallelism degree
-    point_rows: list[list[dict]] = [[] for _ in points]
-    for r in rows:
-        point_rows[r["point"]].append(r)
+        unit_rows = _run_units(work)
+    # merge order is (point, seed), so output content does not depend on
+    # the parallelism degree
+    point_rows = [[u[pi] for u in unit_rows] for pi in range(len(points))]
+    rows = [r for prows in point_rows for r in prows]
 
     provenance = ["# resolved scenario:"] + [
         f"# {line}" for line in serialize_scenario(scenario).strip().splitlines()]

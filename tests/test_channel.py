@@ -14,6 +14,7 @@ from platoonkey.channel import (
     _estimate_rows,
     generate_trace,
     rss_of_link,
+    trace_key,
 )
 
 from _oracles import (copying_estimate_rows, copying_trace, distance_from_rss,
@@ -303,6 +304,41 @@ class TestGenerateTrace:
                             h.update(t.values.tobytes())
                             h.update(t.eavesdropper.tobytes())
         assert h.hexdigest() == self.TRACE_DIGEST
+
+
+class TestTraceKey:
+    """Platoons of equal trace_key read the same numbers at a seed."""
+
+    @pytest.mark.parametrize("common", [0.0, 0.9])
+    @pytest.mark.parametrize("autocorr", [0.0, 0.6])
+    @pytest.mark.parametrize("noise", [{}, {"measurement_noise_db": 0.05},
+                                       {"reciprocity_sigma_db": 0.3}],
+                             ids=["noiseless", "measurement", "reciprocity"])
+    def test_equal_keys_give_the_first_rows(self, noise, autocorr, common):
+        p = ChannelParams(shadowing_common_fraction=common,
+                          shadowing_autocorr=autocorr, **noise)
+        for position in ("P1", "P2", "P3"):
+            draws = {}  # (n_vehicles, passes) -> (key, traces)
+            for n in (3, 4, 7):
+                if position == "P2" and n < 4:
+                    continue
+                g = PlatoonGeometry(n_vehicles=n, pair_distance_m=2.0,
+                                    eavesdropper_position=position)
+                for passes in (1, 3):
+                    draws[n, passes] = (trace_key(p, g, 40, passes),
+                                        generate_trace(p, g, 40, 11, passes))
+            shared = 0
+            for (n, _), (key, narrow) in draws.items():
+                for (m, _), (other, wide) in draws.items():
+                    if m <= n or key != other:
+                        continue
+                    shared += 1
+                    assert len(narrow) == len(wide)
+                    for a, b in zip(narrow, wide):
+                        assert a.values.tobytes() == b.values[:n].tobytes()
+                        assert a.eavesdropper.tobytes() == b.eavesdropper.tobytes()
+            # every noiseless platoon shares its draw, except behind P3
+            assert bool(shared) == (not noise and position != "P3")
 
 
 class TestChild:

@@ -12,6 +12,7 @@ from platoonkey.protocol import (
     DisseminationFailure,
     ProtocolConfig,
     _averaged_trace,
+    cycle_traces,
     run_cska,
     run_cycle,
     run_evcd,
@@ -407,6 +408,23 @@ class TestSeeding:
         assert rep.bmmr_per_vehicle == again[2].bmmr_per_vehicle
         assert rep.log == again[2].log
         assert ss.n_children_spawned == 0
+
+    @pytest.mark.parametrize("seed", [5, np.random.SeedSequence([21, 3])], ids=["int", "ss"])
+    def test_a_cycle_on_its_drawn_traces_is_the_cycle(self, seed):
+        drawn = cycle_traces(self.NOISY, GEOM4, 30, seed, passes=2)
+        own, _ = run_cska(self.LOSSY, self.NOISY, GEOM4, 30, protocol._child(seed, 0))
+        assert [(t.values.tobytes(), t.eavesdropper.tobytes()) for t in drawn] == \
+            [(t.values.tobytes(), t.eavesdropper.tobytes()) for t in own]
+        given, _ = run_cska(self.LOSSY, self.NOISY, GEOM4, 30, 0, traces=drawn)
+        assert given is drawn
+        quant = QuantizerConfig(2, 16)
+        rep = run_cycle(self.NOISY, GEOM4, self.LOSSY, quant, KeygenConfig(), 30, seed,
+                        traces=drawn)
+        again = run_cycle(self.NOISY, GEOM4, self.LOSSY, quant, KeygenConfig(), 30, seed)
+        assert rep.leader_key == again.leader_key
+        assert rep.bmmr_per_vehicle == again.bmmr_per_vehicle
+        assert rep.eavesdropper_bmmr == again.eavesdropper_bmmr
+        assert rep.log == again.log
 
     @pytest.mark.parametrize("loss, generators", [(0.0, 2), (0.1, 4)])
     def test_a_cycle_builds_a_generator_per_stream_it_reads(self, monkeypatch,

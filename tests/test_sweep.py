@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from platoonkey import sweep
+from platoonkey import protocol, sweep
 from platoonkey.channel import ChannelParams, PlatoonGeometry
 from platoonkey.protocol import CycleAbort, ProtocolConfig, run_cycle
 from platoonkey.quantizer import InfeasiblePartition
@@ -32,9 +32,20 @@ def autocorr_scenario():
                     sweep_axis="shadowing_autocorr", sweep_values=(0.9, 0.0))
 
 
+def shared_draw_scenarios():
+    # sweeps whose two points share each seed's draw of the traces
+    p2 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0, eavesdropper_position="P2")
+    return [Scenario(geometry=p2, slots=200, seeds=tuple(range(6)),
+                     sweep_axis="n_vehicles", sweep_values=(6, 4)),
+            Scenario(slots=200, seeds=tuple(range(6)),
+                     sweep_axis="n_intervals", sweep_values=(2, 4))]
+
+
 def test_outputs_identical_at_parallelism_one_and_two(tmp_path):
-    for scenario, n_rows in [(lossy_scenario(), 16), (autocorr_scenario(), 12)]:
-        out = tmp_path / scenario.sweep_axis
+    cases = [(lossy_scenario(), 16), (autocorr_scenario(), 12),
+             *((s, 12) for s in shared_draw_scenarios())]
+    for i, (scenario, n_rows) in enumerate(cases):
+        out = tmp_path / f"{i}-{scenario.sweep_axis}"
         serial = sweep.run_sweep(scenario, out / "p1", parallelism=1)
         sweep.run_sweep(scenario, out / "p2", parallelism=2)
         assert len(serial.rows) == n_rows
@@ -43,6 +54,7 @@ def test_outputs_identical_at_parallelism_one_and_two(tmp_path):
                 (out / "p2" / name).read_bytes(), name
 
 
+# a unit is a seed: two points at three seeds make three units
 @pytest.mark.parametrize("seeds, pool_workers", [((0, 1, 2), [3]), ((0,), [])])
 def test_pool_gets_no_more_workers_than_units(tmp_path, monkeypatch, seeds, pool_workers):
     asked = []
@@ -61,9 +73,10 @@ def test_pool_gets_no_more_workers_than_units(tmp_path, monkeypatch, seeds, pool
             return map(fn, items)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
-    report = sweep.run_sweep(Scenario(slots=50, seeds=seeds), tmp_path, parallelism=4)
+    report = sweep.run_sweep(Scenario(slots=50, seeds=seeds, sweep_axis="n_vehicles",
+                                      sweep_values=(4, 5)), tmp_path, parallelism=4)
     assert asked == pool_workers
-    assert len(report.rows) == len(seeds)
+    assert len(report.rows) == 2 * len(seeds)
 
 
 def eavesdropper_scenario():
@@ -107,20 +120,20 @@ def test_pool_gets_one_strided_share_per_worker(tmp_path, monkeypatch):
     scenario = Scenario(slots=50, seeds=tuple(range(5)),
                         sweep_axis="n_vehicles", sweep_values=(4, 5))
     report = sweep.run_sweep(scenario, tmp_path, parallelism=4)
-    units = [(pi, seed) for pi in range(2) for seed in range(5)]
+    seeds = list(range(5))
     assert len(tasks) == 4
-    assert [[(u[0], u[4]) for u in share] for share in tasks] == \
-        [units[w::4] for w in range(4)]
-    assert [(r["point"], r["seed"]) for r in report.rows] == units
+    assert [[u[3] for u in share] for share in tasks] == [seeds[w::4] for w in range(4)]
+    assert [(r["point"], r["seed"]) for r in report.rows] == \
+        [(pi, seed) for pi in range(2) for seed in seeds]
 
 
 def test_worker_error_propagates_and_leaves_no_process(tmp_path, monkeypatch):
     real = sweep.run_cycle
 
-    def flaky(*args):
+    def flaky(*args, traces):
         if args[-1] == 3:
             raise RuntimeError("bug at seed 3")
-        return real(*args)
+        return real(*args, traces=traces)
 
     # forked pool workers inherit the patched module attribute
     monkeypatch.setattr(sweep, "run_cycle", flaky)
@@ -129,38 +142,83 @@ def test_worker_error_propagates_and_leaves_no_process(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def unit_args():
-    point = lossy_scenario().points()[0]
-    return (0, point, "n_vehicles", "4", 0)
+def unit_args(points=None):
+    """The unit of seed 0: both points of the lossy sweep."""
+    return (points or lossy_scenario().points(), "n_vehicles", ["4", "6"], 0)
 
 
 @pytest.mark.parametrize("exc", [CycleAbort, InfeasiblePartition])
 def test_domain_failure_becomes_attributed_row(monkeypatch, exc):
-    def fail(*args):
+    def fail(*args, traces):
         raise exc("modeled failure")
     monkeypatch.setattr(sweep, "run_cycle", fail)
-    row = sweep._run_unit(unit_args())
-    assert (row["success"], row["failure"]) == (0, 1)
-    assert row["error"] == exc.__name__
-    assert np.isnan(row["bmmr_mean"]) and row["key01"] == ""
+    rows = sweep._run_unit(unit_args())
+    assert [(r["point"], r["axis_value"], r["seed"]) for r in rows] == [(0, "4", 0), (1, "6", 0)]
+    for row in rows:
+        assert (row["success"], row["failure"]) == (0, 1)
+        assert row["error"] == exc.__name__
+        assert np.isnan(row["bmmr_mean"]) and row["key01"] == ""
 
 
 def test_exhausted_dissemination_is_a_completed_cycle_row():
     # run_cycle records EVCD's DisseminationFailure as success = False, so
     # the unit is a cycle with a key and no attributed failure
-    point = replace(unit_args()[1], protocol=ProtocolConfig(data_loss_prob=1.0))
-    row = sweep._run_unit((0, point, "n_vehicles", "4", 0))
-    assert (row["success"], row["failure"], row["error"]) == (0, 0, "")
-    assert row["key01"] != ""
+    points = [replace(p, protocol=ProtocolConfig(data_loss_prob=1.0))
+              for p in lossy_scenario().points()]
+    for row in sweep._run_unit(unit_args(points)):
+        assert (row["success"], row["failure"], row["error"]) == (0, 0, "")
+        assert row["key01"] != ""
 
 
 @pytest.mark.parametrize("exc", [ValueError, IndexError])
 def test_programming_errors_propagate(monkeypatch, exc):
-    def broken(*args):
+    def broken(*args, traces):
         raise exc("bug")
     monkeypatch.setattr(sweep, "run_cycle", broken)
     with pytest.raises(exc):
         sweep._run_unit(unit_args())
+
+
+def n_vehicles_sweep(**channel):
+    return Scenario(channel=ChannelParams(**channel), slots=60, seeds=(0, 1, 2),
+                    sweep_axis="n_vehicles", sweep_values=(4, 6))
+
+
+P2 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0, eavesdropper_position="P2")
+P3 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0, eavesdropper_position="P3")
+
+
+@pytest.mark.parametrize("scenario, draws_per_seed", [
+    (replace(n_vehicles_sweep(), geometry=P2), 1),
+    (Scenario(slots=60, seeds=(0, 1, 2), sweep_axis="n_intervals",
+              sweep_values=(2, 4)), 1),
+    (n_vehicles_sweep(measurement_noise_db=0.05), 2),
+    (n_vehicles_sweep(reciprocity_sigma_db=0.3), 2),
+    (replace(n_vehicles_sweep(), geometry=P3), 2),
+    (Scenario(slots=60, seeds=(0, 1, 2), sweep_axis="eavesdropper",
+              sweep_values=(("P1", 3.0), ("P2", 3.0))), 2),
+], ids=["P2-n_vehicles", "n_intervals", "noisy-n_vehicles", "reciprocity-n_vehicles",
+        "P3-n_vehicles", "eavesdropper"])
+def test_points_of_one_trace_key_share_each_seeds_draw(tmp_path, monkeypatch,
+                                                       scenario, draws_per_seed):
+    calls = []
+    real = protocol.generate_trace
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].n_vehicles)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "generate_trace", spy)
+    report = sweep.run_sweep(scenario, tmp_path)
+    assert len(calls) == draws_per_seed * len(scenario.seeds)
+    if draws_per_seed == 1:  # drawn for the widest platoon
+        assert set(calls) == {max(p.geometry.n_vehicles for p in scenario.points())}
+    # each row is the cycle its point draws on its own
+    for row in report.rows:
+        rep = sweep.point_cycle(scenario.points()[row["point"]], row["seed"])
+        assert row["key01"] == rep.leader_key.to01()
+        assert row["bmmr_mean"] == rep.mean_bmmr
+        assert row["eavesdropper_bmmr"] == rep.eavesdropper_bmmr
 
 
 def data_rows(path):
