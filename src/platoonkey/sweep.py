@@ -73,7 +73,8 @@ SUMMARY_METRICS = (
 SUMMARY_HEADER = ("point", "axis", "axis_value", "metric", "mean", "stddev", "n")
 
 
-def point_cycle(point: Scenario, seed: int, *, traces=None) -> AgreementReport:
+def point_cycle(point: Scenario, seed: int, *,
+                traces: list[RssTrace] | None = None) -> AgreementReport:
     """The cycle of a single-point scenario at one seed, on the cycle's
     ``traces`` when they are drawn already (``protocol.run_cycle``)."""
     return run_cycle(point.channel, point.geometry, point.protocol,

@@ -32,10 +32,13 @@ def autocorr_scenario():
                     sweep_axis="shadowing_autocorr", sweep_values=(0.9, 0.0))
 
 
+P2 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0, eavesdropper_position="P2")
+P3 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0, eavesdropper_position="P3")
+
+
 def shared_draw_scenarios():
     # sweeps whose two points share each seed's draw of the traces
-    p2 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0, eavesdropper_position="P2")
-    return [Scenario(geometry=p2, slots=200, seeds=tuple(range(6)),
+    return [Scenario(geometry=P2, slots=200, seeds=tuple(range(6)),
                      sweep_axis="n_vehicles", sweep_values=(6, 4)),
             Scenario(slots=200, seeds=tuple(range(6)),
                      sweep_axis="n_intervals", sweep_values=(2, 4))]
@@ -182,10 +185,6 @@ def test_programming_errors_propagate(monkeypatch, exc):
 def n_vehicles_sweep(**channel):
     return Scenario(channel=ChannelParams(**channel), slots=60, seeds=(0, 1, 2),
                     sweep_axis="n_vehicles", sweep_values=(4, 6))
-
-
-P2 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0, eavesdropper_position="P2")
-P3 = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0, eavesdropper_position="P3")
 
 
 @pytest.mark.parametrize("scenario, draws_per_seed", [
