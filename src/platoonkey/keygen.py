@@ -4,14 +4,15 @@ Each retained slot contributes the Q-bit reflected-binary Gray codeword
 of its bin (the direct map of Jana et al., MobiCom 2009, and Patwari et
 al., IEEE TMC 2010), so neighboring bins differ in a single key bit and
 a one-bin quantization disagreement costs at most one bit of the slot's
-codeword.  :func:`codeword_table` lays the map out as one table, built
-once per cycle, and :func:`extract_key` gathers that table's rows at the
-slots' bin indices.
+codeword.  :func:`codeword_table` lays the map out as one read-only
+table, built once per ``(Q, L)``, and :func:`extract_key` gathers that
+table's rows at every row's bin indices in one take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -73,6 +74,7 @@ class SecretKey:
         return np.packbits(self.bits).tobytes().hex()
 
 
+@cache
 def codeword_table(codeword_bits: int, n_bins: int) -> np.ndarray:
     """The read-only ``(n_bins, Q)`` uint8 table of the direct Gray map.
 
@@ -89,17 +91,17 @@ def codeword_table(codeword_bits: int, n_bins: int) -> np.ndarray:
     index = np.arange(L)
     gray = index ^ (index >> 1)
     table = ((gray[:, None] >> np.arange(q - 1, -1, -1)) & 1).astype(np.uint8)
-    table.flags.writeable = False
-    return table
+    # shared by every caller, so over immutable bytes: no flag makes it writeable
+    return np.frombuffer(table.tobytes(), dtype=np.uint8).reshape(L, q)
 
 
-def extract_key(bin_indices, table: np.ndarray) -> SecretKey:
-    """The key holding the :func:`codeword_table` rows of a sequence of
-    1-based bin indices, concatenated in sequence order."""
-    idx = np.asarray(bin_indices, dtype=np.int64)
-    if idx.size and (idx.min() < 1 or idx.max() > len(table)):
-        raise ValueError("bin indices must lie in [1, n_bins]")
-    return SecretKey(np.take(table, idx - 1, axis=0))
+def extract_key(bin_rows, table: np.ndarray) -> list[SecretKey]:
+    """One key per row of a ``(rows, slots)`` block of 1-based bin indices:
+    the :func:`codeword_table` rows of its bins, concatenated in slot order."""
+    idx = np.asarray(bin_rows, dtype=np.intp)
+    if idx.ndim != 2 or idx.size and (idx.min() < 1 or idx.max() > len(table)):
+        raise ValueError("bin indices must be a (rows, slots) block in [1, n_bins]")
+    return [SecretKey(row) for row in table.take(idx - 1, axis=0)]
 
 
 def bmmr(key_a: SecretKey, key_b: SecretKey) -> float:

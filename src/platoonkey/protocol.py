@@ -356,17 +356,12 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
                                       quant.grid_size, floor=floor)
     qt = quantize_trace(trace, intervals)
     table = codeword_table(keygen.resolve_bits(quant.n_intervals), quant.n_intervals)
-    agreed_keys = {i: extract_key(qt.bins[i - 1], table)
-                   for i in range(1, geometry.n_vehicles + 1)}
-    agreed_ekey = extract_key(qt.eavesdropper_bins, table)
-
-    leader = agreed_keys[1]
-    bmmrs = {i: bmmr(leader, agreed_keys[i])
-             for i in range(2, geometry.n_vehicles + 1)}
-    eaves_bmmr = bmmr(leader, agreed_ekey)
+    *keys, eavesdropper_key = extract_key(qt.rows, table)
+    leader = keys[0]
+    bmmrs = {i: bmmr(leader, key) for i, key in enumerate(keys[1:], 2)}
 
     try:
-        run_evcd(protocol, agreed_keys,
+        run_evcd(protocol, dict(enumerate(keys, 1)),
                  _child(seed, 1) if protocol.data_loss_prob > 0 else None, log)
         success = not log.decode_failure_hops
     except DisseminationFailure:
@@ -375,7 +370,7 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
     return AgreementReport(
         n_vehicles=geometry.n_vehicles,
         bmmr_per_vehicle=bmmrs,
-        eavesdropper_bmmr=eaves_bmmr,
+        eavesdropper_bmmr=bmmr(leader, eavesdropper_key),
         dissemination_success=success,
         agreed_key_bits=len(leader),
         retained_per_iteration=retained,

@@ -7,8 +7,9 @@ a-priori decode floor.  Candidate boundaries live on a uniform grid:
 grid points above the floor, and the top boundary is one grid step above
 the largest chain sample.  A sample's rank on the grid is not searched for:
 its guess from the grid step is corrected until the candidates bracket it.
-Vehicle 2 and the eavesdropper, outside the chain, clamp: at or above the
-top to bin L, below the floor to bin 1.
+Nor is a bin: it is 1 plus the count of interior boundaries ``<=`` the
+sample.  Vehicle 2 and the eavesdropper, outside the chain, clamp below
+the floor to bin 1 and at or above the top to bin L; NaN takes bin 1.
 
 The fit minimizes the chained cross-vehicle mismatch count (adjacent
 rows of the comparison chain XOR-ed per interval, summed over slots and
@@ -92,16 +93,15 @@ class IntervalSet:
 
 
 def bin_indices(xs, intervals: IntervalSet) -> np.ndarray:
-    """1-based index of the interval ``[b_{l-1}, b_l)`` holding each sample.
-
-    A sample below the floor takes bin 1, one at or above the top bin L,
-    and NaN bin 1.
-    """
+    """1-based index of the interval ``[b_{l-1}, b_l)`` holding each sample:
+    1 plus the count of interior boundaries ``b_1 .. b_{L-1}`` at or below
+    it, an intp array of the shape of ``xs``.  So below the floor is bin 1,
+    at or above the top bin L, and NaN, which compares False, bin 1."""
     xs = np.asarray(xs, dtype=float)
-    # below b_1 is bin 1 and at or above b_{L-1} bin L: no floor or top search
-    idx = np.searchsorted(np.asarray(intervals.boundaries[1:-1]), xs, side="right")
-    # NaN sorts above every boundary, so without this it would take bin L
-    return np.where(np.isnan(xs), 1, idx + 1)
+    bins = np.ones(xs.shape, dtype=np.intp)
+    for b in intervals.boundaries[1:-1]:
+        bins += xs >= b
+    return bins
 
 
 def _grid_ranks(samples: np.ndarray, floor: float, grid_size: int
@@ -278,17 +278,18 @@ def optimize_intervals(trace: RssTrace, n_intervals: int, grid_size: int,
     keep = retained_slots(trace, floor)
     if len(keep) == 0:
         raise InfeasiblePartition("no retained slots above the decode floor")
-    # the leader-pair measurement once, then each estimating vehicle
-    chain = trace.values[np.ix_([0, *range(2, trace.n_vehicles)], keep)]
-    return optimize_boundaries(chain, floor, n_intervals, grid_size)
+    chain = trace.values.take(keep, axis=1)
+    chain[1] = chain[0]  # chain[1:]: the leader pair's row once, then vehicles 3..N
+    return optimize_boundaries(chain[1:], floor, n_intervals, grid_size)
 
 
 @dataclass
 class QuantizedTrace:
-    """Synchronously retained slots and their per-vehicle bin indices."""
+    """Bins on the retained slots: a row per vehicle, then the eavesdropper's."""
 
-    bins: np.ndarray                  # (n_vehicles, retained) 1-based
-    eavesdropper_bins: np.ndarray     # (retained,) clamped best effort
+    rows: np.ndarray                                   # (n_vehicles + 1, retained)
+    bins = property(lambda self: self.rows[:-1])       # (n_vehicles, retained)
+    eavesdropper_bins = property(lambda self: self.rows[-1])  # (retained,)
 
 
 def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> QuantizedTrace:
@@ -301,6 +302,8 @@ def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> QuantizedTrace:
     best it can do while emitting a key of the agreed length.
     """
     keep = retained_slots(trace, intervals.boundaries[0])
-    bins = bin_indices(trace.values[:, keep], intervals)
-    ebins = bin_indices(trace.eavesdropper[keep], intervals)
-    return QuantizedTrace(bins=bins, eavesdropper_bins=ebins)
+    block = np.empty((trace.n_vehicles + 1, len(keep)))
+    # keep is in range; "clip", unlike "raise", takes straight into `out`
+    trace.values.take(keep, axis=1, out=block[:-1], mode="clip")
+    trace.eavesdropper.take(keep, out=block[-1], mode="clip")
+    return QuantizedTrace(rows=bin_indices(block, intervals))

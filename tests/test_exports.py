@@ -20,16 +20,34 @@ def test_every_name_in_all_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_every_public_name_a_sibling_imports_is_in_its_all():
+def unexported(name, source):
+    """The sibling imports of module ``name``'s ``source`` that resolve to
+    no public name: a public name left out of the sibling's ``__all__``,
+    or, in ``from . import m``, a module m that is not a sibling."""
     missing = []
-    for name in MODULES:
-        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                exported = importlib.import_module(f"platoonkey.{node.module}").__all__
-                missing += [f"{name}: {node.module}.{alias.name}" for alias in node.names
-                            if not alias.name.startswith("_") and alias.name not in exported]
-    assert missing == []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        if node.module is None:  # from . import m: each alias names a module
+            missing += [f"{name}: .{alias.name}" for alias in node.names
+                        if alias.name not in MODULES]
+            continue
+        exported = importlib.import_module(f"platoonkey.{node.module}").__all__
+        missing += [f"{name}: {node.module}.{alias.name}" for alias in node.names
+                    if not alias.name.startswith("_") and alias.name not in exported]
+    return missing
+
+
+def test_every_public_name_a_sibling_imports_is_in_its_all():
+    assert [m for name in MODULES
+            for m in unexported(name, (PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+            ] == []
+
+
+def test_a_sibling_module_import_is_checked_as_a_module_name():
+    source = ("from . import protocol, nosuch\n"
+              "from .keygen import bmmr, _child, unlisted\n")
+    assert unexported("demo", source) == ["demo: .nosuch", "demo: keygen.unlisted"]
 
 
 def test_package_binds_no_library_name():

@@ -1,12 +1,16 @@
-"""Golden outputs: the bytes ``platoonkey run`` writes for three documents,
-and those ``platoonkey sweep`` writes for the benchmark's sweep.
+"""Golden outputs: the bytes ``platoonkey run`` and ``platoonkey sweep``
+write for a handful of documents, among them the benchmark's sweep and two
+that drive the quantizer to its edges.
 
 ``tests/data/golden.sha256`` holds one ``<sha256>  <document>/<file>``
 line per pinned file, as ``sha256sum`` writes them, so a declared model
 change updates that one file.
 """
 
+import contextlib
 import hashlib
+import io
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,12 @@ import pytest
 from platoonkey.cli import EXIT_OK, EXIT_RUNTIME, main
 
 PINS = Path(__file__).parent / "data" / "golden.sha256"
+
+# RSS near 1e15 dB: the grid points coincide in float, so each seed's fit
+# is infeasible, and the run and the sweep go on past it
+COLLAPSE = ("n_vehicles = 3\nslots = 50\nn_intervals = 8\ngrid_size = 512\n"
+            "seeds = 0..2\nshadowing_sigma_db = 0.0001\nchannel_constant_db = -1e15\n"
+            "rss_decode_floor_db = 999999999999990.0\n")
 
 # document name -> (scenario text, command line after the document, exit code)
 DOCUMENTS = {
@@ -35,6 +45,12 @@ DOCUMENTS = {
                   "beacon_loss_prob = 0.2\ndata_loss_prob = 0.2\nseeds = 0..49\n"
                   "sweep_axis = n_vehicles\nsweep_values = 4,8\n",
                   ["sweep", "--seed-base", "400"], EXIT_OK),
+    # vehicle 2 reads above the fitted top in some slots: they stay in the
+    # key, in bin L for vehicle 2, so every cycle runs
+    "noisy": ("slots = 5\nreciprocity_sigma_db = 20\nseeds = 0..19\n",
+              ["sweep", "--parallelism", "2"], EXIT_OK),
+    "collapse": (COLLAPSE, ["run"], EXIT_RUNTIME),
+    "collapse_sweep": (COLLAPSE, ["sweep", "--parallelism", "2"], EXIT_OK),
 }
 
 
@@ -51,13 +67,41 @@ def pins() -> dict[str, dict[str, str]]:
 PINNED = pins()
 
 
+@pytest.fixture(scope="module")
+def ran(tmp_path_factory):
+    """document -> (output directory, standard output), each document run
+    once per module; the call must end with the document's exit code."""
+    root, done = tmp_path_factory.mktemp("golden"), {}
+
+    def run(document):
+        if document not in done:
+            text, (command, *options), rc = DOCUMENTS[document]
+            path, out = root / f"{document}.scn", root / document
+            path.write_text(text, encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert main([command, str(path), "--out-dir", str(out), *options]) == rc
+            done[document] = out, stdout.getvalue()
+        return done[document]
+    return run
+
+
 # a pinned document missing from DOCUMENTS fails with a KeyError
 @pytest.mark.parametrize("document, expected", PINNED.items(), ids=PINNED)
-def test_run_writes_the_pinned_bytes(tmp_path, capsys, document, expected):
-    text, (command, *options), rc = DOCUMENTS[document]
-    path, out = tmp_path / f"{document}.scn", tmp_path / document
-    path.write_text(text, encoding="utf-8")
-    assert main([command, str(path), "--out-dir", str(out), *options]) == rc
-    capsys.readouterr()
+def test_run_writes_the_pinned_bytes(ran, document, expected):
+    out, _ = ran(document)
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in expected} == expected
+
+
+@pytest.mark.parametrize("document, cycles", [("noisy", 20), ("collapse_sweep", 3)])
+def test_a_sweep_writes_a_row_per_cycle(ran, document, cycles):
+    out, _ = ran(document)
+    lines = (out / "runs.csv").read_text(encoding="ascii").splitlines()
+    assert len([line for line in lines if not line.startswith("#")]) == 1 + cycles
+
+
+def test_an_infeasible_fit_fails_its_seed_alone(ran):
+    out, stdout = ran("collapse")
+    assert len(re.findall(r"^[0-2] *failed: InfeasiblePartition:", stdout, re.M)) == 3
+    assert (out / "keys.txt").is_file()
+    assert (out / "keys.txt").stat().st_size == 0

@@ -24,6 +24,12 @@ def words(table):
     return ["".join(map(str, row)) for row in table.tolist()]
 
 
+def key_of(bins, table):
+    """The key of one sequence of bins: the one row of a one-row block."""
+    (key,) = extract_key([bins], table)
+    return key
+
+
 class TestGrayCodeword:
     def test_origin(self):
         assert codeword_table(3, 8)[0].tolist() == [0, 0, 0]
@@ -64,19 +70,37 @@ class TestCodebook:
         with pytest.raises(ValueError):
             table[0, 0] = 1
 
+    @pytest.mark.parametrize("q,L", [(1, 2), (3, 5), (3, 8)])
+    def test_equal_arguments_share_one_read_only_table(self, q, L):
+        table = codeword_table(q, L)
+        assert codeword_table(q, L) is table
+        assert words(table) == gray_list(q)[:L]
+        with pytest.raises(ValueError):
+            table[L - 1, 0] ^= 1
+        with pytest.raises(ValueError):
+            table.flags.writeable = True
+        assert words(codeword_table(q, L)) == gray_list(q)[:L]
+
+    def test_too_small_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(CodebookTooSmall):
+                codeword_table(2, 5)
+            with pytest.raises(ValueError):
+                codeword_table(0, 1)
+
 
 class TestExtractKey:
     def test_constant_input(self):
-        key = extract_key([1, 1, 1, 1], codeword_table(3, 5))
+        key = key_of([1, 1, 1, 1], codeword_table(3, 5))
         assert key.to01() == "000" * 4
 
     def test_deterministic(self):
         table = codeword_table(3, 5)
         seq = [2, 4, 1, 5, 3]
-        assert extract_key(seq, table) == extract_key(list(seq), table)
+        assert key_of(np.array(seq), table) == key_of(list(seq), table)
 
     def test_direct_map_matches_per_slot_recomputation(self):
-        key = extract_key([1, 2, 3, 4, 5], codeword_table(3, 5))
+        key = key_of([1, 2, 3, 4, 5], codeword_table(3, 5))
         expected = "".join(gray_list(3)[l - 1] for l in [1, 2, 3, 4, 5])
         assert key.to01() == expected == "000001011010110"
 
@@ -87,9 +111,34 @@ class TestExtractKey:
     def test_bad_bin_rejected(self):
         table = codeword_table(3, 5)
         with pytest.raises(ValueError):
-            extract_key([0, 1], table)
+            key_of([0, 1], table)
         with pytest.raises(ValueError):
-            extract_key([6], table)
+            key_of([6], table)
+        # one bad bin in any row rejects the block
+        with pytest.raises(ValueError):
+            extract_key([[1, 2], [5, 6]], table)
+
+    @pytest.mark.parametrize("bins", [[1, 2], 3, [[[1]]]])
+    def test_a_block_other_than_rows_by_slots_is_rejected(self, bins):
+        with pytest.raises(ValueError, match="block"):
+            extract_key(bins, codeword_table(3, 5))
+
+    @pytest.mark.parametrize("q,L", [(1, 2), (3, 5), (4, 11)])
+    def test_one_key_per_row_equal_to_its_own_row_key(self, q, L):
+        table = codeword_table(q, L)
+        block = np.random.default_rng([q, L, 1]).integers(1, L + 1, (5, 40))
+        keys = extract_key(block, table)
+        assert keys == [key_of(row, table) for row in block]
+        assert [k.bits.tolist() for k in keys] == \
+            [reference_key_bits(row, q) for row in block.tolist()]
+        assert extract_key(block[:0], table) == []
+        assert [len(k) for k in extract_key(block[:, :0], table)] == [0] * 5
+
+    def test_every_key_checks_its_bits(self):
+        # a table row other than 0/1 bits fails the key that gathers it
+        table = np.array([[0], [2]], dtype=np.uint8)
+        with pytest.raises(ValueError, match="0 or 1"):
+            extract_key([[1, 1], [1, 2]], table)
 
     def test_neighbor_bin_flip_costs_at_most_one_bit(self):
         table = codeword_table(3, 8)
@@ -105,8 +154,7 @@ class TestExtractKey:
                 other[pos] += 1
             else:
                 other[pos] -= 1
-            a = extract_key(seq, table)
-            b = extract_key(other, table)
+            a, b = extract_key([seq, other], table)
             assert bmmr(a, b) <= 1.0 / (slots * 3)
 
     @pytest.mark.parametrize("q,L", [(1, 2), (3, 5), (3, 8), (4, 11)])
@@ -115,7 +163,7 @@ class TestExtractKey:
         rng = np.random.default_rng([q, L])
         for bins in ([], [L], list(range(1, L + 1)),
                      rng.integers(1, L + 1, 50).tolist()):
-            key = extract_key(np.asarray(bins, dtype=np.int64), table)
+            key = key_of(np.asarray(bins, dtype=np.int64), table)
             assert key.bits.tolist() == reference_key_bits(bins, q)
             assert key.bits.dtype == np.uint8
 
@@ -189,7 +237,7 @@ class TestBmmr:
         rng = np.random.default_rng(17)
         slots = 40
         rows = [rng.integers(1, 3, slots) for _ in range(4)]
-        keys = [extract_key(r, codeword_table(1, 2)) for r in rows]
+        keys = extract_key(rows, codeword_table(1, 2))
         pair_sum = sum(bmmr(a, b) for a, b in zip(keys[:-1], keys[1:]))
         for l in (1, 2):
             assert chained_mismatch([r.tolist() for r in rows], l) == \

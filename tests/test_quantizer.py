@@ -82,6 +82,26 @@ class TestBinIndex:
         want = reference_bin_indices(xs, iset)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_a_block_equals_the_search_over_every_boundary(self, L):
+        # rows: the specials, each boundary, the float on either side of
+        # each, and draws from below the floor to above the top
+        rng = np.random.default_rng(L)
+        b = np.sort(rng.choice(np.arange(-40.0, 40.0, 0.5), L + 1, replace=False))
+        iset = IntervalSet(boundaries=tuple(b.tolist()))
+        width = L + 1
+        special = [np.nan, -np.inf, np.inf, b[0] - 1.0, b[-1], b[-1] + 1.0]
+        block = np.array([
+            np.resize(special, width), b,
+            np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+            rng.uniform(b[0] - 5.0, b[-1] + 5.0, width)])
+        got = bin_indices(block, iset)
+        want = np.array([reference_bin_indices(row, iset) for row in block])
+        assert got.shape == block.shape and got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+        assert got[1].tolist() == [*range(1, L + 1), L]  # b_l opens bin l + 1
+        assert bin_indices(block.T, iset).tolist() == want.T.tolist()
+
     def test_interval_set_validation(self):
         with pytest.raises(ValueError):
             IntervalSet(boundaries=(0.0, 0.0, 1.0))
@@ -252,6 +272,23 @@ class TestOptimizeIntervals:
         assert qt.eavesdropper_bins.max() <= 3
         assert len(qt.eavesdropper_bins) == len(retained_slots(t, p.rss_decode_floor_db))
 
+    @pytest.mark.parametrize("n, slots, L", [(4, 200, 2), (10, 1000, 8)])
+    def test_rows_equal_the_per_row_search_at_the_bench_shapes(self, n, slots, L):
+        # the benchmark's cycle_small and cycle_large shapes: the channel is
+        # noiseless, so a cycle fits its one trace
+        p = ChannelParams()
+        g = PlatoonGeometry(n_vehicles=n, pair_distance_m=2.0)
+        floor = p.rss_decode_floor_db
+        for seed in range(4):
+            (t,) = generate_trace(p, g, slots, seed)
+            iset, _ = optimize_intervals(t, L, 64, floor)
+            qt = quantize_trace(t, iset)
+            keep = retained_slots(t, floor)
+            assert qt.bins.tolist() == \
+                [reference_bin_indices(row, iset).tolist() for row in t.values[:, keep]]
+            assert qt.eavesdropper_bins.tolist() == \
+                reference_bin_indices(t.eavesdropper[keep], iset).tolist()
+
     @pytest.mark.parametrize("L", [2, 3])
     def test_vehicle_2_above_the_top_keeps_its_slot(self, L):
         # the chain is rows 0, 2, 3, so vehicle 2 (row 1) can read above
@@ -283,7 +320,7 @@ class TestOptimizeIntervals:
         for seed in range(20):
             (t,) = generate_trace(p, g, 300, seed)
             iset, _ = optimize_intervals(t, 2, grid_size, floor)
-            key = extract_key(quantize_trace(t, iset).bins[0], codeword_table(1, 2))
+            key, *_ = extract_key(quantize_trace(t, iset).bins, codeword_table(1, 2))
             keep = retained_slots(t, floor)
             # the fit's grid runs from the floor to the chain's largest
             # sample; the chain leaves out vehicle 2
