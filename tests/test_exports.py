@@ -39,9 +39,9 @@ def unexported(name, source):
 
 
 def test_every_public_name_a_sibling_imports_is_in_its_all():
-    assert [m for name in MODULES
-            for m in unexported(name, (PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
-            ] == []
+    sources = {name: (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+               for name in MODULES}
+    assert [m for name, source in sources.items() for m in unexported(name, source)] == []
 
 
 def test_a_sibling_module_import_is_checked_as_a_module_name():
