@@ -2,7 +2,8 @@
 
 Stage one (CSKA) lets the vehicles beacon strictly in turn from the
 leader to the tail; a beacon not received by its checker is retransmitted
-by its sender, and the Z passes commit their distinct RSS traces.  Stage two
+by its sender.  The Z passes' RSS traces are drawn once the beacons are
+through, by :func:`cycle_traces`, the one writer of their seed node.  Stage two
 (EVCD) has the leader encrypt the command with its key and forward it
 hop by hop; every vehicle decrypts with its own key and re-encrypts for
 the next hop, the tail answers with a one-bit ACK, and hop losses are
@@ -23,7 +24,9 @@ coherence time), so averaging needs no exchange of key material and
 shrinks the estimation noise relative to the shared randomness, and
 more iterations give better agreement.  A noiseless cycle's one trace is
 fitted as it is; distinct passes are summed over a stacked copy, because
-numpy's order over that axis sets the mean's last bits.
+numpy's order over that axis sets the mean's last bits.  The slots kept
+at every vehicle are selected once, on that average, and the fit and the
+key read only them.
 
 Event timing is slotted: every transmission occupies one slot, and
 modeled latency is reported separately from wall-clock compute time.
@@ -159,26 +162,18 @@ def _send(log: CycleLog, rng: np.random.Generator | None, loss_prob: float,
     return attempts
 
 
-def run_cska(config: ProtocolConfig, params: ChannelParams,
-             geometry: PlatoonGeometry, slots: int, seed, *,
-             traces: list[RssTrace] | None = None
-             ) -> tuple[list[RssTrace], CycleLog]:
-    """Run the Z beacon passes and commit the cycle's distinct RSS traces.
+def run_cska(config: ProtocolConfig, geometry: PlatoonGeometry, seed) -> CycleLog:
+    """Run the Z beacon passes and log them.
 
     Beacons go out strictly sequentially from vehicle 1 to vehicle N
     (half duplex: one transmission per slot, nobody both sends and
     receives in the same slot).  A lost beacon is retransmitted by its
     sender; more than ``retransmission_cap`` retries abort the cycle.
     Losses are drawn in blocks from the stage's own stream (see
-    :func:`_send`), so draws past the last try go unread.  The traces
-    come from one :func:`generate_trace` call: they share the cycle's
-    shadowing and differ only in their noise, so a noiseless cycle has one.
-    A caller that has drawn them already passes them as ``traces`` (see
-    :func:`run_cycle`), and they are committed as given.
-    The losses draw from the seed's node ``(0,)`` and the traces, on which
-    every recorded Z=1 key depends, from ``(1, 0)`` (``channel._child``); a
-    ``SeedSequence`` seed is never spawned from, so the same object always
-    gives the same stage.
+    :func:`_send`), so draws past the last try go unread.  They draw from
+    the seed's node ``(0,)`` (``channel._child``), built only when beacons
+    can be lost; a ``SeedSequence`` seed is never spawned from, so the
+    same object always gives the same stage.
     """
     loss_rng = (np.random.default_rng(_child(seed, 0))
                 if config.beacon_loss_prob > 0 else None)
@@ -190,14 +185,11 @@ def run_cska(config: ProtocolConfig, params: ChannelParams,
     if _send(log, loss_rng, config.beacon_loss_prob, "cska", beacons):
         raise CycleAbort(f"beacon of vehicle {log.events[-1].sender} "
                          f"exceeded {cap} retransmissions")
-    if traces is None:
-        traces = generate_trace(params, geometry, slots, _child(seed, 1, 0),
-                                passes=config.z_iterations)
     log.beacon_transmissions = len(log.events)
     log.retransmissions = sum(e.outcome == "lost" for e in log.events)
     log.overhead_bits = log.beacon_transmissions * config.beacon_bits
     log.cska_latency_ms = len(log.events) * config.slot_duration_ms
-    return traces, log
+    return log
 
 
 def run_evcd(config: ProtocolConfig, keys: dict[int, SecretKey], seed,
@@ -303,9 +295,8 @@ def _nan_mean(passes: list[np.ndarray]) -> np.ndarray:
                     sums / np.maximum(counts, 1), np.nan)
 
 
-def _averaged_trace(traces: list[RssTrace], floor: float) -> tuple[RssTrace, list[int]]:
-    """Slot-wise mean of each vehicle's sequences over valid iterations,
-    and the number of slots each pass retains at the decode floor.
+def _averaged_trace(traces: list[RssTrace]) -> RssTrace:
+    """Slot-wise mean of each vehicle's sequences over valid iterations.
 
     A slot stays valid for a vehicle when at least one iteration observed
     it; which slots failed is shareable (it carries no RSS values), so the
@@ -315,19 +306,19 @@ def _averaged_trace(traces: list[RssTrace], floor: float) -> tuple[RssTrace, lis
     rather than in order, so a running ``+=`` over the passes would change
     the mean's last bits, and with them keys.
     """
-    retained = [len(retained_slots(t, floor)) for t in traces]
     if len(traces) == 1:
-        return traces[0], retained
-    avg = _nan_mean([t.values for t in traces])
-    eavg = _nan_mean([t.eavesdropper for t in traces])
-    return RssTrace(values=avg, eavesdropper=eavg), retained
+        return traces[0]
+    return RssTrace(values=_nan_mean([t.values for t in traces]),
+                    eavesdropper=_nan_mean([t.eavesdropper for t in traces]))
 
 
 def cycle_traces(params: ChannelParams, geometry: PlatoonGeometry,
                  slots: int, seed, passes: int = 1) -> list[RssTrace]:
-    """The traces that :func:`run_cycle` at ``seed`` commits in its CSKA
-    stage, drawn ahead of the cycle: :func:`generate_trace` at the seed's
-    node ``(0, 1, 0)``, ``passes`` being the cycle's Z."""
+    """The RSS traces of :func:`run_cycle` at ``seed``: one
+    :func:`generate_trace` call at the seed's node ``(0, 1, 0)``, the only
+    one that draws from it, ``passes`` being the cycle's Z.  The passes
+    share the cycle's shadowing and differ only in their noise, so a
+    noiseless cycle has one; every recorded Z=1 key depends on them."""
     return generate_trace(params, geometry, slots, _child(seed, 0, 1, 0), passes)
 
 
@@ -337,26 +328,32 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
               traces: list[RssTrace] | None = None) -> AgreementReport:
     """One full dissemination cycle: CSKA, key extraction, EVCD, report.
 
-    CSKA draws from the seed's node ``(0,)`` (the traces from ``(0, 1, 0)``)
-    and a lossy EVCD from ``(1,)`` (``channel._child``).  No stage spawns
-    from a ``SeedSequence`` seed, so the same object always gives the same
-    cycle.  A caller that has drawn the cycle's traces already passes them
-    as ``traces``: :func:`cycle_traces` at the same seed, or the first
+    CSKA draws from the seed's node ``(0,)``, the traces from ``(0, 1, 0)``
+    (:func:`cycle_traces`, drawn only once the beacons are through) and a
+    lossy EVCD from ``(1,)`` (``channel._child``).  No stage spawns from a
+    ``SeedSequence`` seed, so the same object always gives the same cycle.
+    A caller that has drawn the cycle's traces already passes them as
+    ``traces``: :func:`cycle_traces` at the same seed, or the first
     ``n_vehicles`` rows of a wider platoon's traces of equal
     ``channel.trace_key``.  They give the cycle that its own draw gives.
+    The kept slots are selected once, on the averaged trace, and the fit
+    and the bins read only them.
     """
-    traces, log = run_cska(protocol, params, geometry, slots, _child(seed, 0),
-                           traces=traces)
+    log = run_cska(protocol, geometry, _child(seed, 0))
+    if traces is None:
+        traces = cycle_traces(params, geometry, slots, seed, protocol.z_iterations)
 
     floor = params.rss_decode_floor_db
-    trace, retained = _averaged_trace(traces, floor)
-    if len(retained) < protocol.z_iterations:  # a noiseless cycle's one trace
-        retained *= protocol.z_iterations
+    trace = _averaged_trace(traces)
+    keep = retained_slots(trace, floor)
+    retained = ([len(keep)] * protocol.z_iterations if len(traces) == 1
+                else [len(retained_slots(t, floor)) for t in traces])
+    trace = RssTrace(values=trace.values.take(keep, axis=1),
+                     eavesdropper=trace.eavesdropper.take(keep))
     intervals, _ = optimize_intervals(trace, quant.n_intervals,
                                       quant.grid_size, floor=floor)
-    qt = quantize_trace(trace, intervals)
     table = codeword_table(keygen.resolve_bits(quant.n_intervals), quant.n_intervals)
-    *keys, eavesdropper_key = extract_key(qt.rows, table)
+    *keys, eavesdropper_key = extract_key(quantize_trace(trace, intervals), table)
     leader = keys[0]
     bmmrs = {i: bmmr(leader, key) for i, key in enumerate(keys[1:], 2)}
 

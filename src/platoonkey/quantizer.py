@@ -8,8 +8,11 @@ grid points above the floor, and the top boundary is one grid step above
 the largest chain sample.  A sample's rank on the grid is not searched for:
 its guess from the grid step is corrected until the candidates bracket it.
 Nor is a bin: it is 1 plus the count of interior boundaries ``<=`` the
-sample.  Vehicle 2 and the eavesdropper, outside the chain, clamp below
-the floor to bin 1 and at or above the top to bin L; NaN takes bin 1.
+sample.  The fit and the bins read only the slots that every vehicle
+kept, selected once by the caller (:func:`retained_slots`).  Vehicle 2,
+outside the chain, takes bin L at or above the top; the eavesdropper
+clamps below the floor to bin 1 and at or above the top to bin L, and
+its NaN takes bin 1.
 
 The fit minimizes the chained cross-vehicle mismatch count (adjacent
 rows of the comparison chain XOR-ed per interval, summed over slots and
@@ -45,7 +48,6 @@ from .channel import RssTrace
 __all__ = [
     "InfeasiblePartition",
     "IntervalSet",
-    "QuantizedTrace",
     "QuantizerConfig",
     "bin_indices",
     "optimize_boundaries",
@@ -193,7 +195,7 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("samples must be a (chain_members >= 2, slots) matrix")
     if samples.shape[1] < 1:
-        raise InfeasiblePartition("need at least one retained slot")
+        raise InfeasiblePartition("no retained slots above the decode floor")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
     if np.any(samples < floor):
@@ -271,39 +273,24 @@ def optimize_intervals(trace: RssTrace, n_intervals: int, grid_size: int,
     """Fit the quantizer to one trace's comparison chain.
 
     The chain pairs the leader-pair measurement with vehicle 3's estimate
-    and each further adjacent estimator pair.  Slots invalid at any
-    vehicle or below the decode ``floor``, which becomes the lowest
-    boundary, are dropped synchronously first.
+    and each further adjacent estimator pair.  The trace holds only the
+    slots the vehicles kept (:func:`retained_slots`), so every chain sample
+    is finite and at or above the decode ``floor``, which becomes the
+    lowest boundary; a NaN or lower sample raises ``ValueError``.
     """
-    keep = retained_slots(trace, floor)
-    if len(keep) == 0:
-        raise InfeasiblePartition("no retained slots above the decode floor")
-    chain = trace.values.take(keep, axis=1)
-    chain[1] = chain[0]  # chain[1:]: the leader pair's row once, then vehicles 3..N
-    return optimize_boundaries(chain[1:], floor, n_intervals, grid_size)
+    # the leader pair's row once, then vehicles 3..N
+    chain = trace.values.take([0, *range(2, trace.n_vehicles)], axis=0)
+    return optimize_boundaries(chain, floor, n_intervals, grid_size)
 
 
-@dataclass
-class QuantizedTrace:
-    """Bins on the retained slots: a row per vehicle, then the eavesdropper's."""
+def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> np.ndarray:
+    """Bin indices of the kept slots, the ``(n_vehicles + 1, slots)`` block
+    of a row per vehicle, then the eavesdropper's.
 
-    rows: np.ndarray                                   # (n_vehicles + 1, retained)
-    bins = property(lambda self: self.rows[:-1])       # (n_vehicles, retained)
-    eavesdropper_bins = property(lambda self: self.rows[-1])  # (retained,)
-
-
-def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> QuantizedTrace:
-    """Quantize every vehicle's samples on the fitted slots into bin indices.
-
-    The slots are those the fit used (:func:`retained_slots`).  Vehicle 2,
-    outside the fitted chain, takes bin L where it reads at or above the
-    top.  The eavesdropper follows the shared drop indices and clamps its own
-    invalid or out-of-range observations to the nearest bin, which is the
-    best it can do while emitting a key of the agreed length.
+    The trace holds the slots the fit used.  Vehicle 2, outside the fitted
+    chain, takes bin L where it reads at or above the top.  The eavesdropper
+    follows the shared drop indices and clamps its own invalid or
+    out-of-range observations to the nearest bin, which is the best it can
+    do while emitting a key of the agreed length.
     """
-    keep = retained_slots(trace, intervals.boundaries[0])
-    block = np.empty((trace.n_vehicles + 1, len(keep)))
-    # keep is in range; "clip", unlike "raise", takes straight into `out`
-    trace.values.take(keep, axis=1, out=block[:-1], mode="clip")
-    trace.eavesdropper.take(keep, out=block[-1], mode="clip")
-    return QuantizedTrace(rows=bin_indices(block, intervals))
+    return bin_indices(np.vstack((trace.values, trace.eavesdropper)), intervals)

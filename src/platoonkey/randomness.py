@@ -173,20 +173,15 @@ def cusum_test(bits, direction: str = "forward") -> float:
     return float(min(max(1.0 - term1 + term2, 0.0), 1.0))
 
 
-def _runs_frequency_precheck(bits) -> bool:
-    """Frequency condition required for the runs statistic to be valid."""
-    eps = _as_bits(bits)
-    return len(eps) > 0 and abs(eps.mean() - 0.5) < 2.0 / math.sqrt(len(eps))
-
-
 def runs_test(bits) -> float:
-    """Total number of runs; returns 0.0 when the frequency precheck fails."""
+    """Total number of runs; returns 0.0 when the frequency precheck, the
+    share of ones within ``2 / sqrt(n)`` of 1/2, fails."""
     eps = _as_bits(bits)
     n = len(eps)
     _check_floor(n, "runs")
-    if not _runs_frequency_precheck(eps):
-        return 0.0
     pi = np.count_nonzero(eps) / n
+    if not abs(pi - 0.5) < 2.0 / math.sqrt(n):
+        return 0.0
     v = 1 + np.count_nonzero(eps[1:] != eps[:-1])
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)

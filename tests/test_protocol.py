@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from platoonkey import protocol
+from platoonkey import protocol, quantizer
 from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace, generate_trace
 from platoonkey.keygen import KeygenConfig, SecretKey
 from platoonkey.protocol import (
@@ -66,7 +66,7 @@ class TestRunCska:
     def test_paper_overhead_case(self):
         cfg = ProtocolConfig(z_iterations=5, beacon_bits=4)
         geom = PlatoonGeometry(n_vehicles=10, pair_distance_m=2.0)
-        _, log = run_cska(cfg, QUIET, geom, slots=5, seed=0)
+        log = run_cska(cfg, geom, seed=0)
         assert log.beacon_transmissions == 50
         assert log.overhead_bits == 200
         assert log.retransmissions == 0
@@ -75,16 +75,16 @@ class TestRunCska:
         for n in (3, 6, 9):
             cfg = ProtocolConfig(z_iterations=2)
             geom = PlatoonGeometry(n_vehicles=n, pair_distance_m=2.0)
-            traces, log = run_cska(cfg, QUIET, geom, slots=4, seed=1)
+            log = run_cska(cfg, geom, seed=1)
             assert log.retransmissions == 0
             assert log.beacon_transmissions == 2 * n
             # the noiseless channel's two passes are one trace
-            assert len(traces) == 1
+            assert len(cycle_traces(QUIET, geom, 4, 1, passes=2)) == 1
 
     def test_overhead_identity_holds_under_loss(self):
         cfg = ProtocolConfig(beacon_loss_prob=0.3, beacon_bits=6)
         for seed in range(20):
-            _, log = run_cska(cfg, QUIET, GEOM4, slots=3, seed=seed)
+            log = run_cska(cfg, GEOM4, seed=seed)
             assert log.overhead_bits == log.beacon_transmissions * cfg.beacon_bits
 
     def test_retransmission_expectation(self):
@@ -95,7 +95,7 @@ class TestRunCska:
         n_cycles = 10_000
         for seed in range(n_cycles):
             try:
-                _, log = run_cska(cfg, QUIET, GEOM4, slots=1, seed=seed)
+                log = run_cska(cfg, GEOM4, seed=seed)
             except CycleAbort:
                 continue
             total += log.beacon_transmissions
@@ -108,25 +108,23 @@ class TestRunCska:
     def test_cap_aborts(self):
         cfg = ProtocolConfig(beacon_loss_prob=1.0, retransmission_cap=3)
         with pytest.raises(CycleAbort):
-            run_cska(cfg, QUIET, GEOM4, slots=1, seed=0)
+            run_cska(cfg, GEOM4, seed=0)
 
     def test_half_duplex_one_transmission_per_slot(self):
         cfg = ProtocolConfig(z_iterations=3, beacon_loss_prob=0.2)
-        _, log = run_cska(cfg, QUIET, GEOM4, slots=2, seed=3)
+        log = run_cska(cfg, GEOM4, seed=3)
         slots = [e.slot for e in log.events]
         assert len(slots) == len(set(slots))
         for e in log.events:
             assert e.sender != e.receiver
 
     def test_passes_share_shadowing_and_draw_own_noise(self):
-        cfg = ProtocolConfig(z_iterations=4)
         noiseless = ChannelParams(shadowing_sigma_db=3.0,
                                   rss_decode_floor_db=-40.0)
-        traces, _ = run_cska(cfg, noiseless, GEOM4, slots=50, seed=5)
-        assert len(traces) == 1
+        assert len(cycle_traces(noiseless, GEOM4, 50, 5, passes=4)) == 1
         noisy = ChannelParams(shadowing_sigma_db=3.0, rss_decode_floor_db=-40.0,
                               measurement_noise_db=0.1, reciprocity_sigma_db=0.5)
-        traces, _ = run_cska(cfg, noisy, GEOM4, slots=50, seed=5)
+        traces = cycle_traces(noisy, GEOM4, 50, 5, passes=4)
         assert len(traces) == 4
         for t in traces[1:]:
             assert t.values.tobytes() != traces[0].values.tobytes()
@@ -134,14 +132,14 @@ class TestRunCska:
 
     def test_sequential_order(self):
         cfg = ProtocolConfig(z_iterations=1)
-        _, log = run_cska(cfg, QUIET, GEOM4, slots=1, seed=4)
+        log = run_cska(cfg, GEOM4, seed=4)
         assert [e.sender for e in log.events] == [1, 2, 3, 4]
 
     def test_counters_equal_event_tallies(self):
         cfg = ProtocolConfig(z_iterations=3, beacon_loss_prob=0.3)
         for seed in range(20):
             try:
-                _, log = run_cska(cfg, QUIET, GEOM4, slots=1, seed=seed)
+                log = run_cska(cfg, GEOM4, seed=seed)
             except CycleAbort:
                 continue
             assert log.beacon_transmissions == len(log.events)
@@ -310,11 +308,36 @@ class TestRunCycle:
         geom = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
         cfg = ProtocolConfig(z_iterations=3)
         rep = run_cycle(p, geom, cfg, QuantizerConfig(4), KeygenConfig(), 200, 0)
-        # run_cycle seeds CSKA with the first of three children of its seed
-        traces, _ = run_cska(cfg, p, geom, 200, np.random.SeedSequence(0).spawn(3)[0])
+        traces = cycle_traces(p, geom, 200, 0, passes=3)
         assert rep.retained_per_iteration == [
             len(retained_slots(t, p.rss_decode_floor_db)) for t in traces]
         assert len(rep.retained_per_iteration) == 3
+
+    @pytest.mark.parametrize("noise, z, calls", [(0.0, 3, 1), (0.5, 2, 3)],
+                             ids=["noiseless", "noisy"])
+    def test_slots_are_selected_once_per_cycle(self, monkeypatch, noise, z, calls):
+        # one selection on the fitted trace; each distinct pass also counts
+        # the slots it keeps, and the fit and the bins select none
+        real, seen = quantizer.retained_slots, []
+
+        def spy(trace, floor):
+            seen.append(floor)
+            return real(trace, floor)
+
+        for module in (protocol, quantizer):
+            monkeypatch.setattr(module, "retained_slots", spy)
+        p = ChannelParams(measurement_noise_db=noise)
+        rep = run_cycle(p, GEOM4, ProtocolConfig(z_iterations=z), QuantizerConfig(2, 16),
+                        KeygenConfig(), 200, 5)
+        assert len(seen) == calls and len(rep.retained_per_iteration) == z
+
+    def test_an_aborted_cycle_draws_no_trace(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(protocol, "generate_trace", lambda *a, **k: drawn.append(a))
+        cfg = ProtocolConfig(beacon_loss_prob=1.0)
+        with pytest.raises(CycleAbort):
+            run_cycle(QUIET, GEOM4, cfg, QuantizerConfig(2, 16), KeygenConfig(), 40, 5)
+        assert drawn == []
 
     def test_more_iterations_do_not_hurt_agreement(self):
         p = ChannelParams(shadowing_sigma_db=4.0, shadowing_common_fraction=0.99,
@@ -395,28 +418,24 @@ class TestSeeding:
     def test_one_seed_sequence_object_gives_the_same_results(self):
         ss = np.random.SeedSequence([21, 3])
         runs = [(generate_trace(self.NOISY, GEOM4, 30, ss, passes=2),
-                 run_cska(self.LOSSY, self.NOISY, GEOM4, 30, ss),
+                 cycle_traces(self.NOISY, GEOM4, 30, ss, passes=2),
+                 run_cska(self.LOSSY, GEOM4, ss),
                  run_cycle(self.NOISY, GEOM4, self.LOSSY, QuantizerConfig(2, 16),
                            KeygenConfig(), 30, ss))
                 for _ in range(2)]
-        (traces, (cska_traces, cska_log), rep), again = runs
-        for ours, theirs in ((traces, again[0]), (cska_traces, again[1][0])):
+        (traces, drawn, cska_log, rep), again = runs
+        for ours, theirs in ((traces, again[0]), (drawn, again[1])):
             assert [(t.values.tobytes(), t.eavesdropper.tobytes()) for t in ours] == \
                 [(t.values.tobytes(), t.eavesdropper.tobytes()) for t in theirs]
-        assert cska_log == again[1][1]
-        assert rep.leader_key == again[2].leader_key
-        assert rep.bmmr_per_vehicle == again[2].bmmr_per_vehicle
-        assert rep.log == again[2].log
+        assert cska_log == again[2]
+        assert rep.leader_key == again[3].leader_key
+        assert rep.bmmr_per_vehicle == again[3].bmmr_per_vehicle
+        assert rep.log == again[3].log
         assert ss.n_children_spawned == 0
 
     @pytest.mark.parametrize("seed", [5, np.random.SeedSequence([21, 3])], ids=["int", "ss"])
     def test_a_cycle_on_its_drawn_traces_is_the_cycle(self, seed):
         drawn = cycle_traces(self.NOISY, GEOM4, 30, seed, passes=2)
-        own, _ = run_cska(self.LOSSY, self.NOISY, GEOM4, 30, protocol._child(seed, 0))
-        assert [(t.values.tobytes(), t.eavesdropper.tobytes()) for t in drawn] == \
-            [(t.values.tobytes(), t.eavesdropper.tobytes()) for t in own]
-        given, _ = run_cska(self.LOSSY, self.NOISY, GEOM4, 30, 0, traces=drawn)
-        assert given is drawn
         quant = QuantizerConfig(2, 16)
         rep = run_cycle(self.NOISY, GEOM4, self.LOSSY, quant, KeygenConfig(), 30, seed,
                         traces=drawn)
@@ -473,7 +492,7 @@ class TestAveragedTrace:
                           [nan, nan, 4.0, nan]])
         traces = [RssTrace(values=np.vstack([lead[z], lead[z], v3[z]]),
                            eavesdropper=eaves[z]) for z in range(3)]
-        avg, retained = _averaged_trace(traces, floor=0.0)
+        avg = _averaged_trace(traces)
         np.testing.assert_array_equal(avg.values, [
             [3.0, 4.0, 5.0, 6.0], [3.0, 4.0, 5.0, 6.0],
             [nan, (2.0 + 8.0) / 2, 5.0, (-1.0 + 6.0 + 6.0) / 3]])
@@ -484,7 +503,7 @@ class TestAveragedTrace:
                                       np.isnan(eaves).all(axis=0))
         # each pass keeps only its own slots valid everywhere and at or
         # above the floor; the average keeps every slot some pass observed
-        assert retained == [1, 2, 2]
+        assert [len(retained_slots(t, 0.0)) for t in traces] == [1, 2, 2]
         assert retained_slots(avg, 0.0).tolist() == [1, 2, 3]
 
     def test_a_sum_past_the_float_range_drops_the_slot(self):
@@ -494,7 +513,7 @@ class TestAveragedTrace:
         values = np.array([[big, -big, 1.0, np.nan], [big, -big, 2.0, big]])
         traces = [RssTrace(values=np.vstack([v, v]), eavesdropper=v)
                   for v in values]
-        avg, _ = _averaged_trace(traces, floor=0.0)
+        avg = _averaged_trace(traces)
         np.testing.assert_array_equal(avg.values, [[np.nan, np.nan, 1.5, big]] * 2)
         np.testing.assert_array_equal(avg.eavesdropper, [np.nan, np.nan, 1.5, big])
 
@@ -504,9 +523,8 @@ class TestAveragedTrace:
         # passes are one trace, fitted byte for byte as Z = 1 fits it
         p = ChannelParams()
         geom = PlatoonGeometry(n_vehicles=10, pair_distance_m=2.0)
-        floor = p.rss_decode_floor_db
         single = generate_trace(p, geom, 1000, 3)[0]
-        avg, _ = _averaged_trace(generate_trace(p, geom, 1000, 3, passes=z), floor)
+        avg = _averaged_trace(generate_trace(p, geom, 1000, 3, passes=z))
         assert avg.values.tobytes() == single.values.tobytes()
         assert avg.eavesdropper.tobytes() == single.eavesdropper.tobytes()
 
@@ -529,7 +547,7 @@ class TestAveragedTrace:
         # nine passes on, so at one slot a running sum over the passes
         # would differ in the last bits
         rng = np.random.default_rng([z, slots, shared])
-        n, floor = 4, -75.0
+        n = 4
 
         def nan_pass(always_nan):
             values = rng.normal(-70.0, 8.0, (n + 1, slots))
@@ -541,13 +559,11 @@ class TestAveragedTrace:
             always_nan = rng.random((n + 1, slots)) < 0.1
             traces = ([nan_pass(always_nan)] * z if shared
                       else [nan_pass(always_nan) for _ in range(z)])
-            avg, retained = _averaged_trace(traces, floor)
+            avg = _averaged_trace(traces)
             want = stacked_nan_mean(np.stack([t.values for t in traces]))
             ewant = stacked_nan_mean(np.stack([t.eavesdropper for t in traces]))
             assert avg.values.tobytes() == want.tobytes()
             assert avg.eavesdropper.tobytes() == ewant.tobytes()
-            assert retained == [int((t.values >= floor).all(axis=0).sum())
-                                for t in traces]
 
 
 class TestLossDrawsMatchTheScalarLoop:
@@ -567,7 +583,7 @@ class TestLossDrawsMatchTheScalarLoop:
             for seed in range(30):
                 events, counters, failure = reference_cska_tries(cfg, n, seed)
                 try:
-                    _, log = run_cska(cfg, QUIET, geom, slots=1, seed=seed)
+                    log = run_cska(cfg, geom, seed=seed)
                 except CycleAbort:
                     assert failure == "CycleAbort"
                     continue
@@ -594,7 +610,7 @@ class TestLossDrawsMatchTheScalarLoop:
             assert {k: getattr(log, k) for k in counters} == counters
 
     def test_events_are_immutable(self):
-        _, log = run_cska(ProtocolConfig(), QUIET, GEOM4, slots=1, seed=0)
+        log = run_cska(ProtocolConfig(), GEOM4, seed=0)
         with pytest.raises(AttributeError):
             log.events[0].outcome = "lost"
 

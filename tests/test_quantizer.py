@@ -30,6 +30,12 @@ def bins_of(xs, intervals=TWO_BIN):
     return bin_indices(xs, intervals).tolist()
 
 
+def kept(trace, floor):
+    """The trace on the slots every vehicle keeps, as a cycle selects them."""
+    keep = retained_slots(trace, floor)
+    return RssTrace(values=trace.values[:, keep], eavesdropper=trace.eavesdropper[keep])
+
+
 class TestQuantizeBit:
     def test_lower_bound_inclusive(self):
         assert bins_of([0.0, 5.0]) == [1, 2]
@@ -244,33 +250,51 @@ class TestOptimizeIntervals:
 
     def test_uses_decode_floor(self):
         p, t = self.trace()
-        iset, _ = optimize_intervals(t, 2, 16, floor=p.rss_decode_floor_db)
+        iset, _ = optimize_intervals(kept(t, p.rss_decode_floor_db), 2, 16,
+                                     floor=p.rss_decode_floor_db)
         assert iset.boundaries[0] == p.rss_decode_floor_db
 
     def test_drops_invalid_slots_synchronously(self):
         p, t = self.trace(sigma=5.0, slots=200)
-        iset, _ = optimize_intervals(t, 2, 16, floor=p.rss_decode_floor_db)
-        qt = quantize_trace(t, iset)
-        # the key slots are exactly the ones the fit saw
-        keep = retained_slots(t, p.rss_decode_floor_db)
+        floor = p.rss_decode_floor_db
+        keep = retained_slots(t, floor)
         dropped = set(range(t.values.shape[1])) - set(keep.tolist())
         assert dropped
         for s in dropped:
             column = t.values[:, s]
-            assert np.isnan(column).any() or \
-                (column < p.rss_decode_floor_db).any()
-        assert not np.isnan(t.values[:, keep]).any()
-        assert qt.bins.shape == (4, len(keep))
-        np.testing.assert_array_equal(qt.bins, bin_indices(t.values[:, keep], iset))
-        assert qt.bins.min() >= 1 and qt.bins.max() <= 2
+            assert np.isnan(column).any() or (column < floor).any()
+        assert (t.values[:, keep] >= floor).all()
+        # the key slots are exactly the ones the fit saw
+        selected = kept(t, floor)
+        iset, _ = optimize_intervals(selected, 2, 16, floor=floor)
+        rows = quantize_trace(selected, iset)
+        assert rows.shape == (5, len(keep))
+        np.testing.assert_array_equal(rows[:-1], bin_indices(t.values[:, keep], iset))
+        assert rows.min() >= 1 and rows.max() <= 2
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (-30.0, "decode floor")],
+                             ids=["nan", "below floor"])
+    def test_an_unselected_trace_is_rejected(self, bad, message):
+        # the fit selects no slots: a chain sample that the selection
+        # would have dropped is an error, not a slot to skip
+        p, t = self.trace()
+        selected = kept(t, p.rss_decode_floor_db)
+        values = selected.values.copy()
+        values[2, 0] = bad
+        with pytest.raises(ValueError, match=message) as raised:
+            optimize_intervals(RssTrace(values=values, eavesdropper=selected.eavesdropper),
+                               2, 16, p.rss_decode_floor_db)
+        assert raised.type is ValueError
 
     def test_eavesdropper_bins_clamped(self):
         p, t = self.trace(sigma=4.0, slots=100)
-        iset, _ = optimize_intervals(t, 3, 16, floor=p.rss_decode_floor_db)
-        qt = quantize_trace(t, iset)
-        assert qt.eavesdropper_bins.min() >= 1
-        assert qt.eavesdropper_bins.max() <= 3
-        assert len(qt.eavesdropper_bins) == len(retained_slots(t, p.rss_decode_floor_db))
+        floor = p.rss_decode_floor_db
+        selected = kept(t, floor)
+        iset, _ = optimize_intervals(selected, 3, 16, floor=floor)
+        eavesdropper = quantize_trace(selected, iset)[-1]
+        assert eavesdropper.min() >= 1
+        assert eavesdropper.max() <= 3
+        assert len(eavesdropper) == len(retained_slots(t, floor))
 
     @pytest.mark.parametrize("n, slots, L", [(4, 200, 2), (10, 1000, 8)])
     def test_rows_equal_the_per_row_search_at_the_bench_shapes(self, n, slots, L):
@@ -281,13 +305,12 @@ class TestOptimizeIntervals:
         floor = p.rss_decode_floor_db
         for seed in range(4):
             (t,) = generate_trace(p, g, slots, seed)
-            iset, _ = optimize_intervals(t, L, 64, floor)
-            qt = quantize_trace(t, iset)
+            selected = kept(t, floor)
+            iset, _ = optimize_intervals(selected, L, 64, floor)
             keep = retained_slots(t, floor)
-            assert qt.bins.tolist() == \
-                [reference_bin_indices(row, iset).tolist() for row in t.values[:, keep]]
-            assert qt.eavesdropper_bins.tolist() == \
-                reference_bin_indices(t.eavesdropper[keep], iset).tolist()
+            assert quantize_trace(selected, iset).tolist() == [
+                reference_bin_indices(row, iset).tolist()
+                for row in (*t.values[:, keep], t.eavesdropper[keep])]
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_vehicle_2_above_the_top_keeps_its_slot(self, L):
@@ -300,12 +323,11 @@ class TestOptimizeIntervals:
                          eavesdropper=np.full(chain.size, -52.0))
         iset, _ = optimize_intervals(trace, L, 8, floor=-100.0)
         assert v2[2] >= iset.boundaries[-1]
-        qt = quantize_trace(trace, iset)
         assert retained_slots(trace, iset.boundaries[0]).tolist() == list(range(chain.size))
-        assert qt.bins.shape == (4, chain.size)
-        assert qt.bins[1, 2] == L
-        np.testing.assert_array_equal(np.delete(qt.bins[1], 2),
-                                      np.delete(qt.bins[0], 2))
+        bins = quantize_trace(trace, iset)[:-1]
+        assert bins.shape == (4, chain.size)
+        assert bins[1, 2] == L
+        np.testing.assert_array_equal(np.delete(bins[1], 2), np.delete(bins[0], 2))
 
     @pytest.mark.parametrize("grid_size", [8, 64, 512])
     @pytest.mark.parametrize("common_fraction", [0.0, 0.999])
@@ -319,8 +341,9 @@ class TestOptimizeIntervals:
         floor = p.rss_decode_floor_db
         for seed in range(20):
             (t,) = generate_trace(p, g, 300, seed)
-            iset, _ = optimize_intervals(t, 2, grid_size, floor)
-            key, *_ = extract_key(quantize_trace(t, iset).bins, codeword_table(1, 2))
+            selected = kept(t, floor)
+            iset, _ = optimize_intervals(selected, 2, grid_size, floor)
+            key, *_ = extract_key(quantize_trace(selected, iset), codeword_table(1, 2))
             keep = retained_slots(t, floor)
             # the fit's grid runs from the floor to the chain's largest
             # sample; the chain leaves out vehicle 2
@@ -507,7 +530,7 @@ class TestGridRanks:
         g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
         for seed in range(3):
             (t,) = generate_trace(p, g, 50, seed)
-            keep = retained_slots(t, p.rss_decode_floor_db)
-            self.check(t.values[:, keep][[0, 2]], p.rss_decode_floor_db, 512)
+            selected = kept(t, p.rss_decode_floor_db)
+            self.check(selected.values[[0, 2]], p.rss_decode_floor_db, 512)
             with pytest.raises(InfeasiblePartition, match="coincide"):
-                optimize_intervals(t, 8, 512, p.rss_decode_floor_db)
+                optimize_intervals(selected, 8, 512, p.rss_decode_floor_db)

@@ -20,7 +20,6 @@ from platoonkey.randomness import (
     InsufficientData,
     _as_bits,
     _pattern_counts,
-    _runs_frequency_precheck,
     _walk_range,
     approx_entropy_test,
     block_frequency_test,
@@ -184,7 +183,6 @@ class TestWalkRange:
 
 class TestRuns:
     def test_biased_input_precheck(self):
-        assert not _runs_frequency_precheck(ZEROS)
         assert runs_test(ZEROS) == 0.0
 
     def test_alternating_rejected(self):
@@ -447,8 +445,7 @@ BATTERY_ORDER = (
 
 SINGLE_TESTS = [
     frequency_test, block_frequency_test, cusum_forward, cusum_reverse,
-    _runs_frequency_precheck, runs_test, longest_run_test, dft_test,
-    approx_entropy_test, serial_test,
+    runs_test, longest_run_test, dft_test, approx_entropy_test, serial_test,
 ]
 
 

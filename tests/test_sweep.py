@@ -257,7 +257,8 @@ def test_common_shadowing_sets_agreement_and_autocorr_sets_randomness(tmp_path):
 @pytest.mark.parametrize("axis_lines, tokens", [
     ("sweep_axis = n_vehicles\nsweep_values = 3,5\n", ["3", "5"]),
     ("sweep_axis = pair_distance\nsweep_values = 2.5, 3\n", ["2.5", "3.0"]),
-    ("sweep_axis = eavesdropper\nsweep_values = P1:3, P3:20.5\n", ["P1:3.0", "P3:20.5"]),
+    ("sweep_axis = eavesdropper\nsweep_values = P1:3, P2:10, P3:20.5\n",
+     ["P1:3.0", "P2:10.0", "P3:20.5"]),
     # the values differ in the 7th significant digit; each point keeps its own token
     ("sweep_axis = shadowing_common_fraction\nsweep_values = 0.9999999, 1\n",
      ["0.9999999", "1.0"]),
