@@ -328,9 +328,9 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
               traces: list[RssTrace] | None = None) -> AgreementReport:
     """One full dissemination cycle: CSKA, key extraction, EVCD, report.
 
-    CSKA draws from the seed's node ``(0,)``, the traces from ``(0, 1, 0)``
-    (:func:`cycle_traces`, drawn only once the beacons are through) and a
-    lossy EVCD from ``(1,)`` (``channel._child``).  No stage spawns from a
+    A lossy CSKA draws from the seed's node ``(0,)``, the traces from
+    ``(0, 1, 0)`` (:func:`cycle_traces`, drawn only once the beacons are
+    through) and a lossy EVCD from ``(1,)`` (``channel._child``).  No stage spawns from a
     ``SeedSequence`` seed, so the same object always gives the same cycle.
     A caller that has drawn the cycle's traces already passes them as
     ``traces``: :func:`cycle_traces` at the same seed, or the first
@@ -339,7 +339,8 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
     The kept slots are selected once, on the averaged trace, and the fit
     and the bins read only them.
     """
-    log = run_cska(protocol, geometry, _child(seed, 0))
+    log = run_cska(protocol, geometry,
+                   _child(seed, 0) if protocol.beacon_loss_prob > 0 else None)
     if traces is None:
         traces = cycle_traces(params, geometry, slots, seed, protocol.z_iterations)
 

@@ -461,11 +461,11 @@ class TestSeeding:
         rep = run_cycle(QUIET, GEOM4, cfg, QuantizerConfig(2, 16), KeygenConfig(), 40, 5)
         assert rep.dissemination_success and len(built) == generators
 
-    @pytest.mark.parametrize("loss, nodes", [(0.0, 2), (0.1, 4)])
+    @pytest.mark.parametrize("loss, nodes", [(0.0, 1), (0.1, 4)])
     def test_a_cycle_builds_a_seed_node_per_stream_it_reads(self, monkeypatch,
                                                            loss, nodes):
-        # the CSKA stage and its traces always; CSKA and EVCD losses only
-        # when lossy
+        # the traces always; the CSKA stage and its losses, and the EVCD
+        # losses, only when lossy
         paths = []
         real = protocol._child
 
