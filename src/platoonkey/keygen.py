@@ -53,9 +53,12 @@ class SecretKey:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        bits = np.array(self.bits, dtype=np.uint8).ravel()
-        if bits.size and bits.max() > 1:
+        bits = np.asarray(self.bits)
+        uint8 = bits.dtype == np.uint8
+        # exactly 0 or 1 before the cast, which would truncate 0.5 and wrap -1
+        if bits.size and (bits.max() > 1 if uint8 else not ((bits == 0) | (bits == 1)).all()):
             raise ValueError("key bits must be 0 or 1")
+        bits = bits.astype(np.uint8).ravel()  # the key's own copy
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 

@@ -24,21 +24,24 @@ objective is degenerate: packing all interior boundaries below the
 samples puts every sample in one bin and scores zero mismatch while
 producing constant, entropy-free keys.
 
-The DP runs over the G + 1 boundary indices (floor at 0, interior grid
-points 1..G-1, top at G) on the segment cost ``C[a, b]``, the chained
-mismatch that interval ``[a, b)`` alone contributes, and the reference
-occupancy ``O[a, b]``, the reference samples in ``[a, b)``: a balance
-pass, then a cost pass, one masked reduction per interval each.  The
-first interval starts at 0 and the last ends at G, so their layers are
-row 0 and column G, vectors read off 1-D cumulative rank counts.  The
-full matrices, from 2-D prefix sums, are built only for the L - 2
-middle layers, so only when L >= 3.  Each layer's argmin takes the
-smallest optimal b, which yields the lexicographically smallest optimal
-boundary tuple.
+The fit reads each (adjacent chain pair, slot) entry once, as its two
+ranks ``lo <= hi`` among the G + 1 boundary indices (floor at 0, interior
+grid points 1..G-1, top at G).  The balance target, the largest minimum
+reference occupancy over all partitions, is bisected: a target is met iff
+placing each interior boundary at the smallest index that fills its bin
+leaves the last bin full too.  The cost pass is a DP on the segment cost
+``C[a, b]``, the chained mismatch that interval ``[a, b)`` alone
+contributes, with one masked reduction per interval.  The first interval
+starts at 0 and the last ends at G, so their layers are vectors of the
+1-D cumulative count of cut pairs; the full matrix, from a 2-D prefix
+count, is built only for the L - 2 middle layers, so only when L >= 3.
+Each layer's argmin takes the smallest optimal b, which yields the
+lexicographically smallest optimal boundary tuple.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,16 +109,15 @@ def bin_indices(xs, intervals: IntervalSet) -> np.ndarray:
     return bins
 
 
-def _grid_ranks(samples: np.ndarray, floor: float, grid_size: int
+def _grid_ranks(samples: np.ndarray, floor: float, top: float, grid_size: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary candidates (G grid points from the floor to the largest
-    sample, a top point one grid step above it, then +inf) and each
+    """Boundary candidates (G grid points from the floor to ``top``, the
+    largest sample, a top point one grid step above it, then +inf) and each
     sample's rank r in 0..G, with ``cand[r] <= x < cand[r + 1]``: the
     ``np.searchsorted(cand[:-1], x, "right") - 1``.  From the guess
     ``(x - floor) / step``, capped at G, every sample outside its bracket
     steps toward it until none is, so of coinciding points it takes the last.
     """
-    top = float(samples.max())
     span = top - floor
     if not 0 < span < np.inf:
         raise InfeasiblePartition("decode floor must lie strictly below the largest "
@@ -133,39 +135,30 @@ def _grid_ranks(samples: np.ndarray, floor: float, grid_size: int
         ranks += high
 
 
-def _cut_costs(ranks: np.ndarray, m: int) -> np.ndarray:
-    """Number of (adjacent chain pair, slot) entries that a cut just
-    above rank ``b`` separates, for ``b`` in ``0..m-1``: #(lo <= b < hi)."""
-    lo = np.minimum(ranks[:-1], ranks[1:]).ravel()
-    hi = np.maximum(ranks[:-1], ranks[1:]).ravel()
-    return (np.bincount(lo, minlength=m) - np.bincount(hi, minlength=m)).cumsum()
+def _balance_target(ref: list[int], n_intervals: int) -> int:
+    """The largest t such that some partition holds at least t reference
+    samples in each of its L bins, where ``ref[b]``, for b in 0..G, counts
+    those of rank below b.  Bisected over t in ``[0, ref[G] // L]``: t is
+    feasible iff taking each interior boundary at the smallest index that
+    gives its bin t samples, L - 1 times, leaves t for the last bin."""
+    G = len(ref) - 1
 
+    def feasible(t: int) -> bool:
+        a = 0
+        for _ in range(n_intervals - 1):
+            a = bisect_left(ref, ref[a] + t, a + 1, G)
+            if a == G:  # no interior index is left
+                return False
+        return ref[G] - ref[a] >= t
 
-def _segment_matrices(ranks: np.ndarray, ref: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Mismatch cost ``C`` and reference occupancy ``O`` of every segment.
-
-    Over boundary indices ``a, b`` in ``0..G``, ``C[a, b]`` counts the
-    (adjacent chain pair, slot) entries with exactly one of the two
-    candidate ranks in ``[a, b)``, and ``O[a, b]`` the reference samples
-    with rank in ``[a, b)``, from ``ref[b]``, those of rank below b.  ``O``
-    is -1 where ``a >= b``, no segment, so it meets no balance target.
-    """
-    m = len(ref) - 1
-    lo = np.minimum(ranks[:-1], ranks[1:]).ravel()
-    hi = np.maximum(ranks[:-1], ranks[1:]).ravel()
-    hist = np.bincount(lo * m + hi, minlength=m * m).reshape(m, m)
-    # prefix[a, b] = number of pairs with lo < a and hi < b
-    prefix = np.zeros((m + 1, m + 1), dtype=np.int64)
-    prefix[1:, 1:] = hist.cumsum(0).cumsum(1)
-    lo_below = prefix[:m, m]            # pairs with lo < a
-    both_below = np.diagonal(prefix)[:m]  # pairs with hi < a
-    # lo in [a, b) with hi >= b, plus lo < a with hi in [a, b)
-    cost = (lo_below[None, :] - lo_below[:, None]
-            - both_below[None, :] - both_below[:, None]
-            + 2 * prefix[:m, :m])
-    occupancy = ref[None, :m] - ref[:m, None]
-    return cost, np.where(np.triu(np.ones((m, m), dtype=bool), 1), occupancy, -1)
+    low, high = 0, ref[G] // n_intervals  # G >= L, so t = 0 is feasible
+    while low < high:
+        mid = (low + high + 1) // 2
+        if feasible(mid):
+            low = mid
+        else:
+            high = mid - 1
+    return low
 
 
 def optimize_boundaries(samples, floor: float, n_intervals: int,
@@ -177,28 +170,27 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     samples must be finite and at or above the floor.  Returns the
     intervals and each interval's chained mismatch count.
 
-    The DP runs over suffixes.  Interval l may end at index
-    ``b <= G - L + l`` (the last one at the top index G), and its layer is
-
-    * balance pass: ``bal_l[a] = max_b min(O[a, b], bal_{l+1}[b])``;
-    * cost pass: ``tail_l[a] = min_b C[a, b] + tail_{l+1}[b]`` over the
-      segments with ``O[a, b] >= target``.
-
-    The ranks come from :func:`_grid_ranks`, a guess from the grid step
-    corrected until bracketed.  Layers 1 and L are row 0 and column G of
-    ``C`` and ``O``, read off 1-D cumulative rank counts; the middle layers are column slices of
-    :func:`_segment_matrices`.  Boundaries are recovered front to back,
-    from each layer's first (smallest) optimal b.  Grid points that
-    coincide in float raise :class:`InfeasiblePartition`.
+    The ranks come from :func:`_grid_ranks` and the balance target from
+    :func:`_balance_target`.  Of the pairs of ranks ``lo <= hi``, a segment
+    ``[a, b)`` holds exactly one rank of ``C[a, b] = cut[a] + cut[b] - 2
+    #(lo < a, hi >= b)``, where ``cut[c] = #(lo < c <= hi)``.  The DP runs
+    over suffixes: interval l may end at index ``b <= G - L + l`` (the last
+    one at the top index G), and its layer is ``tail_l[a] = min_b C[a, b] +
+    tail_{l+1}[b]`` over the segments ``a < b`` with ``ref[b] - ref[a] >=
+    target``.  Boundaries are recovered front to back, from each layer's
+    first (smallest) optimal b.  Grid points that coincide in float raise
+    :class:`InfeasiblePartition`.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("samples must be a (chain_members >= 2, slots) matrix")
     if samples.shape[1] < 1:
         raise InfeasiblePartition("no retained slots above the decode floor")
-    if not np.all(np.isfinite(samples)):
+    # min and max are NaN if any sample is
+    least, top = float(samples.min()), float(samples.max())
+    if not (np.isfinite(least) and np.isfinite(top)):
         raise ValueError("samples must be finite")
-    if np.any(samples < floor):
+    if least < floor:
         raise ValueError("samples below the decode floor must be dropped first")
     L = int(n_intervals)
     G = int(grid_size)
@@ -207,38 +199,46 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     if G < L:
         raise InfeasiblePartition(f"grid_size {G} < n_intervals {L}")
 
-    cand, ranks = _grid_ranks(samples, floor, G)
-    ref = np.concatenate(([0], np.bincount(ranks[0], minlength=G + 1).cumsum()))
+    cand, ranks = _grid_ranks(samples, floor, top, G)
+    m = G + 1
+    lo = np.minimum(ranks[:-1], ranks[1:]).ravel()
+    hi = np.maximum(ranks[:-1], ranks[1:]).ravel()
+    # at boundary index c in 0..G: ref[c] reference samples of rank below c,
+    # and cut[c] = #(lo < c <= hi)
+    ref = np.concatenate(([0], np.bincount(ranks[0], minlength=m).cumsum()))[:m]
+    cut = np.concatenate(([0], (np.bincount(lo, minlength=m)
+                                - np.bincount(hi, minlength=m)).cumsum()))[:m]
+    target = _balance_target(ref.tolist(), L)
     k = G - L + 2  # the first interval ends at b in 1..k-1
-    # entry b - 1 of first_* is segment [0, b), entry a of last_* is [a, G);
-    # a rank-G sample lies in no [a, G), so last_cost counts it below rank 0
-    first_cost, first_occ = _cut_costs(ranks, G + 1)[:k - 1], ref[1:k]
-    last_cost = _cut_costs(np.where(ranks < G, ranks + 1, 0), G + 1)[:G]
-    last_occ = ref[G] - ref[:G]
-    if L > 2:  # only the middle layers read the segment matrices
-        cost, occ = _segment_matrices(ranks, ref)
-    ends = range(G, k, -1)  # the middle layers' column slices, layer L-1 first
+    # first_cost[b - 1] is C[0, b] and last_cost[a] is C[a, G]; lo < a and
+    # hi >= G only for a pair of a rank-G sample, which no segment holds
+    first_cost = cut[1:k]
+    last_cost = cut[:G] + cut[G]
+    if cut[G]:
+        last_cost -= 2 * np.concatenate(([0], np.bincount(lo[hi == G], minlength=G)
+                                         .cumsum()))[:G]
+    if L > 2:  # only the middle layers read the segment matrix
+        # the pairs counted at (lo + 1, G - hi), so that both cumsums run
+        # forward: below[a, G - b] = #(lo < a, hi >= b)
+        below = np.bincount((lo + 1) * m + (G - hi), minlength=(m + 1) * m
+                            ).reshape(m + 1, m)[:m].cumsum(0).cumsum(1)
+        cost = cut[:, None] + cut - 2 * below[:, ::-1]
+        # ref is nondecreasing, so ref[b] - ref[a] >= target from the first
+        # such b on; [a, b) is a segment only for b > a
+        index = np.arange(m)
+        start = np.maximum(np.searchsorted(ref, ref + target), index + 1)
+        seg_cost = np.where(index < start[:, None], _INF, cost)
 
-    # Pass 1: maximize the minimum per-bin reference occupancy.
-    bal = last_occ
-    for end in ends:
-        bal = np.minimum(occ[:, :end], bal[:end]).max(axis=1)
-    # G >= L, so every choice of L - 1 interior indices is a partition
-    # whose every bin holds >= 0 reference samples: the target is >= 0,
-    # and some partition meets it at finite cost
-    target = int(np.minimum(first_occ, bal[1:k]).max())
-
-    # Pass 2: minimize total mismatch among partitions whose every bin
-    # holds at least `target` reference samples.
-    tail = np.where(last_occ >= target, last_cost, _INF)
-    if L > 2:
-        seg_cost = np.where(occ >= target, cost, _INF)
+    # minimize total mismatch among partitions whose every bin holds at
+    # least `target` reference samples
+    tail = np.where(ref[G] - ref[:G] >= target, last_cost, _INF)
     choices = []
-    for end in ends:
+    for end in range(G, k, -1):  # the middle layers, layer L-1 first
         total = seg_cost[:, :end] + tail[:end]
-        choices.append(total.argmin(axis=1))
-        tail = np.minimum(total.min(axis=1), _INF)
-    total = np.where(first_occ >= target, first_cost, _INF) + tail[1:k]
+        best = total.argmin(axis=1)
+        choices.append(best)
+        tail = np.minimum(total[index, best], _INF)
+    total = np.where(ref[1:k] >= target, first_cost, _INF) + tail[1:k]
     first = int(total.argmin())
 
     # front to back; argmin took the smallest optimal b of every row

@@ -72,9 +72,10 @@ class InsufficientData(ValueError):
 
 
 def _as_bits(bits) -> np.ndarray:
-    uint8 = isinstance(bits, np.ndarray) and bits.dtype == np.uint8
-    arr = bits.reshape(-1) if uint8 else np.asarray(bits, dtype=np.int64).ravel()
-    if arr.size and ((not uint8 and arr.min() < 0) or arr.max() > 1):
+    arr = np.asarray(bits).reshape(-1)  # a uint8 stream is not copied
+    uint8 = arr.dtype == np.uint8
+    # exactly 0 or 1 before the cast, which would truncate 0.5 and wrap -1
+    if arr.size and (arr.max() > 1 if uint8 else not ((arr == 0) | (arr == 1)).all()):
         raise ValueError("input must contain only bits 0/1")
     return arr.astype(np.uint8, copy=False)
 

@@ -25,6 +25,10 @@ COLLAPSE = ("n_vehicles = 3\nslots = 50\nn_intervals = 8\ngrid_size = 512\n"
             "seeds = 0..2\nshadowing_sigma_db = 0.0001\nchannel_constant_db = -1e15\n"
             "rss_decode_floor_db = 999999999999990.0\n")
 
+# the common shadowing fraction as the sweep axis
+COMMON = ("slots = 200\nseeds = 0..3\nsweep_axis = shadowing_common_fraction\n"
+          "sweep_values = 0,0.999\n")
+
 # document name -> (scenario text, command line after the document, exit code)
 DOCUMENTS = {
     # some seeds exhaust their beacon retries: exit 3, the others' events
@@ -49,6 +53,9 @@ DOCUMENTS = {
     # key, in bin L for vehicle 2, so every cycle runs
     "noisy": ("slots = 5\nreciprocity_sigma_db = 20\nseeds = 0..19\n",
               ["sweep", "--parallelism", "2"], EXIT_OK),
+    # parallelism 1 and 2 write the same files: their pins are equal
+    "common_p1": (COMMON, ["sweep", "--parallelism", "1"], EXIT_OK),
+    "common_p2": (COMMON, ["sweep", "--parallelism", "2"], EXIT_OK),
     "collapse": (COLLAPSE, ["run"], EXIT_RUNTIME),
     "collapse_sweep": (COLLAPSE, ["sweep", "--parallelism", "2"], EXIT_OK),
 }

@@ -177,9 +177,12 @@ class TestSecretKey:
         key = key01("")
         assert (len(key), key.to01(), key.to_hex()) == (0, "", "")
 
-    @pytest.mark.parametrize("bits", [[1, 2], [0, 1, 255], [3]])
+    # a cast to uint8 would truncate 0.5 and 1.2 and wrap -1 (or overflow)
+    @pytest.mark.parametrize("bits", [
+        [1, 2], [0, 1, 255], [3], [0.5, 1.0], [1.2, 0], [-1, 0],
+        np.array([0.5, 1.0]), np.array([1.2, 0.0]), np.array([-1.0, 0.0])])
     def test_rejects_bits_other_than_0_and_1(self, bits):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="key bits must be 0 or 1"):
             SecretKey(bits)
 
     def test_bits_are_read_only(self):

@@ -7,10 +7,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from platoonkey import quantizer
 from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace, generate_trace
 from platoonkey.keygen import codeword_table, extract_key
+from platoonkey.protocol import run_cycle
 from platoonkey.quantizer import (
     InfeasiblePartition,
+    _balance_target,
     _grid_ranks,
     IntervalSet,
     bin_indices,
@@ -19,6 +22,7 @@ from platoonkey.quantizer import (
     quantize_trace,
     retained_slots,
 )
+from platoonkey.scenario import parse_scenario
 
 from _oracles import (NoPartition, brute_force_boundaries, chained_mismatch,
                       matrix_boundaries, reference_bin_indices)
@@ -456,6 +460,58 @@ class TestOptimizeBoundariesMatchTheMatrixFit:
         assert iset.boundaries == bounds
         assert got == per_interval
 
+    # the benchmark's cycle_large document at its seeds (1, k), and the
+    # sweep_cli document's two platoon sizes at its seed base 400; the
+    # chains do not depend on the losses, which are left out
+    @pytest.mark.parametrize("document, seeds, shape", [
+        ("n_vehicles = 10\nslots = 1000\nz_iterations = 10\nn_intervals = 8\n",
+         [np.random.SeedSequence((1, k)) for k in range(6)], (9, 8)),
+        ("n_vehicles = 4\nslots = 2000\nn_intervals = 2\n", range(400, 404), (3, 2)),
+        ("n_vehicles = 8\nslots = 2000\nn_intervals = 2\n", range(400, 402), (7, 2)),
+    ], ids=["cycle_large", "sweep_cli_n4", "sweep_cli_n8"])
+    def test_the_benchmark_chains(self, monkeypatch, document, seeds, shape):
+        scen = parse_scenario("pair_distance_m = 2.0\ngrid_size = 64\n" + document)
+        chains, fit = [], quantizer.optimize_boundaries
+
+        def record(rows, *args):
+            chains.append((rows, *args))
+            return fit(rows, *args)
+
+        monkeypatch.setattr(quantizer, "optimize_boundaries", record)
+        for seed in seeds:
+            run_cycle(scen.channel, scen.geometry, scen.protocol, scen.quantizer,
+                      scen.keygen, scen.slots, seed)
+        monkeypatch.undo()
+        assert len(chains) == len(seeds)
+        for rows, floor, L, G in chains:
+            assert (rows.shape[0], L, G) == (*shape, 64)
+            iset, got = optimize_boundaries(rows, floor, L, G)
+            assert (iset.boundaries, got) == matrix_boundaries(rows, floor, L, G)
+
+
+class TestBalanceTarget:
+    """The bisected target is the exhaustive search's largest minimum
+    reference occupancy, on the grids with no spare point and with one."""
+
+    @pytest.mark.parametrize("spare", [0, 1], ids=["G=L", "G=L+1"])
+    def test_equals_the_best_balance_of_brute_force(self, spare):
+        rng = np.random.default_rng(spare)
+        for _ in range(150):
+            L = int(rng.integers(2, 6))
+            G = L + spare
+            slots = int(rng.integers(1, 20))
+            # half-dB steps give ties and samples on grid points
+            rows = rng.integers(-8, 9, (int(rng.integers(2, 4)), slots)) / 2.0
+            if rng.random() < 0.3:  # the reference in one grid cell
+                rows[0] = rows[0, 0]
+            floor = float(rows.min()) - float(rng.choice([0.0, 0.5, 1.7]))
+            if not rows.max() > floor:
+                continue
+            _, ranks = _grid_ranks(rows, floor, float(rows.max()), G)
+            ref = [int(np.count_nonzero(ranks[0] < b)) for b in range(G + 1)]
+            _, _, balance = brute_force_boundaries(rows, floor, L, G)
+            assert _balance_target(ref, L) == balance
+
 
 def searched_ranks(samples, floor, grid_size):
     """The candidates built as linspace plus a top point, and the ranks a
@@ -472,7 +528,7 @@ class TestGridRanks:
 
     def check(self, samples, floor, grid_size):
         cand, want = searched_ranks(samples, floor, grid_size)
-        got_cand, got = _grid_ranks(samples, floor, grid_size)
+        got_cand, got = _grid_ranks(samples, floor, float(samples.max()), grid_size)
         assert got_cand[:-1].tobytes() == cand.tobytes()
         assert got_cand[-1] == np.inf
         assert got.dtype == want.dtype and got.shape == want.shape

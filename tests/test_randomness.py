@@ -471,10 +471,15 @@ class TestInputDtype:
             for bits in inputs:
                 assert test(bits) == ref
 
+    # a cast to uint8 would truncate 0.5 and 1.2 and wrap -1
     @pytest.mark.parametrize("bad", [
         np.array([0, 1, 2] * 2000, dtype=np.uint8),
         np.array([0, 1, -1] * 2000, dtype=np.int64),
-    ], ids=["uint8_2", "int64_minus_1"])
+        [0.5, 1.0] * 3000, [0, 1, 1.2] * 2000, [0, 1, -1] * 2000,
+        np.array([0.5, 1.0] * 3000), np.array([0.0, 1.0, 1.2] * 2000),
+        np.array([0.0, 1.0, -1.0] * 2000),
+    ], ids=["uint8_2", "int64_minus_1", "list_half", "list_1.2", "list_minus_1",
+            "float_half", "float_1.2", "float_minus_1"])
     # ids drop a private name's underscore, so an id does not follow its visibility
     @pytest.mark.parametrize("run", [run_battery, *SINGLE_TESTS],
                              ids=lambda run: run.__name__.lstrip("_"))
