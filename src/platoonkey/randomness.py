@@ -10,9 +10,10 @@ holds the stream as one validated ``uint8`` array, which its tests share.
 and the other seven, in battery order, on one worker thread that it
 joins before returning.  The spectral test takes about half the
 battery's time, and nearly all of that is ``np.fft.rfft``, which
-releases the interpreter lock, so the two halves overlap.  The largest
-working set, the FFT's, stays on the calling thread, and each test keeps
-its own temporaries small, so the two working sets fit where one did.
+releases the interpreter lock, so the two halves overlap.  Fresh pages
+on the caller stalled the worker thread, so the spectral test reuses
+a +-1 stream buffer and a spectrum buffer per thread: each thread keeps
+16 bytes per bit of the longest stream it has tested.
 
 Each test enforces one minimum input length, its entry in
 :data:`DEFAULT_FLOORS`, which follows the usual recommendations.  The
@@ -26,6 +27,7 @@ key agreement cycle runs no test.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -232,18 +234,25 @@ def longest_run_test(bits) -> float:
     return float(_special().gammaincc((len(cats) - 1) / 2.0, chi2 / 2.0))
 
 
+# per thread: the float64 +-1 stream and the complex128 spectrum of dft_test
+_DFT_SCRATCH = threading.local()
+
+
 def dft_test(bits) -> float:
     """Spectral test: fraction of DFT peaks under the 95 % threshold."""
     eps = _as_bits(bits)
     n = len(eps)
     _check_floor(n, "dft")
-    x = eps.astype(np.float64)
-    x *= 2
+    x, spec = getattr(_DFT_SCRATCH, "buffers", ((), ()))
+    if len(x) < n:  # reused while the stream fits, grown when it does not
+        x, spec = _DFT_SCRATCH.buffers = np.empty(n), np.empty(n // 2 + 1, np.complex128)
+    x = np.multiply(eps, 2.0, out=x[:n])
     x -= 1
-    modulus = np.abs(np.fft.rfft(x)[: n // 2], out=x[: n // 2])
+    spectrum = np.fft.rfft(x, out=spec[: n // 2 + 1])
+    modulus = np.abs(spectrum[: n // 2], out=x[: n // 2])
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
-    n1 = int(np.sum(modulus < threshold))
+    n1 = np.count_nonzero(modulus < threshold)
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return float(_special().erfc(abs(d) / math.sqrt(2.0)))
 

@@ -10,6 +10,7 @@ change updates that one file.
 import contextlib
 import hashlib
 import io
+import random
 import re
 from pathlib import Path
 
@@ -58,6 +59,12 @@ DOCUMENTS = {
     "common_p2": (COMMON, ["sweep", "--parallelism", "2"], EXIT_OK),
     "collapse": (COLLAPSE, ["run"], EXIT_RUNTIME),
     "collapse_sweep": (COLLAPSE, ["sweep", "--parallelism", "2"], EXIT_OK),
+    # the entry-point document of the CI step, whose first corpus the
+    # nist tests below read
+    "sweep": ("slots = 200\nseeds = 0..3\nsweep_axis = n_vehicles\nsweep_values = 4,5\n"
+              "measurement_noise_db = 0.05\nreciprocity_sigma_db = 0.3\n"
+              "shadowing_autocorr = 0.5\n",
+              ["sweep", "--parallelism", "2", "--seed-base", "10"], EXIT_OK),
 }
 
 
@@ -112,3 +119,35 @@ def test_an_infeasible_fit_fails_its_seed_alone(ran):
     assert len(re.findall(r"^[0-2] *failed: InfeasiblePartition:", stdout, re.M)) == 3
     assert (out / "keys.txt").is_file()
     assert (out / "keys.txt").stat().st_size == 0
+
+
+def nist_report(bits_file, out):
+    """The bytes of the ``nist_report.csv`` that ``platoonkey nist`` writes
+    for ``bits_file``; the call must exit 0."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["nist", str(bits_file), "--out-dir", str(out)]) == EXIT_OK
+    return (out / "nist_report.csv").read_bytes()
+
+
+def test_nist_writes_a_header_and_rows(ran, tmp_path):
+    out, _ = ran("sweep")
+    report = nist_report(out / "corpus_point0.txt", tmp_path / "nist")
+    assert report.startswith(b"test,p_values,verdict")
+    assert report.count(b"\n") > 1
+
+
+def test_a_second_nist_run_writes_the_same_report(ran, tmp_path):
+    # the battery runs its spectral test beside the others
+    out, _ = ran("sweep")
+    first = nist_report(out / "corpus_point0.txt", tmp_path / "nist")
+    assert nist_report(out / "corpus_point0.txt", tmp_path / "nist2") == first
+
+
+def test_below_the_spectral_floor_nist_skips_it_and_exits_0(tmp_path):
+    # 999 bits, one under the dft test's floor: it is skipped, the rest run
+    draw = random.Random(999)
+    path = tmp_path / "short.txt"
+    path.write_text("".join(draw.choice("01") for _ in range(999)) + "\n",
+                    encoding="ascii")
+    report = nist_report(path, tmp_path / "short")
+    assert re.search(rb"^dft,,skipped", report, re.M)

@@ -4,11 +4,19 @@ The tolerance tests in ``test_randomness`` would let a rewrite of a test
 move its last digits; ``nist.csv`` and ``platoonkey nist`` print these
 values, so any change that moves one altered the output.  A skipped test
 (below its length floor) is pinned as an empty tuple.
+
+The spectral test keeps its buffers per thread and reuses them, so its
+pins are also checked across lengths and threads, and a warm call must not
+allocate stream-sized memory.
 """
+
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
-from platoonkey.randomness import run_battery
+from platoonkey.randomness import dft_test, run_battery
 
 from test_randomness import PI_100, biased_bits, random_bits
 
@@ -96,3 +104,65 @@ def test_battery_p_values_pinned(stream):
     report = run_battery(STREAMS[stream]())
     got = {r.name: tuple(p.hex() for p in r.p_values) for r in report.results}
     assert got == PINNED[stream]
+
+
+def pinned_dft(stream):
+    (p,) = PINNED[stream]["dft"]
+    return float.fromhex(p)
+
+
+def run_threads(targets):
+    """Start a thread per target and join each within a minute."""
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
+def test_dft_pins_hold_as_its_buffers_shrink_and_grow_back():
+    # a new thread starts with no buffers: the first stream sizes them, the
+    # two shorter ones use leading slices, and the last fits again
+    order = ["uniform_200k", "p047_68179", "floor_1000", "uniform_200k"]
+    streams = {name: STREAMS[name]() for name in order}
+    before = {name: bits.copy() for name, bits in streams.items()}
+    got = []
+    run_threads([lambda: got.extend(dft_test(streams[name]) for name in order)])
+    assert got == [pinned_dft(name) for name in order]
+    assert all((streams[name] == before[name]).all() for name in order)
+
+
+def test_dft_pins_hold_on_more_threads_than_cores_at_once():
+    # each thread keeps its own buffers: a shared pair would mix the streams
+    names = ["uniform_200k", "p047_68179", "floor_1000"]
+    streams = {name: STREAMS[name]() for name in names}
+    start, got = threading.Barrier(len(names)), {name: [] for name in names}
+
+    def run(name):
+        start.wait(timeout=60)
+        got[name].extend(dft_test(streams[name]) for _ in range(5))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_threads([lambda name=name: run(name) for name in names])
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == {name: [pinned_dft(name)] * 5 for name in names}
+
+
+def test_a_warm_dft_call_allocates_no_stream_sized_buffer():
+    # a 200-kbit stream's float copy alone is 1.6 MB; the buffers this
+    # thread kept from the warm-up call must serve the traced one
+    bits = STREAMS["uniform_200k"]()
+    dft_test(bits)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        assert dft_test(bits) == pinned_dft("uniform_200k")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 256 * 1024
