@@ -121,7 +121,7 @@ def run_threads(targets):
         assert not thread.is_alive()
 
 
-def test_dft_pins_hold_as_its_buffers_shrink_and_grow_back():
+def test_dft_pins_hold_as_the_streams_shrink_and_grow_back():
     # a new thread starts with no buffers: the first stream sizes them, the
     # two shorter ones use leading slices, and the last fits again
     order = ["uniform_200k", "p047_68179", "floor_1000", "uniform_200k"]
@@ -133,7 +133,7 @@ def test_dft_pins_hold_as_its_buffers_shrink_and_grow_back():
     assert all((streams[name] == before[name]).all() for name in order)
 
 
-def test_dft_pins_hold_on_more_threads_than_cores_at_once():
+def test_dft_pins_hold_on_three_threads_at_once():
     # each thread keeps its own buffers: a shared pair would mix the streams
     names = ["uniform_200k", "p047_68179", "floor_1000"]
     streams = {name: STREAMS[name]() for name in names}
