@@ -239,7 +239,8 @@ _DFT_SCRATCH = threading.local()
 
 
 def dft_test(bits) -> float:
-    """Spectral test: fraction of DFT peaks under the 95 % threshold."""
+    """Spectral test: fraction of DFT peaks under the 95 % threshold.  The
+    calling thread keeps 16 bytes per bit of the longest stream it tested."""
     eps = _as_bits(bits)
     n = len(eps)
     _check_floor(n, "dft")

@@ -59,12 +59,6 @@ DOCUMENTS = {
     "common_p2": (COMMON, ["sweep", "--parallelism", "2"], EXIT_OK),
     "collapse": (COLLAPSE, ["run"], EXIT_RUNTIME),
     "collapse_sweep": (COLLAPSE, ["sweep", "--parallelism", "2"], EXIT_OK),
-    # the entry-point document of the CI step, whose first corpus the
-    # nist tests below read
-    "sweep": ("slots = 200\nseeds = 0..3\nsweep_axis = n_vehicles\nsweep_values = 4,5\n"
-              "measurement_noise_db = 0.05\nreciprocity_sigma_db = 0.3\n"
-              "shadowing_autocorr = 0.5\n",
-              ["sweep", "--parallelism", "2", "--seed-base", "10"], EXIT_OK),
 }
 
 
@@ -130,7 +124,7 @@ def nist_report(bits_file, out):
 
 
 def test_nist_writes_a_header_and_rows(ran, tmp_path):
-    out, _ = ran("sweep")
+    out, _ = ran("sweep_cli")
     report = nist_report(out / "corpus_point0.txt", tmp_path / "nist")
     assert report.startswith(b"test,p_values,verdict")
     assert report.count(b"\n") > 1
@@ -138,7 +132,7 @@ def test_nist_writes_a_header_and_rows(ran, tmp_path):
 
 def test_a_second_nist_run_writes_the_same_report(ran, tmp_path):
     # the battery runs its spectral test beside the others
-    out, _ = ran("sweep")
+    out, _ = ran("sweep_cli")
     first = nist_report(out / "corpus_point0.txt", tmp_path / "nist")
     assert nist_report(out / "corpus_point0.txt", tmp_path / "nist2") == first
 

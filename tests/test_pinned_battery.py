@@ -123,8 +123,10 @@ def run_threads(targets):
 
 def test_dft_pins_hold_as_the_streams_shrink_and_grow_back():
     # a new thread starts with no buffers: the first stream sizes them, the
-    # two shorter ones use leading slices, and the last fits again
-    order = ["uniform_200k", "p047_68179", "floor_1000", "uniform_200k"]
+    # next two outgrow the buffers they find, shorter ones use leading
+    # slices, and the last fits again
+    order = ["floor_1000", "p047_68179", "uniform_200k",
+             "p047_68179", "floor_1000", "uniform_200k"]
     streams = {name: STREAMS[name]() for name in order}
     before = {name: bits.copy() for name, bits in streams.items()}
     got = []
