@@ -2,9 +2,9 @@
 
 All RSS arithmetic is in dB.  The RSS of a link is the path attenuation
 ``H = P_tx - P_rx``, in which the transmit power cancels (:func:`rss_of_link`).
-Linear-domain conversion happens only inside the leader-pair estimator,
-which inverts measured attenuations to distances, differences them, and
-maps the difference back to dB.
+The leader-pair estimator stays in dB too: it maps the gap between a
+follower's two readings to the estimate in closed form, with no distance
+formed (:func:`_estimate_rows`).
 
 Randomness model of :func:`generate_trace`, per slot:
 
@@ -13,8 +13,8 @@ Randomness model of :func:`generate_trace`, per slot:
   shadowing *variance* is a component common to all platoon links in the
   same slot (roadside environment seen by the whole convoy); the rest is
   link-private.  The common part is what the follower-side estimator can
-  recover, since scaling both inverted distances by the same factor
-  shifts the estimate by exactly that factor in dB.
+  recover, since a shift common to a follower's two readings leaves their
+  gap unchanged and moves the estimate by exactly that shift.
 * optional AR(1) temporal correlation of the shadowing processes.
 * optional receiver measurement noise whose standard deviation scales
   with the mean path attenuation of the link (weak signal, noisy RSSI).
@@ -97,11 +97,11 @@ class ChannelParams:
     measurement_noise_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.path_loss_exponent > 0:
+        if not 0 < self.path_loss_exponent < math.inf:
             raise ValueError("path_loss_exponent must be > 0")
         if not math.isfinite(self.channel_constant_db):
             raise ValueError("channel_constant_db must be finite")
-        if not self.shadowing_sigma_db >= 0:
+        if not 0 <= self.shadowing_sigma_db < math.inf:
             raise ValueError("shadowing_sigma_db must be >= 0")
         if not math.isfinite(self.rss_decode_floor_db):
             raise ValueError("rss_decode_floor_db must be finite")
@@ -109,7 +109,8 @@ class ChannelParams:
             raise ValueError("shadowing_common_fraction must be in [0, 1]")
         if not -1.0 < self.shadowing_autocorr < 1.0:
             raise ValueError("shadowing_autocorr must be in (-1, 1)")
-        if not (self.reciprocity_sigma_db >= 0 and self.measurement_noise_db >= 0):
+        if not (0 <= self.reciprocity_sigma_db < math.inf
+                and 0 <= self.measurement_noise_db < math.inf):
             raise ValueError("noise sigmas must be >= 0")
 
 
@@ -176,7 +177,7 @@ class RssTrace:
 def rss_of_link(params: ChannelParams, distance_m, shadowing_db):
     """Link RSS in dB, ``10 * eta * log10(d) - constant - shadowing``."""
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):  # NaN too
         raise ValueError("distance_m must be > 0")
     return (10.0 * params.path_loss_exponent * np.log10(d)
             - params.channel_constant_db - np.asarray(shadowing_db, dtype=float))
@@ -208,30 +209,27 @@ def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
     """Leader-pair RSS estimated from readings of the links to vehicles 1
     and 2.
 
-    The follower inverts both readings to distances assuming zero realized
-    shadowing (it cannot observe it), differences them, and maps the
-    difference back to dB.  A non-positive implied distance difference,
-    or one that overflows a float, gives an invalid estimate: NaN.  The
-    readings may be strided views; each is read once, into a new buffer.
+    At zero shadowing (which the follower cannot observe) reading ``h`` puts
+    a vehicle at ``d = 10**((h + c) / s)``, ``s = 10 * path_loss_exponent``,
+    and ``d1 - d2 = d2 * expm1((h1 - h2) * ln(10) / s)``.  So the estimate
+    ``s * log10(d1 - d2) - c`` is ``h2 + s * log10(expm1((h1 - h2) * ln(10) / s))``,
+    formed without a distance.  It is NaN unless ``h1 > h2`` and the result
+    is finite: a gap above about ``3080 * path_loss_exponent`` dB overflows
+    expm1.  The result is a new array.
     """
-    # the path-loss inversion, then rss_of_link, at zero shadowing, in place
-    # (their + 0.0 and - 0.0 change no bit): the operation order fixes the keys
-    c, scale = params.channel_constant_db, 10.0 * params.path_loss_exponent
-    d1, d2 = np.empty(np.shape(h1)), np.empty(np.shape(h2))
-    # past about 3080 * path_loss_exponent dB a distance overflows to inf
+    s = 10.0 * params.path_loss_exponent
+    est = np.empty(np.shape(h1))  # an out= buffer: 0-d input stays an array
     with np.errstate(over="ignore", invalid="ignore"):
-        for d, h in ((d1, h1), (d2, h2)):
-            np.add(h, c, out=d)
-            d /= scale
-            np.power(10.0, d, out=d)
-        d1 -= d2
-    invalid = ~(np.isfinite(d1) & (d1 > 0))
-    np.putmask(d1, invalid, 1.0)
-    np.log10(d1, out=d1)
-    d1 *= scale
-    d1 -= c
-    np.putmask(d1, invalid, np.nan)
-    return d1
+        np.subtract(h1, h2, out=est)
+        est *= math.log(10.0) / s
+        np.expm1(est, out=est)
+    invalid = ~((est > 0) & (est < math.inf))  # h1 <= h2, a NaN, or overflow
+    np.putmask(est, invalid, 1.0)
+    np.log10(est, out=est)
+    est *= s
+    est += h2
+    np.putmask(est, invalid, np.nan)
+    return est
 
 
 def _draws_per_pass(params: ChannelParams) -> bool:

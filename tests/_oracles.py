@@ -13,14 +13,15 @@ and ``reference_evcd_tries`` one of the protocol's packet loop with one
 scalar loss draw per try, kept to pin the vectorized code bit for bit.
 ``reference_cycle_seeds`` is the cycle's seed tree as a chain of
 ``spawn`` calls, ``reference_bin_indices`` the bin search over every
-boundary, ``distance_from_rss`` the path-loss inversion, and
-``xor_cipher`` a repeating-keystream cipher whose hop chain pins the
-package's whole-key EVCD decode.  ``copying_trace`` is the trace
+boundary, ``distance_from_rss`` the path-loss inversion,
+``exact_estimate`` the leader-pair estimate through distances at 60
+digits, and ``xor_cipher`` a repeating-keystream cipher whose hop chain
+pins the package's whole-key EVCD decode.  ``copying_trace`` is the trace
 generator as it was before its estimator read strided views: it gathers
 the readings, stacks the estimator's inputs and runs
-``copying_estimate_rows``, with its ``+ 0.0`` and ``- 0.0`` passes and
-boolean-index writes.  It shares the package's seed nodes, AR(1) filter
-and link law, and pins the estimator and its caller bit for bit.
+``copying_estimate_rows``, the closed-form estimator on fresh buffers.
+It shares the package's seed nodes, AR(1) filter and link law, and pins
+the estimator and its caller bit for bit.
 """
 
 from __future__ import annotations
@@ -115,6 +116,17 @@ def distance_from_rss(params, rss_db, shadowing_db):
     return 10.0 ** (num / (10.0 * params.path_loss_exponent))
 
 
+def exact_estimate(params, h1, h2):
+    """Leader-pair estimate of two readings as the follower defines it:
+    both inverted to distances at zero shadowing, differenced, and mapped
+    back to dB, all at 60 digits and rounded once to a float.  NaN unless
+    the implied distance difference is positive."""
+    with mpmath.workdps(60):
+        c, s = mpmath.mpf(params.channel_constant_db), 10 * mpmath.mpf(params.path_loss_exponent)
+        d1, d2 = (mpmath.power(10, (mpmath.mpf(h) + c) / s) for h in (h1, h2))
+        return float(s * mpmath.log10(d1 - d2) - c) if d1 > d2 else math.nan
+
+
 def xor_cipher(payload, key):
     """Repeating-keystream XOR of a payload with a key's bits; its own
     inverse for a fixed key."""
@@ -178,11 +190,12 @@ def reference_trace(params, geometry, slots, seed):
             (10.0 * eta * math.log10(d) - const) / 20.0)
 
     def estimate(h1, h2):
-        d1 = 10.0 ** ((h1 + const + 0.0) / (10.0 * eta))
-        d2 = 10.0 ** ((h2 + const + 0.0) / (10.0 * eta))
-        diff = d1 - d2
-        ok = diff > 0
-        est = 10.0 * eta * np.log10(np.where(ok, diff, 1.0)) - const
+        # h2 + s * log10(expm1((h1 - h2) * ln(10) / s)), s = 10 * eta
+        ok = h1 > h2
+        with np.errstate(over="ignore"):
+            gap = np.expm1((h1 - h2) * (math.log(10.0) / (10.0 * eta)))
+        ok &= np.isfinite(gap)
+        est = h2 + 10.0 * eta * np.log10(np.where(ok, gap, 1.0))
         return np.where(ok, est, np.nan), ok
 
     n = geometry.n_vehicles
@@ -218,25 +231,18 @@ def reference_trace(params, geometry, slots, seed):
 
 
 def copying_estimate_rows(params, h1, h2):
-    """The leader-pair estimator on fresh buffers, one pass per operation
-    of the path-loss inversion and of ``rss_of_link``."""
-    c, scale = params.channel_constant_db, 10.0 * params.path_loss_exponent
-    d1, d2 = np.empty(np.shape(h1)), np.empty(np.shape(h2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for d, h in ((d1, h1), (d2, h2)):
-            np.add(h, c, out=d)
-            d += 0.0
-            d /= scale
-            np.power(10.0, d, out=d)
-        d1 -= d2
-    invalid = ~(np.isfinite(d1) & (d1 > 0))
-    d1[invalid] = 1.0
-    np.log10(d1, out=d1)
-    d1 *= scale
-    d1 -= c
-    d1 -= 0.0
-    d1[invalid] = np.nan
-    return d1
+    """The closed-form leader-pair estimator on fresh buffers, one pass
+    per operation and a ``+ 0.0`` pass, with a ``where`` for the NaNs."""
+    scale = 10.0 * params.path_loss_exponent
+    h1, h2 = np.array(h1, dtype=float), np.array(h2, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gap = h1 - h2
+        gap += 0.0
+        gap = gap * (math.log(10.0) / scale)
+        gap = np.expm1(gap)
+        est = np.log10(gap) * scale
+        est = est + h2
+    return np.where(np.isfinite(est), est, np.nan)
 
 
 def copying_trace(params, geometry, slots, seed, passes=1):

@@ -18,7 +18,8 @@ from platoonkey.channel import (
 )
 
 from _oracles import (copying_estimate_rows, copying_trace, distance_from_rss,
-                      reference_cycle_seeds, reference_trace, sheppard_mismatch)
+                      exact_estimate, reference_cycle_seeds, reference_trace,
+                      sheppard_mismatch)
 
 
 def params(**kw):
@@ -43,7 +44,7 @@ class TestRssOfLink:
         assert rss_of_link(p, 4.0, 1.2) == pytest.approx(10.85149978319906, abs=1e-11)
 
     def test_nonpositive_distance_rejected(self):
-        for d in (0.0, -3.0, [2.0, 0.0]):
+        for d in (0.0, -3.0, [2.0, 0.0], math.nan, [2.0, math.nan]):
             with pytest.raises(ValueError, match="distance_m must be > 0"):
                 rss_of_link(params(), d, 0.0)
 
@@ -113,25 +114,30 @@ class TestEstimateLeaderRss:
                                  rss_of_link(p, d2, 0.0))
             assert est == pytest.approx(rss_of_link(p, d1 - d2, 0.0), rel=1e-9)
 
-    def test_bytes_equal_the_composed_conversions(self):
-        # the in-place estimator repeats distance_from_rss and rss_of_link
-        # at zero shadowing operation for operation, so it equals their
-        # composition bit for bit, overflowing and failed readings included
-        rng = np.random.default_rng(12)
-        for eta, c in ((0.5, -1.5), (2.0, 3.0), (3.7, 0.0)):
-            p = params(channel_constant_db=c, path_loss_exponent=eta)
-            h1, h2 = rng.normal(0.0, 400.0, (2, 6, 300))
-            h1[0, :6] = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e5]
-            h2[0, :7] = [np.inf, 1.0, 0.0, -0.0, 0.0, 1.0, 1e5]
-            for a, b in ((h1, h2), (h1[1::2], h2[::2]), (h1[0, 7], h2[0, 7])):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    diff = distance_from_rss(p, a, 0.0) - distance_from_rss(p, b, 0.0)
-                valid = np.isfinite(diff) & (diff > 0)
-                est = rss_of_link(p, np.where(valid, diff, 1.0), 0.0)
-                want = np.where(valid, est, np.nan)
-                got = _estimate_rows(p, a, b)
-                assert type(got) is np.ndarray and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+    # the most floats between an estimate and the exact one rounded, per
+    # reading gap h1 - h2 in dB.  The estimate is h2 minus 199 dB at 1e-9
+    # and plus 19 dB at 20 dB; at 3 dB it is about h2 - 7.7, so some exact
+    # estimates lie near 0 dB, where a float is far finer than one of h2's
+    ULP_BOUNDS = {1e-9: 1, 1e-6: 2, 1e-3: 2, 0.1: 4, 3.0: 572, 20.0: 10}
+
+    def test_matches_the_exact_estimate(self):
+        p = ChannelParams()
+        rng = np.random.default_rng(13)
+
+        def ordinal(x):  # floats in order: adjacent floats differ by 1
+            v = np.asarray(x).view(np.int64)
+            return np.where(v < 0, -(v & 0x7FFFFFFFFFFFFFFF), v)
+
+        for gap, bound in self.ULP_BOUNDS.items():
+            h2 = rss_of_link(p, rng.uniform(1.0, 100.0, 400), 0.0)
+            h1 = h2 + gap
+            got = _estimate_rows(p, h1, h2)
+            want = np.array([exact_estimate(p, a, b) for a, b in zip(h1, h2)])
+            assert np.abs(ordinal(got) - ordinal(want)).max() <= bound, gap
+            # reversed, equal and NaN readings: valid exactly when h1 > h2
+            a = np.concatenate((h1, h2, h2, h1[:3], [np.nan]))
+            b = np.concatenate((h2, h1, h2, [np.nan] * 3, h2[:1]))
+            np.testing.assert_array_equal(~np.isnan(_estimate_rows(p, a, b)), a > b)
 
 
 # Frozen regression curve: mean |estimate - truth| in dB at vehicle 3 over
@@ -289,7 +295,7 @@ class TestGenerateTrace:
     # sha256 over every returned trace's values and eavesdropper bytes, in
     # the test's loop order, recorded with one estimator call for the
     # followers and one for the eavesdropper: stacking them moves no byte
-    TRACE_DIGEST = "83e900c6cf618046a9ff5daab258a43947e3019424426c8fef0922af4ebfaa41"
+    TRACE_DIGEST = "fee9a363eba796b25761b33be5447be2beb2deed36df20131bc94f777e4f1e16"
 
     def test_trace_bytes_pinned(self):
         h = hashlib.sha256()
@@ -394,6 +400,14 @@ class TestGeometry:
             ChannelParams(rss_decode_floor_db=math.inf)
         with pytest.raises(ValueError):
             ChannelParams(shadowing_common_fraction=1.5)
+        # values the scenario parser rejects as not finite, built in code
+        for field, message in (("path_loss_exponent", "must be > 0"),
+                               ("shadowing_sigma_db", "must be >= 0"),
+                               ("reciprocity_sigma_db", "noise sigmas"),
+                               ("measurement_noise_db", "noise sigmas")):
+            for value in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=message):
+                    ChannelParams(**{field: value})
 
 
 class TestVectorizedEstimators:
@@ -427,7 +441,7 @@ CHANNELS = {
     "ar1": dict(shadowing_sigma_db=2.0, shadowing_autocorr=0.8,
                 shadowing_common_fraction=0.6),
     "reciprocity": dict(shadowing_sigma_db=3.0, reciprocity_sigma_db=0.5),
-    # noise about 1e300 dB wide: distances overflow a float, estimates are NaN
+    # noise about 1e300 dB wide: reading gaps overflow expm1, estimates are NaN
     "overflowing": dict(channel_constant_db=-6000.0, measurement_noise_db=0.1),
 }
 

@@ -118,6 +118,24 @@ def test_scenario_error_exits_parse(tmp_path, capsys):
     assert "(line 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, line", [
+    # keys are the direct Gray code: a codeword-map key is unknown
+    ("run", "map_mode = grouped"),
+    # a hop decodes only with the leader's whole key: a command-length key is unknown
+    ("run", "data_payload_bits = 800"),
+    # a cycle is named by its seed alone: a replication count is an unknown key
+    ("sweep", "replications = 2"),
+])
+def test_removed_key_exits_parse_naming_it_and_its_line(tmp_path, capsys, command, line):
+    path = tmp_path / "doc.scn"
+    path.write_text(line + "\n", encoding="utf-8")
+    # 2, not EXIT_PARSE: the number is what a shell sees
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err
+    assert line.split()[0] in err
+
+
 @pytest.mark.parametrize("axis, values, message", [
     ("n_vehicles", "2,4", "n_vehicles must be >= 3"),
     ("pair_distance", "nan", "must be finite"),
@@ -134,8 +152,8 @@ def test_bad_sweep_value_exits_parse(tmp_path, capsys, axis, values, message):
 
 
 def test_sweep_survives_estimates_past_the_float_range(tmp_path, capsys):
-    # shadowing this wide gives readings whose implied distance overflows
-    # a float; such an estimate is invalid, not an infinite sample
+    # shadowing this wide gives reading gaps past the estimator's float
+    # range; such an estimate is invalid, not an infinite sample
     path = tmp_path / "sweep.scn"
     path.write_text("shadowing_sigma_db = 2500\nsweep_axis = n_vehicles\n"
                     "sweep_values = 4,6\nseeds = 0..3\n", encoding="utf-8")
