@@ -232,16 +232,11 @@ def reference_trace(params, geometry, slots, seed):
 
 def copying_estimate_rows(params, h1, h2):
     """The closed-form leader-pair estimator on fresh buffers, one pass
-    per operation and a ``+ 0.0`` pass, with a ``where`` for the NaNs."""
+    per operation, NaN wherever the result is not finite."""
     scale = 10.0 * params.path_loss_exponent
-    h1, h2 = np.array(h1, dtype=float), np.array(h2, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gap = h1 - h2
-        gap += 0.0
-        gap = gap * (math.log(10.0) / scale)
-        gap = np.expm1(gap)
-        est = np.log10(gap) * scale
-        est = est + h2
+        gap = np.expm1((h1 - h2) * (math.log(10.0) / scale))
+        est = h2 + np.log10(gap) * scale
     return np.where(np.isfinite(est), est, np.nan)
 
 
