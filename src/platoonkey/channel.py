@@ -22,15 +22,14 @@ Randomness model of :func:`generate_trace`, per slot:
   readings of the same slot (half-duplex time offset).
 
 Shadowing is drawn once per cycle: the Z beacon passes of a cycle fall
-within the channel coherence time, so they see the same fading.
+within the channel coherence time, so they see the same fading.  It is
+drawn, colored and faded in place, in one block of every link's readings.
 Measurement and reciprocity noise, when nonzero, are drawn once per pass;
 without them the Z passes are equal, and a cycle has one pass.
 
 The eavesdropper's links draw from an RNG stream disjoint from the
 platoon's, and its shadowing (common and private) is independent of the
 platoon's, so its observations share no randomness with the key source.
-Its shadowing, too, is drawn once per cycle and its measurement noise,
-when nonzero, once per pass.
 """
 
 from __future__ import annotations
@@ -194,15 +193,15 @@ def _child(seed, *path: int) -> np.random.SeedSequence:
 
 
 def _ar1(draws: np.ndarray, rho: float) -> np.ndarray:
-    """Color iid standard normal rows with a stationary AR(1) filter."""
+    """Color iid standard normal rows in place with a stationary AR(1) filter."""
     if rho == 0.0:
         return draws
     # scipy.signal takes most of a package import; load it only when used
     from scipy.signal import lfilter
 
-    scaled = draws * math.sqrt(1.0 - rho * rho)
-    scaled[..., 0] = draws[..., 0]
-    return lfilter([1.0], [1.0, -rho], scaled, axis=-1)
+    draws[..., 1:] *= math.sqrt(1.0 - rho * rho)
+    draws[...] = lfilter([1.0], [1.0, -rho], draws, axis=-1)
+    return draws
 
 
 def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
@@ -249,6 +248,9 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     shadowing draw and each draw their own noise, continuing the first
     pass's RNG streams, or one trace on a noiseless channel.  Zero-sigma
     noise is not drawn, as it adds 0 and ends its stream.  Arrays are read-only.
+    The shadowing is drawn and filtered in place in one ``(2N, slots)`` block,
+    beside which a call allocates a common row per stream, the ``(N-1, slots)``
+    estimates and the returned arrays, and a block of readings per noisy pass.
     The platoon draws from the seed's node ``(0,)``, the eavesdropper from
     ``(1,)`` (:func:`_child`); a ``SeedSequence`` seed is never spawned
     from, so the same object always gives the same traces.
@@ -257,15 +259,12 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
         raise ValueError("slots must be >= 1")
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    rng = np.random.default_rng(_child(seed, 0))
-    erng = np.random.default_rng(_child(seed, 1))
+    rng, erng = (np.random.default_rng(_child(seed, k)) for k in (0, 1))
 
     n = geometry.n_vehicles
-    sigma = params.shadowing_sigma_db
-    sig_c = sigma * math.sqrt(params.shadowing_common_fraction)
-    sig_p = sigma * math.sqrt(1.0 - params.shadowing_common_fraction)
-    rho = params.shadowing_autocorr
-    a = params.measurement_noise_db
+    sigma, frac = params.shadowing_sigma_db, params.shadowing_common_fraction
+    sig_c, sig_p = sigma * math.sqrt(frac), sigma * math.sqrt(1.0 - frac)
+    rho, a = params.shadowing_autocorr, params.measurement_noise_db
     eta10, c = 10.0 * params.path_loss_exponent, params.channel_constant_db
 
     # Row r is reading r: vehicles 1 and 2 both read link (1,2), and follower
@@ -276,15 +275,16 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     def fade(stream, rows, dist):
         """Faded RSS and noise scale of links sharing one common shadowing."""
         common = sig_c * _ar1(stream.standard_normal(slots), rho)
-        private = sig_p * _ar1(stream.standard_normal((len(dist), slots)), rho)
+        shadow = _ar1(stream.standard_normal(out=faded[rows]), rho)
+        shadow *= sig_p
+        shadow += common  # rss_of_link, written in place
+        np.subtract(rss_of_link(params, dist[:, None], 0.0), shadow, out=shadow)
         if a > 0:  # libm's log10: numpy's differs in the last bit on some inputs
             try:
                 sig[rows, 0] = [a * 10.0 ** ((eta10 * math.log10(d) - c) / 20.0) for d in dist]
             except OverflowError:
                 raise ValueError(f"measurement_noise_db {a:g} at channel_constant_db "
                                  f"{c:g}: noise scale overflows") from None
-        shadow = np.add(common, private, out=faded[rows])  # rss_of_link, written in place
-        np.subtract(rss_of_link(params, dist[:, None], 0.0), shadow, out=shadow)
 
     # the platoon's links in shadowing draw order: (1,2), then (1,j) and (2,j)
     links = [(1, 2)] + [(i, j) for j in range(3, n + 1) for i in (1, 2)]

@@ -15,8 +15,10 @@ scalar loss draw per try, kept to pin the vectorized code bit for bit.
 ``spawn`` calls, ``reference_bin_indices`` the bin search over every
 boundary, ``distance_from_rss`` the path-loss inversion,
 ``exact_estimate`` the leader-pair estimate through distances at 60
-digits, and ``xor_cipher`` a repeating-keystream cipher whose hop chain
-pins the package's whole-key EVCD decode.  ``copying_trace`` is the trace
+digits, ``copying_ar1`` the AR(1) filter on a fresh buffer, as it was
+before it colored its argument in place, and ``xor_cipher`` a
+repeating-keystream cipher whose hop chain pins the package's whole-key
+EVCD decode.  ``copying_trace`` is the trace
 generator as it was before its estimator read strided views: it gathers
 the readings, stacks the estimator's inputs and runs
 ``copying_estimate_rows``, the closed-form estimator on fresh buffers.
@@ -159,6 +161,16 @@ def reference_cycle_seeds(seed):
             "platoon": platoon, "eavesdropper": eavesdropper, "evcd": evcd}
 
 
+def copying_ar1(draws, rho):
+    """The stationary AR(1) filter on a fresh buffer: samples 1.. scaled
+    by sqrt(1 - rho**2), sample 0 as drawn, then ``lfilter``."""
+    if rho == 0.0:
+        return draws
+    scaled = draws * math.sqrt(1.0 - rho * rho)
+    scaled[..., 0] = draws[..., 0]
+    return lfilter([1.0], [1.0, -rho], scaled, axis=-1)
+
+
 def reference_trace(params, geometry, slots, seed):
     """Per-vehicle loop of the trace generator, with the same RNG draws.
 
@@ -172,13 +184,6 @@ def reference_trace(params, geometry, slots, seed):
     frac, rho = params.shadowing_common_fraction, params.shadowing_autocorr
     sig_c = params.shadowing_sigma_db * math.sqrt(frac)
     sig_p = params.shadowing_sigma_db * math.sqrt(1.0 - frac)
-
-    def ar1(draws):
-        if rho == 0.0:
-            return draws
-        scaled = draws * math.sqrt(1.0 - rho * rho)
-        scaled[..., 0] = draws[..., 0]
-        return lfilter([1.0], [1.0, -rho], scaled, axis=-1)
 
     # transmit power minus receive power, of a 0 dBm beacon
     def link(d, shadow):
@@ -200,8 +205,8 @@ def reference_trace(params, geometry, slots, seed):
 
     n = geometry.n_vehicles
     dv = geometry.pair_distance_m
-    common = sig_c * ar1(rng.standard_normal(slots))
-    private = sig_p * ar1(rng.standard_normal((1 + 2 * (n - 2), slots)))
+    common = sig_c * copying_ar1(rng.standard_normal(slots), rho)
+    private = sig_p * copying_ar1(rng.standard_normal((1 + 2 * (n - 2), slots)), rho)
     meas = rng.standard_normal((2 + 2 * (n - 2), slots))
     recip = params.reciprocity_sigma_db * rng.standard_normal(slots)
     values = np.empty((n, slots))
@@ -221,8 +226,8 @@ def reference_trace(params, geometry, slots, seed):
     ex, ey = {"P1": (0.5 * dv, de), "P2": (2.5 * dv, de),
               "P3": ((n - 1) * dv + de, 0.0)}[geometry.eavesdropper_position]
     d1e, d2e = math.hypot(ex - 0.0, ey), math.hypot(ex - dv, ey)
-    e_common = sig_c * ar1(erng.standard_normal(slots))
-    e_private = sig_p * ar1(erng.standard_normal((2, slots)))
+    e_common = sig_c * copying_ar1(erng.standard_normal(slots), rho)
+    e_private = sig_p * copying_ar1(erng.standard_normal((2, slots)), rho)
     e_meas = erng.standard_normal((2, slots))
     h1e = link(d1e, e_common + e_private[0]) + noise_sigma(d1e) * e_meas[0]
     h2e = link(d2e, e_common + e_private[1]) + noise_sigma(d2e) * e_meas[1]
