@@ -30,6 +30,12 @@ COLLAPSE = ("n_vehicles = 3\nslots = 50\nn_intervals = 8\ngrid_size = 512\n"
 COMMON = ("slots = 200\nseeds = 0..3\nsweep_axis = shadowing_common_fraction\n"
           "sweep_values = 0,0.999\n")
 
+# AR(1) shadowing with measurement and reciprocity noise: the one document
+# that drives channel._ar1 through the command line
+AUTOCORR = ("slots = 200\nseeds = 0..3\nsweep_axis = n_vehicles\nsweep_values = 4,5\n"
+            "measurement_noise_db = 0.05\nreciprocity_sigma_db = 0.3\n"
+            "shadowing_autocorr = 0.5\n")
+
 # document name -> (scenario text, command line after the document, exit code)
 DOCUMENTS = {
     # some seeds exhaust their beacon retries: exit 3, the others' events
@@ -57,6 +63,11 @@ DOCUMENTS = {
     # parallelism 1 and 2 write the same files: their pins are equal
     "common_p1": (COMMON, ["sweep", "--parallelism", "1"], EXIT_OK),
     "common_p2": (COMMON, ["sweep", "--parallelism", "2"], EXIT_OK),
+    "autocorr_run": (AUTOCORR, ["run"], EXIT_OK),
+    "autocorr": (AUTOCORR, ["sweep", "--parallelism", "2", "--seed-base", "10"], EXIT_OK),
+    # unpinned: they must write the parallelism-2 sweep's bytes
+    "autocorr_p1": (AUTOCORR, ["sweep", "--parallelism", "1", "--seed-base", "10"], EXIT_OK),
+    "autocorr_p3": (AUTOCORR, ["sweep", "--parallelism", "3", "--seed-base", "10"], EXIT_OK),
     "collapse": (COLLAPSE, ["run"], EXIT_RUNTIME),
     "collapse_sweep": (COLLAPSE, ["sweep", "--parallelism", "2"], EXIT_OK),
 }
@@ -99,6 +110,15 @@ def test_run_writes_the_pinned_bytes(ran, document, expected):
     out, _ = ran(document)
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in expected} == expected
+
+
+@pytest.mark.parametrize("document", ["autocorr_p1", "autocorr_p3"])
+def test_each_parallelism_writes_the_same_sweep(ran, document):
+    # each worker runs a strided share of the units
+    out, _ = ran(document)
+    pinned, _ = ran("autocorr")
+    for name in PINNED["autocorr"]:
+        assert (out / name).read_bytes() == (pinned / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("document, cycles", [("noisy", 20), ("collapse_sweep", 3)])
