@@ -343,7 +343,7 @@ class TestGenerateTrace:
 
 
 class TestAr1:
-    @pytest.mark.parametrize("rho", [-0.9, 0.5, 0.99])
+    @pytest.mark.parametrize("rho", [0.0, -0.9, 0.5, 0.99])
     @pytest.mark.parametrize("shape", [(500,), (7, 300)])
     def test_colors_its_argument_as_the_copying_filter_does(self, rho, shape):
         draws = np.random.default_rng(17).standard_normal(shape)
@@ -351,12 +351,6 @@ class TestAr1:
         got = _ar1(draws, rho)
         assert got is draws
         assert got.tobytes() == want.tobytes()
-
-    def test_zero_rho_leaves_its_argument_as_it_is(self):
-        draws = np.random.default_rng(17).standard_normal((3, 50))
-        before = draws.copy()
-        assert _ar1(draws, 0.0) is draws
-        assert draws.tobytes() == before.tobytes()
 
 
 class TestTraceKey:
