@@ -1,12 +1,12 @@
 """Gray-coded secret key extraction from quantization bin indices.
 
-Each retained slot contributes the Q-bit reflected-binary Gray codeword
-of its bin (the direct map of Jana et al., MobiCom 2009, and Patwari et
-al., IEEE TMC 2010), so neighboring bins differ in a single key bit and
-a one-bin quantization disagreement costs at most one bit of the slot's
-codeword.  :func:`codeword_table` lays the map out as one read-only
-table, built once per ``(Q, L)``, and :func:`extract_key` gathers that
-table's rows at every row's bin indices in one take.
+Each retained slot contributes the Q = ceil(log2(L))-bit reflected-binary
+Gray codeword of its bin among L (the direct map of Jana et al., MobiCom
+2009, and Patwari et al., IEEE TMC 2010), so neighboring bins differ in a
+single key bit and a one-bin quantization disagreement costs at most one
+bit of the slot's codeword.  :func:`codeword_table` lays the map out as
+one read-only table, built once per L, and :func:`extract_key` gathers
+that table's rows at every row's bin indices in one take.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from functools import cache
 import numpy as np
 
 __all__ = [
-    "CodebookTooSmall",
     "KeygenConfig",
     "SecretKey",
     "bmmr",
@@ -26,24 +25,11 @@ __all__ = [
 ]
 
 
-class CodebookTooSmall(ValueError):
-    """The codebook cannot represent all L bins (L > 2**Q)."""
-
-
 @dataclass(frozen=True)
 class KeygenConfig:
-    """codeword_bits = 0 selects ceil(log2(n_intervals)) automatically."""
-
-    codeword_bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.codeword_bits < 0:
-            raise ValueError("codeword_bits must be >= 0")
-
-    def resolve_bits(self, n_intervals: int) -> int:
-        if self.codeword_bits:
-            return self.codeword_bits
-        return max(1, (int(n_intervals) - 1).bit_length())  # ceil(log2(L))
+    """No keys: a codeword is ceil(log2(L)) bits.  It remains, as do
+    ``Scenario.keygen`` and ``run_cycle``'s ``keygen``, because the bench
+    harness passes ``scen.keygen`` to ``run_cycle`` by position."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,19 +64,17 @@ class SecretKey:
 
 
 @cache
-def codeword_table(codeword_bits: int, n_bins: int) -> np.ndarray:
-    """The read-only ``(n_bins, Q)`` uint8 table of the direct Gray map.
+def codeword_table(n_bins: int) -> np.ndarray:
+    """The read-only ``(L, Q)`` uint8 table of the direct Gray map of
+    ``n_bins`` = L bins, Q = ceil(log2(L)) and at least 1.
 
     Row l - 1 holds bin l's codeword, the (l - 1)-th reflected-binary Gray
     codeword ``(l - 1) ^ ((l - 1) >> 1)``, most significant bit first, so
-    adjacent bins are Gray-adjacent.  Raises :class:`CodebookTooSmall`
-    when L > 2**Q, so no bin's codeword index exceeds the codebook.
+    adjacent bins are Gray-adjacent.
     """
-    q, L = codeword_bits, n_bins
-    if q < 1 or L < 1:
-        raise ValueError("codeword_bits and n_bins must be >= 1")
-    if L > 2 ** q:
-        raise CodebookTooSmall(f"{L} bins exceed the {2 ** q}-codeword codebook")
+    if n_bins < 1:
+        raise ValueError("n_bins must be >= 1")
+    L, q = n_bins, max(1, (int(n_bins) - 1).bit_length())
     index = np.arange(L)
     gray = index ^ (index >> 1)
     table = ((gray[:, None] >> np.arange(q - 1, -1, -1)) & 1).astype(np.uint8)

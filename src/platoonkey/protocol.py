@@ -328,16 +328,17 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
               traces: list[RssTrace] | None = None) -> AgreementReport:
     """One full dissemination cycle: CSKA, key extraction, EVCD, report.
 
-    A lossy CSKA draws from the seed's node ``(0,)``, the traces from
-    ``(0, 1, 0)`` (:func:`cycle_traces`, drawn only once the beacons are
-    through) and a lossy EVCD from ``(1,)`` (``channel._child``).  No stage spawns from a
+    A lossy CSKA draws from the seed's node ``(0, 0)`` (:func:`run_cska`
+    reads child 0 of node ``(0,)``), the traces from ``(0, 1, 0)``
+    (:func:`cycle_traces`, drawn only once the beacons are through) and a
+    lossy EVCD from ``(1,)`` (``channel._child``).  No stage spawns from a
     ``SeedSequence`` seed, so the same object always gives the same cycle.
     A caller that has drawn the cycle's traces already passes them as
     ``traces``: :func:`cycle_traces` at the same seed, or the first
     ``n_vehicles`` rows of a wider platoon's traces of equal
     ``channel.trace_key``.  They give the cycle that its own draw gives.
     The kept slots are selected once, on the averaged trace, and the fit
-    and the bins read only them.
+    and the bins read only them; nothing reads ``keygen``.
     """
     log = run_cska(protocol, geometry,
                    _child(seed, 0) if protocol.beacon_loss_prob > 0 else None)
@@ -353,7 +354,7 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
                      eavesdropper=trace.eavesdropper.take(keep))
     intervals, _ = optimize_intervals(trace, quant.n_intervals,
                                       quant.grid_size, floor=floor)
-    table = codeword_table(keygen.resolve_bits(quant.n_intervals), quant.n_intervals)
+    table = codeword_table(quant.n_intervals)
     *keys, eavesdropper_key = extract_key(quantize_trace(trace, intervals), table)
     leader = keys[0]
     bmmrs = {i: bmmr(leader, key) for i, key in enumerate(keys[1:], 2)}

@@ -6,10 +6,9 @@ repr-exact floats) that parses back to an equal scenario, and sweeps are
 described by an axis name plus a value list.
 
 The keys are the fields of ChannelParams, PlatoonGeometry,
-ProtocolConfig, QuantizerConfig and KeygenConfig followed by those of
-Scenario itself; ``serialize_scenario(Scenario())`` lists every key with
-its default, in document order.  Secret keys are the bins' direct Gray
-code, and ``codeword_bits = 0`` selects ceil(log2(n_intervals)) bits.
+ProtocolConfig and QuantizerConfig followed by those of Scenario itself;
+``serialize_scenario(Scenario())`` lists every key with its default, in
+document order.  A secret key holds ceil(log2(n_intervals)) bits a slot.
 
 A sweep names one of ``SWEEP_AXES``.  The eavesdropper axis takes
 ``TAG:distance`` tokens (e.g. ``P1:3``); numeric axes take numbers.
@@ -88,7 +87,7 @@ class Scenario:
     geometry: PlatoonGeometry = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0)
     protocol: ProtocolConfig = ProtocolConfig()
     quantizer: QuantizerConfig = QuantizerConfig()
-    keygen: KeygenConfig = KeygenConfig()
+    keygen: KeygenConfig = KeygenConfig()  # sets no document key (see KeygenConfig)
     slots: int = 200
     sweep_axis: str = "none"
     sweep_values: tuple = ()
@@ -110,10 +109,6 @@ class Scenario:
                     raise ValueError(f"sweep value {v} is not an integer")
         _check_distinct(self.sweep_values, self.sweep_values)
         _check_seeds(self.seeds)
-        q = self.keygen.codeword_bits
-        if q and self.quantizer.n_intervals > 2 ** q:
-            raise ValueError(
-                f"codeword_bits {q} too small for {self.quantizer.n_intervals} intervals")
 
     def points(self) -> list["Scenario"]:
         """One fully resolved single-point scenario per sweep value."""

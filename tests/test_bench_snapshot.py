@@ -45,7 +45,8 @@ def test_end_to_end_metrics_come_from_benchmark_json():
 def _record(op_ms, rate, digest="a"):
     return {"correct": True, "raw_op_ms_min": 2 * op_ms, "slowdown": 2.0,
             "metrics": {"op_ms_min": op_ms, "ops_per_s": rate},
-            "digests": {"keys_sha256": digest}}
+            "digests": {"keys_sha256": digest,
+                        "sweep_sha256": {"runs.csv": "r", "keys.txt": "k"}}}
 
 
 def test_pair_summary_counts_wins_in_each_direction():
@@ -61,8 +62,27 @@ def test_pair_summary_counts_wins_in_each_direction():
     assert summary["op_ms_min"]["change"]["q1"] == pytest.approx(0.875)
     assert summary["op_ms_min"]["change"]["iqr"] == pytest.approx(0.2)
     assert summary["digests_equal"] and summary["all_correct"]
-    pairs[2]["change"]["digests"] = {"keys_sha256": "b"}
-    assert not snap.summarize_pairs(pairs, snap.end_to_end())["digests_equal"]
+    assert summary["digests_differ"] == []
+    # a changed file of a dict digest is named with its file, in any pair
+    pairs[1]["change"]["digests"]["sweep_sha256"] = {"runs.csv": "x", "keys.txt": "k"}
+    pairs[2]["change"]["digests"] = {"keys_sha256": "b",
+                                     "sweep_sha256": {"runs.csv": "r", "keys.txt": "k"}}
+    summary = snap.summarize_pairs(pairs, snap.end_to_end())
+    assert not summary["digests_equal"]
+    assert summary["digests_differ"] == ["keys_sha256", "sweep_sha256/runs.csv"]
+    # a digest on one side only differs, too
+    del pairs[3]["parent"]["digests"]["sweep_sha256"]
+    assert snap.summarize_pairs(pairs, snap.end_to_end())["digests_differ"] == [
+        "keys_sha256", "sweep_sha256/keys.txt", "sweep_sha256/runs.csv"]
+
+
+@pytest.mark.parametrize("seeds", ["1,,2", "1,x", ""])
+def test_a_seed_list_other_than_integers_is_a_usage_error(capsys, seeds):
+    with pytest.raises(SystemExit) as info:
+        snap.main(["--seeds", seeds])
+    assert info.value.code == 2
+    assert f"--seeds must be comma-separated integers, got {seeds!r}" in \
+        capsys.readouterr().err
 
 
 def test_next_file_number(tmp_path):

@@ -125,6 +125,8 @@ def test_scenario_error_exits_parse(tmp_path, capsys):
     ("run", "data_payload_bits = 800"),
     # a cycle is named by its seed alone: a replication count is an unknown key
     ("sweep", "replications = 2"),
+    # a codeword is ceil(log2(L)) bits: a width key is unknown
+    ("run", "codeword_bits = 3"),
 ])
 def test_removed_key_exits_parse_naming_it_and_its_line(tmp_path, capsys, command, line):
     path = tmp_path / "doc.scn"

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from platoonkey.keygen import (
-    CodebookTooSmall,
-    KeygenConfig,
-    SecretKey,
-    bmmr,
-    codeword_table,
-    extract_key,
-)
+from platoonkey.keygen import SecretKey, bmmr, codeword_table, extract_key
 from platoonkey.randomness import bits_from_ascii
 
 from _oracles import chained_mismatch, gray_list, reference_key_bits
@@ -32,20 +25,20 @@ def key_of(bins, table):
 
 class TestGrayCodeword:
     def test_origin(self):
-        assert codeword_table(3, 8)[0].tolist() == [0, 0, 0]
+        assert codeword_table(8)[0].tolist() == [0, 0, 0]
 
     def test_first_step(self):
-        table = codeword_table(3, 8)
+        table = codeword_table(8)
         assert table[1].tolist() == [0, 0, 1]
         assert int(np.sum(table[1] != table[0])) == 1
 
     def test_full_list_q3(self):
-        assert words(codeword_table(3, 8)) == \
+        assert words(codeword_table(8)) == \
             ["000", "001", "011", "010", "110", "111", "101", "100"]
 
     @pytest.mark.parametrize("q", range(1, 11))
     def test_adjacency_and_bijectivity(self, q):
-        rows = words(codeword_table(q, 2 ** q))
+        rows = words(codeword_table(2 ** q))
         assert len(set(rows)) == 2 ** q
         for i in range(2 ** q):
             nxt = rows[(i + 1) % (2 ** q)]
@@ -53,18 +46,17 @@ class TestGrayCodeword:
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_matches_mirror_construction(self, q):
-        assert words(codeword_table(q, 2 ** q)) == gray_list(q)
+        assert words(codeword_table(2 ** q)) == gray_list(q)
 
     def test_range_checks(self):
-        with pytest.raises(ValueError):
-            codeword_table(0, 1)
-        with pytest.raises(ValueError):
-            codeword_table(3, 0)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="n_bins must be >= 1"):
+                codeword_table(bad)
 
 
 class TestCodebook:
     def test_sizes(self):
-        table = codeword_table(3, 5)
+        table = codeword_table(5)
         assert table.shape == (5, 3) and table.dtype == np.uint8
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -72,44 +64,39 @@ class TestCodebook:
 
     @pytest.mark.parametrize("q,L", [(1, 2), (3, 5), (3, 8)])
     def test_equal_arguments_share_one_read_only_table(self, q, L):
-        table = codeword_table(q, L)
-        assert codeword_table(q, L) is table
+        table = codeword_table(L)
+        assert codeword_table(L) is table
         assert words(table) == gray_list(q)[:L]
         with pytest.raises(ValueError):
             table[L - 1, 0] ^= 1
         with pytest.raises(ValueError):
             table.flags.writeable = True
-        assert words(codeword_table(q, L)) == gray_list(q)[:L]
+        assert words(codeword_table(L)) == gray_list(q)[:L]
 
-    def test_too_small_raises_on_every_call(self):
-        for _ in range(3):
-            with pytest.raises(CodebookTooSmall):
-                codeword_table(2, 5)
-            with pytest.raises(ValueError):
-                codeword_table(0, 1)
+    def test_width_is_ceil_log2_of_the_bins(self):
+        widths = [codeword_table(L).shape[1] for L in range(1, 17)]
+        assert widths == [1, 1, 2, 2] + [3] * 4 + [4] * 8
+        # a numpy integer, as code may build a QuantizerConfig with, too
+        assert codeword_table(np.int64(40)).shape == (40, 6)
 
 
 class TestExtractKey:
     def test_constant_input(self):
-        key = key_of([1, 1, 1, 1], codeword_table(3, 5))
+        key = key_of([1, 1, 1, 1], codeword_table(5))
         assert key.to01() == "000" * 4
 
     def test_deterministic(self):
-        table = codeword_table(3, 5)
+        table = codeword_table(5)
         seq = [2, 4, 1, 5, 3]
         assert key_of(np.array(seq), table) == key_of(list(seq), table)
 
     def test_direct_map_matches_per_slot_recomputation(self):
-        key = key_of([1, 2, 3, 4, 5], codeword_table(3, 5))
+        key = key_of([1, 2, 3, 4, 5], codeword_table(5))
         expected = "".join(gray_list(3)[l - 1] for l in [1, 2, 3, 4, 5])
         assert key.to01() == expected == "000001011010110"
 
-    def test_codebook_too_small(self):
-        with pytest.raises(CodebookTooSmall):
-            codeword_table(2, 5)
-
     def test_bad_bin_rejected(self):
-        table = codeword_table(3, 5)
+        table = codeword_table(5)
         with pytest.raises(ValueError):
             key_of([0, 1], table)
         with pytest.raises(ValueError):
@@ -121,11 +108,11 @@ class TestExtractKey:
     @pytest.mark.parametrize("bins", [[1, 2], 3, [[[1]]]])
     def test_a_block_other_than_rows_by_slots_is_rejected(self, bins):
         with pytest.raises(ValueError, match="block"):
-            extract_key(bins, codeword_table(3, 5))
+            extract_key(bins, codeword_table(5))
 
     @pytest.mark.parametrize("q,L", [(1, 2), (3, 5), (4, 11)])
     def test_one_key_per_row_equal_to_its_own_row_key(self, q, L):
-        table = codeword_table(q, L)
+        table = codeword_table(L)
         block = np.random.default_rng([q, L, 1]).integers(1, L + 1, (5, 40))
         keys = extract_key(block, table)
         assert keys == [key_of(row, table) for row in block]
@@ -141,7 +128,7 @@ class TestExtractKey:
             extract_key([[1, 1], [1, 2]], table)
 
     def test_neighbor_bin_flip_costs_at_most_one_bit(self):
-        table = codeword_table(3, 8)
+        table = codeword_table(8)
         rng = np.random.default_rng(8)
         slots = 20
         for _ in range(30):
@@ -159,7 +146,7 @@ class TestExtractKey:
 
     @pytest.mark.parametrize("q,L", [(1, 2), (3, 5), (3, 8), (4, 11)])
     def test_matches_per_slot_oracle(self, q, L):
-        table = codeword_table(q, L)
+        table = codeword_table(L)
         rng = np.random.default_rng([q, L])
         for bins in ([], [L], list(range(1, L + 1)),
                      rng.integers(1, L + 1, 50).tolist()):
@@ -240,22 +227,9 @@ class TestBmmr:
         rng = np.random.default_rng(17)
         slots = 40
         rows = [rng.integers(1, 3, slots) for _ in range(4)]
-        keys = extract_key(rows, codeword_table(1, 2))
+        keys = extract_key(rows, codeword_table(2))
         pair_sum = sum(bmmr(a, b) for a, b in zip(keys[:-1], keys[1:]))
         for l in (1, 2):
             assert chained_mismatch([r.tolist() for r in rows], l) == \
                 pytest.approx(slots * pair_sum)
 
-
-class TestKeygenConfig:
-    def test_auto_bits(self):
-        assert KeygenConfig().resolve_bits(2) == 1
-        assert KeygenConfig().resolve_bits(5) == 3
-        assert KeygenConfig().resolve_bits(16) == 4
-
-    def test_explicit_bits(self):
-        assert KeygenConfig(codeword_bits=6).resolve_bits(5) == 6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KeygenConfig(codeword_bits=-1)

@@ -445,6 +445,16 @@ class TestSeeding:
         assert rep.eavesdropper_bmmr == again.eavesdropper_bmmr
         assert rep.log == again.log
 
+    def test_a_lossy_cska_draws_from_the_seeds_node_0_0(self):
+        # run_cycle passes node (0,) to run_cska, which reads its child 0
+        cfg = ProtocolConfig(z_iterations=2, beacon_loss_prob=0.4)
+        for seed in range(20):
+            rep = run_cycle(QUIET, GEOM4, cfg, QuantizerConfig(2, 16), KeygenConfig(), 40,
+                            seed)
+            cska = [e for e in rep.log.events if e.stage == "cska"]
+            assert cska == run_cska(cfg, GEOM4, protocol._child(seed, 0)).events
+            assert cska != run_cska(cfg, GEOM4, seed).events
+
     @pytest.mark.parametrize("loss, generators", [(0.0, 2), (0.1, 4)])
     def test_a_cycle_builds_a_generator_per_stream_it_reads(self, monkeypatch,
                                                            loss, generators):

@@ -347,7 +347,7 @@ class TestOptimizeIntervals:
             (t,) = generate_trace(p, g, 300, seed)
             selected = kept(t, floor)
             iset, _ = optimize_intervals(selected, 2, grid_size, floor)
-            key, *_ = extract_key(quantize_trace(selected, iset), codeword_table(1, 2))
+            key, *_ = extract_key(quantize_trace(selected, iset), codeword_table(2))
             keep = retained_slots(t, floor)
             # the fit's grid runs from the floor to the chain's largest
             # sample; the chain leaves out vehicle 2

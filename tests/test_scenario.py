@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonkey.channel import EAVESDROPPER_POSITIONS, ChannelParams, PlatoonGeometry
-from platoonkey.keygen import KeygenConfig
 from platoonkey.protocol import CYCLE_FAILURES, ProtocolConfig
 from platoonkey.quantizer import QuantizerConfig
 from platoonkey.scenario import (
@@ -43,7 +42,6 @@ slot_duration_ms = 1.0
 retransmission_cap = 10
 n_intervals = 2
 grid_size = 64
-codeword_bits = 0
 slots = 200
 sweep_axis = none
 seeds = 0..99
@@ -60,13 +58,13 @@ class TestSerialize:
 
     def test_sweep_values_sit_between_axis_and_seeds(self):
         s = Scenario(
-            keygen=KeygenConfig(codeword_bits=3),
+            quantizer=QuantizerConfig(grid_size=32),
             sweep_axis="eavesdropper",
             sweep_values=(("P1", 3.0), ("P3", 5.5)),
             seeds=(0, 1, 2, 7, 9, 10))
         tail = serialize_scenario(s).splitlines()[-5:]
         assert tail == [
-            "codeword_bits = 3",
+            "grid_size = 32",
             "slots = 200",
             "sweep_axis = eavesdropper",
             "sweep_values = P1:3.0,P3:5.5",
@@ -74,12 +72,12 @@ class TestSerialize:
         ]
 
     def test_partial_document_keeps_other_defaults(self):
-        s = parse_scenario("n_vehicles = 6\ngrid_size = 32\ncodeword_bits = 3\n")
+        s = parse_scenario("n_vehicles = 6\ngrid_size = 32\nbeacon_loss_prob = 0.25\n")
         d = Scenario()
         assert s == replace(
             d, geometry=replace(d.geometry, n_vehicles=6),
             quantizer=replace(d.quantizer, grid_size=32),
-            keygen=replace(d.keygen, codeword_bits=3))
+            protocol=replace(d.protocol, beacon_loss_prob=0.25))
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -118,9 +116,6 @@ def scenarios(draw):
     quantizer = QuantizerConfig(
         n_intervals=n_intervals,
         grid_size=draw(st.integers(n_intervals, n_intervals + 300)))
-    min_bits = math.ceil(math.log2(n_intervals))
-    keygen = KeygenConfig(
-        codeword_bits=draw(st.sampled_from([0]) | st.integers(min_bits, min_bits + 4)))
     axis = draw(st.sampled_from(SWEEP_AXES))
     if axis == "none":
         values = ()
@@ -142,7 +137,7 @@ def scenarios(draw):
                                unique=True))
     return Scenario(
         channel=channel, geometry=geometry, protocol=protocol,
-        quantizer=quantizer, keygen=keygen,
+        quantizer=quantizer,
         slots=draw(st.integers(1, 10**6)),
         sweep_axis=axis, sweep_values=tuple(values),
         seeds=tuple(draw(st.lists(st.integers(0, 300), min_size=1, max_size=30,
@@ -257,6 +252,9 @@ SWEEP_AXES_MESSAGE = (
     ("append_complement = maybe", 1, "append_complement",
      "unknown key 'append_complement'"),
     ("map_mode = grouped", 1, "map_mode", "unknown key 'map_mode'"),
+    # a codeword is ceil(log2(L)) bits: a width key is unknown
+    ("n_intervals = 8\ncodeword_bits = 2", 2, "codeword_bits",
+     "unknown key 'codeword_bits'"),
     # a hop decodes only with the leader's whole key: no command length
     ("data_payload_bits = 800", 1, "data_payload_bits",
      "unknown key 'data_payload_bits'"),
@@ -352,8 +350,6 @@ def test_error_order(text, line, fieldname):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("codeword_bits = 2\nn_intervals = 8",
-     "codeword_bits 2 too small for 8 intervals"),
     ("n_vehicles = 2", "n_vehicles must be >= 3"),
     ("eavesdropper_position = P2\nn_vehicles = 3",
      "position P2 requires at least 4 vehicles"),

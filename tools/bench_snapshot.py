@@ -18,8 +18,8 @@ is cloned into a scratch directory (a clone, not a worktree, so the run
 adds nothing to this repository's ``.git``) and run beside the working
 tree in alternated pairs: pair i runs the parent first when i is even.
 Each pair is kept, and each metric gets both sides' medians and
-interquartile ranges, the number of pairs the change wins, and whether
-every pair's digests are equal.
+interquartile ranges, the number of pairs the change wins, whether every
+pair's digests are equal, and the names of those that differ in a pair.
 
 The default snapshot (four workloads, seeds 1-3, 5 s each) takes about
 two minutes.  The output defaults to ``BENCH_<n>.json`` at the root of
@@ -110,6 +110,17 @@ def summarize_runs(runs: list[dict]) -> dict:
     return {name: spread([f[name] for f in figures]) for name in figures[0]}
 
 
+def _flat_digests(digests: dict) -> dict[str, str]:
+    """``{name: digest}``, with a dict digest's entries as ``<name>/<file>``."""
+    flat = {}
+    for name, value in digests.items():
+        if isinstance(value, dict):
+            flat.update({f"{name}/{file}": v for file, v in value.items()})
+        else:
+            flat[name] = value
+    return flat
+
+
 def summarize_pairs(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     """Both sides' spread of every metric, with the change's wins.
 
@@ -130,8 +141,12 @@ def summarize_pairs(pairs: list[dict], metrics: dict[str, dict]) -> dict:
             row["median_change"] = row["change"]["median"] / row["parent"]["median"] - 1.0
             if name in metrics:
                 row["bound"] = metrics[name]["bound"]
-    summary["digests_equal"] = all(p["parent"]["digests"] == p["change"]["digests"]
-                                   for p in pairs)
+    digests = [(_flat_digests(p["parent"]["digests"]), _flat_digests(p["change"]["digests"]))
+               for p in pairs]
+    summary["digests_differ"] = sorted({name for parent, change in digests
+                                        for name in parent.keys() | change.keys()
+                                        if parent.get(name) != change.get(name)})
+    summary["digests_equal"] = not summary["digests_differ"]
     summary["all_correct"] = all(p[s]["correct"] for p in pairs for s in ("parent", "change"))
     return summary
 
@@ -195,7 +210,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, help="output file (default: the next BENCH_<n>.json)")
     args = parser.parse_args(argv)
     args.workloads = args.workloads.split(",")
-    args.seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        args.seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
     if unknown := set(args.workloads) - set(WORKLOADS):
         parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
     if args.seconds < 1 or args.pairs < 1 or min(args.seeds) < 0:
