@@ -27,6 +27,14 @@ drawn, colored and faded in place, in one block of every link's readings.
 Measurement and reciprocity noise, when nonzero, are drawn once per pass;
 without them the Z passes are equal, and a cycle has one pass.
 
+A cycle's traces are one read-only float64 array of shape
+``(P, n_vehicles + 1, slots)``, a block per distinct pass: row i-1 of a
+block holds vehicle i's sequence and the last row (row N) the
+eavesdropper's, so the eavesdropper's readings travel with the platoon's
+through every stage after the trace.  P is Z on a channel with per-pass
+noise and 1 otherwise.  An invalid entry (a failed estimate) is NaN;
+NaN marks nothing else.
+
 The eavesdropper's links draw from an RNG stream disjoint from the
 platoon's, and its shadowing (common and private) is independent of the
 platoon's, so its observations share no randomness with the key source.
@@ -43,7 +51,6 @@ __all__ = [
     "ChannelParams",
     "EAVESDROPPER_POSITIONS",
     "PlatoonGeometry",
-    "RssTrace",
     "generate_trace",
     "rss_of_link",
     "trace_key",
@@ -155,24 +162,6 @@ class PlatoonGeometry:
         return math.hypot(ex - self.vehicle_x(1), ey), math.hypot(ex - self.vehicle_x(2), ey)
 
 
-@dataclass
-class RssTrace:
-    """Per-slot RSS sequences for one key-agreement iteration.
-
-    ``values[i-1]`` holds vehicle ``i``'s sequence: the measured leader-pair
-    RSS for vehicles 1 and 2, the estimated leader-pair RSS for vehicles
-    3..N.  An invalid entry (a failed estimate) is NaN, in ``values`` and
-    ``eavesdropper`` alike; NaN marks nothing else.
-    """
-
-    values: np.ndarray            # (n_vehicles, slots) float
-    eavesdropper: np.ndarray      # (slots,) float
-
-    @property
-    def n_vehicles(self) -> int:
-        return self.values.shape[0]
-
-
 def rss_of_link(params: ChannelParams, distance_m, shadowing_db):
     """Link RSS in dB, ``10 * eta * log10(d) - constant - shadowing``."""
     d = np.asarray(distance_m, dtype=float)
@@ -204,9 +193,10 @@ def _ar1(draws: np.ndarray, rho: float) -> np.ndarray:
     return draws
 
 
-def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
+def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
     """Leader-pair RSS estimated from readings of the links to vehicles 1
-    and 2.
+    and 2, written into ``out`` (of their shape) and returned.
 
     At zero shadowing (which the follower cannot observe) reading ``h`` puts
     a vehicle at ``d = 10**((h + c) / s)``, ``s = 10 * path_loss_exponent``,
@@ -214,21 +204,20 @@ def _estimate_rows(params: ChannelParams, h1: np.ndarray, h2: np.ndarray):
     ``s * log10(d1 - d2) - c`` is ``h2 + s * log10(expm1((h1 - h2) * ln(10) / s))``,
     formed without a distance.  It is NaN unless ``h1 > h2`` and the result
     is finite: a gap above about ``3080 * path_loss_exponent`` dB overflows
-    expm1.  The result is a new array.
+    expm1.
     """
     s = 10.0 * params.path_loss_exponent
-    est = np.empty(np.shape(h1))  # an out= buffer: 0-d input stays an array
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(h1, h2, out=est)
-        est *= math.log(10.0) / s
-        np.expm1(est, out=est)
-    invalid = ~((est > 0) & (est < math.inf))  # h1 <= h2, a NaN, or overflow
-    np.putmask(est, invalid, 1.0)
-    np.log10(est, out=est)
-    est *= s
-    est += h2
-    np.putmask(est, invalid, np.nan)
-    return est
+        np.subtract(h1, h2, out=out)
+        out *= math.log(10.0) / s
+        np.expm1(out, out=out)
+    invalid = ~((out > 0) & (out < math.inf))  # h1 <= h2, a NaN, or overflow
+    np.putmask(out, invalid, 1.0)
+    np.log10(out, out=out)
+    out *= s
+    out += h2
+    np.putmask(out, invalid, np.nan)
+    return out
 
 
 def _draws_per_pass(params: ChannelParams) -> bool:
@@ -236,7 +225,7 @@ def _draws_per_pass(params: ChannelParams) -> bool:
 
 
 def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
-                   slots: int, seed, passes: int = 1) -> list[RssTrace]:
+                   slots: int, seed, passes: int = 1) -> np.ndarray:
     """Generate a cycle's RSS traces, deterministically from the seed.
 
     Vehicles 1 and 2 receive the measured leader-pair RSS (vehicle 2's
@@ -244,13 +233,16 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
     estimate formed from their own two link readings, and the eavesdropper
     an estimate formed from its own, independently faded links.
 
-    Returns the cycle's distinct passes: ``passes`` traces that share one
+    Returns the cycle's distinct passes as one read-only float64 array of
+    shape ``(P, n_vehicles + 1, slots)``: row i-1 of a block is vehicle i,
+    the last row the eavesdropper.  Its ``P = passes`` blocks share one
     shadowing draw and each draw their own noise, continuing the first
-    pass's RNG streams, or one trace on a noiseless channel.  Zero-sigma
-    noise is not drawn, as it adds 0 and ends its stream.  Arrays are read-only.
+    pass's RNG streams; a noiseless channel has one block (P = 1).
+    Zero-sigma noise is not drawn, as it adds 0 and ends its stream.
     The shadowing is drawn and filtered in place in one ``(2N, slots)`` block,
-    beside which a call allocates a common row per stream, the ``(N-1, slots)``
-    estimates and the returned arrays, and a block of readings per noisy pass.
+    beside which a call allocates a common row per stream, the returned
+    array, into which each pass's estimates are written, and on a noisy
+    channel one block of readings that every pass reuses.
     The platoon draws from the seed's node ``(0,)``, the eavesdropper from
     ``(1,)`` (:func:`_child`); a ``SeedSequence`` seed is never spawned
     from, so the same object always gives the same traces.
@@ -296,11 +288,10 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
 
     # measurement noise is drawn while recip is on, to keep recip's place in the stream
     noisy = _draws_per_pass(params)
-    traces = []
-    for _ in range(passes if noisy else 1):
-        readings, recip = faded, 0.0
+    traces = np.empty((passes if noisy else 1, n + 1, slots))
+    readings, recip = (np.empty_like(faded) if noisy else faded), 0.0
+    for block in traces:
         if noisy:
-            readings = np.empty_like(faded)
             rng.standard_normal(out=readings[:-2])
             recip = params.reciprocity_sigma_db * rng.standard_normal(slots)
             if a > 0:
@@ -309,16 +300,12 @@ def generate_trace(params: ChannelParams, geometry: PlatoonGeometry,
                 readings[-2:] = 0.0
             readings *= sig
             readings += faded
+        block[:2] = readings[:2]
+        block[1] += recip
         # the followers' and the eavesdropper's estimates in one call, the
         # eavesdropper's last: the estimator is elementwise
-        est = _estimate_rows(params, readings[2::2], readings[3::2])
-        values = np.empty((n, slots))
-        values[:2] = readings[:2]
-        values[1] += recip
-        values[2:] = est[:-1]
-        eaves = est[-1].copy()  # not a view that keeps every row of est alive
-        values.flags.writeable = eaves.flags.writeable = False
-        traces.append(RssTrace(values=values, eavesdropper=eaves))
+        _estimate_rows(params, readings[2::2], readings[3::2], block[2:])
+    traces.flags.writeable = False
     return traces
 
 
@@ -326,8 +313,8 @@ def trace_key(params: ChannelParams, geometry: PlatoonGeometry, slots: int,
               passes: int = 1) -> tuple:
     """The draw rule of :func:`generate_trace`: at one seed, platoons with
     equal keys read the same random numbers, so the narrower platoon's
-    traces are the first rows of the wider one's, its eavesdropper row
-    the same.
+    traces are the wider one's first ``n_vehicles`` rows and its last,
+    the eavesdropper's.
 
     The platoon draws its links in vehicle order, (1,2) and then (1,j)
     and (2,j) for j = 3..N.  Per-pass noise follows all the shadowing on

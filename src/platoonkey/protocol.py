@@ -16,17 +16,17 @@ losses from its own RNG stream in blocks of ``rng.random(k)``, the
 doubles of k scalar draws; a stage whose loss probability is zero builds
 no stream, as every one of its tries is delivered.
 
-After the Z passes each vehicle holds its RSS traces.  The quantizer is
-fitted once per cycle, and the agreed key extracted, on the slot-wise
-average of each vehicle's own RSS sequences across iterations: the
+After the Z passes each vehicle holds its RSS traces, the cycle's one
+``(P, n_vehicles + 1, slots)`` array (``channel``), the eavesdropper in
+its last row.  The quantizer is fitted once per cycle, and the agreed key
+extracted, on the slot-wise average of each row across iterations: the
 passes share one shadowing realization (they fall within the channel
 coherence time), so averaging needs no exchange of key material and
 shrinks the estimation noise relative to the shared randomness, and
-more iterations give better agreement.  A noiseless cycle's one trace is
-fitted as it is; distinct passes are summed over a stacked copy, because
-numpy's order over that axis sets the mean's last bits.  The slots kept
-at every vehicle are selected once, on that average, and the fit and the
-key read only them.
+more iterations give better agreement.  A noiseless cycle's one block is
+fitted as it is; distinct passes are summed over the block's first axis,
+in pass order.  The slots kept at every vehicle are selected once, on
+that average, and the fit and the key read only them.
 
 Event timing is slotted: every transmission occupies one slot, and
 modeled latency is reported separately from wall-clock compute time.
@@ -39,13 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    ChannelParams,
-    PlatoonGeometry,
-    RssTrace,
-    _child,
-    generate_trace,
-)
+from .channel import ChannelParams, PlatoonGeometry, _child, generate_trace
 from .keygen import KeygenConfig, SecretKey, bmmr, codeword_table, extract_key
 from .quantizer import (
     InfeasiblePartition,
@@ -282,50 +276,35 @@ class AgreementReport:
         return self.bmmr_per_vehicle[self.n_vehicles]
 
 
-def _nan_mean(passes: list[np.ndarray]) -> np.ndarray:
-    """Mean over the passes of the entries that are not NaN; NaN where
-    every pass's entry is, and where finite entries sum past the float
-    range (the slot then drops like any failed estimate)."""
-    stacked = np.stack(passes)
-    valid = ~np.isnan(stacked)
+def _nan_mean(traces: np.ndarray) -> np.ndarray:
+    """Mean over the passes (the first axis) of the entries that are not
+    NaN; NaN where every pass's entry is, and where finite entries sum past
+    the float range (the slot then drops like any failed estimate).  A
+    slot stays valid for a vehicle when at least one iteration observed
+    it; which slots failed is shareable (it carries no RSS values), so the
+    averaging is synchronized across vehicles."""
+    valid = ~np.isnan(traces)
     counts = valid.sum(axis=0)
     with np.errstate(over="ignore"):
-        sums = np.where(valid, stacked, 0.0).sum(axis=0)
+        sums = np.where(valid, traces, 0.0).sum(axis=0)
     return np.where((counts > 0) & np.isfinite(sums),
                     sums / np.maximum(counts, 1), np.nan)
 
 
-def _averaged_trace(traces: list[RssTrace]) -> RssTrace:
-    """Slot-wise mean of each vehicle's sequences over valid iterations.
-
-    A slot stays valid for a vehicle when at least one iteration observed
-    it; which slots failed is shareable (it carries no RSS values), so the
-    averaging is synchronized across vehicles.  A lone trace (Z=1, or a
-    noiseless cycle) is returned as it is.  Distinct passes are summed
-    over a stacked (Z, ...) copy: numpy adds a (Z, 1) stack pairwise
-    rather than in order, so a running ``+=`` over the passes would change
-    the mean's last bits, and with them keys.
-    """
-    if len(traces) == 1:
-        return traces[0]
-    return RssTrace(values=_nan_mean([t.values for t in traces]),
-                    eavesdropper=_nan_mean([t.eavesdropper for t in traces]))
-
-
 def cycle_traces(params: ChannelParams, geometry: PlatoonGeometry,
-                 slots: int, seed, passes: int = 1) -> list[RssTrace]:
+                 slots: int, seed, passes: int = 1) -> np.ndarray:
     """The RSS traces of :func:`run_cycle` at ``seed``: one
     :func:`generate_trace` call at the seed's node ``(0, 1, 0)``, the only
     one that draws from it, ``passes`` being the cycle's Z.  The passes
     share the cycle's shadowing and differ only in their noise, so a
-    noiseless cycle has one; every recorded Z=1 key depends on them."""
+    noiseless cycle has one block; every recorded Z=1 key depends on it."""
     return generate_trace(params, geometry, slots, _child(seed, 0, 1, 0), passes)
 
 
 def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
               protocol: ProtocolConfig, quant: QuantizerConfig,
               keygen: KeygenConfig, slots: int, seed, *,
-              traces: list[RssTrace] | None = None) -> AgreementReport:
+              traces: np.ndarray | None = None) -> AgreementReport:
     """One full dissemination cycle: CSKA, key extraction, EVCD, report.
 
     A lossy CSKA draws from the seed's node ``(0, 0)`` (:func:`run_cska`
@@ -334,11 +313,12 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
     lossy EVCD from ``(1,)`` (``channel._child``).  No stage spawns from a
     ``SeedSequence`` seed, so the same object always gives the same cycle.
     A caller that has drawn the cycle's traces already passes them as
-    ``traces``: :func:`cycle_traces` at the same seed, or the first
-    ``n_vehicles`` rows of a wider platoon's traces of equal
-    ``channel.trace_key``.  They give the cycle that its own draw gives.
-    The kept slots are selected once, on the averaged trace, and the fit
-    and the bins read only them; nothing reads ``keygen``.
+    ``traces``, of shape ``(P, n_vehicles + 1, slots)``: :func:`cycle_traces`
+    at the same seed, or the first ``n_vehicles`` rows and the last row of
+    a wider platoon's traces of equal ``channel.trace_key``.  They give
+    the cycle that its own draw gives.  The kept slots are selected once,
+    on the averaged block, and the fit and the bins read only them, the
+    eavesdropper's last row among them; nothing reads ``keygen``.
     """
     log = run_cska(protocol, geometry,
                    _child(seed, 0) if protocol.beacon_loss_prob > 0 else None)
@@ -346,12 +326,11 @@ def run_cycle(params: ChannelParams, geometry: PlatoonGeometry,
         traces = cycle_traces(params, geometry, slots, seed, protocol.z_iterations)
 
     floor = params.rss_decode_floor_db
-    trace = _averaged_trace(traces)
+    trace = traces[0] if len(traces) == 1 else _nan_mean(traces)
     keep = retained_slots(trace, floor)
     retained = ([len(keep)] * protocol.z_iterations if len(traces) == 1
                 else [len(retained_slots(t, floor)) for t in traces])
-    trace = RssTrace(values=trace.values.take(keep, axis=1),
-                     eavesdropper=trace.eavesdropper.take(keep))
+    trace = trace.take(keep, axis=1)
     intervals, _ = optimize_intervals(trace, quant.n_intervals,
                                       quant.grid_size, floor=floor)
     table = codeword_table(quant.n_intervals)

@@ -8,11 +8,13 @@ grid points above the floor, and the top boundary is one grid step above
 the largest chain sample.  A sample's rank on the grid is not searched for:
 its guess from the grid step is corrected until the candidates bracket it.
 Nor is a bin: it is 1 plus the count of interior boundaries ``<=`` the
-sample.  The fit and the bins read only the slots that every vehicle
-kept, selected once by the caller (:func:`retained_slots`).  Vehicle 2,
-outside the chain, takes bin L at or above the top; the eavesdropper
-clamps below the floor to bin 1 and at or above the top to bin L, and
-its NaN takes bin 1.
+sample.  A trace is a ``(n_vehicles + 1, slots)`` block, a row per
+vehicle and the eavesdropper's last (``channel``).  The fit and the bins
+read only the slots that every vehicle kept, selected once by the caller
+(:func:`retained_slots`); the fit reads the chain rows, and every row is
+binned.  Vehicle 2, outside the chain, takes bin L at or above the top;
+the eavesdropper clamps below the floor to bin 1 and at or above the top
+to bin L, and its NaN takes bin 1.
 
 The fit minimizes the chained cross-vehicle mismatch count (adjacent
 rows of the comparison chain XOR-ed per interval, summed over slots and
@@ -46,13 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RssTrace
-
 __all__ = [
     "InfeasiblePartition",
     "IntervalSet",
     "QuantizerConfig",
-    "bin_indices",
     "optimize_boundaries",
     "optimize_intervals",
     "quantize_trace",
@@ -95,18 +94,6 @@ class IntervalSet:
             raise ValueError("need at least 2 intervals (3 boundaries)")
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
             raise ValueError("boundaries must be strictly increasing")
-
-
-def bin_indices(xs, intervals: IntervalSet) -> np.ndarray:
-    """1-based index of the interval ``[b_{l-1}, b_l)`` holding each sample:
-    1 plus the count of interior boundaries ``b_1 .. b_{L-1}`` at or below
-    it, an intp array of the shape of ``xs``.  So below the floor is bin 1,
-    at or above the top bin L, and NaN, which compares False, bin 1."""
-    xs = np.asarray(xs, dtype=float)
-    bins = np.ones(xs.shape, dtype=np.intp)
-    for b in intervals.boundaries[1:-1]:
-        bins += xs >= b
-    return bins
 
 
 def _grid_ranks(samples: np.ndarray, floor: float, top: float, grid_size: int
@@ -258,39 +245,50 @@ def optimize_boundaries(samples, floor: float, n_intervals: int,
     return IntervalSet(boundaries=tuple(bounds)), per_interval
 
 
-def retained_slots(trace: RssTrace, floor: float) -> np.ndarray:
+def retained_slots(trace: np.ndarray, floor: float) -> np.ndarray:
     """Slots valid (not NaN) at every vehicle and at/above the decode floor.
 
     Dropped slot indices carry no RSS information, so sharing them across
-    vehicles (and with the eavesdropper) is assumed safe.
+    vehicles (and with the eavesdropper) is assumed safe; the
+    eavesdropper's last row has no say.
     """
     # NaN compares False, so one comparison drops both
-    return np.flatnonzero((trace.values >= floor).all(axis=0))
+    return np.flatnonzero((trace[:-1] >= floor).all(axis=0))
 
 
-def optimize_intervals(trace: RssTrace, n_intervals: int, grid_size: int,
+def optimize_intervals(trace: np.ndarray, n_intervals: int, grid_size: int,
                        floor: float) -> tuple[IntervalSet, tuple[int, ...]]:
     """Fit the quantizer to one trace's comparison chain.
 
     The chain pairs the leader-pair measurement with vehicle 3's estimate
-    and each further adjacent estimator pair.  The trace holds only the
-    slots the vehicles kept (:func:`retained_slots`), so every chain sample
-    is finite and at or above the decode ``floor``, which becomes the
-    lowest boundary; a NaN or lower sample raises ``ValueError``.
+    and each further adjacent estimator pair: rows 0 and 2..N-1.  The
+    trace holds only the slots the vehicles kept (:func:`retained_slots`),
+    so every chain sample is finite and at or above the decode ``floor``,
+    which becomes the lowest boundary; a NaN or lower sample raises
+    ``ValueError``.
     """
-    # the leader pair's row once, then vehicles 3..N
-    chain = trace.values.take([0, *range(2, trace.n_vehicles)], axis=0)
+    # the leader pair's row once, then vehicles 3..N, not the eavesdropper
+    chain = trace.take([0, *range(2, len(trace) - 1)], axis=0)
     return optimize_boundaries(chain, floor, n_intervals, grid_size)
 
 
-def quantize_trace(trace: RssTrace, intervals: IntervalSet) -> np.ndarray:
-    """Bin indices of the kept slots, the ``(n_vehicles + 1, slots)`` block
-    of a row per vehicle, then the eavesdropper's.
+def quantize_trace(trace, intervals: IntervalSet) -> np.ndarray:
+    """Bin index of each sample: 1 plus the count of interior boundaries
+    ``b_1 .. b_{L-1}`` at or below it, so the 1-based index of the interval
+    ``[b_{l-1}, b_l)`` that holds it, an intp array of the trace's shape.
+    Below the floor is bin 1, at or above the top bin L, and NaN, which
+    compares False, bin 1.
 
-    The trace holds the slots the fit used.  Vehicle 2, outside the fitted
-    chain, takes bin L where it reads at or above the top.  The eavesdropper
-    follows the shared drop indices and clamps its own invalid or
-    out-of-range observations to the nearest bin, which is the best it can
-    do while emitting a key of the agreed length.
+    A cycle's trace is its ``(n_vehicles + 1, slots)`` block of the slots
+    the fit used, so the result is a row of bins per vehicle, then the
+    eavesdropper's.  Vehicle 2, outside the fitted chain, takes bin L where
+    it reads at or above the top.  The eavesdropper follows the shared drop
+    indices and clamps its own invalid or out-of-range observations to the
+    nearest bin, which is the best it can do while emitting a key of the
+    agreed length.
     """
-    return bin_indices(np.vstack((trace.values, trace.eavesdropper)), intervals)
+    trace = np.asarray(trace, dtype=float)
+    bins = np.ones(trace.shape, dtype=np.intp)
+    for b in intervals.boundaries[1:-1]:
+        bins += trace >= b
+    return bins

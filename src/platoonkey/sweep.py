@@ -11,7 +11,9 @@ comparisons across points are paired (common random numbers).  Points
 whose platoons read the same numbers (equal ``channel.trace_key``) share
 one draw of the traces, made for the widest platoon: the points of an
 ``n_intervals`` axis, and those of a ``z_iterations`` or ``n_vehicles``
-axis on a channel without per-pass noise, P3 placements aside.  Pool
+axis on a channel without per-pass noise, P3 placements aside.  A
+narrower point reads the draw's first ``n_vehicles`` rows and its last,
+the eavesdropper's (``channel``'s one trace layout).  Pool
 worker w runs seeds w, w + workers, ..., every point in equal shares.
 Results merge in (point, seed) order, so the deterministic outputs are
 byte-identical at every parallelism degree:
@@ -49,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import RssTrace, trace_key
+from .channel import trace_key
 from .protocol import CYCLE_FAILURES, AgreementReport, cycle_traces, run_cycle
 from .randomness import bits_from_ascii, run_battery
 from .scenario import Scenario, serialize_scenario, sweep_labels
@@ -74,7 +76,7 @@ SUMMARY_HEADER = ("point", "axis", "axis_value", "metric", "mean", "stddev", "n"
 
 
 def point_cycle(point: Scenario, seed: int, *,
-                traces: list[RssTrace] | None = None) -> AgreementReport:
+                traces: np.ndarray | None = None) -> AgreementReport:
     """The cycle of a single-point scenario at one seed, on the cycle's
     ``traces`` when they are drawn already (``protocol.run_cycle``)."""
     return run_cycle(point.channel, point.geometry, point.protocol,
@@ -87,9 +89,9 @@ def _run_unit(args) -> list[dict]:
 
     Points of equal ``channel.trace_key`` share one draw of the cycle's
     traces, made for the widest platoon among them, and each runs its
-    cycle on the draw's first ``n_vehicles`` rows.  A row's ``compute_s``
-    is its own cycle's time, plus the draw's in the row of the point it
-    was drawn for.
+    cycle on the draw's first ``n_vehicles`` rows and its last, the
+    eavesdropper's.  A row's ``compute_s`` is its own cycle's time, plus
+    the draw's in the row of the point it was drawn for.
 
     A cycle that fails for a modeled reason (beacon retries exhausted, no
     feasible quantizer fit) becomes a ``failure=1`` row whose ``error``
@@ -114,8 +116,8 @@ def _run_unit(args) -> list[dict]:
         t0, n = time.perf_counter(), point.geometry.n_vehicles
         row: dict = {"point": pi, "axis": axis, "axis_value": labels[pi], "seed": seed}
         try:
-            rep = point_cycle(point, seed, traces=[RssTrace(t.values[:n], t.eavesdropper)
-                                                   for t in drawn[key]])
+            rep = point_cycle(point, seed,
+                              traces=drawn[key].take([*range(n), -1], axis=1))
         except CYCLE_FAILURES as exc:
             row.update({c: float("nan") for c in RUN_COLUMNS if c not in row})
             row.update(success=0, failure=1, error=type(exc).__name__, key01="")

@@ -94,18 +94,19 @@ class TestEstimateLeaderRss:
         dv = 4.0
         h13 = rss_of_link(p, 3 * dv, 0.0)
         h23 = rss_of_link(p, 2 * dv, 0.0)
-        est = _estimate_rows(p, h13, h23)
+        est = _estimate_rows(p, h13, h23, np.empty(np.shape(h13)))
         assert est == pytest.approx(rss_of_link(p, dv, 0.0), rel=1e-9)
 
     def test_zero_difference_fails(self):
         p = params()
         h = rss_of_link(p, 5.0, 0.0)
-        assert np.isnan(_estimate_rows(p, h, h))
+        assert np.isnan(_estimate_rows(p, h, h, np.empty(np.shape(h))))
 
     def test_negative_difference_fails(self):
         p = params()
-        assert np.isnan(_estimate_rows(p, rss_of_link(p, 2.0, 0.0),
-                                       rss_of_link(p, 5.0, 0.0)))
+        h1 = rss_of_link(p, 2.0, 0.0)
+        assert np.isnan(_estimate_rows(p, h1, rss_of_link(p, 5.0, 0.0),
+                                       np.empty(np.shape(h1))))
 
     def test_exactness_random_geometry(self):
         rng = np.random.default_rng(11)
@@ -113,8 +114,8 @@ class TestEstimateLeaderRss:
         for _ in range(50):
             d2 = float(rng.uniform(1.0, 40.0))
             d1 = d2 + float(rng.uniform(0.5, 30.0))
-            est = _estimate_rows(p, rss_of_link(p, d1, 0.0),
-                                 rss_of_link(p, d2, 0.0))
+            h1 = rss_of_link(p, d1, 0.0)
+            est = _estimate_rows(p, h1, rss_of_link(p, d2, 0.0), np.empty(np.shape(h1)))
             assert est == pytest.approx(rss_of_link(p, d1 - d2, 0.0), rel=1e-9)
 
     # the largest error of an estimate against the exact one rounded, per
@@ -131,14 +132,15 @@ class TestEstimateLeaderRss:
         for gap, bound in self.ULP_BOUNDS.items():
             h2 = rss_of_link(p, rng.uniform(1.0, 100.0, 400), 0.0)
             h1 = h2 + gap
-            got = _estimate_rows(p, h1, h2)
+            got = _estimate_rows(p, h1, h2, np.empty(np.shape(h1)))
             want = np.array([exact_estimate(p, a, b) for a, b in zip(h1, h2)])
             ulp = np.spacing(np.maximum(np.abs(h2), np.abs(want)))
             assert (np.abs(got - want) / ulp).max() <= bound, gap
             # reversed, equal and NaN readings: valid exactly when h1 > h2
             a = np.concatenate((h1, h2, h2, h1[:3], [np.nan]))
             b = np.concatenate((h2, h1, h2, [np.nan] * 3, h2[:1]))
-            np.testing.assert_array_equal(~np.isnan(_estimate_rows(p, a, b)), a > b)
+            est = _estimate_rows(p, a, b, np.empty(np.shape(a)))
+            np.testing.assert_array_equal(~np.isnan(est), a > b)
 
 
 # Frozen regression curve: mean |estimate - truth| in dB at vehicle 3 over
@@ -160,8 +162,8 @@ class TestEstimationErrorCurve:
         for dv in (2.0, 4.0, 6.0, 8.0):
             g = PlatoonGeometry(n_vehicles=3, pair_distance_m=dv)
             t = generate_trace(p, g, 10_000, 777)[0]
-            ok = ~np.isnan(t.values[2])
-            err = np.abs(t.values[2][ok] - t.values[0][ok])
+            ok = ~np.isnan(t[2])
+            err = np.abs(t[2][ok] - t[0][ok])
             curve[dv] = float(err.mean())
         values = [curve[d] for d in sorted(curve)]
         assert all(v > 0 for v in values)
@@ -177,7 +179,7 @@ class TestGenerateTrace:
         g = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0)
         p = ChannelParams(channel_constant_db=-7000.0)
         (t,) = generate_trace(p, g, 20, 1)
-        assert np.isfinite(t.values[:2]).all()
+        assert np.isfinite(t[:2]).all()
         with pytest.raises(ValueError,
                            match="measurement_noise_db.*channel_constant_db"):
             generate_trace(replace(p, measurement_noise_db=0.05), g, 20, 1)
@@ -186,10 +188,9 @@ class TestGenerateTrace:
         p = params()
         g = PlatoonGeometry(n_vehicles=5, pair_distance_m=3.0)
         t = generate_trace(p, g, 30, 5)[0]
-        assert not np.isnan(t.values).any()
+        assert not np.isnan(t[:-1]).any()
         for i in range(2, 6):
-            np.testing.assert_allclose(t.values[i - 1], t.values[0],
-                                       rtol=1e-9)
+            np.testing.assert_allclose(t[i - 1], t[0], rtol=1e-9)
 
     def test_same_seed_bit_identical(self):
         p = ChannelParams(shadowing_sigma_db=3.0, measurement_noise_db=0.1,
@@ -197,27 +198,27 @@ class TestGenerateTrace:
         g = PlatoonGeometry(n_vehicles=4, pair_distance_m=2.0)
         a = generate_trace(p, g, 100, 123)[0]
         b = generate_trace(p, g, 100, 123)[0]
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.eavesdropper, b.eavesdropper)
+        np.testing.assert_array_equal(a[:-1], b[:-1])
+        np.testing.assert_array_equal(a[-1], b[-1])
 
     def test_different_seed_differs(self):
         p = ChannelParams(shadowing_sigma_db=3.0)
         g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
         a = generate_trace(p, g, 50, 1)[0]
         b = generate_trace(p, g, 50, 2)[0]
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a[:-1], b[:-1])
 
     def test_reciprocity_default_identical_lead_pair(self):
         p = ChannelParams(shadowing_sigma_db=4.0)
         g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
         t = generate_trace(p, g, 200, 9)[0]
-        np.testing.assert_array_equal(t.values[0], t.values[1])
+        np.testing.assert_array_equal(t[0], t[1])
 
     def test_reciprocity_noise_separates_lead_pair(self):
         p = ChannelParams(shadowing_sigma_db=4.0, reciprocity_sigma_db=0.5)
         g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
         t = generate_trace(p, g, 200, 9)[0]
-        assert not np.array_equal(t.values[0], t.values[1])
+        assert not np.array_equal(t[0], t[1])
 
     def test_eavesdropper_uncorrelated(self):
         p = ChannelParams(shadowing_sigma_db=4.0)
@@ -227,10 +228,10 @@ class TestGenerateTrace:
         corrs = []
         for seed in range(10):
             t = generate_trace(p, g, 500, seed)[0]
-            ok = ~np.isnan(t.eavesdropper)
+            ok = ~np.isnan(t[-1])
             if ok.sum() < 50:
                 continue
-            c = np.corrcoef(t.values[0][ok], t.eavesdropper[ok])[0, 1]
+            c = np.corrcoef(t[0][ok], t[-1][ok])[0, 1]
             corrs.append(abs(c))
         assert corrs and max(corrs) < 0.2
 
@@ -241,28 +242,25 @@ class TestGenerateTrace:
         g2 = PlatoonGeometry(4, 2.0, "P3", 6.0)
         a = generate_trace(p, g1, 80, 55)[0]
         b = generate_trace(p, g2, 80, 55)[0]
-        np.testing.assert_array_equal(a.values, b.values)
-        assert not np.array_equal(
-            np.nan_to_num(a.eavesdropper), np.nan_to_num(b.eavesdropper))
+        np.testing.assert_array_equal(a[:-1], b[:-1])
+        assert not np.array_equal(np.nan_to_num(a[-1]), np.nan_to_num(b[-1]))
 
     def test_slots_validated(self):
         with pytest.raises(ValueError):
             generate_trace(params(), PlatoonGeometry(3, 2.0), 0, 1)
 
-    FIELDS = ("values", "eavesdropper")
-
     def test_noiseless_passes_are_one_read_only_trace(self):
-        # without noise the passes are equal, so the cycle has one
+        # without noise the passes are equal, so the cycle has one block
         p = ChannelParams(shadowing_sigma_db=3.0, shadowing_autocorr=0.5)
         g = PlatoonGeometry(n_vehicles=6, pair_distance_m=2.0)
-        single = generate_trace(p, g, 120, 31)[0]
-        (trace,) = generate_trace(p, g, 120, 31, passes=5)
-        for name in self.FIELDS:
-            arr = getattr(trace, name)
-            assert arr.tobytes() == getattr(single, name).tobytes()
-            assert not arr.flags.writeable
+        single = generate_trace(p, g, 120, 31)
+        traces = generate_trace(p, g, 120, 31, passes=5)
+        assert traces.shape == single.shape == (1, 7, 120)
+        assert traces.dtype == np.float64
+        assert traces.tobytes() == single.tobytes()
+        assert not traces.flags.writeable
         with pytest.raises(ValueError):
-            trace.values[0, 0] = 0.0
+            traces[0, 0, 0] = 0.0
 
     @pytest.mark.parametrize("noise", [
         dict(measurement_noise_db=0.1),
@@ -273,10 +271,12 @@ class TestGenerateTrace:
         p = ChannelParams(shadowing_sigma_db=3.0, **noise)
         g = PlatoonGeometry(n_vehicles=6, pair_distance_m=2.0)
         traces = generate_trace(p, g, 120, 31, passes=3)
+        assert traces.shape == (3, 7, 120)
+        assert not traces.flags.writeable
         for i, t in enumerate(traces):
             for u in traces[i + 1:]:
-                for name in self.FIELDS:
-                    assert not np.shares_memory(getattr(t, name), getattr(u, name))
+                assert not np.shares_memory(t, u)
+                assert t.tobytes() != u.tobytes()
 
     @pytest.mark.parametrize("rho", [0.5, 0.9])
     def test_lag1_bit_agreement_matches_sheppard(self, rho):
@@ -287,15 +287,16 @@ class TestGenerateTrace:
         g = PlatoonGeometry(n_vehicles=3, pair_distance_m=2.0)
         agree = []
         for seed in range(40):
-            reading = generate_trace(p, g, 2000, seed)[0].values[0]
+            reading = generate_trace(p, g, 2000, seed)[0, 0]
             bits = reading >= np.median(reading)
             agree.append(np.mean(bits[1:] == bits[:-1]))
         se = np.std(agree, ddof=1) / math.sqrt(len(agree))
         assert abs(np.mean(agree) - (1.0 - sheppard_mismatch(rho))) < 5 * se
 
-    # sha256 over every returned trace's values and eavesdropper bytes, in
-    # the test's loop order, recorded with one estimator call for the
-    # followers and one for the eavesdropper: stacking them moves no byte
+    # sha256 over every returned array's bytes (each pass's vehicle rows,
+    # then its eavesdropper row), in the test's loop order, recorded with
+    # one estimator call for the followers and one for the eavesdropper:
+    # stacking them moves no byte
     TRACE_DIGEST = "fee9a363eba796b25761b33be5447be2beb2deed36df20131bc94f777e4f1e16"
 
     def test_trace_bytes_pinned(self):
@@ -307,39 +308,57 @@ class TestGenerateTrace:
                 g = PlatoonGeometry(n, 2.0, "P3", 6.0)
                 for passes in (1, 3):
                     for seed in range(5):
-                        for t in generate_trace(p, g, 40, seed, passes=passes):
-                            h.update(t.values.tobytes())
-                            h.update(t.eavesdropper.tobytes())
+                        h.update(generate_trace(p, g, 40, seed, passes=passes).tobytes())
         assert h.hexdigest() == self.TRACE_DIGEST
 
-    def test_a_warm_call_allocates_the_faded_block_and_its_outputs(self, monkeypatch):
-        # N=10, T=1000: a float row is 8 kB.  The draw writes the 2N-row
-        # faded block in place, so until the estimate it holds that block
-        # and the common row; a fresh (2N-3)-row private block is 136 kB.
-        # Then come the N-1 estimate rows and the returned N rows and
-        # eavesdropper row.  The slack is numpy's 8192-element buffer
-        # (64 KiB), which a broadcast in-place ufunc takes, and 32 KiB more
-        n, slots, row, slack = 10, 1000, 8 * 1000, 96 * 1024
-        p, g = ChannelParams(), PlatoonGeometry(n_vehicles=n, pair_distance_m=2.0)
-        draw_peaks = []
+    @staticmethod
+    def warm_peaks(monkeypatch, p, passes):
+        """Peak bytes above the start of a warm N=10, T=1000 call, over its
+        draw (until the passes begin) and over the whole call."""
+        g = PlatoonGeometry(n_vehicles=10, pair_distance_m=2.0)
+        draw_peaks, draws_per_pass = [], channel._draws_per_pass
 
-        def estimate(*args):  # the peak so far is the draw's
+        def passes_begin(params):  # the peak so far is the draw's
             draw_peaks.append(tracemalloc.get_traced_memory()[1])
-            return _estimate_rows(*args)
-        monkeypatch.setattr(channel, "_estimate_rows", estimate)
-        generate_trace(p, g, slots, 1)
+            return draws_per_pass(params)
+        monkeypatch.setattr(channel, "_draws_per_pass", passes_begin)
+        generate_trace(p, g, 1000, 1, passes)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            generate_trace(p, g, slots, 1)
+            generate_trace(p, g, 1000, 1, passes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert draw_peaks[-1] - base < 2 * n * row + slack
-        assert peak - base < (2 * n + (n - 1) + n + 1) * row + slack
+        return draw_peaks[-1] - base, peak - base
+
+    # N=10, T=1000: a float row is 8 kB.  A broadcast in-place ufunc takes
+    # numpy's 8192-element buffer (64 KiB), and the estimator's subtraction
+    # of two strided row views one for each view; the slacks are those
+    # buffers and 32 KiB more
+    ROW, DRAW_SLACK, CALL_SLACK = 8 * 1000, 96 * 1024, 160 * 1024
+
+    def test_a_warm_call_allocates_the_faded_block_and_its_outputs(self, monkeypatch):
+        # The draw writes the 2N-row faded block in place, so until the
+        # passes begin it holds that block and the common row; a fresh
+        # (2N-3)-row private block is 136 kB.  Then comes the returned
+        # block of N rows and the eavesdropper row, into which the
+        # estimator writes
+        n = 10
+        draw, peak = self.warm_peaks(monkeypatch, ChannelParams(), 1)
+        assert draw < 2 * n * self.ROW + self.DRAW_SLACK
+        assert peak < (2 * n + n + 1) * self.ROW + self.CALL_SLACK
+
+    def test_noisy_passes_reuse_one_readings_block(self, monkeypatch):
+        # per-pass noise adds one 2N-row readings block, which every pass
+        # rewrites, and a reciprocity row; each pass's estimates go straight
+        # into its block of the returned (Z, N+1, T) array
+        n, z = 10, 3
+        _, peak = self.warm_peaks(monkeypatch, ChannelParams(measurement_noise_db=0.05), z)
+        assert peak < (2 * n + 2 * n + z * (n + 1) + 1) * self.ROW + self.CALL_SLACK
 
 
 class TestAr1:
@@ -382,8 +401,8 @@ class TestTraceKey:
                     shared += 1
                     assert len(narrow) == len(wide)
                     for a, b in zip(narrow, wide):
-                        assert a.values.tobytes() == b.values[:n].tobytes()
-                        assert a.eavesdropper.tobytes() == b.eavesdropper.tobytes()
+                        assert a[:-1].tobytes() == b[:n].tobytes()
+                        assert a[-1].tobytes() == b[-1].tobytes()
             # every noiseless platoon shares its draw, except behind P3
             assert bool(shared) == (not noise and position != "P3")
 
@@ -469,8 +488,8 @@ class TestVectorizedEstimators:
                                     eavesdropper_position=position)
                 t = generate_trace(p, g, slots, seed)[0]
                 values, valid, eaves, eaves_valid = reference_trace(p, g, slots, seed)
-                for ours, theirs, ok in ((t.values, values, valid),
-                                         (t.eavesdropper, eaves, eaves_valid)):
+                for ours, theirs, ok in ((t[:-1], values, valid),
+                                         (t[-1], eaves, eaves_valid)):
                     assert ours.shape == theirs.shape
                     assert ours.tobytes() == theirs.tobytes()
                     np.testing.assert_array_equal(np.isnan(ours), ~ok)
@@ -501,7 +520,7 @@ class TestEstimatorWithoutCopies:
             for a, b in ((h1, h2), (h1[1::2], h2[::2]), (h1[0, 3], h2[0, 3]),
                          (np.asarray(h1[2, 0]), np.asarray(h2[2, 0])), (-0.0, 0.0)):
                 want = copying_estimate_rows(p, a, b)
-                got = _estimate_rows(p, a, b)
+                got = _estimate_rows(p, a, b, np.empty(np.shape(a)))
                 assert type(got) is type(want) is np.ndarray
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -520,7 +539,7 @@ class TestEstimatorWithoutCopies:
                     theirs = copying_trace(p, g, slots, seed, passes=z)
                     assert len(ours) == len(theirs)
                     for t, (values, eaves) in zip(ours, theirs):
-                        assert t.values.tobytes() == values.tobytes()
-                        assert t.eavesdropper.tobytes() == eaves.tobytes()
+                        assert t[:-1].tobytes() == values.tobytes()
+                        assert t[-1].tobytes() == eaves.tobytes()
         if channel == "overflowing":
-            assert np.isnan(ours[0].values[2:]).all()
+            assert np.isnan(ours[0, 2:]).all()

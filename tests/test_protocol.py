@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from platoonkey import protocol, quantizer
-from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace, generate_trace
+from platoonkey.channel import ChannelParams, PlatoonGeometry, generate_trace
 from platoonkey.keygen import KeygenConfig, SecretKey
 from platoonkey.protocol import (
     CycleAbort,
     CycleLog,
     DisseminationFailure,
     ProtocolConfig,
-    _averaged_trace,
+    _nan_mean,
     cycle_traces,
     run_cska,
     run_cycle,
@@ -127,8 +127,8 @@ class TestRunCska:
         traces = cycle_traces(noisy, GEOM4, 50, 5, passes=4)
         assert len(traces) == 4
         for t in traces[1:]:
-            assert t.values.tobytes() != traces[0].values.tobytes()
-            assert t.eavesdropper.tobytes() != traces[0].eavesdropper.tobytes()
+            assert t[:-1].tobytes() != traces[0, :-1].tobytes()
+            assert t[-1].tobytes() != traces[0, -1].tobytes()
 
     def test_sequential_order(self):
         cfg = ProtocolConfig(z_iterations=1)
@@ -425,8 +425,8 @@ class TestSeeding:
                 for _ in range(2)]
         (traces, drawn, cska_log, rep), again = runs
         for ours, theirs in ((traces, again[0]), (drawn, again[1])):
-            assert [(t.values.tobytes(), t.eavesdropper.tobytes()) for t in ours] == \
-                [(t.values.tobytes(), t.eavesdropper.tobytes()) for t in theirs]
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
         assert cska_log == again[2]
         assert rep.leader_key == again[3].leader_key
         assert rep.bmmr_per_vehicle == again[3].bmmr_per_vehicle
@@ -500,17 +500,16 @@ class TestAveragedTrace:
                        [nan, 8.0, nan, 6.0]])
         eaves = np.array([[nan, 1.0, nan, nan], [nan, 3.0, 2.0, nan],
                           [nan, nan, 4.0, nan]])
-        traces = [RssTrace(values=np.vstack([lead[z], lead[z], v3[z]]),
-                           eavesdropper=eaves[z]) for z in range(3)]
-        avg = _averaged_trace(traces)
-        np.testing.assert_array_equal(avg.values, [
+        traces = np.stack([np.vstack([lead[z], lead[z], v3[z], eaves[z]])
+                           for z in range(3)])
+        avg = _nan_mean(traces)
+        np.testing.assert_array_equal(avg[:-1], [
             [3.0, 4.0, 5.0, 6.0], [3.0, 4.0, 5.0, 6.0],
             [nan, (2.0 + 8.0) / 2, 5.0, (-1.0 + 6.0 + 6.0) / 3]])
-        np.testing.assert_array_equal(avg.eavesdropper, [nan, 2.0, 3.0, nan])
+        np.testing.assert_array_equal(avg[-1], [nan, 2.0, 3.0, nan])
         # a slot is NaN only where every pass is
-        np.testing.assert_array_equal(np.isnan(avg.values[2]), np.isnan(v3).all(axis=0))
-        np.testing.assert_array_equal(np.isnan(avg.eavesdropper),
-                                      np.isnan(eaves).all(axis=0))
+        np.testing.assert_array_equal(np.isnan(avg[2]), np.isnan(v3).all(axis=0))
+        np.testing.assert_array_equal(np.isnan(avg[-1]), np.isnan(eaves).all(axis=0))
         # each pass keeps only its own slots valid everywhere and at or
         # above the floor; the average keeps every slot some pass observed
         assert [len(retained_slots(t, 0.0)) for t in traces] == [1, 2, 2]
@@ -521,22 +520,20 @@ class TestAveragedTrace:
         # a failed estimate, in place of an infinite mean
         big = np.finfo(float).max / 1.5
         values = np.array([[big, -big, 1.0, np.nan], [big, -big, 2.0, big]])
-        traces = [RssTrace(values=np.vstack([v, v]), eavesdropper=v)
-                  for v in values]
-        avg = _averaged_trace(traces)
-        np.testing.assert_array_equal(avg.values, [[np.nan, np.nan, 1.5, big]] * 2)
-        np.testing.assert_array_equal(avg.eavesdropper, [np.nan, np.nan, 1.5, big])
+        avg = _nan_mean(np.stack([np.vstack([v, v, v]) for v in values]))
+        np.testing.assert_array_equal(avg[:-1], [[np.nan, np.nan, 1.5, big]] * 2)
+        np.testing.assert_array_equal(avg[-1], [np.nan, np.nan, 1.5, big])
 
     @pytest.mark.parametrize("z", [3, 10])
     def test_a_noiseless_cycle_fits_its_one_pass(self, z):
         # the cycle_large shape on the default, noiseless channel: the Z
-        # passes are one trace, fitted byte for byte as Z = 1 fits it
+        # passes are one block, fitted byte for byte as Z = 1 fits it
         p = ChannelParams()
         geom = PlatoonGeometry(n_vehicles=10, pair_distance_m=2.0)
-        single = generate_trace(p, geom, 1000, 3)[0]
-        avg = _averaged_trace(generate_trace(p, geom, 1000, 3, passes=z))
-        assert avg.values.tobytes() == single.values.tobytes()
-        assert avg.eavesdropper.tobytes() == single.eavesdropper.tobytes()
+        single = generate_trace(p, geom, 1000, 3)
+        traces = generate_trace(p, geom, 1000, 3, passes=z)
+        assert traces.shape == single.shape == (1, 11, 1000)
+        assert traces.tobytes() == single.tobytes()
 
         def cycle(zi, seed):
             return run_cycle(p, geom, ProtocolConfig(z_iterations=zi),
@@ -551,29 +548,25 @@ class TestAveragedTrace:
     @pytest.mark.parametrize("slots", [1, 2, 8, 1000])
     @pytest.mark.parametrize("z", [1, 2, 3, 9, 10, 12])
     def test_bytes_equal_the_stacked_mean(self, z, slots, shared):
-        # Z distinct passes, or one trace object repeated Z times (a
-        # noiseless cycle passes its one trace alone, but repeats are still
-        # valid input); numpy sums a stacked (Z, 1) array pairwise from
-        # nine passes on, so at one slot a running sum over the passes
-        # would differ in the last bits
+        # Z distinct passes, or one pass repeated Z times (a noiseless
+        # cycle fits its one block alone, but repeats are still valid
+        # input), in one (Z, N+1, slots) block: numpy's sum over its first
+        # axis sets the mean's last bits, and the oracle's over the same
+        # block reads them
         rng = np.random.default_rng([z, slots, shared])
         n = 4
 
         def nan_pass(always_nan):
             values = rng.normal(-70.0, 8.0, (n + 1, slots))
             values[(rng.random(values.shape) < 0.2) | always_nan] = np.nan
-            return RssTrace(values=values[:n], eavesdropper=values[n])
+            return values
 
         for _ in range(20):
             # some slots fail in every pass
             always_nan = rng.random((n + 1, slots)) < 0.1
-            traces = ([nan_pass(always_nan)] * z if shared
-                      else [nan_pass(always_nan) for _ in range(z)])
-            avg = _averaged_trace(traces)
-            want = stacked_nan_mean(np.stack([t.values for t in traces]))
-            ewant = stacked_nan_mean(np.stack([t.eavesdropper for t in traces]))
-            assert avg.values.tobytes() == want.tobytes()
-            assert avg.eavesdropper.tobytes() == ewant.tobytes()
+            traces = np.stack([nan_pass(always_nan)] * z if shared
+                              else [nan_pass(always_nan) for _ in range(z)])
+            assert _nan_mean(traces).tobytes() == stacked_nan_mean(traces).tobytes()
 
 
 class TestLossDrawsMatchTheScalarLoop:

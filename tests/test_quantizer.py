@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from platoonkey import quantizer
-from platoonkey.channel import ChannelParams, PlatoonGeometry, RssTrace, generate_trace
+from platoonkey.channel import ChannelParams, PlatoonGeometry, generate_trace
 from platoonkey.keygen import codeword_table, extract_key
 from platoonkey.protocol import run_cycle
 from platoonkey.quantizer import (
@@ -16,7 +16,6 @@ from platoonkey.quantizer import (
     _balance_target,
     _grid_ranks,
     IntervalSet,
-    bin_indices,
     optimize_boundaries,
     optimize_intervals,
     quantize_trace,
@@ -31,13 +30,12 @@ TWO_BIN = IntervalSet(boundaries=(0.0, 5.0, 10.0))
 
 
 def bins_of(xs, intervals=TWO_BIN):
-    return bin_indices(xs, intervals).tolist()
+    return quantize_trace(xs, intervals).tolist()
 
 
 def kept(trace, floor):
     """The trace on the slots every vehicle keeps, as a cycle selects them."""
-    keep = retained_slots(trace, floor)
-    return RssTrace(values=trace.values[:, keep], eavesdropper=trace.eavesdropper[keep])
+    return trace[:, retained_slots(trace, floor)]
 
 
 class TestQuantizeBit:
@@ -73,7 +71,7 @@ class TestBinIndex:
 
     def test_vectorized_clamp(self):
         xs = np.array([-1.0, 3.0, 12.0, np.nan, -np.inf, np.inf])
-        bins = bin_indices(xs, TWO_BIN)
+        bins = quantize_trace(xs, TWO_BIN)
         assert bins.tolist() == [1, 1, 2, 1, 1, 2]
         assert bins.dtype == np.int64
 
@@ -88,7 +86,7 @@ class TestBinIndex:
         special = [np.nan, np.inf, -np.inf, *b, b[0] - 1.0, np.nextafter(b[0], -np.inf),
                    np.nextafter(b[-1], np.inf), b[-1] + 1.0]
         xs = np.array(special + data.draw(st.lists(finite, max_size=20)))
-        got = bin_indices(xs, iset)
+        got = quantize_trace(xs, iset)
         want = reference_bin_indices(xs, iset)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -105,12 +103,12 @@ class TestBinIndex:
             np.resize(special, width), b,
             np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
             rng.uniform(b[0] - 5.0, b[-1] + 5.0, width)])
-        got = bin_indices(block, iset)
+        got = quantize_trace(block, iset)
         want = np.array([reference_bin_indices(row, iset) for row in block])
         assert got.shape == block.shape and got.dtype == want.dtype
         assert got.tolist() == want.tolist()
         assert got[1].tolist() == [*range(1, L + 1), L]  # b_l opens bin l + 1
-        assert bin_indices(block.T, iset).tolist() == want.T.tolist()
+        assert quantize_trace(block.T, iset).tolist() == want.T.tolist()
 
     def test_interval_set_validation(self):
         with pytest.raises(ValueError):
@@ -123,7 +121,7 @@ def fitted_table(rows, floor, L, G):
     """The fit's per-interval mismatch, and the oracle's re-count of it on
     the bins of the fitted boundaries."""
     iset, per_interval = optimize_boundaries(rows, floor, L, G)
-    bins = [bin_indices(r, iset).tolist() for r in rows]
+    bins = [quantize_trace(r, iset).tolist() for r in rows]
     return per_interval, tuple(chained_mismatch(bins, l)
                                for l in range(1, L + 1))
 
@@ -238,7 +236,7 @@ class TestOptimizeBoundaries:
         rows = np.vstack([rng.normal(0, 2, 60),
                           rng.normal(0, 2, 60) + rng.normal(0, 0.3, 60)])
         iset, _ = optimize_boundaries(rows, float(rows.min()) - 5.0, 4, 32)
-        bins = bin_indices(rows[0], iset)
+        bins = quantize_trace(rows[0], iset)
         counts = np.bincount(bins, minlength=5)[1:]
         assert counts.min() >= 60 // (2 * 4)
 
@@ -262,18 +260,18 @@ class TestOptimizeIntervals:
         p, t = self.trace(sigma=5.0, slots=200)
         floor = p.rss_decode_floor_db
         keep = retained_slots(t, floor)
-        dropped = set(range(t.values.shape[1])) - set(keep.tolist())
+        dropped = set(range(t.shape[1])) - set(keep.tolist())
         assert dropped
         for s in dropped:
-            column = t.values[:, s]
+            column = t[:-1, s]
             assert np.isnan(column).any() or (column < floor).any()
-        assert (t.values[:, keep] >= floor).all()
+        assert (t[:-1, keep] >= floor).all()
         # the key slots are exactly the ones the fit saw
         selected = kept(t, floor)
         iset, _ = optimize_intervals(selected, 2, 16, floor=floor)
         rows = quantize_trace(selected, iset)
         assert rows.shape == (5, len(keep))
-        np.testing.assert_array_equal(rows[:-1], bin_indices(t.values[:, keep], iset))
+        np.testing.assert_array_equal(rows[:-1], quantize_trace(t[:-1, keep], iset))
         assert rows.min() >= 1 and rows.max() <= 2
 
     @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (-30.0, "decode floor")],
@@ -283,11 +281,10 @@ class TestOptimizeIntervals:
         # would have dropped is an error, not a slot to skip
         p, t = self.trace()
         selected = kept(t, p.rss_decode_floor_db)
-        values = selected.values.copy()
+        values = selected.copy()
         values[2, 0] = bad
         with pytest.raises(ValueError, match=message) as raised:
-            optimize_intervals(RssTrace(values=values, eavesdropper=selected.eavesdropper),
-                               2, 16, p.rss_decode_floor_db)
+            optimize_intervals(values, 2, 16, p.rss_decode_floor_db)
         assert raised.type is ValueError
 
     def test_eavesdropper_bins_clamped(self):
@@ -314,7 +311,7 @@ class TestOptimizeIntervals:
             keep = retained_slots(t, floor)
             assert quantize_trace(selected, iset).tolist() == [
                 reference_bin_indices(row, iset).tolist()
-                for row in (*t.values[:, keep], t.eavesdropper[keep])]
+                for row in t[:, keep]]
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_vehicle_2_above_the_top_keeps_its_slot(self, L):
@@ -323,8 +320,7 @@ class TestOptimizeIntervals:
         chain = np.array([-60.0, -50.0, -40.0, -55.0, -45.0, -65.0])
         v2 = chain.copy()
         v2[2] = -10.0
-        trace = RssTrace(values=np.vstack([chain, v2, chain, chain]),
-                         eavesdropper=np.full(chain.size, -52.0))
+        trace = np.vstack([chain, v2, chain, chain, np.full(chain.size, -52.0)])
         iset, _ = optimize_intervals(trace, L, 8, floor=-100.0)
         assert v2[2] >= iset.boundaries[-1]
         assert retained_slots(trace, iset.boundaries[0]).tolist() == list(range(chain.size))
@@ -351,11 +347,11 @@ class TestOptimizeIntervals:
             keep = retained_slots(t, floor)
             # the fit's grid runs from the floor to the chain's largest
             # sample; the chain leaves out vehicle 2
-            top = np.delete(t.values[:, keep], 1, axis=0).max()
+            top = np.delete(t[:-1, keep], 1, axis=0).max()
             grid = np.linspace(floor, top, grid_size)
             b = int(np.searchsorted(grid, iset.boundaries[1]))
             assert grid[b] == iset.boundaries[1]
-            cells = np.bincount(np.searchsorted(grid, t.values[0, keep], "right") - 1,
+            cells = np.bincount(np.searchsorted(grid, t[0, keep], "right") - 1,
                                 minlength=grid_size)
             surplus = 2 * int(key.bits.sum()) - len(key)
             if surplus:
@@ -400,7 +396,7 @@ class TestOptimizeBoundariesProperty:
         iset, per_interval = optimize_boundaries(rows, floor, L, G)
         assert iset.boundaries == pytest.approx(bounds, rel=1e-12, abs=1e-12)
         assert sum(per_interval) == mismatch
-        bins = [bin_indices(r, iset).tolist() for r in rows]
+        bins = [quantize_trace(r, iset).tolist() for r in rows]
         assert per_interval == tuple(
             chained_mismatch(bins, l) for l in range(1, L + 1))
 
@@ -587,6 +583,6 @@ class TestGridRanks:
         for seed in range(3):
             (t,) = generate_trace(p, g, 50, seed)
             selected = kept(t, p.rss_decode_floor_db)
-            self.check(selected.values[[0, 2]], p.rss_decode_floor_db, 512)
+            self.check(selected[[0, 2]], p.rss_decode_floor_db, 512)
             with pytest.raises(InfeasiblePartition, match="coincide"):
                 optimize_intervals(selected, 8, 512, p.rss_decode_floor_db)

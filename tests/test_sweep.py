@@ -189,6 +189,7 @@ def n_vehicles_sweep(**channel):
 
 @pytest.mark.parametrize("scenario, draws_per_seed", [
     (replace(n_vehicles_sweep(), geometry=P2), 1),
+    (replace(n_vehicles_sweep(), protocol=ProtocolConfig(z_iterations=3)), 1),
     (Scenario(slots=60, seeds=(0, 1, 2), sweep_axis="n_intervals",
               sweep_values=(2, 4)), 1),
     (n_vehicles_sweep(measurement_noise_db=0.05), 2),
@@ -196,8 +197,8 @@ def n_vehicles_sweep(**channel):
     (replace(n_vehicles_sweep(), geometry=P3), 2),
     (Scenario(slots=60, seeds=(0, 1, 2), sweep_axis="eavesdropper",
               sweep_values=(("P1", 3.0), ("P2", 3.0))), 2),
-], ids=["P2-n_vehicles", "n_intervals", "noisy-n_vehicles", "reciprocity-n_vehicles",
-        "P3-n_vehicles", "eavesdropper"])
+], ids=["P2-n_vehicles", "z3-n_vehicles", "n_intervals", "noisy-n_vehicles",
+        "reciprocity-n_vehicles", "P3-n_vehicles", "eavesdropper"])
 def test_points_of_one_trace_key_share_each_seeds_draw(tmp_path, monkeypatch,
                                                        scenario, draws_per_seed):
     calls = []
